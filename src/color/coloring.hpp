@@ -108,8 +108,8 @@ struct RowSplits {
 /// Per-class count of distinct nonzero (generalized) diagonals in the
 /// strictly-lower-class and strictly-upper-class blocks.  The kernel
 /// instrumentation prices one class sweep as this many vector triads
-/// (Section 3.1); both the serial and the threaded multicolor sweep report
-/// through it.
+/// (Section 3.1); the multicolor sweep reports through it for any strip
+/// count.
 struct ClassDiagonalCensus {
   std::vector<int> lower;  // per class
   std::vector<int> upper;

@@ -48,27 +48,24 @@ bool DiaMatrix::profitable(const CsrMatrix& a, double max_fill) {
 void DiaMatrix::multiply(const Vec& x, Vec& y) const {
   assert(static_cast<index_t>(x.size()) == n_);
   y.assign(n_, 0.0);
-  for (std::size_t d = 0; d < offsets_.size(); ++d) {
-    const index_t off = offsets_[d];
-    const std::vector<double>& v = diag_[d];
-    const index_t lo = std::max<index_t>(0, -off);
-    const index_t hi = std::min<index_t>(n_, n_ - off);
-    // Unit-stride triad: y[i] += v[i] * x[i + off]  — the vectorizable form.
-    simd::dia_triad(v.data(), x.data(), y.data(), lo, hi, off,
-                    /*subtract=*/false);
-  }
+  multiply_rows(x, y, 0, n_, /*subtract=*/false);
 }
 
 void DiaMatrix::multiply_sub(const Vec& x, Vec& y) const {
   assert(static_cast<index_t>(x.size()) == n_);
   assert(static_cast<index_t>(y.size()) == n_);
+  multiply_rows(x, y, 0, n_, /*subtract=*/true);
+}
+
+void DiaMatrix::multiply_rows(const Vec& x, Vec& y, index_t begin,
+                              index_t end, bool subtract) const {
   for (std::size_t d = 0; d < offsets_.size(); ++d) {
     const index_t off = offsets_[d];
-    const std::vector<double>& v = diag_[d];
-    const index_t lo = std::max<index_t>(0, -off);
-    const index_t hi = std::min<index_t>(n_, n_ - off);
-    simd::dia_triad(v.data(), x.data(), y.data(), lo, hi, off,
-                    /*subtract=*/true);
+    const index_t lo = std::max(begin, std::max<index_t>(0, -off));
+    const index_t hi = std::min(end, std::min<index_t>(n_, n_ - off));
+    // Unit-stride triad: y[i] += v[i] * x[i + off]  — the vectorizable form.
+    simd::dia_triad(diag_[d].data(), x.data(), y.data(), lo, hi, off,
+                    subtract);
   }
 }
 

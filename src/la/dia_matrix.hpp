@@ -54,6 +54,13 @@ class DiaMatrix {
   /// y = y - A x
   void multiply_sub(const Vec& x, Vec& y) const;
 
+  /// Rows [begin, end) only: y[i] += (A x)[i], or -= with `subtract`,
+  /// accumulating the diagonals in offset order.  Per element that is the
+  /// order of the whole-matrix products, so any partition of the rows into
+  /// ranges reproduces them bitwise.  `y` must already hold n entries.
+  void multiply_rows(const Vec& x, Vec& y, index_t begin, index_t end,
+                     bool subtract) const;
+
   /// Total stored doubles (n per diagonal) — the storage cost of the
   /// scheme, reported by the kernel bench.
   [[nodiscard]] std::size_t stored_values() const {

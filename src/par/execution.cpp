@@ -160,22 +160,10 @@ void Execution::spmv(const la::DiaMatrix& a, const Vec& x, Vec& y) const {
     a.multiply(x, y);
     return;
   }
-  const index_t n = a.rows();
-  assert(static_cast<index_t>(x.size()) == n);
-  y.assign(n, 0.0);
-  const auto& offsets = a.offsets();
-  const auto& diags = a.diagonals();
-  // Partition the element range; within a chunk, accumulate the diagonals
-  // in offset order — per element this is the serial accumulation order.
-  pool_->for_range(0, n, [&](index_t b, index_t e) {
-    for (std::size_t d = 0; d < offsets.size(); ++d) {
-      const index_t off = offsets[d];
-      const std::vector<double>& v = diags[d];
-      const index_t lo = std::max(b, std::max<index_t>(0, -off));
-      const index_t hi = std::min(e, std::min<index_t>(n, n - off));
-      la::simd::dia_triad(v.data(), x.data(), y.data(), lo, hi, off,
-                          /*subtract=*/false);
-    }
+  assert(static_cast<index_t>(x.size()) == a.rows());
+  y.assign(a.rows(), 0.0);
+  pool_->for_range(0, a.rows(), [&](index_t b, index_t e) {
+    a.multiply_rows(x, y, b, e, /*subtract=*/false);
   });
 }
 
@@ -184,20 +172,10 @@ void Execution::spmv_sub(const la::DiaMatrix& a, const Vec& x, Vec& y) const {
     a.multiply_sub(x, y);
     return;
   }
-  const index_t n = a.rows();
-  assert(static_cast<index_t>(x.size()) == n);
-  assert(static_cast<index_t>(y.size()) == n);
-  const auto& offsets = a.offsets();
-  const auto& diags = a.diagonals();
-  pool_->for_range(0, n, [&](index_t b, index_t e) {
-    for (std::size_t d = 0; d < offsets.size(); ++d) {
-      const index_t off = offsets[d];
-      const std::vector<double>& v = diags[d];
-      const index_t lo = std::max(b, std::max<index_t>(0, -off));
-      const index_t hi = std::min(e, std::min<index_t>(n, n - off));
-      la::simd::dia_triad(v.data(), x.data(), y.data(), lo, hi, off,
-                          /*subtract=*/true);
-    }
+  assert(static_cast<index_t>(x.size()) == a.rows());
+  assert(static_cast<index_t>(y.size()) == a.rows());
+  pool_->for_range(0, a.rows(), [&](index_t b, index_t e) {
+    a.multiply_rows(x, y, b, e, /*subtract=*/true);
   });
 }
 

@@ -44,6 +44,11 @@ void ThreadPool::worker_loop() {
       start_cv_.wait(lk, [&] { return stop_ || generation_ != seen; });
       if (stop_) return;
       seen = generation_;
+      // A job that has run dry may already have returned to its caller,
+      // whose body is gone: joining it would call a dangling body, and with
+      // the next job's indices once that job resets the cursor.  While the
+      // cursor is short of the end, the caller is still waiting for us.
+      if (next_.load(std::memory_order_relaxed) >= end_) continue;
       active_workers_.fetch_add(1, std::memory_order_relaxed);
     }
     work_on_current_job();

@@ -1,6 +1,5 @@
 #include "shard/sharded_operator.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "la/simd.hpp"
@@ -64,18 +63,7 @@ void ShardedOperator::run(const Vec& x, Vec& y, bool subtract) const {
                                 e, subtract);
         continue;
       }
-      // The Execution DIA pattern on the strip: accumulate the diagonals
-      // in offset order, which per element is the serial order.
-      const auto& offsets = dia_->offsets();
-      const auto& diags = dia_->diagonals();
-      for (std::size_t d = 0; d < offsets.size(); ++d) {
-        const index_t off = offsets[d];
-        const std::vector<double>& v = diags[d];
-        const index_t lo = std::max(b, std::max<index_t>(0, -off));
-        const index_t hi = std::min(e, std::min<index_t>(n, n - off));
-        la::simd::dia_triad(v.data(), x.data(), y.data(), lo, hi, off,
-                            subtract);
-      }
+      dia_->multiply_rows(x, y, b, e, subtract);
     }
   });
 }

@@ -12,8 +12,10 @@
 // (mutable sweep scratch must not be shared across lanes, and nested pool
 // dispatch from inside a pool job is not supported) plus a PcgWorkspace
 // and reorder buffers — built once before the loop, so nothing allocates
-// inside the batch loop beyond each report's solution vector.  Because the
-// lanes run the serial kernel path, every per-RHS result is BITWISE
+// inside the batch loop beyond each report's solution vector.  On the
+// Algorithm-2 path a lane's preconditioner is only scratch: every lane's
+// engine runs over one shared, immutable one-strip sweep plan.  Because
+// the lanes run the serial kernel path, every per-RHS result is BITWISE
 // identical to the corresponding serial Prepared::solve.
 #include <algorithm>
 #include <atomic>
@@ -119,21 +121,35 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs,
   // for the per-shard phase dispatch.
   const bool sharded = shards_ > 0 && lanes == 1;
 
-  // Build one scratch arena per lane through the same selection policy as
-  // prepare(), with exec = nullptr for the serial twin (see the file
-  // comment).  The expensive setup — coloring, interval, alphas — is NOT
-  // redone: lanes share cs_/matrix_/op_/alphas_ read-only.
-  // The kernel census rides the same KernelLog stream the Section-4 cost
-  // model uses — one instrumentation pass.  The log pointer is non-null
-  // only when tracing is on when the batch starts, so untraced batches
-  // keep the log-free pcg_solve/sweep code paths (no virtual calls).
+  // Build one scratch arena per lane; the expensive setup — coloring,
+  // interval, alphas — is shared read-only.  On the Algorithm-2 path the
+  // lanes share one sweep plan too: this pipeline's own if it has one
+  // strip (or for the sharded single lane, which runs its strips on the
+  // pool), else a one-strip plan built once for this call.  Other paths go
+  // through prepare()'s selection policy with exec = nullptr.  A lane's
+  // KernelLog is non-null only when tracing is on as the batch starts, so
+  // untraced batches keep the log-free code paths.
+  const auto* sweep =
+      dynamic_cast<const core::MulticolorMStepSsor*>(precond_.get());
+  std::shared_ptr<const core::MulticolorSweepPlan> sweep_plan;
+  if (sweep) {
+    sweep_plan = sharded || sweep->plan()->num_strips() == 1
+                     ? sweep->plan()
+                     : std::make_shared<const core::MulticolorSweepPlan>(
+                           *cs_, alphas_);
+  }
   const bool tracing = obs::Tracer::instance().enabled();
   std::vector<Lane> arena(static_cast<std::size_t>(lanes));
   for (Lane& lane : arena) {
     if (tracing) lane.trace_log = std::make_unique<obs::TracingKernelLog>();
-    lane.engine = detail::make_preconditioner(config_, cs_.get(), *matrix_,
-                                              alphas_, lane.trace_log.get(),
-                                              nullptr);
+    if (sweep_plan) {
+      lane.engine.precond = std::make_unique<core::MulticolorMStepSsor>(
+          sweep_plan, sharded ? pool : nullptr, lane.trace_log.get());
+    } else {
+      lane.engine = detail::make_preconditioner(
+          config_, cs_.get(), *matrix_, alphas_, lane.trace_log.get(),
+          nullptr);
+    }
   }
 
   const index_t n = matrix_->rows();
@@ -156,9 +172,7 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs,
               std::to_string(n));
         }
         SolveReport report;
-        const core::Preconditioner& precond =
-            sharded && shard_precond_ ? *shard_precond_
-                                      : *lane.engine.precond;
+        const core::Preconditioner& precond = *lane.engine.precond;
         const la::LinearOperator& op = sharded ? *shard_op_ : *op_;
         if (cs_) {
           cs_->permute_into(f, lane.fp);

@@ -8,9 +8,7 @@
 #include "core/mstep.hpp"
 #include "core/multicolor_mstep.hpp"
 #include "obs/trace.hpp"
-#include "par/colored_sweep.hpp"
 #include "shard/sharded_operator.hpp"
-#include "shard/sharded_sweep.hpp"
 
 namespace mstep::solver {
 
@@ -43,7 +41,9 @@ PrecondChoice make_preconditioner(const SolverConfig& config,
                                   const la::CsrMatrix& matrix,
                                   const std::vector<double>& alphas,
                                   core::KernelLog* log,
-                                  const par::Execution* exec) {
+                                  const par::Execution* exec,
+                                  const shard::ShardPlan* strips,
+                                  par::ThreadPool* strip_pool) {
   PrecondChoice choice;
   if (config.steps <= 0) {
     choice.precond =
@@ -51,19 +51,24 @@ PrecondChoice make_preconditioner(const SolverConfig& config,
     return choice;
   }
   // Algorithm-2 fast path: the Conrad–Wallach multicolor sweep is the
-  // SSOR(omega = 1) m-step operator on the colour-permuted matrix.  With
-  // a parallel execution policy the colour classes are swept by the
-  // thread pool — bitwise the serial result (the decoupling property).
-  // Tiny systems keep the serial sweep: per-class pool dispatch costs
-  // more than it saves there (same threshold as the Execution kernels).
+  // SSOR(omega = 1) m-step operator on the colour-permuted matrix.  One
+  // engine serves every execution mode, differing only in its strips: the
+  // caller's (the region-sharded backend), else one per pool thread under
+  // a parallel execution policy, else one (serial, inline).  Tiny systems
+  // keep one strip: per-phase pool dispatch costs more than it saves there
+  // (same threshold as the Execution kernels).  Any strip count is bitwise
+  // the serial sweep.
   if (cs && config.splitting == "ssor" && ssor_omega(config) == 1.0) {
-    if (exec && exec->parallel() && matrix.rows() >= par::kSerialCutoff) {
-      choice.precond = std::make_unique<par::ParallelMulticolorMStepSsor>(
-          *cs, alphas, *exec->pool(), log);
-    } else {
-      choice.precond =
-          std::make_unique<core::MulticolorMStepSsor>(*cs, alphas, log);
-    }
+    const bool threaded =
+        exec && exec->parallel() && matrix.rows() >= par::kSerialCutoff;
+    par::ThreadPool* pool = strips ? strip_pool
+                                   : (threaded ? exec->pool() : nullptr);
+    auto plan = strips ? std::make_shared<const core::MulticolorSweepPlan>(
+                             *cs, alphas, *strips)
+                       : std::make_shared<const core::MulticolorSweepPlan>(
+                             *cs, alphas, threaded ? exec->threads() : 1);
+    choice.precond =
+        std::make_unique<core::MulticolorMStepSsor>(std::move(plan), pool, log);
     return choice;
   }
   // Generic m-step engine: every registered splitting threads its sweep
@@ -145,7 +150,24 @@ Prepared Solver::prepare(const la::CsrMatrix& k,
     }
   }
 
-  // 2. Parameters and preconditioner (splitting via the registries).
+  // 2. Region-sharded backend: cut every color block into contiguous
+  // strips, on which the outer products (step 4) and, on the multicolor
+  // SSOR fast path, the sweep run one pool task per strip.  Needs a
+  // multicolour system — the color blocks ARE the regions — and the shared
+  // pool the Solver provisioned for the shard count.  The clamp
+  // (ShardPlan::build) can collapse the request to one shard on a tiny
+  // system, which is the serial region: no machinery engages and the
+  // report says shards = 0.
+  if (config_.execution.shard_count() >= 2 && p.cs_ && exec_) {
+    auto plan = std::make_unique<shard::ShardPlan>(shard::ShardPlan::build(
+        p.cs_->class_start, config_.execution.shards));
+    if (plan->num_shards() >= 2) {
+      p.shards_ = plan->num_shards();
+      p.shard_plan_ = std::move(plan);
+    }
+  }
+
+  // 3. Parameters and preconditioner (splitting via the registries).
   {
     const obs::Span params_span("params");
     if (config_.steps > 0) {
@@ -158,16 +180,16 @@ Prepared Solver::prepare(const la::CsrMatrix& k,
           config_.params, config_.steps, p.interval_);
     }
     // kernel_exec() gates on threads >= 2: a pool that exists only for
-    // batch lanes leaves the single-solve path serial.  The factory is
-    // shared with the batch lanes, so a lane's operator is by construction
-    // the solve path's (m = 0 yields the identity).
+    // batch lanes leaves the single-solve path serial.  The sweep's strips
+    // are the shards when sharded, else one per kernel thread, else one.
     auto choice = detail::make_preconditioner(
-        config_, p.cs_.get(), *p.matrix_, p.alphas_, log, p.kernel_exec());
+        config_, p.cs_.get(), *p.matrix_, p.alphas_, log, p.kernel_exec(),
+        p.shard_plan_.get(), exec_ ? exec_->pool() : nullptr);
     p.splitting_ = std::move(choice.splitting);
     p.precond_ = std::move(choice.precond);
   }
 
-  // 3. Operator view for the outer CG products.  `auto` is resolved HERE,
+  // 4. Operator view for the outer CG products.  `auto` is resolved HERE,
   // on the matrix PCG actually iterates on (the colour-permuted one when
   // multicolour) — a matrix that is banded in the caller's ordering can
   // scatter its diagonals under the permutation and vice versa, so the
@@ -199,35 +221,18 @@ Prepared Solver::prepare(const la::CsrMatrix& k,
     p.op_ = std::make_unique<la::CsrOperator>(*p.matrix_);
   }
 
-  // 4. Region-sharded backend: cut every color block into contiguous
-  // strips and run the outer products (and, on the multicolor SSOR fast
-  // path, the sweeps with halo exchange) one pool task per shard.  Needs
-  // a multicolour system — the color blocks ARE the regions — and the
-  // shared pool the Solver provisioned for the shard count.  The clamp
-  // (ShardPlan::build) can collapse the request to one shard on a tiny
-  // system, which is the serial region: no machinery engages and the
-  // report says shards = 0.
-  if (config_.execution.shard_count() >= 2 && p.cs_ && exec_) {
-    auto plan = std::make_unique<shard::ShardPlan>(shard::ShardPlan::build(
-        p.cs_->class_start, config_.execution.shards));
-    if (plan->num_shards() >= 2) {
-      p.shards_ = plan->num_shards();
-      if (p.resolved_format_ == MatrixFormat::kDia) {
-        p.shard_op_ = std::make_unique<shard::ShardedOperator>(
-            *p.dia_, *plan, *exec_->pool());
-      } else if (p.resolved_format_ == MatrixFormat::kSell) {
-        p.shard_op_ = std::make_unique<shard::ShardedOperator>(
-            *p.sell_, *plan, *exec_->pool());
-      } else {
-        p.shard_op_ = std::make_unique<shard::ShardedOperator>(
-            *p.matrix_, *plan, *exec_->pool());
-      }
-      if (config_.steps > 0 && config_.splitting == "ssor" &&
-          ssor_omega(config_) == 1.0) {
-        p.shard_precond_ = std::make_unique<shard::ShardedMulticolorMStepSsor>(
-            *p.cs_, p.alphas_, *plan, *exec_->pool(), log);
-      }
-      p.shard_plan_ = std::move(plan);
+  // The sharded backend's outer products run on step 2's strips.
+  if (p.shard_plan_) {
+    const shard::ShardPlan& plan = *p.shard_plan_;
+    if (p.resolved_format_ == MatrixFormat::kDia) {
+      p.shard_op_ = std::make_unique<shard::ShardedOperator>(
+          *p.dia_, plan, *exec_->pool());
+    } else if (p.resolved_format_ == MatrixFormat::kSell) {
+      p.shard_op_ = std::make_unique<shard::ShardedOperator>(
+          *p.sell_, plan, *exec_->pool());
+    } else {
+      p.shard_op_ = std::make_unique<shard::ShardedOperator>(
+          *p.matrix_, plan, *exec_->pool());
     }
   }
   return p;
@@ -268,19 +273,16 @@ SolveReport Prepared::solve(const Vec& f, const Vec& u0) const {
   const Vec u0p = u0.empty() ? Vec{} : permute(u0);
 
   SolveReport report;
-  // The sharded backend, when engaged, substitutes its operator and (on
-  // the SSOR fast path) its sweep — both bitwise identical to the plain
-  // ones, so everything downstream is unchanged.
+  // The sharded backend, when engaged, substitutes its operator — bitwise
+  // identical to the plain one, so everything downstream is unchanged.
   const la::LinearOperator& op = shard_op_ ? *shard_op_ : *op_;
-  const core::Preconditioner& precond =
-      shard_precond_ ? *shard_precond_ : *precond_;
-  report.result = core::pcg_solve(op, fp, precond, config_.pcg_options(),
+  report.result = core::pcg_solve(op, fp, *precond_, config_.pcg_options(),
                                   log_, u0p, kernel_exec());
   report.solution = unpermute(report.result.solution);
   report.alphas = alphas_;
   report.interval = interval_;
   report.coloring = stats_;
-  report.preconditioner_name = precond.name();
+  report.preconditioner_name = precond_->name();
   report.steps = config_.steps;
   report.format_selected = resolved_format_;
   report.shards = shards_;

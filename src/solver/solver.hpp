@@ -80,6 +80,11 @@ namespace detail {
 /// generic m-step engine for every other splitting, the identity for
 /// m = 0.  Keeping the choice in one place is what guarantees a batch
 /// lane's operator is mathematically the solve path's.
+///
+/// The Algorithm-2 engine runs on `strips` (the region-sharded backend's
+/// plan, run on `strip_pool`) when given, else on one strip per `exec`
+/// thread when `exec` is parallel and the system is at least
+/// par::kSerialCutoff rows, else on one strip.
 struct PrecondChoice {
   std::unique_ptr<split::Splitting> splitting;  // set on the generic path
   std::unique_ptr<core::Preconditioner> precond;
@@ -88,7 +93,9 @@ struct PrecondChoice {
 [[nodiscard]] PrecondChoice make_preconditioner(
     const SolverConfig& config, const color::ColoredSystem* cs,
     const la::CsrMatrix& matrix, const std::vector<double>& alphas,
-    core::KernelLog* log, const par::Execution* exec);
+    core::KernelLog* log, const par::Execution* exec,
+    const shard::ShardPlan* strips = nullptr,
+    par::ThreadPool* strip_pool = nullptr);
 
 }  // namespace detail
 
@@ -185,8 +192,9 @@ class Prepared {
   /// Solve many independent right-hand sides concurrently, reusing this
   /// pipeline's one coloring/splitting/alpha setup.  Work-stealing
   /// round-robin over the RHSs on the solver's shared thread pool: each
-  /// worker lane owns a scratch arena (its own serial preconditioner
-  /// instance and PCG workspace), grabs the next unsolved RHS, and runs a
+  /// worker lane owns a scratch arena (its own serial preconditioner — on
+  /// the Algorithm-2 path an engine over one one-strip sweep plan shared by
+  /// all lanes — and PCG workspace), grabs the next unsolved RHS, and runs a
   /// full serial-kernel PCG on it — so nothing allocates inside the batch
   /// loop beyond each report's solution, and every per-RHS result is
   /// BITWISE identical to the corresponding serial solve(bs[i]).  A
@@ -245,17 +253,17 @@ class Prepared {
   std::unique_ptr<la::SellMatrix> sell_;      // set when format == sell
   std::unique_ptr<la::LinearOperator> op_;
   std::unique_ptr<split::Splitting> splitting_;
+  // On the multicolor SSOR fast path, the Algorithm-2 engine on as many
+  // strips as the backend asks for (shards, else kernel threads, else 1).
   std::unique_ptr<core::Preconditioner> precond_;
   // Region-sharded backend (src/shard), engaged when the config asks for
   // 2+ shards on a multicolour system: shard_op_ replaces op_ for the
-  // outer products; shard_precond_ replaces precond_ on the multicolor
-  // SSOR fast path (generic splittings shard the operator only).  Both
-  // run on the shared pool below.  Batch lanes ignore them: lanes already
-  // own the pool sideways, so sharding engages only when one solve runs
-  // at a time.
+  // outer products (generic splittings shard the operator only), on the
+  // shared pool below.  Batch lanes run serial kernels: lanes already own
+  // the pool sideways, so sharding engages only when one solve runs at a
+  // time.
   std::unique_ptr<shard::ShardPlan> shard_plan_;
   std::unique_ptr<la::LinearOperator> shard_op_;
-  std::unique_ptr<core::Preconditioner> shard_precond_;
   int shards_ = 0;  // effective count; 0 when not sharded
   // Shared with the creating Solver (and its other Prepared instances):
   // one pool, warm across steps and right-hand sides.

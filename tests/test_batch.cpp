@@ -100,6 +100,49 @@ TEST(SolveMany, EverySplittingAndBatchWidthMatchesSerialBitwise) {
   }
 }
 
+// Lanes over a multi-strip Prepared: kernel threads or shards cut its
+// Algorithm-2 sweep into four strips, while the lanes run engines over one
+// shared one-strip plan (a single sharded lane runs the strips on the
+// pool).  Every result is bitwise the serial solve.
+TEST(SolveMany, LanesOverMultiStripPreparedMatchSerialBitwise) {
+  const Plate p = make_plate(36);  // 2520 equations: above the cutoffs
+  const std::vector<Vec> all_bs = make_rhs_set(p, 16);
+
+  SolverConfig base;
+  base.steps = 2;
+  base.tolerance = 1e-8;
+  const auto serial = Solver::from_config(base).prepare(p.k, p.classes);
+  std::vector<SolveReport> expected;
+  for (const Vec& f : all_bs) expected.push_back(serial.solve(f));
+
+  SolverConfig threaded = base;
+  threaded.execution.threads = 4;
+  threaded.batch = 4;
+  SolverConfig sharded = base;
+  sharded.execution.shards = 4;
+  sharded.batch = 4;
+  for (const SolverConfig& cfg : {threaded, sharded}) {
+    const std::string what = cfg.to_string();
+    const auto prepared = Solver::from_config(cfg).prepare(p.k, p.classes);
+    ASSERT_EQ(prepared.preconditioner().name(), "multicolor-ssor-m2-s4")
+        << what;
+    for (const int width : {1, 3, 16}) {
+      const std::vector<Vec> bs(all_bs.begin(), all_bs.begin() + width);
+      const BatchReport br = prepared.solveMany(bs);
+      ASSERT_EQ(br.num_failed(), 0u) << what;
+      for (int i = 0; i < width; ++i) {
+        const auto& report = br.reports[static_cast<std::size_t>(i)];
+        expect_bitwise_equal(expected[static_cast<std::size_t>(i)], report,
+                             what + " width=" + std::to_string(width) +
+                                 " rhs=" + std::to_string(i));
+        // Only a single lane has the pool to itself for the shards.
+        const bool one_sharded_lane = cfg.execution.shards == 4 && width == 1;
+        ASSERT_EQ(report.shards, one_sharded_lane ? 4 : 0) << what;
+      }
+    }
+  }
+}
+
 TEST(SolveMany, GenericSsorOmegaAndNaturalOrderingMatchSerial) {
   const Plate p = make_plate(36);
   const std::vector<Vec> bs = make_rhs_set(p, 5);

@@ -1,9 +1,13 @@
-// Tests for the shared-memory substrate: the thread pool and the parallel
-// multicolor sweep (race-freedom and bitwise determinism).
+// Tests for the shared-memory substrate: the thread pool and the
+// Algorithm-2 engine on N strips (race-freedom and bitwise determinism).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <functional>
+#include <memory>
 #include <numeric>
+#include <thread>
 
 #include "color/coloring.hpp"
 #include "core/mstep.hpp"
@@ -11,8 +15,8 @@
 #include "core/params.hpp"
 #include "core/pcg.hpp"
 #include "fem/plane_stress.hpp"
-#include "par/colored_sweep.hpp"
 #include "par/thread_pool.hpp"
+#include "shard/partition.hpp"
 #include "util/rng.hpp"
 
 namespace mstep::par {
@@ -63,6 +67,40 @@ TEST(ThreadPool, ReusableAcrossManyJobs) {
   }
 }
 
+// A worker that wakes after a job has run dry must not join it: the job's
+// caller has returned and its body is gone.  Back-to-back jobs alternate
+// between two sizes and two stack slots for the body; each body is
+// poisoned as soon as its job returns, so a late call through a stale body
+// pointer (with the next job's indices) is counted, or crashes, instead of
+// silently running the next round's body.
+TEST(ThreadPool, LateWorkerNeverCallsAFinishedJobsBody) {
+  ThreadPool pool(4);
+  std::atomic<long long> visited{0};
+  std::atomic<long long> stale{0};
+  std::function<void(index_t, index_t)> slots[2];
+  constexpr int kRounds = 60000;
+  long long expected = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::function<void(index_t, index_t)>& body = slots[round % 2];
+    const index_t size = round % 2 == 0 ? 32 : 4;
+    expected += size;
+    body = [&visited](index_t b, index_t e) {
+      // A little work per index keeps the workers cycling through jobs.
+      double acc = 0.0;
+      for (index_t i = b; i < e; ++i) {
+        for (int w = 0; w < 10; ++w) {
+          acc += std::sqrt(static_cast<double>(i + w));
+        }
+      }
+      visited.fetch_add(acc >= 0.0 ? e - b : 0, std::memory_order_relaxed);
+    };
+    pool.for_range(0, size, body);
+    body = [&stale](index_t, index_t) { stale.fetch_add(1); };
+  }
+  EXPECT_EQ(stale.load(), 0);
+  EXPECT_EQ(visited.load(), expected);
+}
+
 struct ColoredPlate {
   fem::PlateMesh mesh;
   la::CsrMatrix k;
@@ -80,35 +118,44 @@ ColoredPlate make_plate(int a) {
           std::move(cs)};
 }
 
-class ParallelSweepBitwise : public ::testing::TestWithParam<int> {};
+/// The Algorithm-2 engine on `strips` strips of `cs`, run on `pool`.
+core::MulticolorMStepSsor strip_engine(const color::ColoredSystem& cs,
+                                       const std::vector<double>& alphas,
+                                       int strips, ThreadPool& pool) {
+  return core::MulticolorMStepSsor(
+      cs, alphas, shard::ShardPlan::build(cs.class_start, strips), pool);
+}
 
-TEST_P(ParallelSweepBitwise, MatchesSerialExactly) {
-  // The decoupling property makes the parallel sweep deterministic: the
-  // result must be BITWISE the serial one, for any thread count.
-  const int threads = GetParam();
+class StripSweepBitwise : public ::testing::TestWithParam<int> {};
+
+TEST_P(StripSweepBitwise, MatchesSerialExactly) {
+  // The decoupling property makes the strip sweep deterministic: the
+  // result must be BITWISE the one-strip one, for any strip count.
+  const int strips = GetParam();
   const auto p = make_plate(12);
   const auto alphas = core::least_squares_alphas(3, core::ssor_interval());
 
   const core::MulticolorMStepSsor serial(p.cs, alphas);
-  ThreadPool pool(threads);
-  const ParallelMulticolorMStepSsor parallel(p.cs, alphas, pool);
+  ThreadPool pool(strips);
+  const auto engine = strip_engine(p.cs, alphas, strips, pool);
+  ASSERT_EQ(engine.plan()->num_strips(), strips);
 
-  util::Rng rng(threads);
+  util::Rng rng(strips);
   for (int trial = 0; trial < 5; ++trial) {
     const Vec r = rng.uniform_vector(p.cs.size());
     Vec z1, z2;
     serial.apply(r, z1);
-    parallel.apply(r, z2);
+    engine.apply(r, z2);
     for (index_t i = 0; i < p.cs.size(); ++i) {
-      ASSERT_EQ(z1[i], z2[i]) << "threads=" << threads << " i=" << i;
+      ASSERT_EQ(z1[i], z2[i]) << "strips=" << strips << " i=" << i;
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Threads, ParallelSweepBitwise,
+INSTANTIATE_TEST_SUITE_P(Strips, StripSweepBitwise,
                          ::testing::Values(1, 2, 3, 4, 8));
 
-TEST(ParallelSweep, DrivesPcgToSameIterationCount) {
+TEST(StripSweep, DrivesPcgToSameIterationCount) {
   const auto p = make_plate(10);
   const Vec f = p.cs.permute(p.f);
   const auto alphas = core::least_squares_alphas(4, core::ssor_interval());
@@ -119,8 +166,8 @@ TEST(ParallelSweep, DrivesPcgToSameIterationCount) {
   const auto seq = core::pcg_solve(p.cs.matrix, f, serial, opt);
 
   ThreadPool pool(4);
-  const ParallelMulticolorMStepSsor par_prec(p.cs, alphas, pool);
-  const auto par_res = core::pcg_solve(p.cs.matrix, f, par_prec, opt);
+  const auto engine = strip_engine(p.cs, alphas, 4, pool);
+  const auto par_res = core::pcg_solve(p.cs.matrix, f, engine, opt);
 
   EXPECT_EQ(seq.iterations, par_res.iterations);
   for (index_t i = 0; i < p.cs.size(); ++i) {
@@ -128,7 +175,7 @@ TEST(ParallelSweep, DrivesPcgToSameIterationCount) {
   }
 }
 
-TEST(ParallelSweep, WorksWithTwoColorPoisson) {
+TEST(StripSweep, WorksWithTwoColorPoisson) {
   const fem::PoissonProblem prob(9, 7);
   const auto a = prob.matrix();
   const auto cs =
@@ -136,13 +183,61 @@ TEST(ParallelSweep, WorksWithTwoColorPoisson) {
   const auto alphas = core::unparametrized_alphas(2);
   const core::MulticolorMStepSsor serial(cs, alphas);
   ThreadPool pool(3);
-  const ParallelMulticolorMStepSsor parallel(cs, alphas, pool);
+  const auto engine = strip_engine(cs, alphas, 3, pool);
   util::Rng rng(7);
   const Vec r = rng.uniform_vector(cs.size());
   Vec z1, z2;
   serial.apply(r, z1);
-  parallel.apply(r, z2);
+  engine.apply(r, z2);
   for (index_t i = 0; i < cs.size(); ++i) EXPECT_EQ(z1[i], z2[i]);
+}
+
+TEST(StripSweep, NamesItsStripCount) {
+  const auto p = make_plate(6);
+  const auto alphas = core::unparametrized_alphas(2);
+  ThreadPool pool(2);
+  EXPECT_EQ(core::MulticolorMStepSsor(p.cs, alphas).name(),
+            "multicolor-ssor-m2");
+  EXPECT_EQ(strip_engine(p.cs, alphas, 2, pool).name(),
+            "multicolor-ssor-m2-s2");
+  // A multi-strip plan has nothing to run on without a pool.
+  EXPECT_THROW(core::MulticolorMStepSsor(
+                   std::make_shared<const core::MulticolorSweepPlan>(
+                       p.cs, alphas, 2)),
+               std::invalid_argument);
+}
+
+// The plan is immutable and the scratch is per engine: four engines over
+// one shared plan, applied concurrently from four threads, each reproduce
+// the serial bits.
+TEST(StripSweep, EnginesSharingOnePlanApplyConcurrently) {
+  const auto p = make_plate(12);
+  const auto alphas = core::least_squares_alphas(4, core::ssor_interval());
+  const auto plan =
+      std::make_shared<const core::MulticolorSweepPlan>(p.cs, alphas);
+  const core::MulticolorMStepSsor serial(p.cs, alphas);
+
+  constexpr int kEngines = 4;
+  std::vector<Vec> rs, expected(kEngines), got(kEngines);
+  util::Rng rng(11);
+  for (int e = 0; e < kEngines; ++e) {
+    rs.push_back(rng.uniform_vector(p.cs.size()));
+    serial.apply(rs[e], expected[e]);
+  }
+  std::vector<std::unique_ptr<core::MulticolorMStepSsor>> engines;
+  for (int e = 0; e < kEngines; ++e) {
+    engines.push_back(std::make_unique<core::MulticolorMStepSsor>(plan));
+  }
+  std::vector<std::thread> threads;
+  for (int e = 0; e < kEngines; ++e) {
+    threads.emplace_back([&, e] {
+      for (int rep = 0; rep < 20; ++rep) engines[e]->apply(rs[e], got[e]);
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (int e = 0; e < kEngines; ++e) {
+    ASSERT_EQ(got[e], expected[e]) << "engine " << e;
+  }
 }
 
 TEST(RowSplits, RejectsCoupledClasses) {
