@@ -93,8 +93,8 @@ int run_thread_scaling(const util::Cli& cli) {
   const int repeats = cli.get_int("repeats", quick ? 1 : 3);
   const auto thread_counts = parse_count_list(
       "--threads", cli.get("threads", quick ? "1,2" : "1,2,4,8"));
-  // Region-sharded sweep rows (threads left serial so the sharded phase
-  // dispatch owns the pool); every sharded solve must stay bitwise the
+  // Region-sharded rows, requested through the `shards` alias of
+  // `threads` (the same strip partition); every one must stay bitwise the
   // serial solve, which is the row's gate in BENCH_scaling.json.
   const auto shard_counts =
       parse_count_list("--shards", cli.get("shards", quick ? "2" : "2,4"));
@@ -180,8 +180,8 @@ int run_thread_scaling(const util::Cli& cli) {
     util::Table st({"shards", "iterations", "wall (s)", "speedup",
                     "bitwise = serial"});
     for (const int shards : shard_counts) {
-      auto cfg = w.config;
-      cfg.execution.shards = shards;
+      const auto cfg = solver::SolverConfig::from_string(
+          w.config.to_string() + ";shards=" + std::to_string(shards));
       const auto solver = solver::Solver::from_config(cfg);
       const auto prepared = solver.prepare(sys.stiffness);
       solver::SolveReport report;

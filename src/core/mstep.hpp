@@ -14,11 +14,13 @@
 // Dubois–Greenbaum–Rodrigue truncated Neumann series.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "core/kernel_log.hpp"
 #include "core/preconditioner.hpp"
 #include "la/csr_matrix.hpp"
+#include "shard/sharded_operator.hpp"
 #include "split/splitting.hpp"
 
 namespace mstep::par {
@@ -30,15 +32,16 @@ namespace mstep::core {
 class MStepPreconditioner : public Preconditioner {
  public:
   /// `alphas[i]` is the coefficient of G^i; m = alphas.size() >= 1.
-  /// K and the splitting must outlive the preconditioner.  `exec`
-  /// (optional, must outlive the preconditioner) threads the sweep's
-  /// scaled-residual copy, the K z product, and the accumulation — plus
-  /// the P^{-1} application for the elementwise splittings — through the
-  /// execution policy; the deterministic kernels keep the result BITWISE
-  /// identical to the serial sweep for any thread count.
+  /// K, the splitting, `exec` and `strips` must outlive the
+  /// preconditioner.  `exec` (optional) threads the vector ops — plus the
+  /// P^{-1} application for the elementwise splittings; `strips`
+  /// (optional, needs a parallel `exec`) runs K z as a CSR
+  /// shard::ShardedOperator on exec's pool.  The result is BITWISE the
+  /// serial sweep for any thread count.
   MStepPreconditioner(const la::CsrMatrix& k, const split::Splitting& split,
                       std::vector<double> alphas, KernelLog* log = nullptr,
-                      const par::Execution* exec = nullptr);
+                      const par::Execution* exec = nullptr,
+                      const shard::ShardPlan* strips = nullptr);
 
   [[nodiscard]] index_t size() const override { return k_->rows(); }
   void apply(const Vec& r, Vec& z) const override;
@@ -55,6 +58,7 @@ class MStepPreconditioner : public Preconditioner {
   std::vector<double> alphas_;
   KernelLog* log_;
   const par::Execution* exec_;  // nullptr = serial sweep
+  std::optional<shard::ShardedOperator> strip_k_;  // K on the strips, if any
   int ndiags_;  // cached diagonal count for the instrumentation stream
   mutable Vec tmp_;
   mutable Vec pz_;

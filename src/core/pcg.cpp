@@ -52,7 +52,7 @@ PcgResult pcg_solve(const la::LinearOperator& k, const Vec& f,
 
   // r0 = f - K u0
   Vec& r = ws.r;
-  k.residual(f, u, r, ex);
+  k.residual(f, u, r);
   if (log) {
     log->spmv_diagonals(n, ndiags);
     log->vec_op(n, 1);
@@ -94,7 +94,7 @@ PcgResult pcg_solve(const la::LinearOperator& k, const Vec& f,
   for (int it = 0; it < options.max_iterations; ++it) {
     const obs::Span iteration_span("iteration");
     // w = K p ; alpha = rho / (p, w)
-    k.multiply(p, w, ex);
+    k.multiply(p, w);
     const double pw = ex.dot(p, w);
     if (log) {
       log->spmv_diagonals(n, ndiags);
@@ -159,7 +159,7 @@ PcgResult pcg_solve(const la::LinearOperator& k, const Vec& f,
 
   res.final_residual2 = [&] {
     // w is dead scratch after the loop: reuse it for the final residual.
-    k.residual(f, u, w, ex);
+    k.residual(f, u, w);
     return ex.nrm2(w);
   }();
   // Moving out of the workspace leaves ws.u empty; the next solve's

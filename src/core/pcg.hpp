@@ -64,10 +64,11 @@ struct PcgWorkspace {
 
 /// Solve K u = f with preconditioner M (Algorithm 1).  `u0` is the initial
 /// guess (zero if empty).  Instrumentation callbacks go to `log` when
-/// non-null.  `exec` (optional) threads the SpMV and vector kernels; the
-/// deterministic blocked reductions make the result BITWISE identical to
-/// the serial solve for any thread count.  `workspace` (optional) supplies
-/// the solve scratch so repeated solves do not allocate.  Throws
+/// non-null.  `exec` (optional) threads the vector kernels (a threaded `k`
+/// is a shard::ShardedOperator); the deterministic blocked reductions make
+/// the result BITWISE identical to the serial solve for any thread count.
+/// `workspace` (optional) supplies the solve scratch so repeated solves do
+/// not allocate.  Throws
 /// std::invalid_argument on dimension mismatches, a non-positive
 /// tolerance, or a non-positive iteration limit.
 [[nodiscard]] PcgResult pcg_solve(const la::LinearOperator& k, const Vec& f,

@@ -5,17 +5,14 @@
 // view rather than a concrete storage format.  CSR and the Madsen–
 // Rodrigue–Karush diagonal storage both adapt to it, letting one solver
 // serve both the general-sparsity path and the vector-machine layout the
-// paper times in Section 3.1.
+// paper times in Section 3.1.  These views are serial; the threaded one is
+// shard::ShardedOperator.
 #pragma once
 
 #include "la/csr_matrix.hpp"
 #include "la/dia_matrix.hpp"
 #include "la/sell_matrix.hpp"
 #include "la/vector.hpp"
-
-namespace mstep::par {
-class Execution;  // par/execution.hpp — the threaded kernel policy
-}
 
 namespace mstep::la {
 
@@ -33,15 +30,6 @@ class LinearOperator {
   /// y = y - A x
   virtual void multiply_sub(const Vec& x, Vec& y) const = 0;
 
-  /// Execution-policy forms: identical results (bitwise) to the serial
-  /// forms, computed through `exec`'s threads when it is parallel.  The
-  /// base implementations ignore `exec` and run serially, so custom
-  /// operators stay correct without opting in.
-  virtual void multiply(const Vec& x, Vec& y,
-                        const par::Execution& exec) const;
-  virtual void multiply_sub(const Vec& x, Vec& y,
-                            const par::Execution& exec) const;
-
   /// Number of nonzero (generalized) diagonals — the instrumentation
   /// stream prices an SpMV as this many vector triads (Section 3.1).
   [[nodiscard]] virtual index_t num_nonzero_diagonals() const = 0;
@@ -50,11 +38,6 @@ class LinearOperator {
   void residual(const Vec& b, const Vec& x, Vec& r) const {
     r = b;
     multiply_sub(x, r);
-  }
-  void residual(const Vec& b, const Vec& x, Vec& r,
-                const par::Execution& exec) const {
-    r = b;
-    multiply_sub(x, r, exec);
   }
 };
 
@@ -68,10 +51,6 @@ class CsrOperator final : public LinearOperator {
   void multiply_sub(const Vec& x, Vec& y) const override {
     a_->multiply_sub(x, y);
   }
-  void multiply(const Vec& x, Vec& y,
-                const par::Execution& exec) const override;
-  void multiply_sub(const Vec& x, Vec& y,
-                    const par::Execution& exec) const override;
   [[nodiscard]] index_t num_nonzero_diagonals() const override {
     return a_->num_nonzero_diagonals();
   }
@@ -90,10 +69,6 @@ class DiaOperator final : public LinearOperator {
   void multiply_sub(const Vec& x, Vec& y) const override {
     a_->multiply_sub(x, y);
   }
-  void multiply(const Vec& x, Vec& y,
-                const par::Execution& exec) const override;
-  void multiply_sub(const Vec& x, Vec& y,
-                    const par::Execution& exec) const override;
   [[nodiscard]] index_t num_nonzero_diagonals() const override {
     return a_->num_diagonals();
   }
@@ -113,10 +88,6 @@ class SellOperator final : public LinearOperator {
   void multiply_sub(const Vec& x, Vec& y) const override {
     a_->multiply_sub(x, y);
   }
-  void multiply(const Vec& x, Vec& y,
-                const par::Execution& exec) const override;
-  void multiply_sub(const Vec& x, Vec& y,
-                    const par::Execution& exec) const override;
   [[nodiscard]] index_t num_nonzero_diagonals() const override {
     return a_->num_nonzero_diagonals();
   }

@@ -14,22 +14,24 @@
 
 namespace mstep::par {
 
+namespace {
+
+/// Reduction scratch for `nblocks` block partials, zeroed.  One buffer per
+/// calling thread, so callers sharing an Execution never share it; pool
+/// workers write into the caller's buffer through the job body.
+std::vector<double>& block_partials(index_t nblocks) {
+  thread_local std::vector<double> partials;
+  partials.assign(static_cast<std::size_t>(nblocks), 0.0);
+  return partials;
+}
+
+}  // namespace
+
 Execution::Execution(int threads) {
   if (threads < 0) {
     throw std::invalid_argument("Execution: thread count must be >= 0");
   }
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
-}
-
-void Execution::for_range(
-    index_t begin, index_t end,
-    const std::function<void(index_t, index_t)>& body) const {
-  if (begin >= end) return;
-  if (pool_) {
-    pool_->for_range(begin, end, body);
-  } else {
-    body(begin, end);
-  }
 }
 
 double Execution::dot(const Vec& x, const Vec& y) const {
@@ -39,15 +41,15 @@ double Execution::dot(const Vec& x, const Vec& y) const {
 
   const auto block = static_cast<index_t>(la::kReductionBlock);
   const index_t nblocks = (n + block - 1) / block;
-  partials_.assign(nblocks, 0.0);
+  std::vector<double>& partials = block_partials(nblocks);
   pool_->for_each(0, nblocks, [&](index_t k) {
     const auto b = static_cast<std::size_t>(k) * la::kReductionBlock;
-    partials_[k] = la::detail::dot_range(
+    partials[k] = la::detail::dot_range(
         x, y, b, std::min(x.size(), b + la::kReductionBlock));
   });
   // Combine in block order — exactly la::dot's serial combination.
   double s = 0.0;
-  for (index_t k = 0; k < nblocks; ++k) s += partials_[k];
+  for (index_t k = 0; k < nblocks; ++k) s += partials[k];
   return s;
 }
 
@@ -114,97 +116,17 @@ double Execution::step_update_max(double a, const Vec& p, Vec& u) const {
   }
   const auto block = static_cast<index_t>(la::kReductionBlock);
   const index_t nblocks = (n + block - 1) / block;
-  partials_.assign(nblocks, 0.0);
+  std::vector<double>& partials = block_partials(nblocks);
   pool_->for_each(0, nblocks, [&](index_t k) {
     const index_t b = k * block;
     const index_t e = std::min(n, b + block);
-    partials_[k] = la::simd::step_update_max(a, p.data() + b, u.data() + b,
+    partials[k] = la::simd::step_update_max(a, p.data() + b, u.data() + b,
                                              static_cast<std::size_t>(e - b));
   });
   // max over blocks == max over the range: order-insensitive.
   double mx = 0.0;
-  for (index_t k = 0; k < nblocks; ++k) mx = std::max(mx, partials_[k]);
+  for (index_t k = 0; k < nblocks; ++k) mx = std::max(mx, partials[k]);
   return mx;
-}
-
-void Execution::spmv(const la::CsrMatrix& a, const Vec& x, Vec& y) const {
-  if (!pool_ || a.rows() < kSerialCutoff) {
-    a.multiply(x, y);
-    return;
-  }
-  assert(static_cast<index_t>(x.size()) == a.cols());
-  y.resize(a.rows());
-  pool_->for_range(0, a.rows(), [&](index_t b, index_t e) {
-    la::simd::csr_spmv_rows(a.row_ptr().data(), a.col_idx().data(),
-                            a.values().data(), x.data(), y.data(), b, e,
-                            /*subtract=*/false);
-  });
-}
-
-void Execution::spmv_sub(const la::CsrMatrix& a, const Vec& x, Vec& y) const {
-  if (!pool_ || a.rows() < kSerialCutoff) {
-    a.multiply_sub(x, y);
-    return;
-  }
-  assert(static_cast<index_t>(x.size()) == a.cols());
-  assert(static_cast<index_t>(y.size()) == a.rows());
-  pool_->for_range(0, a.rows(), [&](index_t b, index_t e) {
-    la::simd::csr_spmv_rows(a.row_ptr().data(), a.col_idx().data(),
-                            a.values().data(), x.data(), y.data(), b, e,
-                            /*subtract=*/true);
-  });
-}
-
-void Execution::spmv(const la::DiaMatrix& a, const Vec& x, Vec& y) const {
-  if (!pool_ || a.rows() < kSerialCutoff) {
-    a.multiply(x, y);
-    return;
-  }
-  assert(static_cast<index_t>(x.size()) == a.rows());
-  y.assign(a.rows(), 0.0);
-  pool_->for_range(0, a.rows(), [&](index_t b, index_t e) {
-    a.multiply_rows(x, y, b, e, /*subtract=*/false);
-  });
-}
-
-void Execution::spmv_sub(const la::DiaMatrix& a, const Vec& x, Vec& y) const {
-  if (!pool_ || a.rows() < kSerialCutoff) {
-    a.multiply_sub(x, y);
-    return;
-  }
-  assert(static_cast<index_t>(x.size()) == a.rows());
-  assert(static_cast<index_t>(y.size()) == a.rows());
-  pool_->for_range(0, a.rows(), [&](index_t b, index_t e) {
-    a.multiply_rows(x, y, b, e, /*subtract=*/true);
-  });
-}
-
-void Execution::spmv(const la::SellMatrix& a, const Vec& x, Vec& y) const {
-  if (!pool_ || a.rows() < kSerialCutoff) {
-    a.multiply(x, y);
-    return;
-  }
-  assert(static_cast<index_t>(x.size()) == a.cols());
-  y.resize(a.rows());
-  // Partition by slices: slices partition the rows (each row is written
-  // through exactly one slot's scatter), so chunks never race.
-  pool_->for_range(0, a.num_slices(), [&](index_t b, index_t e) {
-    la::simd::sell_spmv_slices(a.view(), x.data(), y.data(), b, e,
-                               /*subtract=*/false);
-  });
-}
-
-void Execution::spmv_sub(const la::SellMatrix& a, const Vec& x, Vec& y) const {
-  if (!pool_ || a.rows() < kSerialCutoff) {
-    a.multiply_sub(x, y);
-    return;
-  }
-  assert(static_cast<index_t>(x.size()) == a.cols());
-  assert(static_cast<index_t>(y.size()) == a.rows());
-  pool_->for_range(0, a.num_slices(), [&](index_t b, index_t e) {
-    la::simd::sell_spmv_slices(a.view(), x.data(), y.data(), b, e,
-                               /*subtract=*/true);
-  });
 }
 
 const Execution& serial_execution() {

@@ -1,29 +1,26 @@
-// Execution policy for the solve-path hot kernels.
+// Execution policy for the solve path's BLAS-1 kernels.
 //
-// One Execution owns (at most) one ThreadPool and threads the three kernel
-// families Algorithm 1 spends its time in — multicolor sweeps (through the
-// pool, see core/multicolor_mstep), CSR/DIA SpMV, and the BLAS-1 vector
-// ops — while
-// guaranteeing BITWISE the serial result for any thread count:
+// One Execution owns (at most) one ThreadPool.  The pool runs the solve's
+// one strip partition — the Algorithm-2 sweep (core/multicolor_mstep) and
+// every sparse product (shard::ShardedOperator) — and this class threads
+// the vector ops and reductions Algorithm 1 spends the rest of its time
+// in, guaranteeing BITWISE the serial result for any thread count:
 //
-//  * elementwise ops (axpy, xpay, SpMV rows / DIA elements) are partitioned
-//    by index, and every element's accumulation order is the serial one;
+//  * elementwise ops (axpy, xpay, ...) are partitioned by index, and every
+//    element's operation sequence is the serial one;
 //  * reductions use the fixed-block scheme of la::kReductionBlock: block
 //    partials are computed independently (by whatever thread), then
 //    combined in block order on the caller — exactly la::dot's serial sum;
 //  * the max-reduction of the convergence test is order-insensitive.
 //
 // A default-constructed Execution is the serial policy (no pool, no
-// threads); Execution(n) runs on n threads including the caller.  The
-// kernels themselves are not safe for concurrent use of one Execution
-// object from several threads (the reduction scratch is shared).
+// threads); Execution(n) runs on n threads including the caller.  Several
+// threads may call one Execution at once: the reduction scratch is per
+// calling thread and the pool serializes their jobs.
 #pragma once
 
 #include <memory>
 
-#include "la/csr_matrix.hpp"
-#include "la/dia_matrix.hpp"
-#include "la/sell_matrix.hpp"
 #include "la/vector.hpp"
 #include "par/thread_pool.hpp"
 
@@ -31,8 +28,8 @@ namespace mstep::par {
 
 /// Below this many elements the pool dispatch costs more than it saves:
 /// the Execution kernels fall back to their serial twins, and the facade
-/// keeps the serial multicolor sweep.  Falling back never changes results
-/// — the parallel kernels are bitwise the serial ones at any size.
+/// builds no strip partition.  Falling back never changes results — the
+/// parallel kernels are bitwise the serial ones at any size.
 inline constexpr index_t kSerialCutoff = 2048;
 
 class Execution {
@@ -48,12 +45,8 @@ class Execution {
 
   [[nodiscard]] bool parallel() const { return pool_ != nullptr; }
   [[nodiscard]] int threads() const { return pool_ ? pool_->threads() : 1; }
-  /// The pool backing the multicolor sweep; nullptr when serial.
+  /// The pool running the strip partition; nullptr when serial.
   [[nodiscard]] ThreadPool* pool() const { return pool_.get(); }
-
-  /// Partitioned loop: body(chunk_begin, chunk_end) over [begin, end).
-  void for_range(index_t begin, index_t end,
-                 const std::function<void(index_t, index_t)>& body) const;
 
   // ---- deterministic reductions -------------------------------------------
   [[nodiscard]] double dot(const Vec& x, const Vec& y) const;
@@ -72,26 +65,12 @@ class Execution {
   /// delta-inf stopping quantity of Algorithm 1).
   double step_update_max(double a, const Vec& p, Vec& u) const;
 
-  // ---- sparse matrix-vector products --------------------------------------
-  void spmv(const la::CsrMatrix& a, const Vec& x, Vec& y) const;
-  /// y <- y - A x
-  void spmv_sub(const la::CsrMatrix& a, const Vec& x, Vec& y) const;
-  void spmv(const la::DiaMatrix& a, const Vec& x, Vec& y) const;
-  void spmv_sub(const la::DiaMatrix& a, const Vec& x, Vec& y) const;
-  /// SELL-C-sigma forms: partitioned on slice boundaries (slices partition
-  /// the rows, so chunks never race on the scattered writes).
-  void spmv(const la::SellMatrix& a, const Vec& x, Vec& y) const;
-  void spmv_sub(const la::SellMatrix& a, const Vec& x, Vec& y) const;
-
  private:
   std::unique_ptr<ThreadPool> pool_;
-  mutable std::vector<double> partials_;  // reduction scratch, one per block
 };
 
 /// The process-wide serial policy, for call sites that take an optional
-/// Execution and received none.  Stateless in practice (no pool, and the
-/// reduction scratch is unused on the serial path), so sharing one
-/// instance across threads is safe.
+/// Execution and received none.
 [[nodiscard]] const Execution& serial_execution();
 
 }  // namespace mstep::par

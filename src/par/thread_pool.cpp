@@ -86,6 +86,9 @@ void ThreadPool::for_range(index_t begin, index_t end,
     body(begin, end);
     return;
   }
+  // The job state below is one slot: a second caller must wait for this
+  // job to finish, not overwrite its body and cursor.
+  const std::lock_guard<std::mutex> caller(caller_mutex_);
   {
     std::lock_guard<std::mutex> lk(mutex_);
     body_.store(&body, std::memory_order_release);

@@ -27,6 +27,14 @@ namespace mstep::par {
 /// thread, returning when the whole range is done.  If body throws, the
 /// sweep is cut short, the first exception is rethrown on the calling
 /// thread, and the pool remains usable for subsequent jobs.
+///
+/// One job runs at a time.  Several threads may dispatch on one pool (the
+/// daemon's connection threads share a cached solver's pool); their jobs
+/// are serialized, each running to completion before the next starts.
+/// Dispatch is single-level: a body must not call for_range/for_each on
+/// the pool running it (it would wait on its own job and deadlock).  Work
+/// that already runs inside a job, such as a batch lane, uses the serial
+/// kernels instead.
 class ThreadPool {
  public:
   /// `threads` total workers including the caller; 1 means serial.
@@ -56,6 +64,7 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
 
+  std::mutex caller_mutex_;  // held by a dispatching caller for its whole job
   std::mutex mutex_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;

@@ -120,7 +120,8 @@ DriverResult run_resolved(const Problem& problem,
 
   r.batch = prepared.solveMany(bs);
   // What actually ran, not what was asked: solveMany reports shards = 0
-  // when wide batch lanes claimed the pool instead of the shard plan.
+  // when the system is too small to partition or batch lanes run beside
+  // each other on the serial kernels.
   r.shards = !r.batch.reports.empty() && r.batch.ok(0)
                  ? r.batch.reports[0].shards
                  : prepared.shards();

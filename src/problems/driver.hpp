@@ -48,9 +48,8 @@ struct DriverResult {
   /// "sell") — `--format=auto` resolved through the bandedness/occupancy
   /// probes at prepare time; equal to the requested format otherwise.
   std::string format_selected = "csr";
-  /// Effective shard count of the region-sharded backend on the solves
-  /// that ran (requested `shards` after the widest-color-block clamp), or
-  /// 0 when the run was not sharded.
+  /// Strips of the partition the solves ran on (`threads` after the
+  /// widest-colour-block clamp), or 0 when they ran serially.
   int shards = 0;
   solver::SolverConfig config;
   double setup_seconds = 0.0;  // prepare(): colouring + splitting + alphas

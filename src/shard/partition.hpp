@@ -1,4 +1,5 @@
-// Region partitioning for the sharded execution backend.
+// Region partitioning: the one strip partition a threaded solve runs on
+// (`threads` strips; the Algorithm-2 sweep and every sparse product).
 //
 // The paper's machine is an array of processors each owning a region of
 // the mesh, with "an equal distribution of each color" per processor.

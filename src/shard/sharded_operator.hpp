@@ -10,10 +10,9 @@
 // a sub-range, so the product is bitwise identical to the serial operator
 // for any shard count.
 //
-// The Execution-policy multiply overloads intentionally ignore the passed
-// policy: when a sharded backend is configured, the shard plan IS the
-// work partition, and mixing two partitions of the same product would
-// serve no purpose.
+// This is the only partitioned SpMV: the solver's outer products and the
+// generic m-step engine's K z both run here, on the one strip partition
+// the Algorithm-2 sweep uses.
 #pragma once
 
 #include "la/linear_operator.hpp"
@@ -39,16 +38,6 @@ class ShardedOperator final : public la::LinearOperator {
     run(x, y, /*subtract=*/false);
   }
   void multiply_sub(const Vec& x, Vec& y) const override {
-    run(x, y, /*subtract=*/true);
-  }
-  void multiply(const Vec& x, Vec& y,
-                const par::Execution& exec) const override {
-    (void)exec;
-    run(x, y, /*subtract=*/false);
-  }
-  void multiply_sub(const Vec& x, Vec& y,
-                    const par::Execution& exec) const override {
-    (void)exec;
     run(x, y, /*subtract=*/true);
   }
   [[nodiscard]] index_t num_nonzero_diagonals() const override;

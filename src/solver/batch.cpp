@@ -8,15 +8,14 @@
 // index off one atomic cursor, so a slow right-hand side (more iterations)
 // never stalls the rest of the batch behind a static partition.
 //
-// Each lane owns a scratch arena — its own SERIAL preconditioner instance
-// (mutable sweep scratch must not be shared across lanes, and nested pool
-// dispatch from inside a pool job is not supported) plus a PcgWorkspace
-// and reorder buffers — built once before the loop, so nothing allocates
-// inside the batch loop beyond each report's solution vector.  On the
-// Algorithm-2 path a lane's preconditioner is only scratch: every lane's
-// engine runs over one shared, immutable one-strip sweep plan.  Because
-// the lanes run the serial kernel path, every per-RHS result is BITWISE
-// identical to the corresponding serial Prepared::solve.
+// Each lane owns a scratch arena — its own preconditioner instance plus a
+// PcgWorkspace and reorder buffers — built once before the loop, so
+// nothing allocates inside the batch loop beyond each report's solution
+// vector.  One lane rule: a single lane runs Prepared::solve's path, on
+// the strip partition if there is one; two or more lanes run inside one
+// pool job, which may not dispatch, so they run the serial kernels (on the
+// Algorithm-2 path over one shared one-strip sweep plan).  Either way every
+// per-RHS result is BITWISE identical to the serial Prepared::solve.
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
@@ -36,7 +35,7 @@ namespace {
 
 /// Per-lane scratch arena: everything one concurrent PCG solve mutates.
 struct Lane {
-  detail::PrecondChoice engine;  // serial preconditioner (+ its splitting)
+  detail::PrecondChoice engine;  // preconditioner (+ its splitting)
   core::PcgWorkspace workspace;
   Vec fp;  // permuted right-hand side (reused across this lane's RHSs)
   /// Feeds the tracer's kernel census (flops/bytes counters) when tracing
@@ -104,36 +103,29 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs,
   const int pool_width = pool ? pool->threads() : 1;
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   const int auto_want = hw > 0 ? std::min(pool_width, hw) : pool_width;
-  // A configured sharded backend and wide batch lanes are two competing
-  // uses of the one pool, and lanes cannot nest pool dispatch; when the
-  // config asks for shards and leaves the lane count to the engine, the
-  // shards win — right-hand sides run sequentially, each solve sharded
-  // across the pool.  An explicit batch/concurrency request overrides
-  // (lanes win, solves run the serial kernels, reports say shards = 0).
-  const int auto_lanes = shards_ > 0 ? 1 : auto_want;
   const int want = batch.concurrency > 0
                        ? batch.concurrency
-                       : (config_.batch > 0 ? config_.batch : auto_lanes);
+                       : (config_.batch > 0 ? config_.batch : auto_want);
   const int lanes = std::max(
       1, std::min({want, pool_width, static_cast<int>(nrhs)}));
-  // Sharded execution engages only when one solve owns the pool at a
-  // time: lanes == 1 runs on the calling thread, leaving the pool free
-  // for the per-shard phase dispatch.
-  const bool sharded = shards_ > 0 && lanes == 1;
+  // A single lane runs on the calling thread and leaves the pool free for
+  // the strip partition, exactly as solve() does.
+  const bool partitioned = strips_ && lanes == 1;
+  const par::Execution* exec = partitioned ? exec_.get() : nullptr;
+  const shard::ShardPlan* strips = partitioned ? strips_.get() : nullptr;
 
   // Build one scratch arena per lane; the expensive setup — coloring,
   // interval, alphas — is shared read-only.  On the Algorithm-2 path the
   // lanes share one sweep plan too: this pipeline's own if it has one
-  // strip (or for the sharded single lane, which runs its strips on the
-  // pool), else a one-strip plan built once for this call.  Other paths go
-  // through prepare()'s selection policy with exec = nullptr.  A lane's
-  // KernelLog is non-null only when tracing is on as the batch starts, so
-  // untraced batches keep the log-free code paths.
+  // strip or the single lane runs partitioned, else a one-strip plan built
+  // once for this call.  Other paths go through prepare()'s selection
+  // policy.  A lane's KernelLog is non-null only when tracing is on as the
+  // batch starts, so untraced batches keep the log-free code paths.
   const auto* sweep =
       dynamic_cast<const core::MulticolorMStepSsor*>(precond_.get());
   std::shared_ptr<const core::MulticolorSweepPlan> sweep_plan;
   if (sweep) {
-    sweep_plan = sharded || sweep->plan()->num_strips() == 1
+    sweep_plan = partitioned || sweep->plan()->num_strips() == 1
                      ? sweep->plan()
                      : std::make_shared<const core::MulticolorSweepPlan>(
                            *cs_, alphas_);
@@ -144,13 +136,14 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs,
     if (tracing) lane.trace_log = std::make_unique<obs::TracingKernelLog>();
     if (sweep_plan) {
       lane.engine.precond = std::make_unique<core::MulticolorMStepSsor>(
-          sweep_plan, sharded ? pool : nullptr, lane.trace_log.get());
+          sweep_plan, partitioned ? pool : nullptr, lane.trace_log.get());
     } else {
       lane.engine = detail::make_preconditioner(
-          config_, cs_.get(), *matrix_, alphas_, lane.trace_log.get(),
-          nullptr);
+          config_, cs_.get(), *matrix_, alphas_, lane.trace_log.get(), exec,
+          strips);
     }
   }
+  const la::LinearOperator& op = partitioned ? *strip_op_ : *op_;
 
   const index_t n = matrix_->rows();
   std::atomic<index_t> cursor{0};
@@ -173,19 +166,18 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs,
         }
         SolveReport report;
         const core::Preconditioner& precond = *lane.engine.precond;
-        const la::LinearOperator& op = sharded ? *shard_op_ : *op_;
         if (cs_) {
           cs_->permute_into(f, lane.fp);
           report.result = core::pcg_solve(op, lane.fp, precond,
                                           config_.pcg_options(),
-                                          lane.trace_log.get(), {},
-                                          nullptr, &lane.workspace);
+                                          lane.trace_log.get(), {}, exec,
+                                          &lane.workspace);
           cs_->unpermute_into(report.result.solution, report.solution);
         } else {
           report.result = core::pcg_solve(op, f, precond,
                                           config_.pcg_options(),
-                                          lane.trace_log.get(), {},
-                                          nullptr, &lane.workspace);
+                                          lane.trace_log.get(), {}, exec,
+                                          &lane.workspace);
           report.solution = report.result.solution;
         }
         report.alphas = alphas_;
@@ -194,7 +186,7 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs,
         report.preconditioner_name = precond.name();
         report.steps = config_.steps;
         report.format_selected = resolved_format_;
-        report.shards = sharded ? shards_ : 0;
+        report.shards = partitioned ? shards() : 0;
         br.reports[i] = std::move(report);  // distinct slot per RHS: no race
       } catch (...) {
         br.errors[i] = std::current_exception();

@@ -1,5 +1,6 @@
 #include "solver/config.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -25,6 +26,19 @@ MatrixFormat parse_format(const std::string& text) {
   throw std::invalid_argument(
       "SolverConfig: format must be 'csr', 'dia', 'sell', or 'auto', got '" +
       text + "'");
+}
+
+/// `shards=N` is an alias of `threads=N` (one strip per thread): the wider
+/// of the two requests wins, whichever came first.  A negative count still
+/// throws; a negative `threads` is left for validate() to reject.
+void merge_shards_alias(int shards, ExecutionConfig& execution) {
+  if (shards < 0) {
+    throw std::invalid_argument(
+        "SolverConfig: shards must be >= 0 (an alias of threads)");
+  }
+  if (execution.threads >= 0) {
+    execution.threads = std::max(execution.threads, shards);
+  }
 }
 
 core::StopRule parse_stop(const std::string& text) {
@@ -86,10 +100,6 @@ void SolverConfig::validate() const {
     throw std::invalid_argument(
         "SolverConfig: threads must be >= 0 (0 = serial)");
   }
-  if (execution.shards < 0) {
-    throw std::invalid_argument(
-        "SolverConfig: shards must be >= 0 (0 = not sharded)");
-  }
   if (batch < 0) {
     throw std::invalid_argument(
         "SolverConfig: batch must be >= 0 (0 = auto, 1 = sequential)");
@@ -108,12 +118,6 @@ std::string SolverConfig::to_string() const {
   if (execution.parallel()) {
     out += ";threads=" + std::to_string(execution.threads);
   }
-  // Only a 2+ shard count changes execution, so only that serializes —
-  // which is also what keys the daemon's prepared-pipeline cache on the
-  // sharded backend (the cache key is this canonical string).
-  if (execution.shard_count() > 0) {
-    out += ";shards=" + std::to_string(execution.shards);
-  }
   if (batch > 0) out += ";batch=" + std::to_string(batch);
   if (record_history) out += ";history=1";
   if (interval) {
@@ -125,6 +129,7 @@ std::string SolverConfig::to_string() const {
 
 SolverConfig SolverConfig::from_string(const std::string& text) {
   SolverConfig cfg;
+  int shards = 0;  // the threads alias, merged once every field is read
   std::stringstream ss(text);
   std::string field;
   while (std::getline(ss, field, ';')) {
@@ -158,7 +163,7 @@ SolverConfig SolverConfig::from_string(const std::string& text) {
     } else if (key == "threads") {
       cfg.execution.threads = util::parse_int(value, "SolverConfig: threads");
     } else if (key == "shards") {
-      cfg.execution.shards = util::parse_int(value, "SolverConfig: shards");
+      shards = util::parse_int(value, "SolverConfig: shards");
     } else if (key == "batch") {
       cfg.batch = util::parse_int(value, "SolverConfig: batch");
     } else if (key == "history") {
@@ -177,6 +182,7 @@ SolverConfig SolverConfig::from_string(const std::string& text) {
                                   "'");
     }
   }
+  merge_shards_alias(shards, cfg.execution);
   cfg.validate();
   return cfg;
 }
@@ -205,7 +211,7 @@ SolverConfig SolverConfig::from_cli(const util::Cli& cli,
     cfg.execution.threads = cli.get_int("threads", cfg.execution.threads);
   }
   if (cli.has("shards")) {
-    cfg.execution.shards = cli.get_int("shards", cfg.execution.shards);
+    merge_shards_alias(cli.get_int("shards", 0), cfg.execution);
   }
   if (cli.has("batch")) cfg.batch = cli.get_int("batch", cfg.batch);
   cfg.validate();

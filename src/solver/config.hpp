@@ -52,23 +52,13 @@ enum class MatrixFormat {
 /// --format flag without going through SolverConfig::from_cli.)
 [[nodiscard]] MatrixFormat matrix_format_from_string(const std::string& text);
 
-/// Execution policy for the hot kernels (multicolor sweeps, SpMV, vector
-/// ops).  threads = 0 is the serial default — the solve runs entirely on
-/// the calling thread through the unthreaded code path.  threads = n >= 1
-/// runs on a pool of n threads (including the caller) with deterministic
-/// blocked reductions: the solve is BITWISE identical to the serial one.
+/// Execution policy: the one in-solve parallelism knob.  threads = 0 is
+/// the serial default.  threads = n >= 2 runs on a pool of n threads
+/// (including the caller) over n strips of every colour block; systems
+/// below par::kSerialCutoff rows stay serial.  Any thread count is BITWISE
+/// the serial solve.  `shards=N` parses as an alias (the wider wins).
 struct ExecutionConfig {
   int threads = 0;
-
-  /// Region shards for the sharded execution backend (src/shard): the
-  /// color-permuted system is cut into `shards` contiguous strips per
-  /// color block, each swept by its own task on the shared pool with
-  /// halo exchange between them.  0 and 1 both mean "not sharded" (one
-  /// shard IS the serial region).  The effective count may be clamped to
-  /// the widest color block at prepare time — SolveReport::shards
-  /// records what actually ran.  Sharded solves stay bitwise identical
-  /// to serial for any shards x threads x batch combination.
-  int shards = 0;
 
   [[nodiscard]] bool parallel() const { return threads >= 1; }
 
@@ -80,12 +70,11 @@ struct ExecutionConfig {
   /// 0-thread pool (ThreadPool itself throws on < 1 as the backstop).
   [[nodiscard]] int resolve() const { return threads >= 2 ? threads : 0; }
 
-  /// Sharding normal form, same collapse rule as resolve(): the backend
-  /// engages only for 2+ shards.
-  [[nodiscard]] int shard_count() const { return shards >= 2 ? shards : 0; }
+  /// Strips a solve asks for: one per pool thread, so exactly resolve().
+  [[nodiscard]] int shard_count() const { return resolve(); }
 
   friend bool operator==(const ExecutionConfig& a, const ExecutionConfig& b) {
-    return a.threads == b.threads && a.shards == b.shards;
+    return a.threads == b.threads;
   }
   friend bool operator!=(const ExecutionConfig& a, const ExecutionConfig& b) {
     return !(a == b);

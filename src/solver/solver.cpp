@@ -42,8 +42,7 @@ PrecondChoice make_preconditioner(const SolverConfig& config,
                                   const std::vector<double>& alphas,
                                   core::KernelLog* log,
                                   const par::Execution* exec,
-                                  const shard::ShardPlan* strips,
-                                  par::ThreadPool* strip_pool) {
+                                  const shard::ShardPlan* strips) {
   PrecondChoice choice;
   if (config.steps <= 0) {
     choice.precond =
@@ -53,32 +52,25 @@ PrecondChoice make_preconditioner(const SolverConfig& config,
   // Algorithm-2 fast path: the Conrad–Wallach multicolor sweep is the
   // SSOR(omega = 1) m-step operator on the colour-permuted matrix.  One
   // engine serves every execution mode, differing only in its strips: the
-  // caller's (the region-sharded backend), else one per pool thread under
-  // a parallel execution policy, else one (serial, inline).  Tiny systems
-  // keep one strip: per-phase pool dispatch costs more than it saves there
-  // (same threshold as the Execution kernels).  Any strip count is bitwise
-  // the serial sweep.
+  // partition's, one pool task each, else one (serial, inline).  Any strip
+  // count is bitwise the serial sweep.
   if (cs && config.splitting == "ssor" && ssor_omega(config) == 1.0) {
-    const bool threaded =
-        exec && exec->parallel() && matrix.rows() >= par::kSerialCutoff;
-    par::ThreadPool* pool = strips ? strip_pool
-                                   : (threaded ? exec->pool() : nullptr);
     auto plan = strips ? std::make_shared<const core::MulticolorSweepPlan>(
                              *cs, alphas, *strips)
                        : std::make_shared<const core::MulticolorSweepPlan>(
-                             *cs, alphas, threaded ? exec->threads() : 1);
-    choice.precond =
-        std::make_unique<core::MulticolorMStepSsor>(std::move(plan), pool, log);
+                             *cs, alphas);
+    choice.precond = std::make_unique<core::MulticolorMStepSsor>(
+        std::move(plan), strips && exec ? exec->pool() : nullptr, log);
     return choice;
   }
-  // Generic m-step engine: every registered splitting threads its sweep
-  // through the execution policy (deterministic, bitwise the serial
-  // sweep) instead of only the multicolor fast path.
+  // Generic m-step engine: every registered splitting, its K z on the
+  // partition's strips and its vector ops through the execution policy
+  // (deterministic, bitwise the serial sweep).
   choice.splitting = SplittingRegistry::instance().create(
       config.splitting, matrix, config.splitting_options);
   choice.precond = std::make_unique<core::MStepPreconditioner>(
       matrix, *choice.splitting, alphas, log,
-      exec && exec->parallel() ? exec : nullptr);
+      exec, strips);
   return choice;
 }
 
@@ -87,19 +79,12 @@ PrecondChoice make_preconditioner(const SolverConfig& config,
 Solver::Solver(SolverConfig config) : config_(std::move(config)) {
   // One pool for the solver's whole lifetime: every Prepared (and hence
   // every step and right-hand side) reuses the same warm threads.  It is
-  // sized for the wider of the two demands on it — kernel threading
+  // sized for the wider of the two demands on it — the strip partition
   // (threads) and batch lanes (batch) — through ExecutionConfig::resolve(),
   // which collapses 0 and 1 to "no pool", so no path can construct a
   // 0-thread pool.
-  const int kernel_threads = config_.execution.resolve();
   const int lane_threads = config_.batch >= 2 ? config_.batch : 0;
-  // The sharded backend carves one task per shard from the same pool, so
-  // the pool is provisioned for the REQUESTED shard count (the effective
-  // count is only known at prepare time, after the clamp; over-provision
-  // by a few idle workers is the cheap side of that trade).
-  const int shard_threads = config_.execution.shard_count();
-  const int pool_threads =
-      std::max({kernel_threads, lane_threads, shard_threads});
+  const int pool_threads = std::max(config_.execution.resolve(), lane_threads);
   if (pool_threads > 0) {
     exec_ = std::make_shared<par::Execution>(pool_threads);
   }
@@ -150,21 +135,16 @@ Prepared Solver::prepare(const la::CsrMatrix& k,
     }
   }
 
-  // 2. Region-sharded backend: cut every color block into contiguous
-  // strips, on which the outer products (step 4) and, on the multicolor
-  // SSOR fast path, the sweep run one pool task per strip.  Needs a
-  // multicolour system — the color blocks ARE the regions — and the shared
-  // pool the Solver provisioned for the shard count.  The clamp
-  // (ShardPlan::build) can collapse the request to one shard on a tiny
-  // system, which is the serial region: no machinery engages and the
-  // report says shards = 0.
-  if (config_.execution.shard_count() >= 2 && p.cs_ && exec_) {
-    auto plan = std::make_unique<shard::ShardPlan>(shard::ShardPlan::build(
-        p.cs_->class_start, config_.execution.shards));
-    if (plan->num_shards() >= 2) {
-      p.shards_ = plan->num_shards();
-      p.shard_plan_ = std::move(plan);
-    }
+  // 2. The one strip partition: every colour block (the whole row range
+  // in the natural ordering) cut into `threads` strips, each the paper's
+  // processor region.  Below par::kSerialCutoff rows dispatch costs more
+  // than it saves; there, or clamped to one strip, the solve is serial.
+  const index_t n = p.matrix_->rows();
+  if (config_.execution.resolve() >= 2 && n >= par::kSerialCutoff) {
+    auto strips = std::make_unique<shard::ShardPlan>(shard::ShardPlan::build(
+        p.cs_ ? p.cs_->class_start : std::vector<index_t>{0, n},
+        config_.execution.resolve()));
+    if (strips->num_shards() >= 2) p.strips_ = std::move(strips);
   }
 
   // 3. Parameters and preconditioner (splitting via the registries).
@@ -179,12 +159,9 @@ Prepared Solver::prepare(const la::CsrMatrix& k,
       p.alphas_ = ParamStrategyRegistry::instance().alphas(
           config_.params, config_.steps, p.interval_);
     }
-    // kernel_exec() gates on threads >= 2: a pool that exists only for
-    // batch lanes leaves the single-solve path serial.  The sweep's strips
-    // are the shards when sharded, else one per kernel thread, else one.
-    auto choice = detail::make_preconditioner(
-        config_, p.cs_.get(), *p.matrix_, p.alphas_, log, p.kernel_exec(),
-        p.shard_plan_.get(), exec_ ? exec_->pool() : nullptr);
+    auto choice = detail::make_preconditioner(config_, p.cs_.get(),
+                                              *p.matrix_, p.alphas_, log,
+                                              p.kernel_exec(), p.strips_.get());
     p.splitting_ = std::move(choice.splitting);
     p.precond_ = std::move(choice.precond);
   }
@@ -209,31 +186,27 @@ Prepared Solver::prepare(const la::CsrMatrix& k,
       p.resolved_format_ = MatrixFormat::kCsr;
     }
   }
+  // Each format gets its serial view and, over step 2's strips, its
+  // partitioned one.
+  const auto partitioned = [&p, this](const auto& matrix) {
+    if (p.strips_) {
+      p.strip_op_ = std::make_unique<shard::ShardedOperator>(
+          matrix, *p.strips_, *exec_->pool());
+    }
+  };
   if (p.resolved_format_ == MatrixFormat::kDia) {
     p.dia_ =
         std::make_unique<la::DiaMatrix>(la::DiaMatrix::from_csr(*p.matrix_));
     p.op_ = std::make_unique<la::DiaOperator>(*p.dia_);
+    partitioned(*p.dia_);
   } else if (p.resolved_format_ == MatrixFormat::kSell) {
     p.sell_ =
         std::make_unique<la::SellMatrix>(la::SellMatrix::from_csr(*p.matrix_));
     p.op_ = std::make_unique<la::SellOperator>(*p.sell_);
+    partitioned(*p.sell_);
   } else {
     p.op_ = std::make_unique<la::CsrOperator>(*p.matrix_);
-  }
-
-  // The sharded backend's outer products run on step 2's strips.
-  if (p.shard_plan_) {
-    const shard::ShardPlan& plan = *p.shard_plan_;
-    if (p.resolved_format_ == MatrixFormat::kDia) {
-      p.shard_op_ = std::make_unique<shard::ShardedOperator>(
-          *p.dia_, plan, *exec_->pool());
-    } else if (p.resolved_format_ == MatrixFormat::kSell) {
-      p.shard_op_ = std::make_unique<shard::ShardedOperator>(
-          *p.sell_, plan, *exec_->pool());
-    } else {
-      p.shard_op_ = std::make_unique<shard::ShardedOperator>(
-          *p.matrix_, plan, *exec_->pool());
-    }
+    partitioned(*p.matrix_);
   }
   return p;
 }
@@ -273,9 +246,9 @@ SolveReport Prepared::solve(const Vec& f, const Vec& u0) const {
   const Vec u0p = u0.empty() ? Vec{} : permute(u0);
 
   SolveReport report;
-  // The sharded backend, when engaged, substitutes its operator — bitwise
-  // identical to the plain one, so everything downstream is unchanged.
-  const la::LinearOperator& op = shard_op_ ? *shard_op_ : *op_;
+  // The partitioned operator, when there is one, is bitwise the serial
+  // view, so everything downstream is unchanged.
+  const la::LinearOperator& op = strip_op_ ? *strip_op_ : *op_;
   report.result = core::pcg_solve(op, fp, *precond_, config_.pcg_options(),
                                   log_, u0p, kernel_exec());
   report.solution = unpermute(report.result.solution);
@@ -285,7 +258,7 @@ SolveReport Prepared::solve(const Vec& f, const Vec& u0) const {
   report.preconditioner_name = precond_->name();
   report.steps = config_.steps;
   report.format_selected = resolved_format_;
-  report.shards = shards_;
+  report.shards = shards();
   return report;
 }
 

@@ -55,10 +55,9 @@ struct SolveReport {
   /// la::DiaMatrix / la::SellMatrix profitability probes on the iteration
   /// matrix).
   MatrixFormat format_selected = MatrixFormat::kCsr;
-  /// Effective shard count of the region-sharded backend this solve ran
-  /// on: the configured `shards` after the widest-color-block clamp, or 0
-  /// when the solve was not sharded (shards in {0, 1}, no multicolour
-  /// system to partition, or a batch wide enough to own the pool).
+  /// Strips of the partition this solve ran on (`threads` after the
+  /// widest-colour-block clamp), or 0 for a serial run: threads in {0, 1},
+  /// under par::kSerialCutoff rows, or a batch lane beside others.
   int shards = 0;
 
   [[nodiscard]] bool converged() const { return result.converged; }
@@ -73,18 +72,17 @@ struct SolveReport {
 
 namespace detail {
 
-/// The one preconditioner-selection policy, shared by Solver::prepare (the
-/// solve path, which may thread through `exec`) and the batch engine's
-/// worker lanes (which pass exec = nullptr for the serial twin): the
-/// Algorithm-2 Conrad–Wallach sweep for multicolor SSOR(omega = 1), the
-/// generic m-step engine for every other splitting, the identity for
-/// m = 0.  Keeping the choice in one place is what guarantees a batch
-/// lane's operator is mathematically the solve path's.
+/// The one preconditioner-selection policy, shared by Solver::prepare and
+/// the batch engine's lanes: the Algorithm-2 Conrad–Wallach sweep for
+/// multicolor SSOR(omega = 1), the generic m-step engine for every other
+/// splitting, the identity for m = 0.  Keeping the choice in one place is
+/// what guarantees a batch lane's operator is mathematically the solve
+/// path's.
 ///
-/// The Algorithm-2 engine runs on `strips` (the region-sharded backend's
-/// plan, run on `strip_pool`) when given, else on one strip per `exec`
-/// thread when `exec` is parallel and the system is at least
-/// par::kSerialCutoff rows, else on one strip.
+/// `strips` (optional) is the solve's strip partition, run on `exec`'s
+/// pool: the Algorithm-2 sweep runs one strip per pool task, and the
+/// generic engine's K z a CSR shard::ShardedOperator.  Without it, both
+/// run serially (`exec` still threads the generic engine's vector ops).
 struct PrecondChoice {
   std::unique_ptr<split::Splitting> splitting;  // set on the generic path
   std::unique_ptr<core::Preconditioner> precond;
@@ -94,8 +92,7 @@ struct PrecondChoice {
     const SolverConfig& config, const color::ColoredSystem* cs,
     const la::CsrMatrix& matrix, const std::vector<double>& alphas,
     core::KernelLog* log, const par::Execution* exec,
-    const shard::ShardPlan* strips = nullptr,
-    par::ThreadPool* strip_pool = nullptr);
+    const shard::ShardPlan* strips = nullptr);
 
 }  // namespace detail
 
@@ -223,9 +220,11 @@ class Prepared {
     return resolved_format_;
   }
 
-  /// Effective shard count of the region-sharded backend (0 when not
-  /// sharded); the requested `shards` clamped to the widest color block.
-  [[nodiscard]] int shards() const { return shards_; }
+  /// Strips of this pipeline's partition: the configured `threads`
+  /// clamped to the widest colour block, or 0 when solves run serially.
+  [[nodiscard]] int shards() const {
+    return strips_ ? strips_->num_shards() : 0;
+  }
 
   /// Caller ordering <-> solve ordering (identity when natural).
   [[nodiscard]] Vec permute(const Vec& x) const;
@@ -235,12 +234,11 @@ class Prepared {
   friend class Solver;
   Prepared() = default;
 
-  /// The execution policy for in-solve kernels: set only when the config
-  /// asked for kernel threading (threads >= 2), NOT when the pool exists
-  /// merely to serve batch lanes — `threads=0;batch=8` keeps every
-  /// individual solve on the serial kernel path.
+  /// The execution policy for in-solve kernels: set only when prepare cut
+  /// a strip partition, NOT when the pool exists merely to serve batch
+  /// lanes — `threads=0;batch=8` keeps every individual solve serial.
   [[nodiscard]] const par::Execution* kernel_exec() const {
-    return config_.execution.resolve() > 0 ? exec_.get() : nullptr;
+    return strips_ ? exec_.get() : nullptr;
   }
 
   SolverConfig config_;
@@ -251,20 +249,13 @@ class Prepared {
   const la::CsrMatrix* matrix_ = nullptr;     // cs_->matrix or the caller's k
   std::unique_ptr<la::DiaMatrix> dia_;        // set when format == dia
   std::unique_ptr<la::SellMatrix> sell_;      // set when format == sell
-  std::unique_ptr<la::LinearOperator> op_;
+  std::unique_ptr<la::LinearOperator> op_;  // serial view, resolved format
   std::unique_ptr<split::Splitting> splitting_;
-  // On the multicolor SSOR fast path, the Algorithm-2 engine on as many
-  // strips as the backend asks for (shards, else kernel threads, else 1).
   std::unique_ptr<core::Preconditioner> precond_;
-  // Region-sharded backend (src/shard), engaged when the config asks for
-  // 2+ shards on a multicolour system: shard_op_ replaces op_ for the
-  // outer products (generic splittings shard the operator only), on the
-  // shared pool below.  Batch lanes run serial kernels: lanes already own
-  // the pool sideways, so sharding engages only when one solve runs at a
-  // time.
-  std::unique_ptr<shard::ShardPlan> shard_plan_;
-  std::unique_ptr<la::LinearOperator> shard_op_;
-  int shards_ = 0;  // effective count; 0 when not sharded
+  // The one strip partition, null when solves run serially: the sweep,
+  // strip_op_ (the outer products) and the generic engine's K z run on it.
+  std::unique_ptr<shard::ShardPlan> strips_;
+  std::unique_ptr<la::LinearOperator> strip_op_;
   // Shared with the creating Solver (and its other Prepared instances):
   // one pool, warm across steps and right-hand sides.
   std::shared_ptr<par::Execution> exec_;

@@ -4,6 +4,7 @@
 // config round-trip, and the zero-thread-pool audit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -100,10 +101,10 @@ TEST(SolveMany, EverySplittingAndBatchWidthMatchesSerialBitwise) {
   }
 }
 
-// Lanes over a multi-strip Prepared: kernel threads or shards cut its
-// Algorithm-2 sweep into four strips, while the lanes run engines over one
-// shared one-strip plan (a single sharded lane runs the strips on the
-// pool).  Every result is bitwise the serial solve.
+// Lanes over a multi-strip Prepared: threads (or its shards alias) cut its
+// Algorithm-2 sweep into four strips.  Two or more lanes run engines over
+// one shared one-strip plan; a single lane runs the strips on the pool.
+// Every result is bitwise the serial solve.
 TEST(SolveMany, LanesOverMultiStripPreparedMatchSerialBitwise) {
   const Plate p = make_plate(36);  // 2520 equations: above the cutoffs
   const std::vector<Vec> all_bs = make_rhs_set(p, 16);
@@ -118,9 +119,9 @@ TEST(SolveMany, LanesOverMultiStripPreparedMatchSerialBitwise) {
   SolverConfig threaded = base;
   threaded.execution.threads = 4;
   threaded.batch = 4;
-  SolverConfig sharded = base;
-  sharded.execution.shards = 4;
-  sharded.batch = 4;
+  const SolverConfig sharded =
+      SolverConfig::from_string(base.to_string() + ";shards=4;batch=4");
+  ASSERT_EQ(sharded, threaded);
   for (const SolverConfig& cfg : {threaded, sharded}) {
     const std::string what = cfg.to_string();
     const auto prepared = Solver::from_config(cfg).prepare(p.k, p.classes);
@@ -135,9 +136,9 @@ TEST(SolveMany, LanesOverMultiStripPreparedMatchSerialBitwise) {
         expect_bitwise_equal(expected[static_cast<std::size_t>(i)], report,
                              what + " width=" + std::to_string(width) +
                                  " rhs=" + std::to_string(i));
-        // Only a single lane has the pool to itself for the shards.
-        const bool one_sharded_lane = cfg.execution.shards == 4 && width == 1;
-        ASSERT_EQ(report.shards, one_sharded_lane ? 4 : 0) << what;
+        // Only a single lane has the pool to itself for the strips.
+        ASSERT_EQ(br.concurrency, std::min(width, 4)) << what;
+        ASSERT_EQ(report.shards, width == 1 ? 4 : 0) << what;
       }
     }
   }

@@ -1,12 +1,14 @@
 // The execution-policy layer: deterministic blocked reductions, threaded
-// SpMV/vector kernels, thread-pool stress (oversubscription, zero-work
-// ranges, exception propagation), and the facade-level guarantee that a
-// threads=N solve is BITWISE identical to the serial solve for every
-// splitting and step count.
+// vector kernels, the partitioned SpMV, thread-pool stress
+// (oversubscription, zero-work ranges, exception propagation), and the
+// facade-level guarantee that a threads=N solve is BITWISE identical to the
+// serial solve for every splitting and step count.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "color/coloring.hpp"
@@ -14,8 +16,11 @@
 #include "fem/poisson.hpp"
 #include "la/dia_matrix.hpp"
 #include "la/linear_operator.hpp"
+#include "la/sell_matrix.hpp"
 #include "par/execution.hpp"
 #include "par/thread_pool.hpp"
+#include "shard/partition.hpp"
+#include "shard/sharded_operator.hpp"
 #include "solver/solver.hpp"
 #include "util/rng.hpp"
 
@@ -69,37 +74,63 @@ TEST(ExecutionVectorOps, BitwiseMatchSerial) {
   ASSERT_EQ(mx1, mx2);
 }
 
-TEST(ExecutionSpmv, CsrAndDiaBitwiseMatchSerial) {
-  // Plate large enough that the parallel kernels actually engage.
+// The one partitioned SpMV: every format on one-class (natural ordering)
+// and six-class (colour-permuted) strip plans, for strip counts that do and
+// do not divide the classes, is bitwise the serial product.
+TEST(ShardedOperator, EveryFormatAndStripCountMatchesSerialBitwise) {
   const fem::PlateMesh mesh = fem::PlateMesh::unit_square(40);
   const auto sys = fem::assemble_plane_stress(mesh, fem::Material{},
                                               fem::EdgeLoad{1.0, 0.0});
-  const la::CsrMatrix& a = sys.stiffness;
-  ASSERT_GE(a.rows(), 3000);
-  const la::DiaMatrix dia = la::DiaMatrix::from_csr(a);
+  ASSERT_GE(sys.stiffness.rows(), 3000);
+  const auto cs = color::make_colored_system(sys.stiffness,
+                                             color::six_color_classes(mesh));
+  ASSERT_EQ(cs.num_classes(), 6);
+  const std::vector<index_t> one_class{0, sys.stiffness.rows()};
 
   util::Rng rng(17);
-  const Vec x = rng.uniform_vector(a.rows());
-  const Execution exec(4);
+  const Vec x = rng.uniform_vector(sys.stiffness.rows());
+  const Vec y0 = rng.uniform_vector(sys.stiffness.rows());
+  ThreadPool pool(4);
+  for (const bool colored : {false, true}) {
+    const la::CsrMatrix& a = colored ? cs.matrix : sys.stiffness;
+    const la::DiaMatrix dia = la::DiaMatrix::from_csr(a);
+    const la::SellMatrix sell = la::SellMatrix::from_csr(a);
+    const la::CsrOperator csr_op(a);
+    const la::DiaOperator dia_op(dia);
+    const la::SellOperator sell_op(sell);
+    for (const int strips : {1, 2, 3, 4, 8}) {
+      const shard::ShardPlan plan =
+          shard::ShardPlan::build(colored ? cs.class_start : one_class, strips);
+      ASSERT_EQ(plan.num_shards(), strips);
+      const shard::ShardedOperator csr_sharded(a, plan, pool);
+      const shard::ShardedOperator dia_sharded(dia, plan, pool);
+      const shard::ShardedOperator sell_sharded(sell, plan, pool);
+      const std::pair<const la::LinearOperator*, const la::LinearOperator*>
+          pairs[] = {{&csr_op, &csr_sharded},
+                     {&dia_op, &dia_sharded},
+                     {&sell_op, &sell_sharded}};
+      for (const auto& [serial, sharded] : pairs) {
+        const std::string what = std::string(colored ? "six" : "one") +
+                                 "-class strips=" + std::to_string(strips) +
+                                 " diagonals=" +
+                                 std::to_string(serial->num_nonzero_diagonals());
+        ASSERT_EQ(sharded->rows(), serial->rows()) << what;
+        ASSERT_EQ(sharded->num_nonzero_diagonals(),
+                  serial->num_nonzero_diagonals())
+            << what;
+        Vec y_serial, y_sharded;
+        serial->multiply(x, y_serial);
+        sharded->multiply(x, y_sharded);
+        ASSERT_EQ(y_serial, y_sharded) << what;
 
-  Vec y_serial, y_exec;
-  a.multiply(x, y_serial);
-  exec.spmv(a, x, y_exec);
-  ASSERT_EQ(y_serial, y_exec);
-
-  dia.multiply(x, y_serial);
-  exec.spmv(dia, x, y_exec);
-  ASSERT_EQ(y_serial, y_exec);
-
-  Vec s1 = rng.uniform_vector(a.rows());
-  Vec s2 = s1;
-  a.multiply_sub(x, s1);
-  exec.spmv_sub(a, x, s2);
-  ASSERT_EQ(s1, s2);
-
-  dia.multiply_sub(x, s1);
-  exec.spmv_sub(dia, x, s2);
-  ASSERT_EQ(s1, s2);
+        Vec s_serial = y0;
+        Vec s_sharded = y0;
+        serial->multiply_sub(x, s_serial);
+        sharded->multiply_sub(x, s_sharded);
+        ASSERT_EQ(s_serial, s_sharded) << what;
+      }
+    }
+  }
 }
 
 // ---- thread-pool stress -----------------------------------------------------

@@ -257,12 +257,12 @@ TEST_F(ObsTest, TracedSolveIsBitwiseIdenticalPerSplittingAndFormat) {
 // never changes bits.
 TEST_F(ObsTest, TracedShardedSolveIsBitwiseIdenticalAndEmitsShardSpans) {
   const problems::Problem p =
-      problems::ProblemRegistry::instance().create("poisson2d:n=12");
-  ASSERT_TRUE(p.has_classes());
+      problems::ProblemRegistry::instance().create("poisson2d:n=48");
+  ASSERT_TRUE(p.has_classes());  // 2304 rows: large enough to partition
   solver::SolverConfig cfg;
   cfg.steps = 2;
   cfg.tolerance = 1e-8;
-  cfg.execution.shards = 3;
+  cfg.execution.threads = 3;
 
   Tracer::instance().reset();
   Tracer::instance().set_enabled(false);

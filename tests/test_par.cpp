@@ -101,6 +101,38 @@ TEST(ThreadPool, LateWorkerNeverCallsAFinishedJobsBody) {
   EXPECT_EQ(visited.load(), expected);
 }
 
+// Two threads dispatching on one pool, as the daemon's connection threads
+// do on a cached solver's pool: each caller's job must cover its own range
+// exactly once and touch nothing beyond it, however the jobs interleave.
+TEST(ThreadPool, ConcurrentCallersEachRunTheirOwnJobExactlyOnce) {
+  ThreadPool pool(4);
+  constexpr int kRounds = 20000;
+  constexpr index_t kMaxSize = 64;
+  std::atomic<int> wrong_rounds{0};
+  const auto caller = [&](int seed) {
+    std::vector<std::atomic<int>> hits(kMaxSize);
+    for (int round = 0; round < kRounds; ++round) {
+      const index_t size = 8 + (7 * round + seed) % (kMaxSize - 7);
+      for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+      pool.for_range(0, size, [&hits](index_t b, index_t e) {
+        for (index_t i = b; i < e; ++i) {
+          hits[i].fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+      for (index_t i = 0; i < kMaxSize; ++i) {
+        if (hits[i].load(std::memory_order_relaxed) != (i < size ? 1 : 0)) {
+          wrong_rounds.fetch_add(1);
+          break;
+        }
+      }
+    }
+  };
+  std::thread other(caller, 1);
+  caller(0);
+  other.join();
+  EXPECT_EQ(wrong_rounds.load(), 0);
+}
+
 struct ColoredPlate {
   fem::PlateMesh mesh;
   la::CsrMatrix k;

@@ -1,13 +1,17 @@
-// The sharded execution backend's headline guarantee: a region-sharded
-// solve is BITWISE identical to the serial solve for every registered
-// splitting x operator format x shard count x thread count — including a
-// shard count that does not divide the class sizes and one that exceeds
-// the widest color block (graceful clamp, observable in the report).
+// The strip partition's headline guarantee: a partitioned solve is BITWISE
+// identical to the serial solve for every registered splitting x operator
+// format x strip count, requested as `threads` or through its `shards`
+// alias — including a strip count that does not divide the class sizes —
+// and a system too small to partition runs serially, observably so in the
+// report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "par/execution.hpp"
 #include "problems/problem.hpp"
 #include "shard/partition.hpp"
 #include "solver/solver.hpp"
@@ -35,13 +39,15 @@ void expect_bitwise_equal(const SolveReport& serial, const SolveReport& sharded,
 
 // Every registered splitting x {csr, dia, sell} x shards {1, 2, 4, 7} x
 // threads {1, 4} produces the serial bits.  The grid is deliberately
-// coprime with the shard counts (12^2 = 144 rows, 7 shards), so strips of
-// unequal length and per-class remainders are always exercised; reports
-// must agree on the pipeline choices (iterations, format) too.
+// coprime with 7 (48^2 = 2304 rows, above par::kSerialCutoff, in two
+// colour blocks of 1152), so strips of unequal length and per-class
+// remainders are always exercised; reports must agree on the pipeline
+// choices (iterations, format) too.
 TEST(ShardedSolve, EverySplittingFormatShardsThreadsMatchesSerialBitwise) {
   const problems::Problem p =
-      problems::ProblemRegistry::instance().create("poisson2d:n=12");
+      problems::ProblemRegistry::instance().create("poisson2d:n=48");
   ASSERT_TRUE(p.has_classes());
+  ASSERT_GE(p.matrix.rows(), par::kSerialCutoff);
 
   for (const auto& splitting : SplittingRegistry::instance().names()) {
     for (const MatrixFormat format :
@@ -57,9 +63,10 @@ TEST(ShardedSolve, EverySplittingFormatShardsThreadsMatchesSerialBitwise) {
 
       for (const int shards : {1, 2, 4, 7}) {
         for (const int threads : {1, 4}) {
-          SolverConfig cfg = base;
-          cfg.execution.shards = shards;
-          cfg.execution.threads = threads;
+          const SolverConfig cfg = SolverConfig::from_string(
+              base.to_string() + ";shards=" + std::to_string(shards) +
+              ";threads=" + std::to_string(threads));
+          ASSERT_EQ(cfg.execution.threads, std::max(shards, threads));
           const std::string what = splitting + "/" + to_string(format) +
                                    "/shards=" + std::to_string(shards) +
                                    "/threads=" + std::to_string(threads);
@@ -70,72 +77,68 @@ TEST(ShardedSolve, EverySplittingFormatShardsThreadsMatchesSerialBitwise) {
           expect_bitwise_equal(serial_report, report, what);
           ASSERT_EQ(report.format_selected, serial_report.format_selected)
               << what;
-          // shards in {0, 1} never engages the backend; 2+ does here (the
-          // widest color block of the 144-row red/black system is far
-          // wider than 7).
-          ASSERT_EQ(report.shards, shards >= 2 ? shards : 0) << what;
+          // The wider request is the strip count; one strip is serial.
+          const int strips = std::max(shards, threads);
+          ASSERT_EQ(report.shards, strips >= 2 ? strips : 0) << what;
         }
       }
     }
   }
 }
 
-// A shard count that exceeds the widest color block clamps to it — no
-// empty shard, no throw — and the report records the EFFECTIVE count,
-// equal to what ShardPlan::build decides.
-TEST(ShardedSolve, ShardCountExceedingColorBlocksClampsGracefully) {
+// A system below par::kSerialCutoff rows is never partitioned, whatever
+// the strip request: dispatch would cost more than it saves.  The report
+// says so, and the bits are the serial solve's.  (The plan-level clamp to
+// the widest colour block is covered in test_shard_halo.)
+TEST(ShardedSolve, TinySystemRunsSeriallyBitwise) {
   const problems::Problem p =
-      problems::ProblemRegistry::instance().create("poisson2d:n=3");
-  ASSERT_TRUE(p.has_classes());  // 9 rows, red/black: widest block is 5
-
-  SolverConfig cfg;
-  cfg.steps = 2;
-  cfg.tolerance = 1e-10;
-  cfg.execution.shards = 64;
-
-  const auto prepared = Solver::from_config(cfg).prepare(p.matrix, p.classes);
-  const auto report = prepared.solve(p.rhs);
-  ASSERT_TRUE(report.converged());
-
-  // The plan itself is the authority on the clamp.
-  const auto cs = color::make_colored_system(p.matrix, p.classes);
-  const auto plan = shard::ShardPlan::build(cs.class_start, 64);
-  ASSERT_LT(plan.num_shards(), 64);
-  ASSERT_GE(plan.num_shards(), 2);
-  ASSERT_EQ(report.shards, plan.num_shards());
-  ASSERT_EQ(prepared.shards(), plan.num_shards());
+      problems::ProblemRegistry::instance().create("poisson2d:n=12");
+  ASSERT_TRUE(p.has_classes());
+  ASSERT_LT(p.matrix.rows(), par::kSerialCutoff);
 
   SolverConfig plain;
-  plain.steps = cfg.steps;
-  plain.tolerance = cfg.tolerance;
+  plain.steps = 2;
+  plain.tolerance = 1e-10;
   const auto serial_report =
       Solver::from_config(plain).prepare(p.matrix, p.classes).solve(p.rhs);
-  expect_bitwise_equal(serial_report, report, "clamped");
+
+  SolverConfig cfg = plain;
+  cfg.execution.threads = 64;
+  const auto prepared = Solver::from_config(cfg).prepare(p.matrix, p.classes);
+  ASSERT_EQ(prepared.shards(), 0);
+  const auto report = prepared.solve(p.rhs);
+  ASSERT_EQ(report.shards, 0);
+  ASSERT_EQ(report.preconditioner_name, "multicolor-ssor-m2");
+  expect_bitwise_equal(serial_report, report, "tiny");
 }
 
-// Natural ordering has no color blocks to cut: the backend never engages
-// and the report says so, rather than throwing or silently mis-sharding.
-TEST(ShardedSolve, NaturalOrderingIsNeverSharded) {
+// Natural ordering has no colour blocks: its partition is one block, the
+// whole row range, cut into strips for the products and vector ops.
+TEST(ShardedSolve, NaturalOrderingPartitionsTheWholeRowRange) {
   const problems::Problem p =
-      problems::ProblemRegistry::instance().create("poisson2d:n=8");
-  SolverConfig cfg;
-  cfg.ordering = Ordering::kNatural;
-  cfg.steps = 2;
-  cfg.execution.shards = 4;
+      problems::ProblemRegistry::instance().create("poisson2d:n=48");
+  SolverConfig plain;
+  plain.ordering = Ordering::kNatural;
+  plain.splitting = "jacobi";
+  plain.steps = 2;
+  plain.tolerance = 1e-8;
+  const auto serial_report = Solver::from_config(plain).solve(p.matrix, p.rhs);
+
+  SolverConfig cfg = plain;
+  cfg.execution.threads = 4;
   const auto report = Solver::from_config(cfg).solve(p.matrix, p.rhs);
-  ASSERT_TRUE(report.converged());
-  ASSERT_EQ(report.shards, 0);
+  ASSERT_EQ(report.shards, 4);
+  expect_bitwise_equal(serial_report, report, "natural threads=4");
 }
 
 // ---- batched interplay ------------------------------------------------------
 
-// With shards configured and the lane count left to the engine, the
-// shards win the pool: right-hand sides run sequentially, every one
-// sharded — and bitwise the serial batch.  An explicit wide batch
-// overrides: lanes win, solves run serial kernels, reports say shards=0.
+// One lane rule: a single lane (concurrency=1) runs the partitioned solve
+// path, and wider batches run serial lanes beside each other.  Both are
+// bitwise the serial batch, and each report says which ran.
 TEST(ShardedSolve, BatchedSolvesStayBitwiseAndReportEngagement) {
   const problems::Problem p =
-      problems::ProblemRegistry::instance().create("poisson2d:n=12");
+      problems::ProblemRegistry::instance().create("poisson2d:n=48");
 
   std::vector<Vec> bs;
   bs.push_back(p.rhs);
@@ -149,61 +152,64 @@ TEST(ShardedSolve, BatchedSolvesStayBitwiseAndReportEngagement) {
   std::vector<SolveReport> expected;
   for (const Vec& f : bs) expected.push_back(serial.solve(f));
 
-  SolverConfig cfg = plain;
-  cfg.execution.shards = 4;
-  const auto prepared = Solver::from_config(cfg).prepare(p.matrix, p.classes);
+  const auto prepared = Solver::from_config(SolverConfig::from_string(
+                                                plain.to_string() + ";shards=4"))
+                            .prepare(p.matrix, p.classes);
+  ASSERT_EQ(prepared.shards(), 4);
 
-  // Default lanes: sharded, sequential RHSs.
-  const auto sharded = prepared.solveMany(util::Span<const Vec>(bs));
-  ASSERT_EQ(sharded.concurrency, 1);
-  for (std::size_t i = 0; i < bs.size(); ++i) {
-    ASSERT_TRUE(sharded.ok(i));
-    expect_bitwise_equal(expected[i], sharded.reports[i],
-                         "sharded batch rhs " + std::to_string(i));
-    ASSERT_EQ(sharded.reports[i].shards, 4);
-  }
-
-  // Explicit lanes: batch wins, sharding disengages per-report.
+  // concurrency=1 runs partitioned; an explicit width of 4 runs serial
+  // lanes; the default (the pool width, capped at the hardware width) is
+  // whichever of the two its lane count makes it.
+  BatchConfig one;
+  one.concurrency = 1;
   BatchConfig wide;
   wide.concurrency = 4;
-  const auto laned = prepared.solveMany(util::Span<const Vec>(bs), wide);
-  ASSERT_GT(laned.concurrency, 1);
-  for (std::size_t i = 0; i < bs.size(); ++i) {
-    ASSERT_TRUE(laned.ok(i));
-    expect_bitwise_equal(expected[i], laned.reports[i],
-                         "laned batch rhs " + std::to_string(i));
-    ASSERT_EQ(laned.reports[i].shards, 0);
+  for (const BatchConfig& batch : {one, wide, BatchConfig{}}) {
+    const auto br = prepared.solveMany(util::Span<const Vec>(bs), batch);
+    const std::string what =
+        "concurrency=" + std::to_string(batch.concurrency);
+    if (batch.concurrency > 0) {
+      ASSERT_EQ(br.concurrency, batch.concurrency) << what;
+    }
+    const int strips = br.concurrency == 1 ? 4 : 0;
+    for (std::size_t i = 0; i < bs.size(); ++i) {
+      ASSERT_TRUE(br.ok(i)) << what;
+      expect_bitwise_equal(expected[i], br.reports[i],
+                           what + " rhs " + std::to_string(i));
+      ASSERT_EQ(br.reports[i].shards, strips) << what;
+    }
   }
 }
 
 // ---- config plumbing --------------------------------------------------------
 
-TEST(ShardedConfig, RoundTripsThroughStringAndCli) {
-  SolverConfig cfg;
-  cfg.execution.shards = 4;
-  cfg.execution.threads = 2;
-  const std::string text = cfg.to_string();
-  ASSERT_NE(text.find(";shards=4"), std::string::npos) << text;
-  const SolverConfig back = SolverConfig::from_string(text);
-  ASSERT_EQ(back.execution.shards, 4);
-  ASSERT_EQ(back, cfg);
+// `shards=N` is a parse alias of `threads=N`: the wider wins in either
+// order, the canonical string names only threads (so both spellings share
+// one daemon cache entry), and a negative count still throws.
+TEST(ShardedConfig, ShardsIsAnAliasOfThreads) {
+  SolverConfig four;
+  four.execution.threads = 4;
+  for (const char* text : {"shards=4;threads=2", "threads=2;shards=4",
+                           "shards=4", "threads=4;shards=4"}) {
+    const SolverConfig cfg = SolverConfig::from_string(text);
+    ASSERT_EQ(cfg, four) << text;
+    ASSERT_EQ(cfg.to_string(), four.to_string()) << text;
+  }
+  ASSERT_NE(four.to_string().find(";threads=4"), std::string::npos);
+  ASSERT_EQ(four.to_string().find("shards"), std::string::npos);
+  ASSERT_EQ(four.execution.shard_count(), four.execution.resolve());
 
-  // Not sharded (0 or 1) stays OFF the canonical string, so pre-shard
-  // config strings — and the daemon cache keys derived from them — are
-  // unchanged.
-  SolverConfig off;
-  off.execution.shards = 1;
-  ASSERT_EQ(off.to_string().find("shards"), std::string::npos);
-
-  const char* argv[] = {"prog", "--shards=3", "--m=2"};
-  const util::Cli cli(3, argv, SolverConfig::cli_flags());
+  const char* argv[] = {"prog", "--shards=3", "--threads=2", "--m=2"};
+  const util::Cli cli(4, argv, SolverConfig::cli_flags());
   const SolverConfig from_cli = SolverConfig::from_cli(cli);
-  ASSERT_EQ(from_cli.execution.shards, 3);
+  ASSERT_EQ(from_cli.execution.threads, 3);
   ASSERT_EQ(from_cli.steps, 2);
 
-  SolverConfig bad;
-  bad.execution.shards = -1;
-  ASSERT_THROW(bad.validate(), std::invalid_argument);
+  ASSERT_THROW(SolverConfig::from_string("shards=-1"), std::invalid_argument);
+  ASSERT_THROW(SolverConfig::from_string("threads=4;shards=-1"),
+               std::invalid_argument);
+  ASSERT_THROW(SolverConfig::from_string("threads=-1;shards=4"),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -90,13 +90,13 @@ int print_help() {
       "  --stop=<rule>      delta_inf | residual2 (default delta_inf)\n"
       "  --tol=<t>          stopping tolerance (default 1e-06)\n"
       "  --maxit=<n>        iteration cap (default 20000)\n"
-      "  --threads=<N>      kernel threads; 0 = serial, bitwise-identical\n"
-      "                     results for any N (default 0)\n"
-      "  --shards=<N>       region shards (multicolor ordering only); each\n"
-      "                     color block is cut into N strips solved by their\n"
-      "                     own pool tasks with halo exchange — bitwise the\n"
-      "                     serial result for any N; 0 = not sharded\n"
-      "                     (default 0)\n"
+      "  --threads=<N>      threads; each colour block is cut into N strips\n"
+      "                     (one strip per thread) that the sweep, the\n"
+      "                     products and the vector ops all run on, with\n"
+      "                     halo exchange between them; systems under 2048\n"
+      "                     rows stay serial; bitwise the serial result for\n"
+      "                     any N; 0 = serial (default 0)\n"
+      "  --shards=<N>       alias of --threads; the wider of the two wins\n"
       "  --batch=<N>        concurrent right-hand-side lanes; 0 = auto\n"
       "                     (default 0)\n"
       "\n"
