@@ -1,6 +1,5 @@
 #include "core/multicolor_mstep.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -48,14 +47,11 @@ MulticolorSweepPlan::MulticolorSweepPlan(const color::ColoredSystem& cs,
     : MulticolorSweepPlan(cs, std::move(alphas),
                           shard::ShardPlan::build(cs.class_start, strips)) {}
 
-// One phase of the schedule: which class to update (or save/final-solve)
-// and which class's ghost rows to drain first — statically the class the
-// previous phase updated, which is exactly when its ghosts become stale.
+// One phase of the schedule: which class to update (or save/final-solve).
 struct MulticolorMStepSsor::Phase {
   enum Kind { kForward, kBackward, kSave, kFinal } kind;
-  int cls;        // class updated (kForward/kBackward/kFinal) or 0 (kSave)
-  int drain_cls;  // class to drain at phase start; -1 for none
-  double alpha;   // step coefficient (kForward/kBackward/kFinal)
+  int cls;       // class updated (kForward/kBackward/kFinal) or 0 (kSave)
+  double alpha;  // step coefficient (kForward/kBackward/kFinal)
 };
 
 MulticolorMStepSsor::MulticolorMStepSsor(const color::ColoredSystem& cs,
@@ -69,58 +65,32 @@ MulticolorMStepSsor::MulticolorMStepSsor(const color::ColoredSystem& cs,
                                          std::vector<double> alphas,
                                          shard::ShardPlan strips,
                                          par::ThreadPool& pool,
-                                         KernelLog* log, bool verify_halo)
+                                         KernelLog* log)
     : MulticolorMStepSsor(std::make_shared<const MulticolorSweepPlan>(
                               cs, std::move(alphas), std::move(strips)),
-                          &pool, log, verify_halo) {}
+                          &pool, log) {}
 
 MulticolorMStepSsor::MulticolorMStepSsor(
     std::shared_ptr<const MulticolorSweepPlan> plan, par::ThreadPool* pool,
-    KernelLog* log, bool verify_halo)
-    : plan_(std::move(plan)), pool_(pool), log_(log),
-      verify_halo_(verify_halo) {
-  const int ns = plan_->num_strips();
-  if (ns == 1) return;
-  if (pool_ == nullptr) {
+    KernelLog* log)
+    : plan_(std::move(plan)), pool_(pool), log_(log) {
+  if (plan_->num_strips() >= 2 && pool_ == nullptr) {
     throw std::invalid_argument(
         "MulticolorMStepSsor: a plan with 2+ strips needs a thread pool");
   }
-  for (int to = 0; to < ns; ++to) {
-    for (int from = 0; from < ns; ++from) {
-      for (int c = 0; c < plan_->cs->num_classes(); ++c) {
-        mail_.emplace_back(plan_->halo.recv_rows(to, from, c).size());
-      }
-    }
-  }
-  zloc_.resize(ns);
 }
 
+// Strip s's share of one phase, on the z every strip shares.  A class-c
+// phase writes z (and y, xl) only at strip s's class-c rows, and its
+// segment sums read z only at rows of other classes — the diagonal class
+// blocks are diagonal.  A padded SELL lane gathers z at the first row of
+// its own slice (la::SellSegments), a row this strip writes only after
+// its sums.  So no strip reads a row another strip is writing, and the
+// pool rendezvous between phases publishes each phase's writes.
 void MulticolorMStepSsor::run_strip(const Phase& phase, int s, const Vec& r,
                                     Vec& z) const {
   const MulticolorSweepPlan& plan = *plan_;
-  const int ns = plan.num_strips();
   const int nc = plan.cs->num_classes();
-  const bool replicated = ns >= 2;
-  const auto mailbox = [&](int to, int from, int c) -> shard::GhostMailbox& {
-    return mail_[(static_cast<std::size_t>(to) * ns + from) * nc + c];
-  };
-  Vec& zl = replicated ? zloc_[s] : z;  // one strip works on z itself
-
-  // (1) Drain the previous phase's class into the replica.  Every strip
-  // drains every phase — even one with no rows to update — so a mailbox is
-  // always consumed before its next post overwrites it.
-  if (replicated && phase.drain_cls >= 0) {
-    for (int from = 0; from < ns; ++from) {
-      const auto& rows = plan.halo.recv_rows(s, from, phase.drain_cls);
-      if (rows.empty()) continue;
-      const obs::Span halo_span("halo_exchange");
-      mailbox(s, from, phase.drain_cls).take(zl, rows, verify_halo_);
-      obs::count(obs::Counter::kHaloExchanges, 1);
-      obs::count(obs::Counter::kHaloDoubles,
-                 static_cast<long long>(rows.size()));
-    }
-  }
-
   const int c = phase.cls;
   const std::size_t seg = static_cast<std::size_t>(s) * nc + c;
   const index_t row_begin = plan.strips.begin(s, c);
@@ -131,7 +101,7 @@ void MulticolorMStepSsor::run_strip(const Phase& phase, int s, const Vec& r,
   if (phase.kind == Phase::kSave) {
     // Class 0's upper sums scatter straight into y.
     const la::SellSegments& segs = plan.upper[seg];
-    la::simd::sell_neg_slices(segs.view(), zl.data(), y_.data(), 0,
+    la::simd::sell_neg_slices(segs.view(), z.data(), y_.data(), 0,
                               segs.num_slices());
     return;
   }
@@ -142,44 +112,19 @@ void MulticolorMStepSsor::run_strip(const Phase& phase, int s, const Vec& r,
     return;
   }
 
-  // (2) Segment sums from the replica.
   const la::SellSegments& segs =
       (phase.kind == Phase::kForward ? plan.lower : plan.upper)[seg];
-  la::simd::sell_neg_slices(segs.view(), zl.data(), xl_.data(), 0,
+  la::simd::sell_neg_slices(segs.view(), z.data(), xl_.data(), 0,
                             segs.num_slices());
 
   // The last class has no upper couplings: its "saved" value for the next
   // use must be the (empty) upper sum, not the lower sum.
   const bool last = phase.kind == Phase::kForward && c == nc - 1;
-  const auto update_rows = [&](index_t b, index_t e) {
-    for (index_t i = b; i < e; ++i) {
-      const double x = xl_[i];
-      z[i] = (x + y_[i] + a * r[i]) / diag[i];
-      y_[i] = last ? 0.0 : x;
-    }
-    if (replicated) std::copy(z.begin() + b, z.begin() + e, zl.begin() + b);
-  };
-  if (!replicated) {
-    update_rows(row_begin, row_end);
-    return;
+  for (index_t i = row_begin; i < row_end; ++i) {
+    const double x = xl_[i];
+    z[i] = (x + y_[i] + a * r[i]) / diag[i];
+    y_[i] = last ? 0.0 : x;
   }
-
-  // (3) Boundary rows first, then post them — the sends overlap (4).
-  const std::vector<index_t>& boundary = plan.halo.boundary_rows(s, c);
-  for (const index_t i : boundary) update_rows(i, i + 1);
-  for (int to = 0; to < ns; ++to) {
-    const auto& rows = plan.halo.send_rows(s, to, c);
-    if (rows.empty()) continue;
-    const obs::Span halo_span("halo_exchange");
-    mailbox(to, s, c).post(z, rows);
-  }
-  // (4) Interior rows: the gaps between the sorted, owned boundary rows.
-  index_t i = row_begin;
-  for (const index_t b : boundary) {
-    update_rows(i, b);
-    i = b + 1;
-  }
-  update_rows(i, row_end);
 }
 
 void MulticolorMStepSsor::run_phase(const Phase& phase, const Vec& r,
@@ -209,7 +154,6 @@ void MulticolorMStepSsor::apply(const Vec& r, Vec& z) const {
   z.assign(n, 0.0);
   y_.assign(n, 0.0);
   xl_.resize(n);  // written per class before it is read
-  for (Vec& zl : zloc_) zl.assign(n, 0.0);
 
   // Emitted from the calling thread after each phase, so the stream is
   // the same for every strip count.
@@ -226,30 +170,28 @@ void MulticolorMStepSsor::apply(const Vec& r, Vec& z) const {
     const obs::Span sweep_span("sweep");
     const double a = plan.alphas[m - s];
     // Forward half-sweep.  For class 0 this doubles as the deferred
-    // backward update of the previous step (y holds its upper sums).  F(0)
-    // drains nothing: the previous phase (a save) updates no z class.
+    // backward update of the previous step (y holds its upper sums).
     for (int c = 0; c < nc; ++c) {
-      run_phase({Phase::kForward, c, c - 1, a}, r, z);
+      run_phase({Phase::kForward, c, a}, r, z);
       log_class(c, /*lower=*/true);
     }
     // Backward half-sweep over classes nc-2 .. 1.  Class nc-1 is skipped
     // (its backward value equals the forward value just computed); class 0
-    // is deferred (see below).  B(c) drains c+1, updated just before.
+    // is deferred (see below).
     for (int c = nc - 2; c >= 1; --c) {
-      run_phase({Phase::kBackward, c, c + 1, a}, r, z);
+      run_phase({Phase::kBackward, c, a}, r, z);
       log_class(c, /*lower=*/false);
     }
     // Class 0: save its upper sums into y; the solve is deferred to the
     // next forward pass (inner steps) or the final solve below (last step).
-    run_phase({Phase::kSave, 0, nc >= 2 ? 1 : 0, a}, r, z);
+    run_phase({Phase::kSave, 0, a}, r, z);
     if (log_) {
       log_->spmv_diagonals(cs.class_size(0), plan.census.upper[0]);
       log_->end_precond_step();
     }
   }
   // Final deferred class-0 solve with alpha_0 — line (3) of Algorithm 2.
-  // It reads only owned y and r, so nothing is drained first.
-  run_phase({Phase::kFinal, 0, -1, plan.alphas[0]}, r, z);
+  run_phase({Phase::kFinal, 0, plan.alphas[0]}, r, z);
   if (log_) {
     log_->vec_op(cs.class_size(0), 2);
     log_->diag_op(cs.class_size(0));

@@ -27,13 +27,14 @@
 // an immutable, shareable MulticolorSweepPlan, and engines that own only
 // per-call scratch.  The plan cuts every colour class into contiguous
 // strips (shard::ShardPlan).  One strip runs each phase inline on z — the
-// serial kernel.  N strips run each phase as one pool dispatch, each strip
-// working on its own replica of z kept current by halo exchange (see
-// shard/halo.hpp); the replica is what makes the halo plan load-bearing.
-// la::simd::sell_neg_slices is bitwise -row_dot per row however the rows
-// are sliced, every row is written by exactly one strip, and the phase
-// order is the class order, so every strip count gives the one-strip bits
-// and the same KernelLog stream.
+// serial kernel.  N strips run each phase as one pool dispatch, every strip
+// reading and writing the one shared z: a class-c phase writes only class-c
+// rows, each owned by one strip, its segment sums read only rows of other
+// classes, and the pool rendezvous orders one phase's writes before the
+// next phase's reads.  la::simd::sell_neg_slices is bitwise -row_dot per
+// row however the rows are sliced and the phase order is the class order,
+// so every strip count gives the one-strip bits and the same KernelLog
+// stream.
 #pragma once
 
 #include <memory>
@@ -70,7 +71,7 @@ struct MulticolorSweepPlan {
   color::RowSplits splits;            // diagonal + lower/upper row splits
   color::ClassDiagonalCensus census;  // prices each class in the KernelLog
   shard::ShardPlan strips;
-  shard::HaloPlan halo;  // ghost rows between strips; empty with one strip
+  shard::HaloPlan halo;  // rows strips read from each other; empty with one
   // Per strip and class (index strip * classes + class): the strictly-
   // lower / strictly-upper row segments in SELL slices, summed 4 rows at a
   // time by simd::sell_neg_slices — bitwise -row_dot per row, but
@@ -83,29 +84,20 @@ struct MulticolorSweepPlan {
 /// Engines sharing a plan may apply concurrently from different threads.
 class MulticolorMStepSsor : public Preconditioner {
  public:
-  /// Debug builds verify every ghost payload's checksum at take-time.
-#ifndef NDEBUG
-  static constexpr bool kVerifyHaloDefault = true;
-#else
-  static constexpr bool kVerifyHaloDefault = false;
-#endif
-
   /// The serial sweep on a private one-strip plan.
   MulticolorMStepSsor(const color::ColoredSystem& cs,
                       std::vector<double> alphas, KernelLog* log = nullptr);
   /// A private plan on `strips`, run on `pool` (which must outlive the
-  /// engine).  `verify_halo` turns on the per-take checksum check.
+  /// engine).
   MulticolorMStepSsor(const color::ColoredSystem& cs,
                       std::vector<double> alphas, shard::ShardPlan strips,
-                      par::ThreadPool& pool, KernelLog* log = nullptr,
-                      bool verify_halo = kVerifyHaloDefault);
+                      par::ThreadPool& pool, KernelLog* log = nullptr);
   /// An engine over a shared plan.  `pool` is required when the plan has
   /// two or more strips (throws std::invalid_argument otherwise) and
   /// unused with one.  `log` (optional) receives the kernel stream.
   explicit MulticolorMStepSsor(std::shared_ptr<const MulticolorSweepPlan> plan,
                                par::ThreadPool* pool = nullptr,
-                               KernelLog* log = nullptr,
-                               bool verify_halo = kVerifyHaloDefault);
+                               KernelLog* log = nullptr);
 
   [[nodiscard]] index_t size() const override { return plan_->cs->size(); }
   void apply(const Vec& r, Vec& z) const override;
@@ -133,15 +125,10 @@ class MulticolorMStepSsor : public Preconditioner {
   std::shared_ptr<const MulticolorSweepPlan> plan_;
   par::ThreadPool* pool_;
   KernelLog* log_;
-  bool verify_halo_;
 
   // apply() is logically const but stages per-call state here.
   mutable Vec y_;   // Conrad–Wallach auxiliary vector
   mutable Vec xl_;  // the current class's scattered sums
-  // With 2+ strips: per-strip replicas of z, whose off-strip entries only
-  // the halo exchange writes, and its mailboxes [to][from][class].
-  mutable std::vector<Vec> zloc_;
-  mutable std::vector<shard::GhostMailbox> mail_;
 };
 
 }  // namespace mstep::core

@@ -183,9 +183,13 @@ SellSegments SellSegments::build(const CsrMatrix& a, const index_t* seg_begin,
   }
 
   m.val_.assign(m.slice_ptr_.back(), 0.0);
-  m.col_.assign(m.slice_ptr_.back(), 0);
+  m.col_.resize(m.slice_ptr_.back());
   for (index_t s = 0; s < num_slices; ++s) {
     const std::size_t base = m.slice_ptr_[s];
+    // Padding points at the slice's own first row (see the header).
+    for (std::size_t at = base; at < m.slice_ptr_[s + 1]; ++at) {
+      m.col_[at] = m.perm_[s * kC];
+    }
     for (index_t r = 0; r < kC; ++r) {
       const index_t slot = s * kC + r;
       const index_t g = m.perm_[slot];

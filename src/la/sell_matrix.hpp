@@ -112,6 +112,9 @@ class SellMatrix {
 /// what turns the sweep's short per-row sums — too short for a single-row
 /// vector kernel to win — into 4-rows-at-a-time vector work, legal only
 /// because the multicolor ordering makes rows of a class independent.
+/// Padded lanes, which the vector kernel gathers and blends away, point at
+/// their slice's first row, so a sum over rows [row_begin, row_end) reads
+/// only its segments' columns and those rows.
 class SellSegments {
  public:
   SellSegments() = default;

@@ -1,44 +1,9 @@
 #include "shard/halo.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 namespace mstep::shard {
-
-namespace {
-
-// FNV-1a over the payload bytes — the same hash family the serve layer
-// uses for content fingerprints.
-std::uint64_t fnv1a(const std::vector<double>& payload) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const double v : payload) {
-    unsigned char bytes[sizeof(double)];
-    std::memcpy(bytes, &v, sizeof(double));
-    for (const unsigned char b : bytes) {
-      h ^= b;
-      h *= 1099511628211ULL;
-    }
-  }
-  return h;
-}
-
-}  // namespace
-
-void GhostMailbox::post(const Vec& z, const std::vector<index_t>& rows) {
-  for (std::size_t k = 0; k < rows.size(); ++k) payload_[k] = z[rows[k]];
-  checksum_ = fnv1a(payload_);
-}
-
-void GhostMailbox::take(Vec& zloc, const std::vector<index_t>& rows,
-                        bool verify) const {
-  if (verify && fnv1a(payload_) != checksum_) {
-    throw std::runtime_error(
-        "GhostMailbox: checksum mismatch - ghost payload corrupted in "
-        "transit");
-  }
-  for (std::size_t k = 0; k < rows.size(); ++k) zloc[rows[k]] = payload_[k];
-}
 
 HaloPlan::HaloPlan(const color::ColoredSystem& cs, const ShardPlan& plan,
                    const color::RowSplits& splits)
@@ -60,7 +25,6 @@ HaloPlan::HaloPlan(const color::ColoredSystem& cs, const ShardPlan& plan,
   };
 
   recv_.assign(static_cast<std::size_t>(ns) * ns * nc, {});
-  boundary_.assign(static_cast<std::size_t>(ns) * nc, {});
 
   // Mark exactly the columns the sweep phases read: the lower split of
   // every row, plus the upper split of rows outside the last class.
@@ -82,20 +46,6 @@ HaloPlan::HaloPlan(const color::ColoredSystem& cs, const ShardPlan& plan,
   for (auto& rows : recv_) {
     std::sort(rows.begin(), rows.end());
     rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-  }
-
-  // Sender-side view: owned rows that appear in anyone's recv list.
-  for (int from = 0; from < ns; ++from) {
-    for (int c = 0; c < nc; ++c) {
-      std::vector<index_t> rows;
-      for (int to = 0; to < ns; ++to) {
-        const auto& r = recv_[index(to, from, c)];
-        rows.insert(rows.end(), r.begin(), r.end());
-      }
-      std::sort(rows.begin(), rows.end());
-      rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-      boundary_[static_cast<std::size_t>(from) * nc + c] = std::move(rows);
-    }
   }
 }
 

@@ -1,56 +1,26 @@
-// Halo exchange plan + ghost mailboxes for the sharded multicolor sweep.
+// The halo census of a strip partition: which rows each strip's sweep
+// phases read from other strips.
 //
-// A shard's class-c sweep phase reads z at off-shard rows: the
-// strictly-lower couplings (classes < c, read by every forward phase) and
-// the strictly-upper couplings (classes > c, read by the backward phases
-// of classes 0..nc-2; the last class's upper block is never summed — see
-// core/multicolor_mstep.cpp).  HaloPlan precomputes, per directed shard
-// edge and per class, EXACTLY that ghost-row set — no over-fetch (a row
-// no phase reads), no under-fetch (a stale ghost would change bits, which
-// is what tests/test_shard.cpp's equivalence matrix would catch).
-//
-// GhostMailbox is the staging buffer of one directed edge x class: the
-// owner gathers its freshly-updated boundary values into the payload
-// (post), the neighbor scatters them into its local replica one phase
-// later (take).  Phases are pool-barrier separated and no class is
-// updated in two consecutive phases, so a single payload per (edge,
-// class) is never posted and taken concurrently.  A debug-mode FNV-1a
-// checksum over the payload bytes is verified at take(); the transport
-// is in-process today, but the checksum pins the contract the future
-// socket transport must keep.
+// A strip's class-c sweep phase reads z at off-strip rows: the strictly-
+// lower couplings (classes < c, read by every forward phase) and the
+// strictly-upper couplings (classes > c, read by the backward phases of
+// classes 0..nc-2; the last class's upper block is never summed — see
+// core/multicolor_mstep.cpp).  HaloPlan records, per directed strip edge
+// and per class, EXACTLY that row set — no row no phase reads, and none
+// missing.  Threaded strips read these rows from the one shared iterate,
+// so nothing is copied; the census is the partition's halo volume, the
+// communication a distributed-memory machine would pay for (femsim
+// simulates that model).
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "color/coloring.hpp"
-#include "la/vector.hpp"
 #include "shard/partition.hpp"
 
 namespace mstep::shard {
 
-/// One directed edge's staging buffer for one class.
-class GhostMailbox {
- public:
-  explicit GhostMailbox(std::size_t size) : payload_(size, 0.0) {}
-
-  /// Gather z at `rows` into the payload and stamp the checksum.
-  void post(const Vec& z, const std::vector<index_t>& rows);
-
-  /// Scatter the payload into `zloc` at `rows`; with `verify`, recompute
-  /// the checksum first and throw std::runtime_error on mismatch.
-  void take(Vec& zloc, const std::vector<index_t>& rows, bool verify) const;
-
-  /// Test hook: the corruption test flips payload bytes between post and
-  /// take to prove the checksum actually guards the exchange.
-  [[nodiscard]] std::vector<double>& payload() { return payload_; }
-
- private:
-  std::vector<double> payload_;
-  std::uint64_t checksum_ = 0;
-};
-
-/// All ghost-row index sets of one ShardPlan on one colored matrix.
+/// All off-strip row sets one ShardPlan reads on one colored matrix.
 class HaloPlan {
  public:
   HaloPlan() = default;
@@ -59,33 +29,16 @@ class HaloPlan {
   HaloPlan(const color::ColoredSystem& cs, const ShardPlan& plan,
            const color::RowSplits& splits);
 
-  /// Ghost rows shard `to` needs from shard `from`, restricted to class
-  /// `c` (sorted, duplicate-free).  Empty when the shards share no
-  /// boundary in that class — an "empty-boundary" edge is legal.
+  /// Rows of shard `from` in class `c` that shard `to` reads (sorted,
+  /// duplicate-free).  Empty when the shards share no boundary in that
+  /// class — an "empty-boundary" edge is legal.
   [[nodiscard]] const std::vector<index_t>& recv_rows(int to, int from,
                                                       int c) const {
     return recv_[index(to, from, c)];
   }
-  /// What `from` must send to `to` for class `c` — the same row set, read
-  /// from the sender's side.
-  [[nodiscard]] const std::vector<index_t>& send_rows(int from, int to,
-                                                      int c) const {
-    return recv_[index(to, from, c)];
-  }
 
-  /// Boundary rows shard `s` owns in class `c`: owned rows some other
-  /// shard receives.  Sorted; the sweep updates these first so the post
-  /// overlaps the interior update.
-  [[nodiscard]] const std::vector<index_t>& boundary_rows(int s,
-                                                          int c) const {
-    return boundary_[static_cast<std::size_t>(s) * num_classes_ + c];
-  }
-
-  [[nodiscard]] int num_shards() const { return num_shards_; }
-  [[nodiscard]] int num_classes() const { return num_classes_; }
-
-  /// Total ghost rows shard `s` receives across all edges and classes
-  /// (the halo volume; 0 means the shard's region is fully interior).
+  /// Total ghost rows shard `s` reads across all edges and classes (the
+  /// halo volume; 0 means the shard's region is fully interior).
   [[nodiscard]] std::size_t ghost_count(int s) const;
 
  private:
@@ -97,8 +50,7 @@ class HaloPlan {
 
   int num_shards_ = 0;
   int num_classes_ = 0;
-  std::vector<std::vector<index_t>> recv_;      // [to][from][class]
-  std::vector<std::vector<index_t>> boundary_;  // [shard][class]
+  std::vector<std::vector<index_t>> recv_;  // [to][from][class]
 };
 
 }  // namespace mstep::shard

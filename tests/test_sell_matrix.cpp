@@ -118,6 +118,35 @@ TEST(SellMatrix, HandlesEmptyRowsAndRaggedTail) {
   EXPECT_EQ(ys[2], 0.0);
 }
 
+// The vector kernel gathers padded lanes and blends them away.  Segments
+// point their padding inside their own row range, so threads summing
+// disjoint row ranges of one vector never read each other's rows.
+TEST(SellSegments, PaddingPointsInsideItsRowRange) {
+  const auto p = problems::ProblemRegistry::instance().create("femplate:a=8");
+  const CsrMatrix& a = p.matrix;
+  const index_t b = 5;
+  const index_t e = a.rows() - 6;  // ragged last slice
+  ASSERT_NE((e - b) % SellMatrix::kSliceHeight, 0);
+  const SellSegments segs = SellSegments::build(a, a.row_ptr().data(),
+                                                a.row_ptr().data() + 1, b, e);
+  const simd::SellView v = segs.view();
+  const index_t h = SellMatrix::kSliceHeight;
+  std::size_t padded = 0;
+  for (index_t sl = 0; sl < v.num_slices; ++sl) {
+    const std::size_t base = v.slice_ptr[sl];
+    const auto width = static_cast<index_t>((v.slice_ptr[sl + 1] - base) / h);
+    for (index_t r = 0; r < h; ++r) {
+      for (index_t j = v.len[sl * h + r]; j < width; ++j) {
+        const index_t col = v.col[base + static_cast<std::size_t>(j * h + r)];
+        EXPECT_GE(col, b) << "slice " << sl;
+        EXPECT_LT(col, e) << "slice " << sl;
+        ++padded;
+      }
+    }
+  }
+  EXPECT_GT(padded, 0u);
+}
+
 // ---- bitwise SpMV across the catalog ---------------------------------------
 
 // Small instances of every catalog generator: SELL SpMV must be bitwise

@@ -1,9 +1,8 @@
-// The shard partitioner and the halo-exchange plan, unit level: equal
-// contiguous strips per color block with the femsim equal-strip rule,
-// clamping, EXACT ghost sets (brute-forced from the matrix graph — no
-// over-fetch, no under-fetch) on a 9-point stencil and the paper's FEM
-// plate, legal empty-boundary shards, and the debug-mode checksum that
-// catches a ghost payload corrupted between post and take.
+// The shard partitioner and the halo census, unit level: equal contiguous
+// strips per color block with the femsim equal-strip rule, clamping, EXACT
+// ghost sets (brute-forced from the matrix graph — no row no phase reads,
+// none missing) on a 9-point stencil and the paper's FEM plate, and legal
+// empty-boundary shards.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -142,7 +141,6 @@ void expect_exact_halo(const std::string& spec, int shards) {
                   got.size());
         ASSERT_EQ(std::vector<index_t>(want.begin(), want.end()), got)
             << spec << " to=" << to << " from=" << from << " class=" << c;
-        ASSERT_EQ(halo.send_rows(from, to, c), got);
         ghost += got.size();
         if (!got.empty()) ++total_edges;
       }
@@ -150,22 +148,6 @@ void expect_exact_halo(const std::string& spec, int shards) {
     ASSERT_EQ(halo.ghost_count(to), ghost) << spec << " shard " << to;
   }
   ASSERT_GT(total_edges, 0u) << spec << ": a connected stencil must halo";
-
-  // boundary_rows(s, c) is the union of what s sends in class c.
-  for (int s = 0; s < ns; ++s) {
-    for (int c = 0; c < nc; ++c) {
-      std::set<index_t> want;
-      for (int t = 0; t < ns; ++t) {
-        const auto& rows = halo.send_rows(s, t, c);
-        want.insert(rows.begin(), rows.end());
-      }
-      const auto& got = halo.boundary_rows(s, c);
-      ASSERT_TRUE(std::is_sorted(got.begin(), got.end()));
-      ASSERT_EQ(std::vector<index_t>(want.begin(), want.end()), got)
-          << spec << " shard " << s << " class " << c;
-      for (const index_t i : got) ASSERT_EQ(plan.owner_of(i), s);
-    }
-  }
 }
 
 TEST(HaloPlan, GhostSetsAreExactOnStencil9) {
@@ -210,48 +192,19 @@ TEST(HaloPlan, EmptyBoundaryShardsAreLegal) {
       for (int t = 0; t < 4; ++t) {
         ASSERT_TRUE(halo.recv_rows(s, t, c).empty());
       }
-      ASSERT_TRUE(halo.boundary_rows(s, c).empty());
     }
   }
 
   const std::vector<double> alphas = {1.0, 0.6};
   par::ThreadPool pool(4);
   const core::MulticolorMStepSsor serial(cs, alphas);
-  const ShardedMulticolorMStepSsor sharded(cs, alphas, plan, pool, nullptr,
-                                           /*verify_halo=*/true);
+  const ShardedMulticolorMStepSsor sharded(cs, alphas, plan, pool);
   util::Rng rng(3);
   const Vec r = rng.uniform_vector(n);
   Vec z1, z2;
   serial.apply(r, z1);
   sharded.apply(r, z2);
   ASSERT_EQ(z1, z2);
-}
-
-// ---- mailbox checksum -------------------------------------------------------
-
-TEST(GhostMailbox, ChecksumCatchesCorruptedPayload) {
-  const std::vector<index_t> rows = {1, 4, 5};
-  Vec z = {0.0, 10.0, 0.0, 0.0, -2.5, 7.75};
-  GhostMailbox mb(rows.size());
-  mb.post(z, rows);
-
-  // Clean round trip, verified: the ghost values land where they belong.
-  Vec zloc(z.size(), 0.0);
-  mb.take(zloc, rows, /*verify=*/true);
-  ASSERT_EQ(zloc[1], 10.0);
-  ASSERT_EQ(zloc[4], -2.5);
-  ASSERT_EQ(zloc[5], 7.75);
-  ASSERT_EQ(zloc[0], 0.0);
-
-  // Corrupt one payload double "in transit": the verified take throws,
-  // the unverified one (release-mode default) silently scatters.
-  mb.payload()[2] += 1e-9;
-  ASSERT_THROW(mb.take(zloc, rows, /*verify=*/true), std::runtime_error);
-  ASSERT_NO_THROW(mb.take(zloc, rows, /*verify=*/false));
-
-  // Re-posting restamps the checksum over the current payload.
-  mb.post(z, rows);
-  ASSERT_NO_THROW(mb.take(zloc, rows, /*verify=*/true));
 }
 
 }  // namespace

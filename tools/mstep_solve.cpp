@@ -92,8 +92,8 @@ int print_help() {
       "  --maxit=<n>        iteration cap (default 20000)\n"
       "  --threads=<N>      threads; each colour block is cut into N strips\n"
       "                     (one strip per thread) that the sweep, the\n"
-      "                     products and the vector ops all run on, with\n"
-      "                     halo exchange between them; systems under 2048\n"
+      "                     products and the vector ops all run on,\n"
+      "                     sharing one iterate; systems under 2048\n"
       "                     rows stay serial; bitwise the serial result for\n"
       "                     any N; 0 = serial (default 0)\n"
       "  --shards=<N>       alias of --threads; the wider of the two wins\n"
