@@ -2,7 +2,8 @@
 //
 // Times every hot kernel family — the blocked dot, axpy, SpMV in each
 // MatrixFormat (CSR, DIA, SELL-C-sigma), and the multicolor m-step SSOR
-// sweep — twice: once with the portable scalar twins forced
+// sweep, single-vector and on a block of four (`sweep`/`block4`, rated
+// per vector) — twice: once with the portable scalar twins forced
 // (SimdModeGuard(kForceScalar)) and once with the vector path active, and
 // reports per-kernel effective bandwidth (GB/s, from a roofline traffic
 // model of the layout) and arithmetic throughput (GFLOP/s, useful flops
@@ -17,6 +18,7 @@
 // (kernel, format, n) for tools/check_bench.py.  GB/s and GFLOP/s are
 // informational (absolute rates differ across runner generations); the
 // traffic models are stated inline and count each operand stream once.
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -295,6 +297,30 @@ int main(int argc, char** argv) {
               },
               target_flops, repeats);
       rows.push_back(r);
+
+      // The same sweep on kSellSlice interleaved vectors (the solveMany
+      // block path).  One apply serves every vector, so the models are
+      // kSellSlice times the single sweep's: GB/s and GFLOP/s read per
+      // vector, against the single-vector row above.  Ungated: the gate
+      // walks the baseline's rows only.
+      constexpr int kW = static_cast<int>(la::simd::kSellSlice);
+      const Vec res_block =
+          rng.uniform_vector(static_cast<std::size_t>(n * kW));
+      Vec z_block;
+      Row b;
+      b.kernel = "sweep";
+      b.format = "block4";
+      b.n = n;
+      b.flops_per_apply = kW * r.flops_per_apply;
+      b.bytes_per_apply = kW * r.bytes_per_apply;
+      measure(&b, [&] { prec.apply_block(res_block, z_block, kW); },
+              [&] {
+                Vec fresh;
+                prec.apply_block(res_block, fresh, kW);
+                return fresh;
+              },
+              target_flops, repeats);
+      rows.push_back(b);
     }
 
     // ---- Trace-off overhead -----------------------------------------------
@@ -323,12 +349,29 @@ int main(int argc, char** argv) {
         la::axpy(flip_b ? -1e-6 : 1e-6, vx, yb);
         flip_b = !flip_b;
       };
+      // Interleaved A/B pairs, alternating which half runs first, and
+      // the median of the per-pair ratios: host drift moves both halves
+      // of a pair alike.  (Two separate best-of timings gave ratios from
+      // 0.88 to 1.05 across runs, noisier than the 2% being gated.)
       const long long flops = 2LL * static_cast<long long>(vecn);
-      const double seconds_plain =
-          time_kernel(plain_apply, flops, target_flops, repeats);
-      const double seconds_traced_off =
-          time_kernel(traced_off_apply, flops, target_flops, repeats);
-      overhead_ratio = seconds_traced_off / seconds_plain;
+      const int pairs = 4 * repeats + 1;
+      std::vector<double> ratios;
+      for (int k = 0; k < pairs; ++k) {
+        double seconds_plain = 0.0;
+        double seconds_traced_off = 0.0;
+        if (k % 2 == 0) {
+          seconds_plain = time_kernel(plain_apply, flops, target_flops, 1);
+          seconds_traced_off =
+              time_kernel(traced_off_apply, flops, target_flops, 1);
+        } else {
+          seconds_traced_off =
+              time_kernel(traced_off_apply, flops, target_flops, 1);
+          seconds_plain = time_kernel(plain_apply, flops, target_flops, 1);
+        }
+        ratios.push_back(seconds_traced_off / seconds_plain);
+      }
+      std::sort(ratios.begin(), ratios.end());
+      overhead_ratio = ratios[ratios.size() / 2];
 
       // Bitwise: one apply under a LIVE tracer must match the bare one.
       Vec plain_out = vy;
@@ -342,9 +385,10 @@ int main(int argc, char** argv) {
       trace_bitwise_ok = plain_out == traced_out;
       obs::Tracer::instance().reset();
 
-      std::cout << "trace-off overhead: plain " << seconds_plain
-                << " s/apply, instrumented-off " << seconds_traced_off
-                << " s/apply, ratio " << overhead_ratio << ", bitwise "
+      std::cout << "trace-off overhead: median instrumented-off / plain "
+                << "ratio over " << pairs << " interleaved pairs "
+                << overhead_ratio << " (range " << ratios.front() << " - "
+                << ratios.back() << "), bitwise "
                 << (trace_bitwise_ok ? "yes" : "NO") << "\n\n";
     }
 

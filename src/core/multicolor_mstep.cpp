@@ -143,27 +143,60 @@ void MulticolorMStepSsor::run_phase(const Phase& phase, const Vec& r,
   });
 }
 
-void MulticolorMStepSsor::apply(const Vec& r, Vec& z) const {
+// Block form of run_strip over a whole class: the sums read the plan's CSR
+// row segments directly and the class update is fused into the kernel.
+void MulticolorMStepSsor::run_block_phase(const Phase& phase, const Vec& r,
+                                          Vec& z) const {
+  constexpr std::size_t kW = la::simd::kSellSlice;
   const MulticolorSweepPlan& plan = *plan_;
   const color::ColoredSystem& cs = *plan.cs;
-  const index_t n = cs.size();
-  assert(static_cast<index_t>(r.size()) == n);
+  const int c = phase.cls;
+  const index_t row_begin = cs.class_start[c];
+  const index_t row_end = cs.class_start[c + 1];
+  const index_t* rp = cs.matrix.row_ptr().data();
+  const index_t* lo_end = plan.splits.lo_end.data();
+  const index_t* up_begin = plan.splits.up_begin.data();
+  const Vec& diag = plan.splits.diag;
+  const double a = phase.alpha;
+
+  if (phase.kind == Phase::kFinal) {
+    for (index_t i = row_begin; i < row_end; ++i) {
+      const std::size_t at = static_cast<std::size_t>(i) * kW;
+      for (std::size_t k = at; k < at + kW; ++k) {
+        z[k] = (y_[k] + a * r[k]) / diag[i];
+      }
+    }
+    return;
+  }
+  const bool forward = phase.kind == Phase::kForward;
+  la::simd::block_sweep_rows(
+      forward ? rp : up_begin, forward ? lo_end : rp + 1,
+      cs.matrix.col_idx().data(), cs.matrix.values().data(), diag.data(), a,
+      phase.kind == Phase::kSave ? nullptr : r.data(), z.data(), y_.data(),
+      row_begin, row_end, forward && c == cs.num_classes() - 1);
+}
+
+template <typename Run>
+void MulticolorMStepSsor::walk(const Run& run, int columns) const {
+  const MulticolorSweepPlan& plan = *plan_;
+  const color::ColoredSystem& cs = *plan.cs;
   const int m = steps();
   const int nc = cs.num_classes();
 
-  z.assign(n, 0.0);
-  y_.assign(n, 0.0);
-  xl_.resize(n);  // written per class before it is read
-
   // Emitted from the calling thread after each phase, so the stream is
   // the same for every strip count.
-  auto log_class = [&](int c, bool lower) {
+  const auto narrate = [&](auto&& emit) {
     if (!log_) return;
-    const index_t len = cs.class_size(c);
-    log_->spmv_diagonals(len,
-                         lower ? plan.census.lower[c] : plan.census.upper[c]);
-    log_->vec_op(len, 3);  // x + y + alpha*r fused adds
-    log_->diag_op(len);    // divide by D_c
+    for (int k = 0; k < columns; ++k) emit();
+  };
+  auto log_class = [&](int c, bool lower) {
+    narrate([&] {
+      const index_t len = cs.class_size(c);
+      log_->spmv_diagonals(
+          len, lower ? plan.census.lower[c] : plan.census.upper[c]);
+      log_->vec_op(len, 3);  // x + y + alpha*r fused adds
+      log_->diag_op(len);    // divide by D_c
+    });
   };
 
   for (int s = 1; s <= m; ++s) {
@@ -172,30 +205,49 @@ void MulticolorMStepSsor::apply(const Vec& r, Vec& z) const {
     // Forward half-sweep.  For class 0 this doubles as the deferred
     // backward update of the previous step (y holds its upper sums).
     for (int c = 0; c < nc; ++c) {
-      run_phase({Phase::kForward, c, a}, r, z);
+      run(Phase{Phase::kForward, c, a});
       log_class(c, /*lower=*/true);
     }
     // Backward half-sweep over classes nc-2 .. 1.  Class nc-1 is skipped
     // (its backward value equals the forward value just computed); class 0
     // is deferred (see below).
     for (int c = nc - 2; c >= 1; --c) {
-      run_phase({Phase::kBackward, c, a}, r, z);
+      run(Phase{Phase::kBackward, c, a});
       log_class(c, /*lower=*/false);
     }
     // Class 0: save its upper sums into y; the solve is deferred to the
     // next forward pass (inner steps) or the final solve below (last step).
-    run_phase({Phase::kSave, 0, a}, r, z);
-    if (log_) {
+    run(Phase{Phase::kSave, 0, a});
+    narrate([&] {
       log_->spmv_diagonals(cs.class_size(0), plan.census.upper[0]);
       log_->end_precond_step();
-    }
+    });
   }
   // Final deferred class-0 solve with alpha_0 — line (3) of Algorithm 2.
-  run_phase({Phase::kFinal, 0, plan.alphas[0]}, r, z);
-  if (log_) {
+  run(Phase{Phase::kFinal, 0, plan.alphas[0]});
+  narrate([&] {
     log_->vec_op(cs.class_size(0), 2);
     log_->diag_op(cs.class_size(0));
-  }
+  });
+}
+
+void MulticolorMStepSsor::apply(const Vec& r, Vec& z) const {
+  const index_t n = size();
+  assert(static_cast<index_t>(r.size()) == n);
+  z.assign(n, 0.0);
+  y_.assign(n, 0.0);
+  xl_.resize(n);  // written per class before it is read
+  walk([&](const Phase& phase) { run_phase(phase, r, z); }, 1);
+}
+
+void MulticolorMStepSsor::apply_block(const Vec& r, Vec& z,
+                                      int columns) const {
+  const std::size_t len = static_cast<std::size_t>(size()) *
+                          la::simd::kSellSlice;
+  assert(r.size() == len);
+  z.assign(len, 0.0);
+  y_.assign(len, 0.0);
+  walk([&](const Phase& phase) { run_block_phase(phase, r, z); }, columns);
 }
 
 std::string MulticolorMStepSsor::name() const {

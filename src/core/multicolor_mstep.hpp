@@ -101,6 +101,12 @@ class MulticolorMStepSsor : public Preconditioner {
 
   [[nodiscard]] index_t size() const override { return plan_->cs->size(); }
   void apply(const Vec& r, Vec& z) const override;
+  /// apply() on an n x la::simd::kSellSlice row-interleaved block: one
+  /// pass over each class's CSR row segments serves every column, and
+  /// column c of z is bitwise apply() of column c of r.  Runs serially on
+  /// the calling thread whatever the plan's strips.  The kernel log hears
+  /// `columns` copies of apply()'s stream — the live columns' census.
+  void apply_block(const Vec& r, Vec& z, int columns) const;
   [[nodiscard]] int steps() const override {
     return static_cast<int>(plan_->alphas.size());
   }
@@ -119,15 +125,20 @@ class MulticolorMStepSsor : public Preconditioner {
 
  private:
   struct Phase;
+  /// Walks Algorithm 2's phase schedule, calling run(phase) for each and
+  /// narrating `columns` copies of the kernel stream.
+  template <typename Run>
+  void walk(const Run& run, int columns) const;
   void run_phase(const Phase& phase, const Vec& r, Vec& z) const;
   void run_strip(const Phase& phase, int s, const Vec& r, Vec& z) const;
+  void run_block_phase(const Phase& phase, const Vec& r, Vec& z) const;
 
   std::shared_ptr<const MulticolorSweepPlan> plan_;
   par::ThreadPool* pool_;
   KernelLog* log_;
 
   // apply() is logically const but stages per-call state here.
-  mutable Vec y_;   // Conrad–Wallach auxiliary vector
+  mutable Vec y_;   // Conrad–Wallach auxiliary vector (a block in apply_block)
   mutable Vec xl_;  // the current class's scattered sums
 };
 

@@ -12,12 +12,15 @@
 #include "core/preconditioner.hpp"
 #include "la/csr_matrix.hpp"
 #include "la/linear_operator.hpp"
+#include "util/span.hpp"
 
 namespace mstep::par {
 class Execution;  // par/execution.hpp
 }
 
 namespace mstep::core {
+
+class MulticolorMStepSsor;  // core/multicolor_mstep.hpp
 
 enum class StopRule {
   kDeltaInf,    // |u^{k+1} - u^k|_inf < tol  (the paper's test)
@@ -53,6 +56,14 @@ struct PcgResult {
   std::vector<IterationRecord> history;
 };
 
+/// Reusable scratch for pcg_solve_block: n x la::simd::kSellSlice
+/// row-interleaved blocks, resized on demand like PcgWorkspace.  z = M r
+/// and w = K p are never live at once, so they share `zw`; the iterates
+/// live in the results' solution vectors.
+struct PcgBlockWorkspace {
+  Vec r, p, zw;
+};
+
 /// Reusable scratch for pcg_solve: the solve-sized vectors Algorithm 1
 /// needs.  Passing one lets a caller run many solves with no per-solve
 /// allocation beyond the returned solution — the batch engine keeps one
@@ -86,6 +97,23 @@ struct PcgWorkspace {
                                   const Vec& u0 = {},
                                   const par::Execution* exec = nullptr,
                                   PcgWorkspace* workspace = nullptr);
+
+/// pcg_solve for up to la::simd::kSellSlice right-hand sides at once, with
+/// the Algorithm-2 sweep as M and a zero initial guess.  The columns
+/// travel as one row-interleaved block, so every SpMV and sweep loads each
+/// matrix entry once for all of them; each column keeps its own alpha,
+/// beta, rho, counters and stopping test, and stops (is frozen) at its
+/// own iteration.  results[c] is BITWISE pcg_solve(k, fs[c], m, options)
+/// on the serial kernels — solution, iterations, final_delta_inf,
+/// final_residual2, counters and history values.  The right-hand sides
+/// double as the final residuals' scratch: their contents on return are
+/// unspecified.  `log` hears each live column's kernel stream.  Throws
+/// std::invalid_argument as pcg_solve does, and for 0 or more than
+/// kSellSlice right-hand sides.
+[[nodiscard]] std::vector<PcgResult> pcg_solve_block(
+    const la::LinearOperator& k, util::Span<Vec> fs,
+    const MulticolorMStepSsor& m, const PcgOptions& options = {},
+    KernelLog* log = nullptr, PcgBlockWorkspace* workspace = nullptr);
 
 /// Plain conjugate gradients (M = I, the paper's m = 0 baseline).
 [[nodiscard]] PcgResult cg_solve(const la::LinearOperator& k, const Vec& f,

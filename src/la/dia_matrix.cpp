@@ -57,6 +57,27 @@ void DiaMatrix::multiply_sub(const Vec& x, Vec& y) const {
   multiply_rows(x, y, 0, n_, /*subtract=*/true);
 }
 
+void DiaMatrix::multiply_block(const double* x, double* y,
+                               bool subtract) const {
+  constexpr std::size_t kW = simd::kSellSlice;
+  // Rows per strip: the strip's 256 x 4 output (8 KiB) stays in L1 while
+  // every diagonal passes over it, instead of streaming the whole block
+  // once per diagonal.
+  constexpr index_t kStrip = 256;
+  if (!subtract) std::fill(y, y + static_cast<std::size_t>(n_) * kW, 0.0);
+  for (index_t begin = 0; begin < n_; begin += kStrip) {
+    const index_t end = std::min(n_, begin + kStrip);
+    for (std::size_t d = 0; d < offsets_.size(); ++d) {
+      const index_t off = offsets_[d];
+      const index_t lo = std::max(begin, std::max<index_t>(0, -off));
+      const index_t hi = std::min(end, std::min<index_t>(n_, n_ - off));
+      if (lo < hi) {
+        simd::block_dia_triad(diag_[d].data(), x, y, lo, hi, off, subtract);
+      }
+    }
+  }
+}
+
 void DiaMatrix::multiply_rows(const Vec& x, Vec& y, index_t begin,
                               index_t end, bool subtract) const {
   for (std::size_t d = 0; d < offsets_.size(); ++d) {

@@ -61,6 +61,12 @@ class DiaMatrix {
   void multiply_rows(const Vec& x, Vec& y, index_t begin, index_t end,
                      bool subtract) const;
 
+  /// Y = A X, or Y -= A X with `subtract`, on n x simd::kSellSlice
+  /// row-interleaved blocks (la/simd.hpp): per element the diagonals in
+  /// offset order, so column c of Y is bitwise multiply / multiply_sub of
+  /// column c of X.
+  void multiply_block(const double* x, double* y, bool subtract) const;
+
   /// Total stored doubles (n per diagonal) — the storage cost of the
   /// scheme, reported by the kernel bench.
   [[nodiscard]] std::size_t stored_values() const {

@@ -30,6 +30,31 @@ class LinearOperator {
   /// y = y - A x
   virtual void multiply_sub(const Vec& x, Vec& y) const = 0;
 
+  /// Y = A X, or Y -= A X with `subtract`, on n x simd::kSellSlice
+  /// row-interleaved blocks (la/simd.hpp): column c of the result is
+  /// bitwise multiply / multiply_sub of column c.  The storage views run
+  /// one pass over the matrix for all columns; this fallback runs
+  /// multiply / multiply_sub once per column.
+  virtual void multiply_block(const double* x, double* y,
+                              bool subtract) const {
+    constexpr std::size_t kW = simd::kSellSlice;
+    const auto n = static_cast<std::size_t>(rows());
+    Vec xc(n);
+    Vec yc(n);
+    for (std::size_t c = 0; c < kW; ++c) {
+      for (std::size_t i = 0; i < n; ++i) {
+        xc[i] = x[i * kW + c];
+        yc[i] = y[i * kW + c];
+      }
+      if (subtract) {
+        multiply_sub(xc, yc);
+      } else {
+        multiply(xc, yc);
+      }
+      for (std::size_t i = 0; i < n; ++i) y[i * kW + c] = yc[i];
+    }
+  }
+
   /// Number of nonzero (generalized) diagonals — the instrumentation
   /// stream prices an SpMV as this many vector triads (Section 3.1).
   [[nodiscard]] virtual index_t num_nonzero_diagonals() const = 0;
@@ -51,6 +76,10 @@ class CsrOperator final : public LinearOperator {
   void multiply_sub(const Vec& x, Vec& y) const override {
     a_->multiply_sub(x, y);
   }
+  void multiply_block(const double* x, double* y,
+                      bool subtract) const override {
+    a_->multiply_block(x, y, subtract);
+  }
   [[nodiscard]] index_t num_nonzero_diagonals() const override {
     return a_->num_nonzero_diagonals();
   }
@@ -68,6 +97,10 @@ class DiaOperator final : public LinearOperator {
   void multiply(const Vec& x, Vec& y) const override { a_->multiply(x, y); }
   void multiply_sub(const Vec& x, Vec& y) const override {
     a_->multiply_sub(x, y);
+  }
+  void multiply_block(const double* x, double* y,
+                      bool subtract) const override {
+    a_->multiply_block(x, y, subtract);
   }
   [[nodiscard]] index_t num_nonzero_diagonals() const override {
     return a_->num_diagonals();
@@ -87,6 +120,10 @@ class SellOperator final : public LinearOperator {
   void multiply(const Vec& x, Vec& y) const override { a_->multiply(x, y); }
   void multiply_sub(const Vec& x, Vec& y) const override {
     a_->multiply_sub(x, y);
+  }
+  void multiply_block(const double* x, double* y,
+                      bool subtract) const override {
+    a_->multiply_block(x, y, subtract);
   }
   [[nodiscard]] index_t num_nonzero_diagonals() const override {
     return a_->num_nonzero_diagonals();

@@ -136,6 +136,11 @@ void SellMatrix::multiply_sub(const Vec& x, Vec& y) const {
                          /*subtract=*/true);
 }
 
+void SellMatrix::multiply_block(const double* x, double* y,
+                                bool subtract) const {
+  simd::block_sell_slices(view(), x, y, 0, num_slices(), subtract);
+}
+
 SellSegments SellSegments::build(const CsrMatrix& a, const index_t* seg_begin,
                                  const index_t* seg_end, index_t row_begin,
                                  index_t row_end, index_t sigma) {

@@ -88,6 +88,11 @@ class SellMatrix {
   /// y = y - A x
   void multiply_sub(const Vec& x, Vec& y) const;
 
+  /// Y = A X, or Y -= A X with `subtract`, on n x simd::kSellSlice
+  /// row-interleaved blocks (la/simd.hpp): column c of Y is bitwise
+  /// multiply / multiply_sub of column c of X.
+  void multiply_block(const double* x, double* y, bool subtract) const;
+
   /// Non-owning kernel view; valid while this matrix lives.
   [[nodiscard]] simd::SellView view() const;
 

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "la/simd_internal.hpp"
 
@@ -126,12 +127,14 @@ double row_dot(const double* val, const index_t* col, const double* x,
 
 double step_update_max(double a, const double* p, double* u, std::size_t n) {
   double mx = 0.0;
+  bool nan = false;
   for (std::size_t i = 0; i < n; ++i) {
     const double step = a * p[i];
     u[i] += step;
     mx = std::max(mx, std::abs(step));
+    nan = nan || std::isnan(step);
   }
-  return mx;
+  return nan ? std::numeric_limits<double>::quiet_NaN() : mx;
 }
 
 void axpy(double a, const double* x, double* y, std::size_t n) {
@@ -236,6 +239,146 @@ void sell_neg_slices(const SellView& s, const double* x, double* out,
   }
 }
 
+// ---- block twins ----
+
+constexpr std::size_t kW = kSellSlice;
+
+/// row_dot's schedule for every column of the block x: term j, val[j *
+/// stride] * x(col[j * stride]), goes to lane j mod 8; sum[c] = lane 0 +
+/// ... + lane 7 of column c.
+void block_row_sum(const double* val, const index_t* col, index_t len,
+                   std::size_t stride, const double* x, double* sum) {
+  double lane[kRowLanes][kW] = {};
+  for (index_t j = 0; j < len; ++j) {
+    const std::size_t at = static_cast<std::size_t>(j) * stride;
+    const double v = val[at];
+    const double* xr = x + static_cast<std::size_t>(col[at]) * kW;
+    double* l = lane[static_cast<std::size_t>(j) % kRowLanes];
+    for (std::size_t c = 0; c < kW; ++c) l[c] += v * xr[c];
+  }
+  for (std::size_t c = 0; c < kW; ++c) {
+    double s = lane[0][c];
+    for (std::size_t l = 1; l < kRowLanes; ++l) s += lane[l][c];
+    sum[c] = s;
+  }
+}
+
+void store_row(const double* sum, double* y, bool subtract) {
+  for (std::size_t c = 0; c < kW; ++c) {
+    if (subtract) {
+      y[c] -= sum[c];
+    } else {
+      y[c] = sum[c];
+    }
+  }
+}
+
+void block_dot(const double* x, const double* y, std::size_t rows,
+               double* out) {
+  double lane[kDotLanes][kW] = {};
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t c = 0; c < kW; ++c) {
+      lane[i % kDotLanes][c] += x[i * kW + c] * y[i * kW + c];
+    }
+  }
+  for (std::size_t c = 0; c < kW; ++c) {
+    double s = lane[0][c];
+    for (std::size_t l = 1; l < kDotLanes; ++l) s += lane[l][c];
+    out[c] = s;
+  }
+}
+
+void block_step_update_max(const double* a, const double* p,
+                           double* const* u, std::size_t rows, double* out) {
+  double mx[kW] = {};
+  bool nan[kW] = {};
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t c = 0; c < kW; ++c) {
+      const double step = a[c] * p[i * kW + c];
+      if (u[c] != nullptr) u[c][i] += step;
+      mx[c] = std::max(mx[c], std::abs(step));
+      nan[c] = nan[c] || std::isnan(step);
+    }
+  }
+  for (std::size_t c = 0; c < kW; ++c) {
+    out[c] = nan[c] ? std::numeric_limits<double>::quiet_NaN() : mx[c];
+  }
+}
+
+void block_axpy(const double* a, const double* x, double* y,
+                std::size_t rows) {
+  for (std::size_t i = 0; i < rows * kW; ++i) y[i] += a[i % kW] * x[i];
+}
+
+void block_xpay(const double* x, const double* b, double* y,
+                std::size_t rows) {
+  for (std::size_t i = 0; i < rows * kW; ++i) y[i] = x[i] + b[i % kW] * y[i];
+}
+
+void block_csr_rows(const index_t* rp, const index_t* col, const double* val,
+                    const double* x, double* y, index_t row_begin,
+                    index_t row_end, bool subtract) {
+  for (index_t i = row_begin; i < row_end; ++i) {
+    double sum[kW];
+    block_row_sum(val + rp[i], col + rp[i], rp[i + 1] - rp[i], 1, x, sum);
+    store_row(sum, y + static_cast<std::size_t>(i) * kW, subtract);
+  }
+}
+
+void block_dia_triad(const double* v, const double* x, double* y, index_t lo,
+                     index_t hi, index_t off, bool subtract) {
+  for (index_t i = lo; i < hi; ++i) {
+    double* yr = y + static_cast<std::size_t>(i) * kW;
+    const double* xr = x + static_cast<std::size_t>(i + off) * kW;
+    for (std::size_t c = 0; c < kW; ++c) {
+      if (subtract) {
+        yr[c] -= v[i] * xr[c];
+      } else {
+        yr[c] += v[i] * xr[c];
+      }
+    }
+  }
+}
+
+void block_sell_slices(const SellView& s, const double* x, double* y,
+                       index_t slice_begin, index_t slice_end, bool subtract) {
+  constexpr auto kC = static_cast<index_t>(kSellSlice);
+  for (index_t sl = slice_begin; sl < slice_end; ++sl) {
+    const std::size_t base = s.slice_ptr[sl];
+    for (index_t r = 0; r < kC; ++r) {
+      const index_t slot = sl * kC + r;
+      const index_t g = s.perm[slot];
+      if (g < 0) continue;
+      double sum[kW];
+      block_row_sum(s.val + base + r, s.col + base + r, s.len[slot], kSellSlice,
+                    x, sum);
+      store_row(sum, y + static_cast<std::size_t>(g) * kW, subtract);
+    }
+  }
+}
+
+void block_sweep_rows(const index_t* seg_begin, const index_t* seg_end,
+                      const index_t* col, const double* val,
+                      const double* diag, double a, const double* r,
+                      double* z, double* y, index_t row_begin,
+                      index_t row_end, bool last) {
+  for (index_t i = row_begin; i < row_end; ++i) {
+    const index_t b = seg_begin[i];
+    double sum[kW];
+    block_row_sum(val + b, col + b, seg_end[i] - b, 1, z, sum);
+    const std::size_t at = static_cast<std::size_t>(i) * kW;
+    for (std::size_t c = 0; c < kW; ++c) {
+      const double x = -sum[c];
+      if (r == nullptr) {
+        y[at + c] = x;
+        continue;
+      }
+      z[at + c] = (x + y[at + c] + a * r[at + c]) / diag[i];
+      y[at + c] = last ? 0.0 : x;
+    }
+  }
+}
+
 }  // namespace portable
 
 // ---- dispatch ---------------------------------------------------------------
@@ -311,6 +454,53 @@ void sell_spmv_slices(const SellView& s, const double* x, double* y,
 void sell_neg_slices(const SellView& s, const double* x, double* out,
                      index_t slice_begin, index_t slice_end) {
   MSTEP_SIMD_DISPATCH(sell_neg_slices(s, x, out, slice_begin, slice_end));
+}
+
+void block_dot(const double* x, const double* y, std::size_t rows,
+               double* out) {
+  MSTEP_SIMD_DISPATCH(block_dot(x, y, rows, out));
+}
+
+void block_step_update_max(const double* a, const double* p,
+                           double* const* u, std::size_t rows, double* out) {
+  MSTEP_SIMD_DISPATCH(block_step_update_max(a, p, u, rows, out));
+}
+
+void block_axpy(const double* a, const double* x, double* y,
+                std::size_t rows) {
+  MSTEP_SIMD_DISPATCH(block_axpy(a, x, y, rows));
+}
+
+void block_xpay(const double* x, const double* b, double* y,
+                std::size_t rows) {
+  MSTEP_SIMD_DISPATCH(block_xpay(x, b, y, rows));
+}
+
+void block_csr_rows(const index_t* rp, const index_t* col, const double* val,
+                    const double* x, double* y, index_t row_begin,
+                    index_t row_end, bool subtract) {
+  MSTEP_SIMD_DISPATCH(
+      block_csr_rows(rp, col, val, x, y, row_begin, row_end, subtract));
+}
+
+void block_dia_triad(const double* v, const double* x, double* y, index_t lo,
+                     index_t hi, index_t off, bool subtract) {
+  MSTEP_SIMD_DISPATCH(block_dia_triad(v, x, y, lo, hi, off, subtract));
+}
+
+void block_sell_slices(const SellView& s, const double* x, double* y,
+                       index_t slice_begin, index_t slice_end, bool subtract) {
+  MSTEP_SIMD_DISPATCH(
+      block_sell_slices(s, x, y, slice_begin, slice_end, subtract));
+}
+
+void block_sweep_rows(const index_t* seg_begin, const index_t* seg_end,
+                      const index_t* col, const double* val,
+                      const double* diag, double a, const double* r,
+                      double* z, double* y, index_t row_begin,
+                      index_t row_end, bool last) {
+  MSTEP_SIMD_DISPATCH(block_sweep_rows(seg_begin, seg_end, col, val, diag, a,
+                                       r, z, y, row_begin, row_end, last));
 }
 
 #undef MSTEP_SIMD_DISPATCH

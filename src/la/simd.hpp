@@ -88,7 +88,8 @@ class SimdModeGuard {
 [[nodiscard]] double row_dot(const double* val, const index_t* col,
                              const double* x, index_t begin, index_t end);
 
-/// Fused CG update u[i] += a * p[i] over [0, n), returning max |a * p[i]|.
+/// Fused CG update u[i] += a * p[i] over [0, n), returning max |a * p[i]|,
+/// or NaN when any step is NaN (so a NaN never passes a stopping test).
 /// The max reduction is order-insensitive over non-negative values, so no
 /// schedule is needed.
 [[nodiscard]] double step_update_max(double a, const double* p, double* u,
@@ -148,5 +149,59 @@ void sell_spmv_slices(const SellView& s, const double* x, double* y,
 /// because the multicolor ordering makes those rows independent.
 void sell_neg_slices(const SellView& s, const double* x, double* out,
                      index_t slice_begin, index_t slice_end);
+
+// ---- block kernels: kSellSlice vectors per pass ------------------------------
+//
+// A block holds kSellSlice vectors of n entries, row-interleaved (n x
+// kSellSlice, row-major): entry i of column c sits at x[i * kSellSlice + c],
+// so one block row is one AVX2 register.  Each kernel loads a matrix entry
+// once, broadcasts it, and applies it to every column with one contiguous
+// load — no gather.  Column c receives exactly the operation sequence the
+// single-vector kernel of the same name applies to vector c, so every
+// column is bitwise its own single-vector result.  Per-column scalars
+// (a, b) and results (out) are arrays of kSellSlice.
+
+/// dot_block per column over rows [0, rows).
+void block_dot(const double* x, const double* y, std::size_t rows,
+               double* out);
+
+/// step_update_max per column, the iterate held as separate column
+/// vectors: u[c][i] += a[c] * p(i, c), out[c] = the column's max |step|.
+/// A null u[c] skips the update of column c (a finished column's solution
+/// stays as it stopped).
+void block_step_update_max(const double* a, const double* p,
+                           double* const* u, std::size_t rows, double* out);
+
+/// axpy / xpay per column: y(i, c) += a[c] * x(i, c);
+/// y(i, c) = x(i, c) + b[c] * y(i, c).
+void block_axpy(const double* a, const double* x, double* y,
+                std::size_t rows);
+void block_xpay(const double* x, const double* b, double* y,
+                std::size_t rows);
+
+/// csr_spmv_rows per column.
+void block_csr_rows(const index_t* rp, const index_t* col, const double* val,
+                    const double* x, double* y, index_t row_begin,
+                    index_t row_end, bool subtract);
+
+/// dia_triad per column: y(i) += (or -=) v[i] * x(i + off).
+void block_dia_triad(const double* v, const double* x, double* y, index_t lo,
+                     index_t hi, index_t off, bool subtract);
+
+/// sell_spmv_slices per column.
+void block_sell_slices(const SellView& s, const double* x, double* y,
+                       index_t slice_begin, index_t slice_end, bool subtract);
+
+/// One multicolor-sweep phase over rows [row_begin, row_end) of one colour
+/// class, fused.  Row i's sum over its CSR entries [seg_begin[i],
+/// seg_end[i]) follows row_dot's schedule per column; x = -sum.  With `r`
+/// set: z(i) = (x + y(i) + a * r(i)) / diag[i], then y(i) = last ? 0 : x —
+/// the class update the single-vector sweep applies after
+/// sell_neg_slices.  With r == nullptr (the save phase): y(i) = x.
+void block_sweep_rows(const index_t* seg_begin, const index_t* seg_end,
+                      const index_t* col, const double* val,
+                      const double* diag, double a, const double* r,
+                      double* z, double* y, index_t row_begin,
+                      index_t row_end, bool last);
 
 }  // namespace mstep::la::simd

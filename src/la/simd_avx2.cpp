@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace mstep::la::simd::avx2 {
 
@@ -35,6 +36,57 @@ inline __m256d abs_pd(__m256d v) {
 inline __m256d gather_pd(const double* x, const index_t* col) {
   return _mm256_set_pd(x[col[3]], x[col[2]], x[col[1]], x[col[0]]);
 }
+
+/// The fixed 8-lane schedule on 4-wide accumulators: term j goes to lane
+/// j mod 8.  The lanes are named registers in an 8-way unrolled step — an
+/// array indexed by j % 8 lives on the stack, one load-add-store per term.
+/// `step(lane, j)` folds term j into `lane`.
+struct Lanes8 {
+  __m256d l0 = _mm256_setzero_pd(), l1 = _mm256_setzero_pd();
+  __m256d l2 = _mm256_setzero_pd(), l3 = _mm256_setzero_pd();
+  __m256d l4 = _mm256_setzero_pd(), l5 = _mm256_setzero_pd();
+  __m256d l6 = _mm256_setzero_pd(), l7 = _mm256_setzero_pd();
+
+  /// Terms j in [j0, j1); j0 must be a multiple of 8.
+  template <typename Step>
+  inline void run(index_t j0, index_t j1, const Step& step) {
+    for (; j0 + 8 <= j1; j0 += 8) {
+      step(l0, j0);
+      step(l1, j0 + 1);
+      step(l2, j0 + 2);
+      step(l3, j0 + 3);
+      step(l4, j0 + 4);
+      step(l5, j0 + 5);
+      step(l6, j0 + 6);
+      step(l7, j0 + 7);
+    }
+    if (j0 >= j1) return;
+    step(l0, j0);
+    if (j0 + 1 >= j1) return;
+    step(l1, j0 + 1);
+    if (j0 + 2 >= j1) return;
+    step(l2, j0 + 2);
+    if (j0 + 3 >= j1) return;
+    step(l3, j0 + 3);
+    if (j0 + 4 >= j1) return;
+    step(l4, j0 + 4);
+    if (j0 + 5 >= j1) return;
+    step(l5, j0 + 5);
+    if (j0 + 6 >= j1) return;
+    step(l6, j0 + 6);
+  }
+
+  /// l0 + l1 + ... + l7, left to right: the scalar reduce's order.
+  [[nodiscard]] inline __m256d sum() const {
+    __m256d s = _mm256_add_pd(l0, l1);
+    s = _mm256_add_pd(s, l2);
+    s = _mm256_add_pd(s, l3);
+    s = _mm256_add_pd(s, l4);
+    s = _mm256_add_pd(s, l5);
+    s = _mm256_add_pd(s, l6);
+    return _mm256_add_pd(s, l7);
+  }
+};
 
 }  // namespace
 
@@ -84,23 +136,27 @@ double row_dot(const double* val, const index_t* col, const double* x,
 double step_update_max(double a, const double* p, double* u, std::size_t n) {
   const __m256d av = _mm256_set1_pd(a);
   __m256d mv = _mm256_setzero_pd();
+  __m256d nanv = _mm256_setzero_pd();
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const __m256d step = _mm256_mul_pd(av, _mm256_loadu_pd(p + i));
     _mm256_storeu_pd(u + i, _mm256_add_pd(_mm256_loadu_pd(u + i), step));
     mv = _mm256_max_pd(mv, abs_pd(step));
+    nanv = _mm256_or_pd(nanv, _mm256_cmp_pd(step, step, _CMP_UNORD_Q));
   }
   double lane[4];
   _mm256_storeu_pd(lane, mv);
   // max over non-negative values is order-insensitive: any order yields
   // the same value (and bit pattern) as the twin's sequential scan.
   double mx = std::max(std::max(lane[0], lane[1]), std::max(lane[2], lane[3]));
+  bool nan = _mm256_movemask_pd(nanv) != 0;
   for (; i < n; ++i) {
     const double step = a * p[i];
     u[i] += step;
     mx = std::max(mx, std::abs(step));
+    nan = nan || std::isnan(step);
   }
-  return mx;
+  return nan ? std::numeric_limits<double>::quiet_NaN() : mx;
 }
 
 void axpy(double a, const double* x, double* y, std::size_t n) {
@@ -279,11 +335,10 @@ void dia_triad(const double* v, const double* x, double* y, index_t lo,
 
 namespace {
 
-/// Per-row 8-lane sums of one SELL slice.  Eight rotating accumulators —
-/// entry j of every lane-row goes to acc[j mod 8] — reproduce row_dot's
-/// intra-row schedule in all four slice rows simultaneously.
-inline void slice_sums(const SellView& s, index_t sl, const double* x,
-                       double sum[kSellSlice]) {
+/// Per-row 8-lane sums of one SELL slice: entry j of every lane-row goes
+/// to lane j mod 8, which replays row_dot's intra-row schedule in all four
+/// slice rows at once.
+inline __m256d slice_sums(const SellView& s, index_t sl, const double* x) {
   constexpr auto kC = static_cast<index_t>(kSellSlice);
   const std::size_t base = s.slice_ptr[sl];
   const auto width =
@@ -291,45 +346,31 @@ inline void slice_sums(const SellView& s, index_t sl, const double* x,
   // Row lengths of this slice's 4 lanes, widened for the j < len mask.
   const __m256i len64 = _mm256_cvtepi32_epi64(
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(s.len + sl * kC)));
-  __m256d acc[kRowLanes] = {
-      _mm256_setzero_pd(), _mm256_setzero_pd(), _mm256_setzero_pd(),
-      _mm256_setzero_pd(), _mm256_setzero_pd(), _mm256_setzero_pd(),
-      _mm256_setzero_pd(), _mm256_setzero_pd()};
+  const auto product = [&](index_t j) {
+    const std::size_t at = base + static_cast<std::size_t>(j) * kSellSlice;
+    return _mm256_mul_pd(_mm256_loadu_pd(s.val + at),
+                         gather_pd(x, s.col + at));
+  };
   // Up to the shortest row of the slice every lane is live: no mask
   // needed, and the sigma sort makes this the bulk of the work.
   index_t shortest = s.len[sl * kC];
   for (index_t r = 1; r < kC; ++r) {
     shortest = std::min(shortest, s.len[sl * kC + r]);
   }
-  index_t j = 0;
-  for (; j < shortest; ++j) {
-    const std::size_t at = base + static_cast<std::size_t>(j) * kSellSlice;
-    const __m256d prod =
-        _mm256_mul_pd(_mm256_loadu_pd(s.val + at), gather_pd(x, s.col + at));
-    const std::size_t k = static_cast<std::size_t>(j) % kRowLanes;
-    acc[k] = _mm256_add_pd(acc[k], prod);
-  }
-  for (; j < width; ++j) {
+  const index_t unmasked = shortest / 8 * 8;
+  Lanes8 lanes;
+  lanes.run(0, unmasked, [&](__m256d& lane, index_t j) {
+    lane = _mm256_add_pd(lane, product(j));
+  });
+  lanes.run(unmasked, width, [&](__m256d& lane, index_t j) {
     const __m256d live = _mm256_castsi256_pd(
         _mm256_cmpgt_epi64(len64, _mm256_set1_epi64x(j)));
-    const std::size_t at = base + static_cast<std::size_t>(j) * kSellSlice;
-    const __m256d prod =
-        _mm256_mul_pd(_mm256_loadu_pd(s.val + at), gather_pd(x, s.col + at));
-    const std::size_t k = static_cast<std::size_t>(j) % kRowLanes;
     // Blend keeps the old accumulator in padded lanes — adding the pad's
     // 0.0 product would turn a -0.0 partial into +0.0 and break the
     // bitwise contract.
-    acc[k] = _mm256_blendv_pd(acc[k], _mm256_add_pd(acc[k], prod), live);
-  }
-  double lane[kRowLanes][kSellSlice];
-  for (std::size_t k = 0; k < kRowLanes; ++k) {
-    _mm256_storeu_pd(lane[k], acc[k]);
-  }
-  for (index_t r = 0; r < kC; ++r) {
-    double v = lane[0][r];
-    for (std::size_t k = 1; k < kRowLanes; ++k) v += lane[k][r];
-    sum[r] = v;
-  }
+    lane = _mm256_blendv_pd(lane, _mm256_add_pd(lane, product(j)), live);
+  });
+  return lanes.sum();
 }
 
 }  // namespace
@@ -339,7 +380,7 @@ void sell_spmv_slices(const SellView& s, const double* x, double* y,
   constexpr auto kC = static_cast<index_t>(kSellSlice);
   for (index_t sl = slice_begin; sl < slice_end; ++sl) {
     double sum[kSellSlice];
-    slice_sums(s, sl, x, sum);
+    _mm256_storeu_pd(sum, slice_sums(s, sl, x));
     for (index_t r = 0; r < kC; ++r) {
       const index_t g = s.perm[sl * kC + r];
       if (g < 0) continue;
@@ -357,12 +398,159 @@ void sell_neg_slices(const SellView& s, const double* x, double* out,
   constexpr auto kC = static_cast<index_t>(kSellSlice);
   for (index_t sl = slice_begin; sl < slice_end; ++sl) {
     double sum[kSellSlice];
-    slice_sums(s, sl, x, sum);
+    _mm256_storeu_pd(sum, slice_sums(s, sl, x));
     for (index_t r = 0; r < kC; ++r) {
       const index_t g = s.perm[sl * kC + r];
       if (g < 0) continue;
       out[g] = -sum[r];
     }
+  }
+}
+
+// ---- block kernels ----------------------------------------------------------
+
+namespace {
+
+constexpr std::size_t kW = kSellSlice;
+
+inline __m256d load_row(const double* x, index_t i) {
+  return _mm256_loadu_pd(x + static_cast<std::size_t>(i) * kW);
+}
+
+/// row_dot's schedule for every column of the block x at once: term j,
+/// val[j * stride] * x(col[j * stride]), is one broadcast times one block
+/// row.
+inline __m256d block_row_sum(const double* val, const index_t* col,
+                             index_t len, std::size_t stride,
+                             const double* x) {
+  Lanes8 lanes;
+  lanes.run(0, len, [&](__m256d& lane, index_t j) {
+    const std::size_t at = static_cast<std::size_t>(j) * stride;
+    lane = _mm256_add_pd(lane, _mm256_mul_pd(_mm256_broadcast_sd(val + at),
+                                             load_row(x, col[at])));
+  });
+  return lanes.sum();
+}
+
+inline void store_row(__m256d sum, double* y, index_t i, bool subtract) {
+  double* yr = y + static_cast<std::size_t>(i) * kW;
+  _mm256_storeu_pd(yr, subtract ? _mm256_sub_pd(_mm256_loadu_pd(yr), sum)
+                                : sum);
+}
+
+}  // namespace
+
+void block_dot(const double* x, const double* y, std::size_t rows,
+               double* out) {
+  Lanes8 lanes;
+  lanes.run(0, static_cast<index_t>(rows), [&](__m256d& lane, index_t i) {
+    lane = _mm256_add_pd(lane, _mm256_mul_pd(load_row(x, i), load_row(y, i)));
+  });
+  _mm256_storeu_pd(out, lanes.sum());
+}
+
+void block_step_update_max(const double* a, const double* p,
+                           double* const* u, std::size_t rows, double* out) {
+  const __m256d av = _mm256_loadu_pd(a);
+  __m256d mv = _mm256_setzero_pd();
+  __m256d nanv = _mm256_setzero_pd();
+  for (std::size_t i = 0; i < rows; ++i) {
+    const __m256d step = _mm256_mul_pd(av, load_row(p, i));
+    double s[kW];
+    _mm256_storeu_pd(s, step);
+    for (std::size_t c = 0; c < kW; ++c) {
+      if (u[c] != nullptr) u[c][i] += s[c];
+    }
+    mv = _mm256_max_pd(mv, abs_pd(step));
+    nanv = _mm256_or_pd(nanv, _mm256_cmp_pd(step, step, _CMP_UNORD_Q));
+  }
+  // Per column, max over non-negative values is order-insensitive.
+  _mm256_storeu_pd(
+      out, _mm256_blendv_pd(
+               mv, _mm256_set1_pd(std::numeric_limits<double>::quiet_NaN()),
+               nanv));
+}
+
+void block_axpy(const double* a, const double* x, double* y,
+                std::size_t rows) {
+  const __m256d av = _mm256_loadu_pd(a);
+  for (std::size_t i = 0; i < rows * kW; i += kW) {
+    _mm256_storeu_pd(y + i,
+                     _mm256_add_pd(_mm256_loadu_pd(y + i),
+                                   _mm256_mul_pd(av, _mm256_loadu_pd(x + i))));
+  }
+}
+
+void block_xpay(const double* x, const double* b, double* y,
+                std::size_t rows) {
+  const __m256d bv = _mm256_loadu_pd(b);
+  for (std::size_t i = 0; i < rows * kW; i += kW) {
+    _mm256_storeu_pd(y + i,
+                     _mm256_add_pd(_mm256_loadu_pd(x + i),
+                                   _mm256_mul_pd(bv, _mm256_loadu_pd(y + i))));
+  }
+}
+
+void block_csr_rows(const index_t* rp, const index_t* col, const double* val,
+                    const double* x, double* y, index_t row_begin,
+                    index_t row_end, bool subtract) {
+  for (index_t i = row_begin; i < row_end; ++i) {
+    store_row(block_row_sum(val + rp[i], col + rp[i], rp[i + 1] - rp[i], 1, x),
+              y, i, subtract);
+  }
+}
+
+void block_dia_triad(const double* v, const double* x, double* y, index_t lo,
+                     index_t hi, index_t off, bool subtract) {
+  for (index_t i = lo; i < hi; ++i) {
+    const __m256d prod =
+        _mm256_mul_pd(_mm256_broadcast_sd(v + i), load_row(x, i + off));
+    double* yr = y + static_cast<std::size_t>(i) * kW;
+    const __m256d old = _mm256_loadu_pd(yr);
+    _mm256_storeu_pd(yr, subtract ? _mm256_sub_pd(old, prod)
+                                  : _mm256_add_pd(old, prod));
+  }
+}
+
+void block_sell_slices(const SellView& s, const double* x, double* y,
+                       index_t slice_begin, index_t slice_end, bool subtract) {
+  constexpr auto kC = static_cast<index_t>(kSellSlice);
+  for (index_t sl = slice_begin; sl < slice_end; ++sl) {
+    const std::size_t base = s.slice_ptr[sl];
+    for (index_t r = 0; r < kC; ++r) {
+      const index_t slot = sl * kC + r;
+      const index_t g = s.perm[slot];
+      if (g < 0) continue;
+      store_row(block_row_sum(s.val + base + r, s.col + base + r, s.len[slot],
+                              kSellSlice, x),
+                y, g, subtract);
+    }
+  }
+}
+
+void block_sweep_rows(const index_t* seg_begin, const index_t* seg_end,
+                      const index_t* col, const double* val,
+                      const double* diag, double a, const double* r,
+                      double* z, double* y, index_t row_begin,
+                      index_t row_end, bool last) {
+  const __m256d av = _mm256_set1_pd(a);
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  for (index_t i = row_begin; i < row_end; ++i) {
+    const index_t b = seg_begin[i];
+    // -sum: a sign flip, exactly the scalar negation.
+    const __m256d x = _mm256_xor_pd(
+        block_row_sum(val + b, col + b, seg_end[i] - b, 1, z), sign);
+    double* yr = y + static_cast<std::size_t>(i) * kW;
+    if (r == nullptr) {
+      _mm256_storeu_pd(yr, x);
+      continue;
+    }
+    const __m256d sum = _mm256_add_pd(
+        _mm256_add_pd(x, _mm256_loadu_pd(yr)),
+        _mm256_mul_pd(av, load_row(r, i)));
+    _mm256_storeu_pd(z + static_cast<std::size_t>(i) * kW,
+                     _mm256_div_pd(sum, _mm256_broadcast_sd(diag + i)));
+    _mm256_storeu_pd(yr, last ? _mm256_setzero_pd() : x);
   }
 }
 

@@ -39,6 +39,27 @@ void sell_spmv_slices(const SellView& s, const double* x, double* y,
 void sell_neg_slices(const SellView& s, const double* x, double* out,
                      index_t slice_begin, index_t slice_end);
 
+void block_dot(const double* x, const double* y, std::size_t rows,
+               double* out);
+void block_step_update_max(const double* a, const double* p,
+                           double* const* u, std::size_t rows, double* out);
+void block_axpy(const double* a, const double* x, double* y,
+                std::size_t rows);
+void block_xpay(const double* x, const double* b, double* y,
+                std::size_t rows);
+void block_csr_rows(const index_t* rp, const index_t* col, const double* val,
+                    const double* x, double* y, index_t row_begin,
+                    index_t row_end, bool subtract);
+void block_dia_triad(const double* v, const double* x, double* y, index_t lo,
+                     index_t hi, index_t off, bool subtract);
+void block_sell_slices(const SellView& s, const double* x, double* y,
+                       index_t slice_begin, index_t slice_end, bool subtract);
+void block_sweep_rows(const index_t* seg_begin, const index_t* seg_end,
+                      const index_t* col, const double* val,
+                      const double* diag, double a, const double* r,
+                      double* z, double* y, index_t row_begin,
+                      index_t row_end, bool last);
+
 }  // namespace mstep::la::simd::avx2
 
 #endif  // MSTEP_HAS_AVX2

@@ -123,9 +123,13 @@ double Execution::step_update_max(double a, const Vec& p, Vec& u) const {
     partials[k] = la::simd::step_update_max(a, p.data() + b, u.data() + b,
                                              static_cast<std::size_t>(e - b));
   });
-  // max over blocks == max over the range: order-insensitive.
+  // max over blocks == max over the range: order-insensitive.  A NaN
+  // block makes the whole range NaN, as in the serial kernel.
   double mx = 0.0;
-  for (index_t k = 0; k < nblocks; ++k) mx = std::max(mx, partials[k]);
+  for (index_t k = 0; k < nblocks; ++k) {
+    if (std::isnan(partials[k])) return partials[k];
+    mx = std::max(mx, partials[k]);
+  }
   return mx;
 }
 

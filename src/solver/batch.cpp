@@ -4,18 +4,27 @@
 // coefficients — serves many right-hand sides (the reuse the paper's whole
 // m-step design is built around); the engine schedules the independent PCG
 // solves concurrently on the solver's shared thread pool.  Scheduling is a
-// work-stealing round-robin: each worker lane pops the next unsolved RHS
-// index off one atomic cursor, so a slow right-hand side (more iterations)
-// never stalls the rest of the batch behind a static partition.
+// work-stealing round-robin: each worker lane pops the next unsolved
+// right-hand sides off one atomic cursor, so a slow right-hand side (more
+// iterations) never stalls the rest of the batch behind a static
+// partition.
 //
-// Each lane owns a scratch arena — its own preconditioner instance plus a
-// PcgWorkspace and reorder buffers — built once before the loop, so
+// On the Algorithm-2 path a lane takes blocks of w = min(4, ceil(nrhs /
+// lanes)) right-hand sides and solves each block with one
+// core::pcg_solve_block: one pass over the matrix serves all w vectors —
+// the longer vector operations the paper's CYBER 203/205 timings reward
+// (Section 3).  With w = 1, and on every other path, a lane runs one
+// pcg_solve per right-hand side.
+//
+// Each lane owns a scratch arena — its own preconditioner instance plus
+// its PCG workspaces and reorder buffers — built once before the loop, so
 // nothing allocates inside the batch loop beyond each report's solution
 // vector.  One lane rule: a single lane runs Prepared::solve's path, on
-// the strip partition if there is one; two or more lanes run inside one
-// pool job, which may not dispatch, so they run the serial kernels (on the
-// Algorithm-2 path over one shared one-strip sweep plan).  Either way every
-// per-RHS result is BITWISE identical to the serial Prepared::solve.
+// the strip partition if there is one (and then w = 1); two or more lanes
+// run inside one pool job, which may not dispatch, so they run the serial
+// kernels (on the Algorithm-2 path over one shared one-strip sweep plan).
+// Either way every per-RHS result is BITWISE identical to the serial
+// Prepared::solve.
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
@@ -24,6 +33,7 @@
 
 #include "core/mstep.hpp"
 #include "core/multicolor_mstep.hpp"
+#include "la/simd.hpp"
 #include "obs/kernel_log.hpp"
 #include "obs/trace.hpp"
 #include "solver/solver.hpp"
@@ -36,8 +46,11 @@ namespace {
 /// Per-lane scratch arena: everything one concurrent PCG solve mutates.
 struct Lane {
   detail::PrecondChoice engine;  // preconditioner (+ its splitting)
-  core::PcgWorkspace workspace;
-  Vec fp;  // permuted right-hand side (reused across this lane's RHSs)
+  core::PcgWorkspace workspace;  // blocks of one
+  core::PcgBlockWorkspace block;
+  /// Permuted right-hand sides of the current block; each moves on into
+  /// its report as the solution buffer.
+  std::vector<Vec> fp;
   /// Feeds the tracer's kernel census (flops/bytes counters) when tracing
   /// is enabled at batch time; null otherwise, so the untraced hot path
   /// keeps its no-log pcg_solve calls.
@@ -145,7 +158,18 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs,
   }
   const la::LinearOperator& op = partitioned ? *strip_op_ : *op_;
 
+  // Block width: the Algorithm-2 lanes on the serial kernels share the
+  // right-hand sides out in blocks of up to kSellSlice (one AVX2 register
+  // of doubles per block row).
+  constexpr auto kMaxWidth = static_cast<index_t>(la::simd::kSellSlice);
+  const index_t width =
+      sweep_plan && !partitioned
+          ? std::min(kMaxWidth, (nrhs + lanes - 1) / lanes)
+          : 1;
+  for (Lane& lane : arena) lane.fp.resize(static_cast<std::size_t>(width));
+
   const index_t n = matrix_->rows();
+  const core::PcgOptions options = config_.pcg_options();
   std::atomic<index_t> cursor{0};
   // Lanes on pool threads inherit the caller's correlation id, so a
   // traced daemon request keeps its id on every lane's track.
@@ -153,43 +177,68 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs,
   auto run_lane = [&](index_t lane_id) {
     const obs::CorrelationScope correlate(trace_correlation);
     Lane& lane = arena[static_cast<std::size_t>(lane_id)];
+    const core::Preconditioner& precond = *lane.engine.precond;
+    index_t ids[kMaxWidth];
     for (;;) {
-      const index_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= nrhs) return;
+      const index_t first = cursor.fetch_add(width, std::memory_order_relaxed);
+      if (first >= nrhs) return;
+      // Admit the block's right-hand sides; a wrong-sized one reports its
+      // own error and the rest solve without it.
+      std::size_t cols = 0;
+      for (index_t i = first; i < std::min(nrhs, first + width); ++i) {
+        try {
+          const Vec& f = bs[i];
+          if (static_cast<index_t>(f.size()) != n) {
+            throw std::invalid_argument(
+                "solveMany: right-hand side " + std::to_string(i) + " has " +
+                std::to_string(f.size()) + " entries, system has " +
+                std::to_string(n));
+          }
+          if (cs_) cs_->permute_into(f, lane.fp[cols]);
+          ids[cols++] = i;
+        } catch (...) {
+          br.errors[i] = std::current_exception();
+        }
+      }
+      if (cols == 0) continue;
       try {
-        const Vec& f = bs[i];
-        if (static_cast<index_t>(f.size()) != n) {
-          throw std::invalid_argument(
-              "solveMany: right-hand side " + std::to_string(i) + " has " +
-              std::to_string(f.size()) + " entries, system has " +
-              std::to_string(n));
-        }
-        SolveReport report;
-        const core::Preconditioner& precond = *lane.engine.precond;
-        if (cs_) {
-          cs_->permute_into(f, lane.fp);
-          report.result = core::pcg_solve(op, lane.fp, precond,
-                                          config_.pcg_options(),
-                                          lane.trace_log.get(), {}, exec,
-                                          &lane.workspace);
-          cs_->unpermute_into(report.result.solution, report.solution);
+        std::vector<core::PcgResult> results;
+        if (width == 1) {
+          results.push_back(core::pcg_solve(
+              op, cs_ ? lane.fp[0] : bs[ids[0]], precond, options,
+              lane.trace_log.get(), {}, exec, &lane.workspace));
         } else {
-          report.result = core::pcg_solve(op, f, precond,
-                                          config_.pcg_options(),
-                                          lane.trace_log.get(), {}, exec,
-                                          &lane.workspace);
-          report.solution = report.result.solution;
+          results = core::pcg_solve_block(
+              op, util::Span<Vec>(lane.fp.data(), cols),
+              static_cast<const core::MulticolorMStepSsor&>(precond), options,
+              lane.trace_log.get(), &lane.block);
         }
-        report.alphas = alphas_;
-        report.interval = interval_;
-        report.coloring = stats_;
-        report.preconditioner_name = precond.name();
-        report.steps = config_.steps;
-        report.format_selected = resolved_format_;
-        report.shards = partitioned ? shards() : 0;
-        br.reports[i] = std::move(report);  // distinct slot per RHS: no race
+        for (std::size_t c = 0; c < cols; ++c) {
+          SolveReport report;
+          report.result = std::move(results[c]);
+          if (cs_) {
+            // The spent permuted right-hand side becomes the report's
+            // solution buffer: no allocation, and no buffer held past its
+            // use by the lane.
+            report.solution = std::move(lane.fp[c]);
+            cs_->unpermute_into(report.result.solution, report.solution);
+          } else {
+            report.solution = report.result.solution;
+          }
+          report.alphas = alphas_;
+          report.interval = interval_;
+          report.coloring = stats_;
+          report.preconditioner_name = precond.name();
+          report.steps = config_.steps;
+          report.format_selected = resolved_format_;
+          report.shards = partitioned ? shards() : 0;
+          // A distinct slot per right-hand side: no race.
+          br.reports[ids[c]] = std::move(report);
+        }
       } catch (...) {
-        br.errors[i] = std::current_exception();
+        for (std::size_t c = 0; c < cols; ++c) {
+          br.errors[ids[c]] = std::current_exception();
+        }
       }
     }
   };

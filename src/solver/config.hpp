@@ -83,10 +83,12 @@ struct ExecutionConfig {
 
 /// Per-call options for Prepared::solveMany / Solver::solveMany.
 struct BatchConfig {
-  /// Maximum right-hand sides in flight at once.  0 defers to the solver
-  /// config's `batch` default, which itself defers to the width of the
-  /// solver's thread pool capped at the hardware width; 1 solves
-  /// sequentially on the calling thread.  The pool is sized at Solver
+  /// Maximum worker lanes, each solving up to la::simd::kSellSlice (4)
+  /// right-hand sides at once as one block on the Algorithm-2 path (one
+  /// at a time elsewhere).  0 defers to the solver config's `batch`
+  /// default, which itself defers to the width of the solver's thread
+  /// pool capped at the hardware width; 1 runs one lane on the calling
+  /// thread.  The pool is sized at Solver
   /// construction from max(threads, batch), so a per-call request can
   /// never EXCEED that width — asking for 8 lanes from a solver built
   /// with threads=0;batch=0 (no pool) runs sequentially; put the intended
@@ -115,11 +117,11 @@ struct SolverConfig {
   /// Serial by default; serializes as "threads=N" only when parallel, so
   /// serial config strings are unchanged from the unthreaded library.
   ExecutionConfig execution;
-  /// Default solveMany concurrency (string form ";batch=N", CLI --batch=N).
-  /// 0 = auto (one lane per pool thread); N >= 2 also guarantees the
-  /// solver's pool is at least N wide, so `threads=0;batch=8` batches
-  /// eight solves concurrently while each individual solve stays on the
-  /// serial kernel path.
+  /// Default solveMany lanes (string form ";batch=N", CLI --batch=N; see
+  /// BatchConfig::concurrency).  0 = auto (one lane per pool thread);
+  /// N >= 2 also guarantees the solver's pool is at least N wide, so
+  /// `threads=0;batch=8` runs eight lanes concurrently while every solve
+  /// stays on the serial kernel path.
   int batch = 0;
   /// Spectrum interval for the parameter strategy; the splitting's default
   /// (e.g. [0, 1] for SSOR) when unset.

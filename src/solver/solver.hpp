@@ -191,12 +191,16 @@ class Prepared {
   /// round-robin over the RHSs on the solver's shared thread pool: each
   /// worker lane owns a scratch arena (its own serial preconditioner — on
   /// the Algorithm-2 path an engine over one one-strip sweep plan shared by
-  /// all lanes — and PCG workspace), grabs the next unsolved RHS, and runs a
-  /// full serial-kernel PCG on it — so nothing allocates inside the batch
-  /// loop beyond each report's solution, and every per-RHS result is
-  /// BITWISE identical to the corresponding serial solve(bs[i]).  A
-  /// throwing right-hand side records its exception in the report's error
-  /// channel; the remaining RHSs still complete.  Kernel logging is
+  /// all lanes — and PCG workspaces), grabs the next unsolved RHSs, and
+  /// runs a full serial-kernel PCG on them.  On the Algorithm-2 path a
+  /// lane takes blocks of min(4, ceil(nrhs / lanes)) right-hand sides and
+  /// solves each block in one core::pcg_solve_block (one pass over the
+  /// matrix for the whole block); elsewhere it takes one at a time.
+  /// Nothing allocates inside the batch loop beyond each report's
+  /// solution, and every per-RHS result is BITWISE identical to the
+  /// corresponding serial solve(bs[i]).  A throwing right-hand side
+  /// records its exception in the report's error channel; the remaining
+  /// RHSs, its block's included, still complete.  Kernel logging is
   /// single-stream and therefore skipped in batched solves.
   [[nodiscard]] BatchReport solveMany(util::Span<const Vec> bs,
                                       const BatchConfig& batch = {}) const;

@@ -1,15 +1,21 @@
 // The batched multi-RHS engine: per-RHS bitwise identity with the serial
-// solve for every registered splitting and batch width, the error channel
-// (one bad right-hand side never poisons the batch), the batch/threads
-// config round-trip, and the zero-thread-pool audit.
+// solve for every registered splitting, batch width and block width, the
+// error channel (one bad right-hand side never poisons the batch or its
+// block), the batch/threads config round-trip, and the zero-thread-pool
+// audit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "color/coloring.hpp"
 #include "fem/plane_stress.hpp"
+#include "la/simd.hpp"
 #include "par/execution.hpp"
 #include "par/thread_pool.hpp"
 #include "solver/solver.hpp"
@@ -45,18 +51,40 @@ std::vector<Vec> make_rhs_set(const Plate& p, int count) {
   return bs;
 }
 
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
 void expect_bitwise_equal(const SolveReport& serial, const SolveReport& batched,
                           const std::string& what) {
   ASSERT_TRUE(serial.converged()) << what;
   ASSERT_TRUE(batched.converged()) << what;
   ASSERT_EQ(serial.iterations(), batched.iterations()) << what;
-  ASSERT_EQ(serial.result.final_delta_inf, batched.result.final_delta_inf)
+  ASSERT_TRUE(same_bits(serial.result.final_delta_inf,
+                        batched.result.final_delta_inf))
+      << what;
+  ASSERT_TRUE(same_bits(serial.result.final_residual2,
+                        batched.result.final_residual2))
       << what;
   ASSERT_EQ(serial.result.inner_products, batched.result.inner_products)
       << what;
+  ASSERT_EQ(serial.result.precond_applications,
+            batched.result.precond_applications)
+      << what;
+  ASSERT_EQ(serial.result.history.size(), batched.result.history.size())
+      << what;
+  for (std::size_t k = 0; k < serial.result.history.size(); ++k) {
+    ASSERT_TRUE(same_bits(serial.result.history[k].value,
+                          batched.result.history[k].value))
+        << what << " history k=" << k;
+    ASSERT_TRUE(same_bits(serial.result.history[k].alpha,
+                          batched.result.history[k].alpha))
+        << what << " history k=" << k;
+  }
   ASSERT_EQ(serial.solution.size(), batched.solution.size()) << what;
   for (std::size_t i = 0; i < serial.solution.size(); ++i) {
-    ASSERT_EQ(serial.solution[i], batched.solution[i]) << what << " i=" << i;
+    ASSERT_TRUE(same_bits(serial.solution[i], batched.solution[i]))
+        << what << " i=" << i;
   }
 }
 
@@ -208,6 +236,129 @@ TEST(SolveMany, PlainCgBatchesBitwise) {
   for (std::size_t i = 0; i < bs.size(); ++i) {
     expect_bitwise_equal(serial.solve(bs[i]), br.reports[i],
                          "m=0 rhs=" + std::to_string(i));
+  }
+}
+
+// ---- blocks of right-hand sides --------------------------------------------
+//
+// Blocks run on the serial kernels, so no size cutoff applies: a small
+// plate keeps the sanitizer jobs' repeats of this suite short.
+
+// A lane takes blocks of w = min(4, ceil(nrhs / lanes)) right-hand sides
+// and solves each with one pcg_solve_block.  Every width with one lane
+// (w = min(4, width)) and four lanes (mostly w = 1, w = 2 at width 5, w = 4
+// at 16), on every operator format: each column is bitwise its own solve.
+TEST(SolveManyBlocks, EveryWidthAndFormatMatchesSerialBitwise) {
+  const Plate p = make_plate(20);
+  const std::vector<Vec> all_bs = make_rhs_set(p, 16);
+  for (const auto format : {MatrixFormat::kCsr, MatrixFormat::kDia,
+                            MatrixFormat::kSell, MatrixFormat::kAuto}) {
+    SolverConfig cfg;
+    cfg.steps = 2;
+    cfg.tolerance = 1e-8;
+    cfg.format = format;
+    const auto serial = Solver::from_config(cfg).prepare(p.k, p.classes);
+    std::vector<SolveReport> expected;
+    for (const Vec& f : all_bs) expected.push_back(serial.solve(f));
+
+    for (const int batch : {1, 4}) {
+      cfg.batch = batch;
+      const auto prepared = Solver::from_config(cfg).prepare(p.k, p.classes);
+      for (const int width : {1, 2, 3, 4, 5, 16}) {
+        const std::string what = to_string(format) +
+                                 " batch=" + std::to_string(batch) +
+                                 " width=" + std::to_string(width);
+        const std::vector<Vec> bs(all_bs.begin(), all_bs.begin() + width);
+        const BatchReport br = prepared.solveMany(bs);
+        ASSERT_EQ(br.num_failed(), 0u) << what;
+        ASSERT_EQ(br.concurrency, std::min(width, batch)) << what;
+        for (int i = 0; i < width; ++i) {
+          expect_bitwise_equal(expected[static_cast<std::size_t>(i)],
+                               br.reports[static_cast<std::size_t>(i)],
+                               what + " rhs=" + std::to_string(i));
+        }
+      }
+    }
+  }
+}
+
+// One block whose columns stop at different iterations — a zero
+// right-hand side (0 iterations, no loop), a tiny one (stops early under
+// the absolute |du|_inf rule) and random ones — under both stop rules
+// with history recording, on both kernel paths.  Each frozen column keeps the bits of its stopping
+// iteration.
+TEST(SolveManyBlocks, ColumnsStoppingAtDifferentIterationsStayBitwise) {
+  const Plate p = make_plate(20);
+  std::vector<Vec> bs = make_rhs_set(p, 4);
+  bs[1].assign(p.f.size(), 0.0);
+  for (double& v : bs[2]) v *= 1e-6;
+  for (const auto stop : {core::StopRule::kDeltaInf,
+                          core::StopRule::kResidual2}) {
+    for (const auto mode : {la::simd::SimdMode::kForceScalar,
+                            la::simd::SimdMode::kForceVector}) {
+      const la::simd::SimdModeGuard guard(mode);
+      SolverConfig cfg;
+      cfg.steps = 2;
+      cfg.tolerance = 1e-8;
+      cfg.stop_rule = stop;
+      cfg.record_history = true;
+      const auto prepared = Solver::from_config(cfg).prepare(p.k, p.classes);
+      const BatchReport br = prepared.solveMany(bs);  // one lane, w = 4
+      ASSERT_EQ(br.num_failed(), 0u);
+      const std::string what =
+          std::string(stop == core::StopRule::kDeltaInf ? "delta" : "res2") +
+          (mode == la::simd::SimdMode::kForceScalar ? " scalar" : " vector");
+      for (std::size_t i = 0; i < bs.size(); ++i) {
+        expect_bitwise_equal(prepared.solve(bs[i]), br.reports[i],
+                             what + " rhs=" + std::to_string(i));
+      }
+      // The block really froze its columns at different iterations.
+      std::set<int> stops;
+      for (const SolveReport& r : br.reports) stops.insert(r.iterations());
+      EXPECT_EQ(br.reports[1].iterations(), 0) << what;
+      EXPECT_GE(stops.size(), 3u) << what;
+    }
+  }
+}
+
+// A wrong-sized and a NaN right-hand side share a block with good ones:
+// the first reports its error, the second runs to the iteration limit
+// unconverged (as its own solve does), and the good columns stay bitwise.
+TEST(SolveManyBlocks, BadColumnsDoNotPoisonTheirBlock) {
+  const Plate p = make_plate(20);
+  std::vector<Vec> bs = make_rhs_set(p, 4);
+  bs[1].resize(bs[1].size() - 7);
+  bs[2][5] = std::numeric_limits<double>::quiet_NaN();
+  for (const auto mode : {la::simd::SimdMode::kForceScalar,
+                          la::simd::SimdMode::kForceVector}) {
+    const la::simd::SimdModeGuard guard(mode);
+    SolverConfig cfg;
+    cfg.steps = 2;
+    cfg.tolerance = 1e-8;
+    cfg.max_iterations = 300;
+    const auto prepared = Solver::from_config(cfg).prepare(p.k, p.classes);
+    const BatchReport br = prepared.solveMany(bs);  // one lane, w = 4
+    const std::string what =
+        mode == la::simd::SimdMode::kForceScalar ? "scalar" : "vector";
+    ASSERT_EQ(br.num_failed(), 1u) << what;
+    EXPECT_FALSE(br.ok(1)) << what;
+    ASSERT_TRUE(br.ok(2)) << what;
+    // NaN payloads may differ (operand order of a NaN + NaN); NaN-ness,
+    // counts and the stopping iteration may not.
+    const SolveReport nan_serial = prepared.solve(bs[2]);
+    const SolveReport& nan_block = br.reports[2];
+    EXPECT_FALSE(nan_serial.converged()) << what;
+    EXPECT_FALSE(nan_block.converged()) << what;
+    EXPECT_EQ(nan_serial.iterations(), cfg.max_iterations) << what;
+    EXPECT_EQ(nan_block.iterations(), cfg.max_iterations) << what;
+    EXPECT_EQ(nan_serial.result.inner_products,
+              nan_block.result.inner_products)
+        << what;
+    EXPECT_TRUE(std::isnan(nan_serial.result.final_delta_inf)) << what;
+    EXPECT_TRUE(std::isnan(nan_block.result.final_delta_inf)) << what;
+    EXPECT_TRUE(std::isnan(nan_block.result.final_residual2)) << what;
+    expect_bitwise_equal(prepared.solve(bs[0]), br.reports[0], what);
+    expect_bitwise_equal(prepared.solve(bs[3]), br.reports[3], what);
   }
 }
 

@@ -249,6 +249,43 @@ TEST_F(ObsTest, TracedSolveIsBitwiseIdenticalPerSplittingAndFormat) {
   }
 }
 
+// A traced block of right-hand sides narrates every live column's kernel
+// stream, so its census equals that of the same right-hand sides solved
+// one per lane — with columns that stop at different iterations (a zero
+// right-hand side never enters the loop; a tiny one stops early).
+TEST_F(ObsTest, TracedBlockCensusEqualsOneRhsPerLane) {
+  const problems::Problem p =
+      problems::ProblemRegistry::instance().create("femplate:a=8");
+  std::vector<Vec> bs(4, p.rhs);
+  for (double& v : bs[1]) v *= 1e-6;
+  bs[2].assign(p.rhs.size(), 0.0);
+  for (std::size_t i = 0; i < bs[3].size(); ++i) bs[3][i] *= 1.0 + 0.1 * i;
+  const auto census = [&](int batch) {
+    solver::SolverConfig cfg;
+    cfg.steps = 2;
+    cfg.tolerance = 1e-8;
+    cfg.batch = batch;
+    const auto prepared =
+        solver::Solver::from_config(cfg).prepare(p.matrix, p.classes);
+    Tracer::instance().reset();
+    Tracer::instance().set_enabled(true);
+    const auto br = prepared.solveMany(util::Span<const Vec>(bs));
+    Tracer::instance().set_enabled(false);
+    EXPECT_TRUE(br.all_converged()) << "batch=" << batch;
+    std::vector<long long> counts;
+    for (const Counter c : {Counter::kFlops, Counter::kBytes,
+                            Counter::kVecOps, Counter::kDots,
+                            Counter::kSpmvs, Counter::kSweeps}) {
+      counts.push_back(Tracer::instance().counter(c));
+    }
+    return counts;
+  };
+  const std::vector<long long> block = census(1);  // one lane, w = 4
+  const std::vector<long long> lanes = census(4);  // four lanes, w = 1
+  EXPECT_GT(block[0], 0);
+  EXPECT_EQ(block, lanes);
+}
+
 // The sharded backend under the tracer: every shard phase body opens a
 // "shard" span (on the pool track that ran it, so nesting stays strict per
 // track — the CI check_trace.py smoke validates that on a real trace

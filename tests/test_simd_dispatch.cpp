@@ -6,11 +6,19 @@
 // binaries under MSTEP_SIMD=off.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "color/coloring.hpp"
+#include "core/multicolor_mstep.hpp"
+#include "core/params.hpp"
 #include "la/csr_matrix.hpp"
+#include "la/dia_matrix.hpp"
+#include "la/linear_operator.hpp"
 #include "la/sell_matrix.hpp"
 #include "la/simd.hpp"
 #include "la/vector.hpp"
@@ -116,6 +124,258 @@ TEST(SimdDispatch, SparseKernelsAreBitwiseAcrossPathsAndFormats) {
   EXPECT_TRUE(bitwise_equal(csr_scalar, csr_vector));
   EXPECT_TRUE(bitwise_equal(sell_scalar, sell_vector));
   EXPECT_TRUE(bitwise_equal(csr_scalar, sell_scalar));
+}
+
+// ---- block kernels ----------------------------------------------------------
+
+constexpr std::size_t kW = la::simd::kSellSlice;
+
+Vec column(const Vec& block, std::size_t c) {
+  Vec v(block.size() / kW);
+  for (std::size_t i = 0; i < v.size(); ++i) v[i] = block[i * kW + c];
+  return v;
+}
+
+/// A block whose column 3 is all zeros — the frozen or unused column of a
+/// block narrower than kW — with scattered -0.0 entries elsewhere.
+Vec make_block(util::Rng& rng, std::size_t rows) {
+  Vec b = rng.uniform_vector(rows * kW);
+  for (std::size_t i = 0; i < rows; ++i) {
+    b[i * kW + 3] = 0.0;
+    if (i % 7 == 0) b[i * kW + (i % 3)] = -0.0;
+  }
+  return b;
+}
+
+/// Runs `kernel` under the forced scalar path and the vector path; both
+/// must write the same bits.  Returns the result.
+Vec both_paths(const std::function<Vec()>& kernel, const std::string& what) {
+  Vec scalar_out;
+  Vec vector_out;
+  {
+    const SimdModeGuard guard(SimdMode::kForceScalar);
+    scalar_out = kernel();
+  }
+  {
+    const SimdModeGuard guard(SimdMode::kForceVector);
+    vector_out = kernel();
+  }
+  EXPECT_TRUE(bitwise_equal(scalar_out, vector_out)) << what;
+  return vector_out;
+}
+
+// Each block kernel: the AVX2 path is bitwise its portable twin, and each
+// column is bitwise the single-vector kernel on that column.  Rows run
+// past a multiple of 8 (the lane tail), row segments run up to 20 entries
+// (the lane wrap), and zero-length segments and -0.0 entries feed -0.0
+// partials and sums into the sign-sensitive updates.
+TEST(SimdDispatch, BlockKernelsAreBitwiseAcrossPathsAndPerColumn) {
+  util::Rng rng(11);
+  const std::size_t rows = 1027;
+  const auto n = static_cast<index_t>(rows);
+  const Vec x = make_block(rng, rows);
+  const Vec y = make_block(rng, rows);
+  const double a[kW] = {1.5, -0.25, 0.0, 3.0};
+
+  // Reductions and elementwise kernels.
+  const Vec dots = both_paths(
+      [&] {
+        Vec out(kW);
+        la::simd::block_dot(x.data(), y.data(), rows, out.data());
+        return out;
+      },
+      "block_dot");
+  // The iterate as column vectors, column 1 finished (skipped).
+  const auto step_update = [&](const Vec& p) {
+    std::vector<Vec> u(kW);
+    double* cols[kW];
+    for (std::size_t c = 0; c < kW; ++c) {
+      u[c] = column(y, c);
+      cols[c] = c == 1 ? nullptr : u[c].data();
+    }
+    Vec out(kW);
+    la::simd::block_step_update_max(a, p.data(), cols, rows, out.data());
+    for (const Vec& uc : u) out.insert(out.end(), uc.begin(), uc.end());
+    return out;
+  };
+  const Vec steps =
+      both_paths([&] { return step_update(x); }, "block_step_update_max");
+  const Vec axpys = both_paths(
+      [&] {
+        Vec out = y;
+        la::simd::block_axpy(a, x.data(), out.data(), rows);
+        la::simd::block_xpay(x.data(), a, out.data(), rows);
+        return out;
+      },
+      "block_axpy + block_xpay");
+  for (std::size_t c = 0; c < kW; ++c) {
+    const Vec xc = column(x, c);
+    Vec uc = column(y, c);
+    EXPECT_TRUE(bitwise_equal(
+        dots[c], la::simd::dot_block(xc.data(), uc.data(), rows)));
+    const Vec u_before = uc;
+    const double mx = la::simd::step_update_max(a[c], xc.data(), uc.data(),
+                                                rows);
+    EXPECT_TRUE(bitwise_equal(steps[c], mx)) << c;
+    const Vec u_after(steps.begin() + static_cast<long>(kW + c * rows),
+                      steps.begin() + static_cast<long>(kW + (c + 1) * rows));
+    EXPECT_TRUE(bitwise_equal(u_after, c == 1 ? u_before : uc)) << c;
+    Vec yc = column(y, c);
+    la::simd::axpy(a[c], xc.data(), yc.data(), rows);
+    la::simd::xpay(xc.data(), a[c], yc.data(), rows);
+    EXPECT_TRUE(bitwise_equal(column(axpys, c), yc)) << c;
+  }
+
+  // A NaN step makes the column's max NaN on both paths, single-vector
+  // and block alike, so a NaN never passes a stopping test.
+  Vec with_nan = x;
+  with_nan[5 * kW + 2] = std::numeric_limits<double>::quiet_NaN();
+  const Vec nan_max = both_paths([&] { return step_update(with_nan); },
+                                 "block_step_update_max with a NaN");
+  const Vec nan_single = both_paths(
+      [&] {
+        Vec u = column(y, 2);
+        return Vec{la::simd::step_update_max(
+            a[2], column(with_nan, 2).data(), u.data(), rows)};
+      },
+      "step_update_max with a NaN");
+  EXPECT_TRUE(std::isnan(nan_max[2]));
+  EXPECT_TRUE(bitwise_equal(nan_max[2], nan_single[0]));
+  EXPECT_TRUE(bitwise_equal(nan_max[0], steps[0]));
+
+  // CSR rows of 0..20 entries, some of them -0.0.
+  std::vector<index_t> rp{0};
+  std::vector<index_t> col;
+  Vec val;
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t j = 0; j < i % 21; ++j) {
+      col.push_back(static_cast<index_t>(rng.uniform(0.0, 1.0) * n) % n);
+      val.push_back(j % 5 == 0 ? -0.0 : rng.uniform(-1.0, 1.0));
+    }
+    rp.push_back(static_cast<index_t>(col.size()));
+  }
+  for (const bool subtract : {false, true}) {
+    const Vec spmv = both_paths(
+        [&] {
+          Vec out = y;
+          la::simd::block_csr_rows(rp.data(), col.data(), val.data(),
+                                   x.data(), out.data(), 0, n, subtract);
+          return out;
+        },
+        "block_csr_rows");
+    for (std::size_t c = 0; c < kW; ++c) {
+      const Vec xc = column(x, c);
+      Vec yc = column(y, c);
+      la::simd::csr_spmv_rows(rp.data(), col.data(), val.data(), xc.data(),
+                              yc.data(), 0, n, subtract);
+      EXPECT_TRUE(bitwise_equal(column(spmv, c), yc)) << c;
+    }
+  }
+
+  // The fused sweep phase, in its update form (last and not) and its
+  // save form, against -row_dot and the single-vector class update.
+  const Vec diag = rng.uniform_vector(rows, 1.0, 2.0);
+  const Vec r = make_block(rng, rows);
+  for (const int form : {0, 1, 2}) {
+    const bool save = form == 2;
+    const bool last = form == 1;
+    const Vec swept = both_paths(
+        [&] {
+          Vec z = x;
+          Vec aux = y;
+          la::simd::block_sweep_rows(rp.data(), rp.data() + 1, col.data(),
+                                     val.data(), diag.data(), 0.75,
+                                     save ? nullptr : r.data(), z.data(),
+                                     aux.data(), 0, n, last);
+          z.insert(z.end(), aux.begin(), aux.end());
+          return z;
+        },
+        "block_sweep_rows");
+    for (std::size_t c = 0; c < kW; ++c) {
+      const Vec rc = column(r, c);
+      Vec zc = column(x, c);
+      Vec auxc = column(y, c);
+      for (index_t i = 0; i < n; ++i) {
+        // Rows update in order, each reading z as the rows before it
+        // left it.
+        const double s = -la::simd::row_dot(val.data(), col.data(),
+                                            zc.data(), rp[i], rp[i + 1]);
+        if (save) {
+          auxc[i] = s;
+          continue;
+        }
+        zc[i] = (s + auxc[i] + 0.75 * rc[i]) / diag[i];
+        auxc[i] = last ? 0.0 : s;
+      }
+      const Vec zs(swept.begin(), swept.begin() + rows * kW);
+      const Vec auxs(swept.begin() + rows * kW, swept.end());
+      EXPECT_TRUE(bitwise_equal(column(zs, c), zc)) << form << " " << c;
+      EXPECT_TRUE(bitwise_equal(column(auxs, c), auxc)) << form << " " << c;
+    }
+  }
+}
+
+// The block operators (CSR, DIA with its row strips, SELL, and the base
+// class's per-column fallback) and the block sweep: every column is
+// bitwise the single-vector product on both kernel paths.
+TEST(SimdDispatch, BlockOperatorsAndSweepMatchSingleVectorPerColumn) {
+  const auto p = problems::ProblemRegistry::instance().create("femplate:a=24");
+  const auto cs = color::make_colored_system(p.matrix, p.classes);
+  const la::CsrMatrix& k = cs.matrix;
+  const la::DiaMatrix dia = la::DiaMatrix::from_csr(k);
+  const la::SellMatrix sell = la::SellMatrix::from_csr(k);
+  const la::CsrOperator csr_op(k);
+  const la::DiaOperator dia_op(dia);
+  const la::SellOperator sell_op(sell);
+  const auto rows = static_cast<std::size_t>(k.rows());
+  util::Rng rng(13);
+  const Vec x = make_block(rng, rows);
+  const Vec y = make_block(rng, rows);
+
+  const std::pair<const la::LinearOperator*, const char*> ops[] = {
+      {&csr_op, "csr"}, {&dia_op, "dia"}, {&sell_op, "sell"}};
+  for (const auto& [op, name] : ops) {
+    for (const bool subtract : {false, true}) {
+      const std::string what = std::string(name) +
+                               (subtract ? " multiply_sub" : " multiply");
+      const Vec out = both_paths(
+          [&] {
+            Vec blk = y;
+            op->multiply_block(x.data(), blk.data(), subtract);
+            return blk;
+          },
+          what);
+      for (std::size_t c = 0; c < kW; ++c) {
+        Vec yc = column(y, c);
+        if (subtract) {
+          op->multiply_sub(column(x, c), yc);
+        } else {
+          op->multiply(column(x, c), yc);
+        }
+        EXPECT_TRUE(bitwise_equal(column(out, c), yc)) << what << " " << c;
+      }
+      // The base-class fallback: one multiply per column.
+      Vec fallback = y;
+      op->la::LinearOperator::multiply_block(x.data(), fallback.data(),
+                                             subtract);
+      EXPECT_TRUE(bitwise_equal(fallback, out)) << what << " fallback";
+    }
+  }
+
+  const core::MulticolorMStepSsor sweep(
+      cs, core::least_squares_alphas(3, core::ssor_interval()));
+  const Vec z = both_paths(
+      [&] {
+        Vec out;
+        sweep.apply_block(x, out, 3);
+        return out;
+      },
+      "apply_block");
+  for (std::size_t c = 0; c < kW; ++c) {
+    Vec zc;
+    sweep.apply(column(x, c), zc);
+    EXPECT_TRUE(bitwise_equal(column(z, c), zc)) << "sweep column " << c;
+  }
 }
 
 // Every splitting x every format, serial and threaded: the full PCG

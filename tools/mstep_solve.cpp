@@ -97,7 +97,8 @@ int print_help() {
       "                     rows stay serial; bitwise the serial result for\n"
       "                     any N; 0 = serial (default 0)\n"
       "  --shards=<N>       alias of --threads; the wider of the two wins\n"
-      "  --batch=<N>        concurrent right-hand-side lanes; 0 = auto\n"
+      "  --batch=<N>        concurrent right-hand-side lanes, each solving up to 4\n"
+      "                     at once; 0 = auto\n"
       "                     (default 0)\n"
       "\n"
       "output:\n"
