@@ -12,7 +12,9 @@
 // machine-independent hard check is `bitwise_match_scalar` — both paths
 // must produce IDENTICAL bits (the la/simd.hpp contract).  The SELL SpMV
 // result is additionally compared bitwise against the CSR result
-// in-process (the format-registry claim); any mismatch exits 1.
+// in-process (the format-registry claim); any mismatch exits 1.  The
+// sweep/csr row also reports `run_row_frac`, the share of swept rows the
+// plan stores as constant-offset runs (ungated).
 //
 // Emits a flat JSON array (--out=BENCH_kernels.json) keyed by
 // (kernel, format, n) for tools/check_bench.py.  GB/s and GFLOP/s are
@@ -61,6 +63,7 @@ struct Row {
   double gflops_simd = 0.0;
   bool bitwise_match_scalar = true;
   std::string simd_isa;            // path the "simd" column actually ran
+  double run_row_frac = -1.0;      // sweep/csr only: rows on the run path
 };
 
 /// Per-apply seconds of `apply`, repeated enough to cover ~`target_flops`
@@ -288,6 +291,9 @@ int main(int argc, char** argv) {
       // Off-diagonal mul+adds plus the per-step 4-flop recombine per row.
       r.flops_per_apply = 2 * traversals + 4LL * m * n;
       // val + col + gathered z per traversal; z/y/r/diag streams per step.
+      // Run rows read no column indices, but the model stays the one the
+      // committed baselines were rated with, so GB/s compare across
+      // layouts as a rate of the same work.
       r.bytes_per_apply = 20 * traversals + 40LL * m * n;
       measure(&r, [&] { prec.apply(res, z); },
               [&] {
@@ -296,6 +302,26 @@ int main(int argc, char** argv) {
                 return fresh;
               },
               target_flops, repeats);
+      // The share of the rows one apply sums that sit in constant-offset
+      // runs rather than SELL leftovers: every class's lower segments
+      // (forward) and the upper segments of all but the last class
+      // (backward and save).  Ungated; it shows how much of the sweep the
+      // gather-free path carries.
+      const core::MulticolorSweepPlan& plan = *prec.plan();
+      long long run_rows = 0;
+      long long swept_rows = 0;
+      for (int c = 0; c < cs.num_classes(); ++c) {
+        run_rows += plan.lower[c].run_rows();
+        swept_rows += cs.class_size(c);
+        if (c + 1 < cs.num_classes()) {
+          run_rows += plan.upper[c].run_rows();
+          swept_rows += cs.class_size(c);
+        }
+      }
+      r.run_row_frac = static_cast<double>(run_rows) /
+                       static_cast<double>(std::max(1LL, swept_rows));
+      std::cout << "sweep run_row_frac = " << r.run_row_frac
+                << " (rows summed on the run path per apply)\n\n";
       rows.push_back(r);
 
       // The same sweep on kSellSlice interleaved vectors (the solveMany
@@ -400,21 +426,23 @@ int main(int argc, char** argv) {
     bool all_ok = true;
     for (const Row& r : rows) {
       all_ok = all_ok && r.bitwise_match_scalar;
-      json_rows.push(util::Json::object()
-                         .set("kernel", r.kernel)
-                         .set("format", r.format)
-                         .set("n", r.n)
-                         .set("flops_per_apply", r.flops_per_apply)
-                         .set("bytes_per_apply", r.bytes_per_apply)
-                         .set("seconds_scalar", r.seconds_scalar)
-                         .set("seconds_simd", r.seconds_simd)
-                         .set("simd_speedup", r.simd_speedup)
-                         .set("gbs_scalar", r.gbs_scalar)
-                         .set("gbs_simd", r.gbs_simd)
-                         .set("gflops_scalar", r.gflops_scalar)
-                         .set("gflops_simd", r.gflops_simd)
-                         .set("bitwise_match_scalar", r.bitwise_match_scalar)
-                         .set("simd_isa", r.simd_isa));
+      util::Json row = util::Json::object();
+      row.set("kernel", r.kernel)
+          .set("format", r.format)
+          .set("n", r.n)
+          .set("flops_per_apply", r.flops_per_apply)
+          .set("bytes_per_apply", r.bytes_per_apply)
+          .set("seconds_scalar", r.seconds_scalar)
+          .set("seconds_simd", r.seconds_simd)
+          .set("simd_speedup", r.simd_speedup)
+          .set("gbs_scalar", r.gbs_scalar)
+          .set("gbs_simd", r.gbs_simd)
+          .set("gflops_scalar", r.gflops_scalar)
+          .set("gflops_simd", r.gflops_simd)
+          .set("bitwise_match_scalar", r.bitwise_match_scalar)
+          .set("simd_isa", r.simd_isa);
+      if (r.run_row_frac >= 0.0) row.set("run_row_frac", r.run_row_frac);
+      json_rows.push(std::move(row));
     }
     // The overhead row rides the same document (extra candidate rows are
     // legal for the roofline gate; its own gate keys on kernel,format

@@ -25,17 +25,17 @@ MulticolorSweepPlan::MulticolorSweepPlan(const color::ColoredSystem& cs,
   const int ns = num_strips();
   if (ns >= 2) halo = shard::HaloPlan(cs, this->strips, splits);
 
-  // Slice every strip's row segments into SELL layout once: the SELL lanes
-  // replay row_dot's schedule and negation commutes with rounding, so a
-  // strip's sums are the whole-class sums.
+  // Store every strip's row segments once, runs cut at strip boundaries:
+  // each row's sum keeps row_dot's schedule and negation commutes with
+  // rounding, so a strip's sums are the whole-class sums.
   const auto& rp = cs.matrix.row_ptr();
   for (int s = 0; s < ns; ++s) {
     for (int c = 0; c < cs.num_classes(); ++c) {
       const index_t b = this->strips.begin(s, c);
       const index_t e = this->strips.end(s, c);
-      lower.push_back(la::SellSegments::build(cs.matrix, rp.data(),
-                                              splits.lo_end.data(), b, e));
-      upper.push_back(la::SellSegments::build(
+      lower.push_back(la::SweepSegments::build(cs.matrix, rp.data(),
+                                               splits.lo_end.data(), b, e));
+      upper.push_back(la::SweepSegments::build(
           cs.matrix, splits.up_begin.data(), rp.data() + 1, b, e));
     }
   }
@@ -81,12 +81,13 @@ MulticolorMStepSsor::MulticolorMStepSsor(
 }
 
 // Strip s's share of one phase, on the z every strip shares.  A class-c
-// phase writes z (and y, xl) only at strip s's class-c rows, and its
-// segment sums read z only at rows of other classes — the diagonal class
-// blocks are diagonal.  A padded SELL lane gathers z at the first row of
-// its own slice (la::SellSegments), a row this strip writes only after
-// its sums.  So no strip reads a row another strip is writing, and the
-// pool rendezvous between phases publishes each phase's writes.
+// phase writes z and y only at strip s's class-c rows, and its segment
+// sums read z only at rows of other classes — the diagonal class blocks
+// are diagonal.  Run rows read z only through their couplings and have no
+// padded lanes; a padded SELL lane of the leftover rows gathers z at the
+// first row of its own slice (la::SellSegments), a row of this strip.  So
+// no strip reads a row another strip is writing, and the pool rendezvous
+// between phases publishes each phase's writes.
 void MulticolorMStepSsor::run_strip(const Phase& phase, int s, const Vec& r,
                                     Vec& z) const {
   const MulticolorSweepPlan& plan = *plan_;
@@ -98,33 +99,20 @@ void MulticolorMStepSsor::run_strip(const Phase& phase, int s, const Vec& r,
   const Vec& diag = plan.splits.diag;
   const double a = phase.alpha;
 
-  if (phase.kind == Phase::kSave) {
-    // Class 0's upper sums scatter straight into y.
-    const la::SellSegments& segs = plan.upper[seg];
-    la::simd::sell_neg_slices(segs.view(), z.data(), y_.data(), 0,
-                              segs.num_slices());
-    return;
-  }
   if (phase.kind == Phase::kFinal) {
     for (index_t i = row_begin; i < row_end; ++i) {
       z[i] = (y_[i] + a * r[i]) / diag[i];
     }
     return;
   }
-
-  const la::SellSegments& segs =
-      (phase.kind == Phase::kForward ? plan.lower : plan.upper)[seg];
-  la::simd::sell_neg_slices(segs.view(), z.data(), xl_.data(), 0,
-                            segs.num_slices());
-
-  // The last class has no upper couplings: its "saved" value for the next
-  // use must be the (empty) upper sum, not the lower sum.
-  const bool last = phase.kind == Phase::kForward && c == nc - 1;
-  for (index_t i = row_begin; i < row_end; ++i) {
-    const double x = xl_[i];
-    z[i] = (x + y_[i] + a * r[i]) / diag[i];
-    y_[i] = last ? 0.0 : x;
-  }
+  // The save phase scatters class 0's upper sums straight into y.  The last
+  // class has no upper couplings: its "saved" value for the next use must
+  // be the (empty) upper sum, not the lower sum.
+  const bool forward = phase.kind == Phase::kForward;
+  const la::SweepSegments& segs = (forward ? plan.lower : plan.upper)[seg];
+  la::simd::sweep_segments(segs.runs(), segs.rest().view(), diag.data(), a,
+                           phase.kind == Phase::kSave ? nullptr : r.data(),
+                           z.data(), y_.data(), forward && c == nc - 1);
 }
 
 void MulticolorMStepSsor::run_phase(const Phase& phase, const Vec& r,
@@ -236,7 +224,6 @@ void MulticolorMStepSsor::apply(const Vec& r, Vec& z) const {
   assert(static_cast<index_t>(r.size()) == n);
   z.assign(n, 0.0);
   y_.assign(n, 0.0);
-  xl_.resize(n);  // written per class before it is read
   walk([&](const Phase& phase) { run_phase(phase, r, z); }, 1);
 }
 

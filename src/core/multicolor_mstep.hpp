@@ -23,18 +23,29 @@
 // MStepPreconditioner(SsorSplitting(omega = 1)) applied to the
 // colour-permuted matrix; the tests verify the equivalence to rounding.
 //
+// Storage.  Each colour class's strictly-lower and strictly-upper
+// couplings are stored per strip as la::SweepSegments: the stretches of at
+// least four consecutive rows that share one offset list (col - row) are
+// diagonal-major runs — the paper's §3.1 diagonal storage, cut to the rows
+// that have it — and the remaining rows are SELL slices.  One fused kernel,
+// la::simd::sweep_segments, sums 4 rows at a time and applies the class
+// update in place.  Every row keeps its CSR term order and row_dot's 8-lane
+// schedule (term k to lane k mod 8), and negating the finished sum
+// commutes with rounding, so each row's value is bitwise
+// -row_dot(segment) whichever layout holds it.
+//
 // This is the only implementation of the sweep, for every execution mode:
 // an immutable, shareable MulticolorSweepPlan, and engines that own only
 // per-call scratch.  The plan cuts every colour class into contiguous
-// strips (shard::ShardPlan).  One strip runs each phase inline on z — the
-// serial kernel.  N strips run each phase as one pool dispatch, every strip
-// reading and writing the one shared z: a class-c phase writes only class-c
-// rows, each owned by one strip, its segment sums read only rows of other
-// classes, and the pool rendezvous orders one phase's writes before the
-// next phase's reads.  la::simd::sell_neg_slices is bitwise -row_dot per
-// row however the rows are sliced and the phase order is the class order,
-// so every strip count gives the one-strip bits and the same KernelLog
-// stream.
+// strips (shard::ShardPlan); runs never cross a strip boundary.  One strip
+// runs each phase inline on z — the serial kernel.  N strips run each
+// phase as one pool dispatch, every strip reading and writing the one
+// shared z: a class-c phase writes only class-c rows, each owned by one
+// strip, its segment sums read only rows of other classes, and the pool
+// rendezvous orders one phase's writes before the next phase's reads.
+// Since each row's bits do not depend on its layout and the phase order is
+// the class order, every strip count gives the one-strip bits and the same
+// KernelLog stream.
 #pragma once
 
 #include <memory>
@@ -44,7 +55,7 @@
 #include "color/coloring.hpp"
 #include "core/kernel_log.hpp"
 #include "core/preconditioner.hpp"
-#include "la/sell_matrix.hpp"
+#include "la/sweep_segments.hpp"
 #include "par/thread_pool.hpp"
 #include "shard/halo.hpp"
 #include "shard/partition.hpp"
@@ -73,11 +84,12 @@ struct MulticolorSweepPlan {
   shard::ShardPlan strips;
   shard::HaloPlan halo;  // rows strips read from each other; empty with one
   // Per strip and class (index strip * classes + class): the strictly-
-  // lower / strictly-upper row segments in SELL slices, summed 4 rows at a
-  // time by simd::sell_neg_slices — bitwise -row_dot per row, but
+  // lower / strictly-upper row segments as constant-offset runs plus SELL
+  // leftovers (la::SweepSegments), summed 4 rows at a time and updated in
+  // place by simd::sweep_segments — bitwise -row_dot per row, but
   // vectorized ACROSS the class's independent rows.
-  std::vector<la::SellSegments> lower;
-  std::vector<la::SellSegments> upper;
+  std::vector<la::SweepSegments> lower;
+  std::vector<la::SweepSegments> upper;
 };
 
 /// One Algorithm-2 engine: a shared plan plus this engine's scratch.
@@ -137,9 +149,9 @@ class MulticolorMStepSsor : public Preconditioner {
   par::ThreadPool* pool_;
   KernelLog* log_;
 
-  // apply() is logically const but stages per-call state here.
-  mutable Vec y_;   // Conrad–Wallach auxiliary vector (a block in apply_block)
-  mutable Vec xl_;  // the current class's scattered sums
+  // apply() is logically const but stages per-call state here: the
+  // Conrad–Wallach auxiliary vector (a block in apply_block).
+  mutable Vec y_;
 };
 
 }  // namespace mstep::core

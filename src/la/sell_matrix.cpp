@@ -142,11 +142,12 @@ void SellMatrix::multiply_block(const double* x, double* y,
 }
 
 SellSegments SellSegments::build(const CsrMatrix& a, const index_t* seg_begin,
-                                 const index_t* seg_end, index_t row_begin,
-                                 index_t row_end, index_t sigma) {
+                                 const index_t* seg_end,
+                                 const std::vector<index_t>& rows,
+                                 index_t sigma) {
   sigma = std::max(sigma, kC);
   SellSegments m;
-  const index_t n = row_end - row_begin;
+  const auto n = static_cast<index_t>(rows.size());
   if (n <= 0) return m;
 
   const auto& col = a.col_idx();
@@ -155,8 +156,7 @@ SellSegments SellSegments::build(const CsrMatrix& a, const index_t* seg_begin,
 
   // Sigma-window sort by descending segment length (ties by ascending row
   // id), exactly as from_csr — deterministic and cache-local.
-  std::vector<index_t> slots(n);
-  std::iota(slots.begin(), slots.end(), row_begin);
+  std::vector<index_t> slots = rows;
   for (index_t w = 0; w < n; w += sigma) {
     const index_t e = std::min(n, w + sigma);
     std::sort(slots.begin() + w, slots.begin() + e,

@@ -109,36 +109,30 @@ class SellMatrix {
 };
 
 /// SELL-layout storage of per-row SEGMENTS of a CSR matrix: the strictly-
-/// lower / strictly-upper row parts of one colour class, which the
-/// multicolor sweeps sum through simd::sell_neg_slices.  The slice layout
-/// and kernel schedule are exactly SellMatrix's, so each scattered sum is
-/// bitwise -row_dot over that row's segment; `perm` carries GLOBAL row ids,
-/// letting the kernel write straight into row-indexed scratch.  This is
-/// what turns the sweep's short per-row sums — too short for a single-row
-/// vector kernel to win — into 4-rows-at-a-time vector work, legal only
-/// because the multicolor ordering makes rows of a class independent.
-/// Padded lanes, which the vector kernel gathers and blends away, point at
-/// their slice's first row, so a sum over rows [row_begin, row_end) reads
-/// only its segments' columns and those rows.
+/// lower / strictly-upper row parts of a colour class that do not fall in
+/// a constant-offset run (la::SweepSegments keeps the runs), summed by
+/// simd::sweep_segments.  The slice layout and kernel schedule are exactly
+/// SellMatrix's, so each row's sum is bitwise row_dot over its segment;
+/// `perm` carries GLOBAL row ids, letting the kernel update row-indexed
+/// vectors in place.  Padded lanes, which the vector kernel gathers and
+/// blends away, point at their slice's first row, so a sum over a row list
+/// reads only its segments' columns and the listed rows.
 class SellSegments {
  public:
   SellSegments() = default;
 
-  /// Rows [row_begin, row_end) of `a`, row i contributing its CSR entries
-  /// [seg_begin[i], seg_end[i]); both arrays are indexed by global row id
-  /// (pass row_ptr().data() / the RowSplits arrays directly).
+  /// The listed rows of `a` (global ids, ascending), row i contributing
+  /// its CSR entries [seg_begin[i], seg_end[i]); both arrays are indexed
+  /// by global row id (pass row_ptr().data() / the RowSplits arrays).
   [[nodiscard]] static SellSegments build(
       const CsrMatrix& a, const index_t* seg_begin, const index_t* seg_end,
-      index_t row_begin, index_t row_end,
+      const std::vector<index_t>& rows,
       index_t sigma = SellMatrix::kDefaultSigma);
 
   [[nodiscard]] index_t num_slices() const {
     return slice_ptr_.empty() ? 0
                               : static_cast<index_t>(slice_ptr_.size()) - 1;
   }
-  /// Stored entries including padding — the sweep bench's traffic model.
-  [[nodiscard]] std::size_t stored_values() const { return val_.size(); }
-
   /// Non-owning kernel view; valid while this object lives.
   [[nodiscard]] simd::SellView view() const;
 

@@ -189,24 +189,29 @@ void dia_triad(const double* v, const double* x, double* y, index_t lo,
   }
 }
 
+/// row_dot's schedule over the row in SELL slot (slice sl, lane r).
+double slot_sum(const SellView& s, index_t sl, index_t r, const double* x) {
+  constexpr auto kC = static_cast<index_t>(kSellSlice);
+  const std::size_t base = s.slice_ptr[sl];
+  const index_t length = s.len[sl * kC + r];
+  double lane[kRowLanes] = {};
+  for (index_t j = 0; j < length; ++j) {
+    const std::size_t at = base + static_cast<std::size_t>(j) * kC + r;
+    lane[static_cast<std::size_t>(j) % kRowLanes] += s.val[at] * x[s.col[at]];
+  }
+  double sum = lane[0];
+  for (std::size_t l = 1; l < kRowLanes; ++l) sum += lane[l];
+  return sum;
+}
+
 void sell_spmv_slices(const SellView& s, const double* x, double* y,
                       index_t slice_begin, index_t slice_end, bool subtract) {
   constexpr auto kC = static_cast<index_t>(kSellSlice);
   for (index_t sl = slice_begin; sl < slice_end; ++sl) {
-    const std::size_t base = s.slice_ptr[sl];
     for (index_t r = 0; r < kC; ++r) {
-      const index_t slot = sl * kC + r;
-      const index_t g = s.perm[slot];
+      const index_t g = s.perm[sl * kC + r];
       if (g < 0) continue;  // slot holds no row
-      const index_t length = s.len[slot];
-      double lane[kRowLanes] = {};
-      for (index_t j = 0; j < length; ++j) {
-        const std::size_t at = base + static_cast<std::size_t>(j) * kC + r;
-        lane[static_cast<std::size_t>(j) % kRowLanes] +=
-            s.val[at] * x[s.col[at]];
-      }
-      double sum = lane[0];
-      for (std::size_t l = 1; l < kRowLanes; ++l) sum += lane[l];
+      const double sum = slot_sum(s, sl, r, x);
       if (subtract) {
         y[g] -= sum;
       } else {
@@ -216,25 +221,44 @@ void sell_spmv_slices(const SellView& s, const double* x, double* y,
   }
 }
 
-void sell_neg_slices(const SellView& s, const double* x, double* out,
-                     index_t slice_begin, index_t slice_end) {
-  constexpr auto kC = static_cast<index_t>(kSellSlice);
-  for (index_t sl = slice_begin; sl < slice_end; ++sl) {
-    const std::size_t base = s.slice_ptr[sl];
-    for (index_t r = 0; r < kC; ++r) {
-      const index_t slot = sl * kC + r;
-      const index_t g = s.perm[slot];
-      if (g < 0) continue;
-      const index_t length = s.len[slot];
+/// sweep_segments' class update of row i from its segment sum.
+inline void sweep_update(double sum, index_t i, const double* diag, double a,
+                         const double* r, double* z, double* y, bool last) {
+  if (r == nullptr) {
+    y[i] = -sum;
+    return;
+  }
+  z[i] = (y[i] - sum + a * r[i]) / diag[i];
+  y[i] = last ? 0.0 : -sum;
+}
+
+void sweep_segments(const RunView& runs, const SellView& rest,
+                    const double* diag, double a, const double* r, double* z,
+                    double* y, bool last) {
+  for (index_t q = 0; q < runs.num_runs; ++q) {
+    const index_t i0 = runs.row[q];
+    const auto len = static_cast<std::size_t>(runs.len[q]);
+    const index_t* off = runs.off + runs.off_ptr[q];
+    const index_t terms = runs.off_ptr[q + 1] - runs.off_ptr[q];
+    const double* val = runs.val + runs.val_ptr[q];
+    for (std::size_t t = 0; t < len; ++t) {
+      const index_t i = i0 + static_cast<index_t>(t);
       double lane[kRowLanes] = {};
-      for (index_t j = 0; j < length; ++j) {
-        const std::size_t at = base + static_cast<std::size_t>(j) * kC + r;
-        lane[static_cast<std::size_t>(j) % kRowLanes] +=
-            s.val[at] * x[s.col[at]];
+      for (index_t k = 0; k < terms; ++k) {
+        lane[static_cast<std::size_t>(k) % kRowLanes] +=
+            val[static_cast<std::size_t>(k) * len + t] * z[i + off[k]];
       }
       double sum = lane[0];
       for (std::size_t l = 1; l < kRowLanes; ++l) sum += lane[l];
-      out[g] = -sum;
+      sweep_update(sum, i, diag, a, r, z, y, last);
+    }
+  }
+  constexpr auto kC = static_cast<index_t>(kSellSlice);
+  for (index_t sl = 0; sl < rest.num_slices; ++sl) {
+    for (index_t lane = 0; lane < kC; ++lane) {
+      const index_t g = rest.perm[sl * kC + lane];
+      if (g < 0) continue;
+      sweep_update(slot_sum(rest, sl, lane, z), g, diag, a, r, z, y, last);
     }
   }
 }
@@ -451,9 +475,10 @@ void sell_spmv_slices(const SellView& s, const double* x, double* y,
       sell_spmv_slices(s, x, y, slice_begin, slice_end, subtract));
 }
 
-void sell_neg_slices(const SellView& s, const double* x, double* out,
-                     index_t slice_begin, index_t slice_end) {
-  MSTEP_SIMD_DISPATCH(sell_neg_slices(s, x, out, slice_begin, slice_end));
+void sweep_segments(const RunView& runs, const SellView& rest,
+                    const double* diag, double a, const double* r, double* z,
+                    double* y, bool last) {
+  MSTEP_SIMD_DISPATCH(sweep_segments(runs, rest, diag, a, r, z, y, last));
 }
 
 void block_dot(const double* x, const double* y, std::size_t rows,

@@ -140,15 +140,38 @@ struct SellView {
 void sell_spmv_slices(const SellView& s, const double* x, double* y,
                       index_t slice_begin, index_t slice_end, bool subtract);
 
-/// Negated-sum form for the multicolor sweeps: out[perm[slot]] = -(the slot
-/// row's 8-lane sum) — bitwise `-row_dot(...)` over the stored segment,
-/// since negating the finished sum commutes with round-to-nearest.  The
-/// sweeps store each colour class's strictly-lower / strictly-upper row
-/// segments as SELL slices (la::SellSegments) and scatter the sums through
-/// this kernel, vectorizing ACROSS the rows of a class — legal exactly
-/// because the multicolor ordering makes those rows independent.
-void sell_neg_slices(const SellView& s, const double* x, double* out,
-                     index_t slice_begin, index_t slice_end);
+/// Non-owning view of constant-offset row runs (la::SweepSegments).  Run q
+/// covers rows [row[q], row[q] + len[q]); every one of its rows couples to
+/// the same offsets off[off_ptr[q] .. off_ptr[q + 1]) (col - row, in CSR
+/// order), and the values are stored diagonal-major: term k of row
+/// row[q] + t is val[val_ptr[q] + k * len[q] + t] * x[row[q] + t +
+/// off[off_ptr[q] + k]].  Four rows' term k is therefore one contiguous
+/// load of val and one of x — no column indices, no gather.
+struct RunView {
+  const double* val = nullptr;
+  const index_t* off = nullptr;
+  const index_t* off_ptr = nullptr;      // num_runs + 1 entries
+  const std::size_t* val_ptr = nullptr;  // num_runs entries
+  const index_t* row = nullptr;
+  const index_t* len = nullptr;
+  index_t num_runs = 0;
+};
+
+/// One multicolor-sweep phase over one colour class's row segments, fused:
+/// the rows of `runs` and the real slots of `rest` (SELL slices whose perm
+/// carries global row ids).  Row i's sum over its segment follows row_dot's
+/// schedule (term k to lane k mod 8).  With `r` set: z[i] = (y[i] - sum +
+/// a * r[i]) / diag[i], then y[i] = last ? 0 : -sum.  With r == nullptr
+/// (the save phase): y[i] = -sum.  y[i] - sum is bitwise (-sum) + y[i] for
+/// every sum that is not NaN; it is written as the subtraction because a
+/// compiler may fold a negate-then-add into it, which would flip a NaN's
+/// sign on one path only.  The sums read z only through the stored
+/// couplings (and rest's padded lanes, which are blended away), so rows are
+/// updated in place — legal exactly because the multicolor ordering makes
+/// a class's rows independent.
+void sweep_segments(const RunView& runs, const SellView& rest,
+                    const double* diag, double a, const double* r, double* z,
+                    double* y, bool last);
 
 // ---- block kernels: kSellSlice vectors per pass ------------------------------
 //
@@ -196,8 +219,8 @@ void block_sell_slices(const SellView& s, const double* x, double* y,
 /// class, fused.  Row i's sum over its CSR entries [seg_begin[i],
 /// seg_end[i]) follows row_dot's schedule per column; x = -sum.  With `r`
 /// set: z(i) = (x + y(i) + a * r(i)) / diag[i], then y(i) = last ? 0 : x —
-/// the class update the single-vector sweep applies after
-/// sell_neg_slices.  With r == nullptr (the save phase): y(i) = x.
+/// sweep_segments' class update.  With r == nullptr (the save phase):
+/// y(i) = x.
 void block_sweep_rows(const index_t* seg_begin, const index_t* seg_end,
                       const index_t* col, const double* val,
                       const double* diag, double a, const double* r,

@@ -393,16 +393,87 @@ void sell_spmv_slices(const SellView& s, const double* x, double* y,
   }
 }
 
-void sell_neg_slices(const SellView& s, const double* x, double* out,
-                     index_t slice_begin, index_t slice_end) {
+namespace {
+
+/// sweep_segments' class update of one row from its segment sum: the
+/// portable twin's verbatim.
+inline void sweep_update(double sum, index_t i, const double* diag, double a,
+                         const double* r, double* z, double* y, bool last) {
+  if (r == nullptr) {
+    y[i] = -sum;
+    return;
+  }
+  z[i] = (y[i] - sum + a * r[i]) / diag[i];
+  y[i] = last ? 0.0 : -sum;
+}
+
+/// The same update of rows [i, i + 4), one register per operand.
+inline void sweep_update4(__m256d sum, index_t i, const double* diag,
+                          __m256d av, const double* r, double* z, double* y,
+                          bool last) {
+  // -sum: a sign flip, exactly the scalar negation.
+  const __m256d x = _mm256_xor_pd(sum, _mm256_set1_pd(-0.0));
+  if (r == nullptr) {
+    _mm256_storeu_pd(y + i, x);
+    return;
+  }
+  const __m256d t =
+      _mm256_add_pd(_mm256_sub_pd(_mm256_loadu_pd(y + i), sum),
+                    _mm256_mul_pd(av, _mm256_loadu_pd(r + i)));
+  _mm256_storeu_pd(z + i, _mm256_div_pd(t, _mm256_loadu_pd(diag + i)));
+  _mm256_storeu_pd(y + i, last ? _mm256_setzero_pd() : x);
+}
+
+}  // namespace
+
+void sweep_segments(const RunView& runs, const SellView& rest,
+                    const double* diag, double a, const double* r, double* z,
+                    double* y, bool last) {
+  const __m256d av = _mm256_set1_pd(a);
+  for (index_t q = 0; q < runs.num_runs; ++q) {
+    const index_t i0 = runs.row[q];
+    const auto len = static_cast<std::size_t>(runs.len[q]);
+    const index_t* off = runs.off + runs.off_ptr[q];
+    const index_t terms = runs.off_ptr[q + 1] - runs.off_ptr[q];
+    const double* val = runs.val + runs.val_ptr[q];
+    std::size_t t = 0;
+    // Four rows per step: term k is one contiguous load of the run's k-th
+    // value column and one of z at offset off[k] — row_dot's schedule in
+    // every lane, with no gather.
+    for (; t + kSellSlice <= len; t += kSellSlice) {
+      const index_t i = i0 + static_cast<index_t>(t);
+      Lanes8 lanes;
+      lanes.run(0, terms, [&](__m256d& lane, index_t k) {
+        lane = _mm256_add_pd(
+            lane,
+            _mm256_mul_pd(
+                _mm256_loadu_pd(val + static_cast<std::size_t>(k) * len + t),
+                _mm256_loadu_pd(z + i + off[k])));
+      });
+      sweep_update4(lanes.sum(), i, diag, av, r, z, y, last);
+    }
+    for (; t < len; ++t) {
+      const index_t i = i0 + static_cast<index_t>(t);
+      double lane[kRowLanes] = {};
+      for (index_t k = 0; k < terms; ++k) {
+        lane[static_cast<std::size_t>(k) % kRowLanes] +=
+            val[static_cast<std::size_t>(k) * len + t] * z[i + off[k]];
+      }
+      double sum = lane[0];
+      for (std::size_t l = 1; l < kRowLanes; ++l) sum += lane[l];
+      sweep_update(sum, i, diag, a, r, z, y, last);
+    }
+  }
+  // The leftover rows' slice sums are complete before any of the slice's
+  // rows is updated; a padded lane's gather is blended away.
   constexpr auto kC = static_cast<index_t>(kSellSlice);
-  for (index_t sl = slice_begin; sl < slice_end; ++sl) {
+  for (index_t sl = 0; sl < rest.num_slices; ++sl) {
     double sum[kSellSlice];
-    _mm256_storeu_pd(sum, slice_sums(s, sl, x));
-    for (index_t r = 0; r < kC; ++r) {
-      const index_t g = s.perm[sl * kC + r];
+    _mm256_storeu_pd(sum, slice_sums(rest, sl, z));
+    for (index_t lane = 0; lane < kC; ++lane) {
+      const index_t g = rest.perm[sl * kC + lane];
       if (g < 0) continue;
-      out[g] = -sum[r];
+      sweep_update(sum[lane], g, diag, a, r, z, y, last);
     }
   }
 }

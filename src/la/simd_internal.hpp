@@ -36,8 +36,9 @@ void dia_triad(const double* v, const double* x, double* y, index_t lo,
                index_t hi, index_t off, bool subtract);
 void sell_spmv_slices(const SellView& s, const double* x, double* y,
                       index_t slice_begin, index_t slice_end, bool subtract);
-void sell_neg_slices(const SellView& s, const double* x, double* out,
-                     index_t slice_begin, index_t slice_end);
+void sweep_segments(const RunView& runs, const SellView& rest,
+                    const double* diag, double a, const double* r, double* z,
+                    double* y, bool last);
 
 void block_dot(const double* x, const double* y, std::size_t rows,
                double* out);

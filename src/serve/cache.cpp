@@ -111,12 +111,12 @@ std::size_t estimate_entry_bytes(const ProblemData& problem,
   };
   std::size_t bytes = csr_bytes(problem.matrix);
   // The colour permutation copies the matrix (plus two index maps), and
-  // the multicolor sweeps keep SELL-sliced copies of every row's
-  // strictly-lower and strictly-upper segments (la::SellSegments —
-  // together about one more matrix); the DIA layout stores
-  // rows * num_diagonals doubles and the SELL layout a padded slice
-  // copy, both bounded below by the CSR size — each estimated as one
-  // more matrix.
+  // the multicolor sweeps keep copies of every row's strictly-lower and
+  // strictly-upper segments (la::SweepSegments: diagonal-major runs plus
+  // SELL leftovers — together at most about one more matrix); the DIA
+  // layout stores rows * num_diagonals doubles and the SELL layout a
+  // padded slice copy, both bounded below by the CSR size — each
+  // estimated as one more matrix.
   if (prepared.coloring().used) {
     bytes += 2 * csr_bytes(problem.matrix) +
              2 * static_cast<std::size_t>(problem.matrix.rows()) *

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <algorithm>
 #include <functional>
 #include <limits>
 #include <string>
@@ -311,6 +312,154 @@ TEST(SimdDispatch, BlockKernelsAreBitwiseAcrossPathsAndPerColumn) {
       const Vec auxs(swept.begin() + rows * kW, swept.end());
       EXPECT_TRUE(bitwise_equal(column(zs, c), zc)) << form << " " << c;
       EXPECT_TRUE(bitwise_equal(column(auxs, c), auxc)) << form << " " << c;
+    }
+  }
+}
+
+// The fused sweep kernel: two hand-built constant-offset runs plus
+// leftover SELL slices.  The AVX2 path is bitwise its portable twin, and
+// every row is bitwise row_dot over its segment followed by the class
+// update.  Run lengths 1..9 cover the 4-row body and the scalar tail; term
+// counts 0, 1, 7, 8, 9 and 17 cover the empty sum and the lane wrap.  z
+// holds -0.0, +-inf and NaN among the coupled rows, and values hold -0.0
+// (so an infinity can meet a zero).  Each row couples to at most one
+// non-finite z: IEEE 754 leaves open which payload NaN + NaN keeps, and a
+// compiler may commute a scalar add, so no kernel can promise those bits.
+TEST(SimdDispatch, SweepSegmentsAreBitwiseRowDotPlusClassUpdate) {
+  util::Rng rng(17);
+  const index_t n = 260;
+  // Rows [120, 140) are updated; every coupling reaches at least 25 rows
+  // away, outside that window, as in a colour class.
+  Vec z_finite = rng.uniform_vector(static_cast<std::size_t>(n), -1.0, 1.0);
+  for (index_t i = 0; i < n; i += 9) z_finite[i] = -0.0;
+  const Vec y0 = rng.uniform_vector(static_cast<std::size_t>(n), -1.0, 1.0);
+  const Vec r = rng.uniform_vector(static_cast<std::size_t>(n), -1.0, 1.0);
+  const Vec diag = rng.uniform_vector(static_cast<std::size_t>(n), 1.0, 2.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {inf, -inf,
+                             std::numeric_limits<double>::quiet_NaN()};
+  const auto offset = [](index_t k) {
+    return (k % 2 == 0 ? -1 : 1) * (25 + 5 * k);
+  };
+
+  // Leftover rows 134..139 over a CSR matrix with ragged segments.
+  la::CooBuilder coo(n, n);
+  for (index_t i = 134; i < 140; ++i) {
+    for (index_t k = 0; k < (i * 5) % 11; ++k) {
+      coo.add(i, i + offset(k + i % 3),
+              k % 4 == 0 ? -0.0 : rng.uniform(-1.0, 1.0));
+    }
+  }
+  const la::CsrMatrix a = coo.build();
+  const la::SellSegments rest = la::SellSegments::build(
+      a, a.row_ptr().data(), a.row_ptr().data() + 1,
+      std::vector<index_t>{134, 135, 136, 137, 138, 139});
+
+  for (const index_t len : {1, 2, 3, 4, 5, 6, 7, 8, 9}) {
+    for (const index_t terms : {0, 1, 7, 8, 9, 17}) {
+      // Run 0: rows [120, 120 + len) on `terms` offsets; run 1: rows
+      // [129, 129 + len1) on the others, ending before the leftovers.
+      const index_t len1 = std::min<index_t>(10 - len, 5);
+      const index_t terms1 = 17 - terms;
+      const std::vector<index_t> row{120, 129};
+      const std::vector<index_t> lens{len, len1};
+      const std::vector<index_t> off_ptr{0, terms, terms + terms1};
+      const std::vector<std::size_t> val_ptr{
+          0, static_cast<std::size_t>(terms * len)};
+      std::vector<index_t> off;
+      for (index_t k = 0; k < terms; ++k) off.push_back(offset(k));
+      for (index_t k = 0; k < terms1; ++k) off.push_back(offset(terms1 - k));
+      Vec val;
+      for (index_t q = 0; q < terms * len + terms1 * len1; ++q) {
+        val.push_back(q % 6 == 0 ? -0.0 : rng.uniform(-1.0, 1.0));
+      }
+      la::simd::RunView runs;
+      runs.val = val.data();
+      runs.off = off.data();
+      runs.off_ptr = off_ptr.data();
+      runs.val_ptr = val_ptr.data();
+      runs.row = row.data();
+      runs.len = lens.data();
+      runs.num_runs = 2;
+
+      // Every updated row's segment in CSR order: (row, values, columns).
+      struct Segment {
+        index_t row;
+        Vec val;
+        std::vector<index_t> col;
+      };
+      std::vector<Segment> segments;
+      for (index_t q = 0; q < 2; ++q) {
+        for (index_t t = 0; t < lens[q]; ++t) {
+          Segment seg{row[q] + t, {}, {}};
+          for (index_t k = off_ptr[q]; k < off_ptr[q + 1]; ++k) {
+            seg.col.push_back(seg.row + off[k]);
+            seg.val.push_back(
+                val[val_ptr[q] + (k - off_ptr[q]) * lens[q] + t]);
+          }
+          segments.push_back(seg);
+        }
+      }
+      for (index_t i = 134; i < 140; ++i) {
+        const auto b = a.row_ptr()[i];
+        const auto e = a.row_ptr()[i + 1];
+        segments.push_back({i, Vec(a.values().begin() + b,
+                                   a.values().begin() + e),
+                            std::vector<index_t>(a.col_idx().begin() + b,
+                                                 a.col_idx().begin() + e)});
+      }
+      // One non-finite z per row, at a row no other segment reads.
+      std::vector<int> readers(static_cast<std::size_t>(n), 0);
+      for (const Segment& seg : segments) {
+        for (const index_t c : seg.col) ++readers[c];
+      }
+      Vec z0 = z_finite;
+      std::size_t placed = 0;
+      for (const Segment& seg : segments) {
+        for (const index_t c : seg.col) {
+          if (readers[c] != 1) continue;
+          z0[c] = specials[placed++ % 3];
+          break;
+        }
+      }
+
+      for (const int form : {0, 1, 2}) {
+        const bool save = form == 2;
+        const bool last = form == 1;
+        const std::string what = "len=" + std::to_string(len) + " terms=" +
+                                 std::to_string(terms) + " form=" +
+                                 std::to_string(form);
+        const Vec out = both_paths(
+            [&] {
+              Vec z = z0;
+              Vec y = y0;
+              la::simd::sweep_segments(runs, rest.view(), diag.data(), 0.75,
+                                       save ? nullptr : r.data(), z.data(),
+                                       y.data(), last);
+              z.insert(z.end(), y.begin(), y.end());
+              return z;
+            },
+            what);
+
+        // The reference: row_dot over each row's segment, then the class
+        // update.
+        Vec z = z0;
+        Vec y = y0;
+        for (const Segment& seg : segments) {
+          const index_t i = seg.row;
+          const double sum =
+              la::simd::row_dot(seg.val.data(), seg.col.data(), z0.data(), 0,
+                                static_cast<index_t>(seg.col.size()));
+          if (save) {
+            y[i] = -sum;
+            continue;
+          }
+          z[i] = (y[i] - sum + 0.75 * r[i]) / diag[i];
+          y[i] = last ? 0.0 : -sum;
+        }
+        z.insert(z.end(), y.begin(), y.end());
+        EXPECT_TRUE(bitwise_equal(out, z)) << what;
+      }
     }
   }
 }
