@@ -23,7 +23,7 @@ MulticolorSweepPlan::MulticolorSweepPlan(const color::ColoredSystem& cs,
         "MulticolorSweepPlan: strips were not cut from this system");
   }
   const int ns = num_strips();
-  if (ns >= 2) halo = shard::HaloPlan(cs, this->strips, splits);
+  if (ns >= 2) halo = shard::HaloPlan(cs, this->strips);
 
   // Store every strip's row segments once, runs cut at strip boundaries:
   // each row's sum keeps row_dot's schedule and negation commutes with

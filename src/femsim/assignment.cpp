@@ -6,15 +6,6 @@
 
 namespace mstep::femsim {
 
-std::vector<std::vector<index_t>> Assignment::nodes_of_proc() const {
-  std::vector<std::vector<index_t>> out(nprocs);
-  for (index_t node = 0; node < static_cast<index_t>(proc_of_node.size());
-       ++node) {
-    if (proc_of_node[node] >= 0) out[proc_of_node[node]].push_back(node);
-  }
-  return out;
-}
-
 namespace {
 
 Assignment empty_assignment(const fem::PlateMesh& mesh, int p) {

@@ -19,8 +19,6 @@ namespace mstep::femsim {
 struct Assignment {
   int nprocs = 1;
   std::vector<int> proc_of_node;  // by node id; -1 for constrained nodes
-
-  [[nodiscard]] std::vector<std::vector<index_t>> nodes_of_proc() const;
 };
 
 /// Split the rows of unconstrained nodes into `p` contiguous horizontal

@@ -1,11 +1,7 @@
 #include "femsim/dist_solver.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <map>
-#include <set>
-#include <stdexcept>
 
 #include "core/mstep.hpp"
 #include "core/params.hpp"
@@ -43,25 +39,9 @@ DistributedPlateSolver::DistributedPlateSolver(
 
 void DistributedPlateSolver::build_proc_data(
     const std::vector<int>& owner, int nprocs) {
+  halo_ = shard::HaloPlan(cs_, owner, nprocs);  // validates the owner map
   const int nc = cs_.num_classes();
-  const index_t n = cs_.size();
-
-  if (static_cast<index_t>(owner.size()) != n) {
-    throw std::invalid_argument("build_proc_data: bad owner map size");
-  }
-  for (index_t i = 0; i < n; ++i) {
-    if (owner[i] < 0 || owner[i] >= nprocs) {
-      throw std::invalid_argument("build_proc_data: unassigned equation");
-    }
-  }
-
-  // Class of every equation.
-  std::vector<int> cls(n);
-  for (int c = 0; c < nc; ++c) {
-    for (index_t i = cs_.class_start[c]; i < cs_.class_start[c + 1]; ++i) {
-      cls[i] = c;
-    }
-  }
+  const auto& rp = cs_.matrix.row_ptr();
 
   pdata_.assign(nprocs, {});
   for (auto& pd : pdata_) {
@@ -69,46 +49,14 @@ void DistributedPlateSolver::build_proc_data(
     pd.nnz_lower.assign(nc, 0);
     pd.nnz_upper.assign(nc, 0);
   }
-
-  const auto& rp = cs_.matrix.row_ptr();
-  const auto& col = cs_.matrix.col_idx();
-
-  // Needs[p][q][class]: ghost ids processor p needs from q, per class.
-  std::vector<std::map<int, std::vector<std::set<index_t>>>> needs(nprocs);
-
-  for (index_t i = 0; i < n; ++i) {
-    const int p = owner[i];
-    ProcData& pd = pdata_[p];
-    pd.owned_by_class[cls[i]].push_back(i);
-    pd.owned.push_back(i);
-    pd.nnz_owned += rp[i + 1] - rp[i];
-    pd.nnz_lower[cls[i]] += splits_.lo_end[i] - rp[i];
-    pd.nnz_upper[cls[i]] += rp[i + 1] - splits_.up_begin[i];
-    for (index_t t = rp[i]; t < rp[i + 1]; ++t) {
-      const index_t j = col[t];
-      const int q = owner[j];
-      if (q == p) continue;
-      auto [it, inserted] = needs[p].try_emplace(q);
-      if (inserted) it->second.assign(nc, {});
-      it->second[cls[j]].insert(j);
-    }
-  }
-
-  for (int p = 0; p < nprocs; ++p) {
-    ProcData& pd = pdata_[p];
-    for (const auto& [q, ghost_sets] : needs[p]) {
-      pd.neighbors.push_back(q);
-      // recv from q: what I need.  send to q: what q needs from me.
-      std::vector<std::vector<index_t>> recv(nc), send(nc);
-      for (int c = 0; c < nc; ++c) {
-        recv[c].assign(ghost_sets[c].begin(), ghost_sets[c].end());
-        const auto it_q = needs[q].find(p);
-        if (it_q != needs[q].end()) {
-          send[c].assign(it_q->second[c].begin(), it_q->second[c].end());
-        }
-      }
-      pd.recv_ids.push_back(std::move(recv));
-      pd.send_ids.push_back(std::move(send));
+  for (int c = 0; c < nc; ++c) {
+    for (index_t i = cs_.class_start[c]; i < cs_.class_start[c + 1]; ++i) {
+      ProcData& pd = pdata_[owner[i]];
+      pd.owned_by_class[c].push_back(i);
+      pd.owned.push_back(i);
+      pd.nnz_owned += rp[i + 1] - rp[i];
+      pd.nnz_lower[c] += splits_.lo_end[i] - rp[i];
+      pd.nnz_upper[c] += rp[i + 1] - splits_.up_begin[i];
     }
   }
 }
@@ -143,42 +91,30 @@ DistResult DistributedPlateSolver::solve_with_traffic(
   const auto& val = a.values();
 
   auto program = [&](Proc& proc) {
-    const ProcData& pd = pdata_[proc.rank()];
-    const int nnbr = static_cast<int>(pd.neighbors.size());
+    const int me = proc.rank();
+    const ProcData& pd = pdata_[me];
 
     // Full-length workspaces; only owned + ghost entries are meaningful.
     Vec u(n, 0.0), r(n, 0.0), z(n, 0.0), p(n, 0.0), w(n, 0.0), y(n, 0.0);
 
     // --- helpers ----------------------------------------------------------
-    auto exchange_classes = [&](Vec& v, int c_first, int c_second, int tag) {
-      for (int b = 0; b < nnbr; ++b) {
+    // One record per neighbour: the border values of classes
+    // c_first..c_last, in the halo plan's row order on both ends.
+    auto exchange = [&](Vec& v, int c_first, int c_last, int tag) {
+      for (const int q : halo_.neighbors(me)) {
         std::vector<double> payload;
-        payload.reserve(pd.send_ids[b][c_first].size() +
-                        pd.send_ids[b][c_second].size());
-        for (index_t id : pd.send_ids[b][c_first]) payload.push_back(v[id]);
-        for (index_t id : pd.send_ids[b][c_second]) payload.push_back(v[id]);
-        proc.send(pd.neighbors[b], tag, std::move(payload));
-      }
-      for (int b = 0; b < nnbr; ++b) {
-        const std::vector<double> data = proc.recv(pd.neighbors[b], tag);
-        std::size_t k = 0;
-        for (index_t id : pd.recv_ids[b][c_first]) v[id] = data[k++];
-        for (index_t id : pd.recv_ids[b][c_second]) v[id] = data[k++];
-      }
-    };
-    auto exchange_all = [&](Vec& v, int tag) {
-      for (int b = 0; b < nnbr; ++b) {
-        std::vector<double> payload;
-        for (int c = 0; c < nc; ++c) {
-          for (index_t id : pd.send_ids[b][c]) payload.push_back(v[id]);
+        for (int c = c_first; c <= c_last; ++c) {
+          for (index_t id : halo_.recv_rows(q, me, c)) {
+            payload.push_back(v[id]);
+          }
         }
-        proc.send(pd.neighbors[b], tag, std::move(payload));
+        proc.send(q, tag, std::move(payload));
       }
-      for (int b = 0; b < nnbr; ++b) {
-        const std::vector<double> data = proc.recv(pd.neighbors[b], tag);
+      for (const int q : halo_.neighbors(me)) {
+        const std::vector<double> data = proc.recv(q, tag);
         std::size_t k = 0;
-        for (int c = 0; c < nc; ++c) {
-          for (index_t id : pd.recv_ids[b][c]) v[id] = data[k++];
+        for (int c = c_first; c <= c_last; ++c) {
+          for (index_t id : halo_.recv_rows(me, q, c)) v[id] = data[k++];
         }
       }
     };
@@ -242,7 +178,7 @@ DistResult DistributedPlateSolver::solve_with_traffic(
           }
           proc.compute(2 * pd.nnz_lower[c] +
                        4 * static_cast<long long>(pd.owned_by_class[c].size()));
-          if (c % 2 == 1) exchange_classes(zv, c - 1, c, /*tag=*/10 + c);
+          if (c % 2 == 1) exchange(zv, c - 1, c, /*tag=*/10 + c);
         }
         // Backward half-sweep (classes nc-2 .. 1; last skipped, first
         // deferred).  Border shipping after classes 4 and 2 keeps every
@@ -255,7 +191,7 @@ DistResult DistributedPlateSolver::solve_with_traffic(
           }
           proc.compute(2 * pd.nnz_upper[c] +
                        4 * static_cast<long long>(pd.owned_by_class[c].size()));
-          if (c % 2 == 0) exchange_classes(zv, c + 1, c, /*tag=*/20 + c);
+          if (c % 2 == 0) exchange(zv, c, c + 1, /*tag=*/20 + c);
         }
         // Save the first class's upper sums (solve deferred).
         for (index_t i : pd.owned_by_class[0]) yv[i] = upper_sum(i, zv);
@@ -280,7 +216,7 @@ DistResult DistributedPlateSolver::solve_with_traffic(
     bool converged = false;
     for (int it = 0; it < options.max_iterations; ++it) {
       // Border p values, one record per neighbour (all colours at once).
-      exchange_all(p, /*tag=*/1);
+      exchange(p, 0, nc - 1, /*tag=*/1);
       // w = K p on owned rows — the CSR SpMV row kernel.
       for (index_t i : pd.owned) {
         w[i] = la::simd::row_dot(val.data(), col.data(), p.data(), rp[i],

@@ -11,9 +11,13 @@
 // packaging the paper recommends ("think of the two equations at the same
 // node as being the same color").
 //
-// Exchange schedule.  Because same-colour nodes never couple and the u/v
-// pair of one node lives on one processor, the operator stays EXACTLY the
-// sequential one when borders are exchanged after every completed
+// Exchange schedule.  What travels comes from the one halo census,
+// shard::HaloPlan over the processor owner map: processor p sends each
+// q in neighbors(p) the rows of the finished classes that q reads from p
+// (recv_rows(q, p, c)) and reads back recv_rows(p, q, c).  When it
+// travels is fixed here.  Because same-colour nodes never couple and the
+// u/v pair of one node lives on one processor, the operator stays EXACTLY
+// the sequential one when borders are exchanged after every completed
 // geometric colour: forward after classes (0,1), (2,3), (4,5); backward
 // after (5,4) and (3,2) — five record exchanges per neighbour per step.
 // (The scanned Algorithm 3 is ambiguous about the backward trigger parity;
@@ -27,6 +31,7 @@
 #include "fem/plane_stress.hpp"
 #include "femsim/assignment.hpp"
 #include "femsim/machine.hpp"
+#include "shard/halo.hpp"
 
 namespace mstep::femsim {
 
@@ -68,7 +73,8 @@ class DistributedPlateSolver {
                          const Assignment& assignment);
 
   /// General path: a coloured system, its right-hand side (coloured
-  /// ordering) and the owning processor of every coloured equation.
+  /// ordering) and the owning processor of every coloured equation
+  /// (std::invalid_argument unless each is in [0, nprocs)).
   DistributedPlateSolver(color::ColoredSystem cs, Vec f_colored,
                          const std::vector<int>& owner_of_eq, int nprocs);
 
@@ -92,11 +98,6 @@ class DistributedPlateSolver {
     long long nnz_owned = 0;
     std::vector<long long> nnz_lower;  // per class, owned rows
     std::vector<long long> nnz_upper;
-    std::vector<int> neighbors;  // communicating processor ranks (sorted)
-    // send_ids[nbr][class]: my owned ids whose values neighbour nbr needs;
-    // recv_ids[nbr][class]: ghost ids I need from neighbour nbr.
-    std::vector<std::vector<std::vector<index_t>>> send_ids;
-    std::vector<std::vector<std::vector<index_t>>> recv_ids;
   };
 
   void build_proc_data(const std::vector<int>& owner_of_eq, int nprocs);
@@ -104,6 +105,7 @@ class DistributedPlateSolver {
   color::ColoredSystem cs_;
   Vec f_colored_;
   color::RowSplits splits_;  // diagonal + lower/upper row split points
+  shard::HaloPlan halo_;     // border rows every processor pair exchanges
   std::vector<ProcData> pdata_;
 };
 

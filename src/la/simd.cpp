@@ -145,25 +145,12 @@ void xpay(const double* x, double b, double* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] = x[i] + b * y[i];
 }
 
-void waxpby(double a, const double* x, double b, const double* y, double* w,
-            std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) w[i] = a * x[i] + b * y[i];
-}
-
 void scale_copy(double a, const double* x, double* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] = a * x[i];
 }
 
 void hadamard(const double* x, const double* y, double* w, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) w[i] = x[i] * y[i];
-}
-
-void vsub(const double* x, const double* y, double* w, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) w[i] = x[i] - y[i];
-}
-
-void vadd(const double* x, const double* y, double* w, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) w[i] = x[i] + y[i];
 }
 
 void csr_spmv_rows(const index_t* rp, const index_t* col, const double* val,
@@ -436,25 +423,12 @@ void xpay(const double* x, double b, double* y, std::size_t n) {
   MSTEP_SIMD_DISPATCH(xpay(x, b, y, n));
 }
 
-void waxpby(double a, const double* x, double b, const double* y, double* w,
-            std::size_t n) {
-  MSTEP_SIMD_DISPATCH(waxpby(a, x, b, y, w, n));
-}
-
 void scale_copy(double a, const double* x, double* y, std::size_t n) {
   MSTEP_SIMD_DISPATCH(scale_copy(a, x, y, n));
 }
 
 void hadamard(const double* x, const double* y, double* w, std::size_t n) {
   MSTEP_SIMD_DISPATCH(hadamard(x, y, w, n));
-}
-
-void vsub(const double* x, const double* y, double* w, std::size_t n) {
-  MSTEP_SIMD_DISPATCH(vsub(x, y, w, n));
-}
-
-void vadd(const double* x, const double* y, double* w, std::size_t n) {
-  MSTEP_SIMD_DISPATCH(vadd(x, y, w, n));
 }
 
 void csr_spmv_rows(const index_t* rp, const index_t* col, const double* val,

@@ -99,13 +99,9 @@ class SimdModeGuard {
 
 void axpy(double a, const double* x, double* y, std::size_t n);
 void xpay(const double* x, double b, double* y, std::size_t n);
-void waxpby(double a, const double* x, double b, const double* y, double* w,
-            std::size_t n);
 /// y[i] = a * x[i]; x == y aliasing allowed (in-place scale).
 void scale_copy(double a, const double* x, double* y, std::size_t n);
 void hadamard(const double* x, const double* y, double* w, std::size_t n);
-void vsub(const double* x, const double* y, double* w, std::size_t n);
-void vadd(const double* x, const double* y, double* w, std::size_t n);
 
 // ---- sparse kernels ---------------------------------------------------------
 

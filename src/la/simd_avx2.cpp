@@ -181,19 +181,6 @@ void xpay(const double* x, double b, double* y, std::size_t n) {
   for (; i < n; ++i) y[i] = x[i] + b * y[i];
 }
 
-void waxpby(double a, const double* x, double b, const double* y, double* w,
-            std::size_t n) {
-  const __m256d av = _mm256_set1_pd(a);
-  const __m256d bv = _mm256_set1_pd(b);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        w + i, _mm256_add_pd(_mm256_mul_pd(av, _mm256_loadu_pd(x + i)),
-                             _mm256_mul_pd(bv, _mm256_loadu_pd(y + i))));
-  }
-  for (; i < n; ++i) w[i] = a * x[i] + b * y[i];
-}
-
 void scale_copy(double a, const double* x, double* y, std::size_t n) {
   const __m256d av = _mm256_set1_pd(a);
   std::size_t i = 0;
@@ -210,24 +197,6 @@ void hadamard(const double* x, const double* y, double* w, std::size_t n) {
         w + i, _mm256_mul_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i)));
   }
   for (; i < n; ++i) w[i] = x[i] * y[i];
-}
-
-void vsub(const double* x, const double* y, double* w, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        w + i, _mm256_sub_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i)));
-  }
-  for (; i < n; ++i) w[i] = x[i] - y[i];
-}
-
-void vadd(const double* x, const double* y, double* w, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        w + i, _mm256_add_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i)));
-  }
-  for (; i < n; ++i) w[i] = x[i] + y[i];
 }
 
 namespace {

@@ -22,12 +22,8 @@ namespace mstep::la::simd::avx2 {
 
 void axpy(double a, const double* x, double* y, std::size_t n);
 void xpay(const double* x, double b, double* y, std::size_t n);
-void waxpby(double a, const double* x, double b, const double* y, double* w,
-            std::size_t n);
 void scale_copy(double a, const double* x, double* y, std::size_t n);
 void hadamard(const double* x, const double* y, double* w, std::size_t n);
-void vsub(const double* x, const double* y, double* w, std::size_t n);
-void vadd(const double* x, const double* y, double* w, std::size_t n);
 
 void csr_spmv_rows(const index_t* rp, const index_t* col, const double* val,
                    const double* x, double* y, index_t row_begin,

@@ -23,12 +23,6 @@ void xpay(const Vec& x, double b, Vec& y) {
   simd::xpay(x.data(), b, y.data(), x.size());
 }
 
-void waxpby(double a, const Vec& x, double b, const Vec& y, Vec& w) {
-  assert(x.size() == y.size());
-  w.resize(x.size());
-  simd::waxpby(a, x.data(), b, y.data(), w.data(), x.size());
-}
-
 void scale(double a, Vec& x) { simd::scale_copy(a, x.data(), x.data(), x.size()); }
 
 namespace detail {
@@ -73,13 +67,7 @@ void fill(Vec& x, double value) {
 void sub(const Vec& x, const Vec& y, Vec& w) {
   assert(x.size() == y.size());
   w.resize(x.size());
-  simd::vsub(x.data(), y.data(), w.data(), x.size());
-}
-
-void add(const Vec& x, const Vec& y, Vec& w) {
-  assert(x.size() == y.size());
-  w.resize(x.size());
-  simd::vadd(x.data(), y.data(), w.data(), x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) w[i] = x[i] - y[i];
 }
 
 void hadamard(const Vec& x, const Vec& y, Vec& w) {

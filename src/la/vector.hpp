@@ -44,9 +44,6 @@ void axpy(double a, const Vec& x, Vec& y);
 /// y <- x + b*y   (the "xpay" update used for the CG direction p)
 void xpay(const Vec& x, double b, Vec& y);
 
-/// w <- a*x + b*y
-void waxpby(double a, const Vec& x, double b, const Vec& y, Vec& w);
-
 /// x <- a*x
 void scale(double a, Vec& x);
 
@@ -69,9 +66,6 @@ void fill(Vec& x, double value);
 
 /// w <- x - y
 void sub(const Vec& x, const Vec& y, Vec& w);
-
-/// w <- x + y
-void add(const Vec& x, const Vec& y, Vec& w);
 
 /// Elementwise product w <- x .* y (diagonal-matrix application).
 void hadamard(const Vec& x, const Vec& y, Vec& w);

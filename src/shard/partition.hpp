@@ -49,6 +49,8 @@ class ShardPlan {
 
   /// Owning shard of a (permuted) row.
   [[nodiscard]] int owner_of(index_t row) const { return owner_[row]; }
+  /// owner_of for every row: the owner map shard::HaloPlan takes.
+  [[nodiscard]] const std::vector<int>& owners() const { return owner_; }
 
   [[nodiscard]] const std::vector<index_t>& class_start() const {
     return class_start_;

@@ -165,7 +165,9 @@ TEST(MaskedLayout, ExpandCompressRoundTrip) {
   }
   // Suppressed slots stay zero after expand.
   for (index_t slot = 0; slot < layout.padded_size(); ++slot) {
-    if (!layout.control()[slot]) EXPECT_DOUBLE_EQ(padded[slot], 0.0);
+    if (!layout.control()[slot]) {
+      EXPECT_DOUBLE_EQ(padded[slot], 0.0);
+    }
   }
 }
 

@@ -264,8 +264,12 @@ TEST(Poisson, RedBlackColoringAlternates) {
   const PoissonProblem p(4, 4);
   for (int j = 0; j < 4; ++j) {
     for (int i = 0; i < 4; ++i) {
-      if (i + 1 < 4) EXPECT_NE(p.color(i, j), p.color(i + 1, j));
-      if (j + 1 < 4) EXPECT_NE(p.color(i, j), p.color(i, j + 1));
+      if (i + 1 < 4) {
+        EXPECT_NE(p.color(i, j), p.color(i + 1, j));
+      }
+      if (j + 1 < 4) {
+        EXPECT_NE(p.color(i, j), p.color(i, j + 1));
+      }
     }
   }
 }

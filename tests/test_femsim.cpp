@@ -3,6 +3,7 @@
 // solver's exact agreement with the sequential algorithms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "color/coloring.hpp"
@@ -15,6 +16,8 @@
 #include "femsim/assignment.hpp"
 #include "femsim/dist_solver.hpp"
 #include "femsim/machine.hpp"
+#include "shard/halo.hpp"
+#include "util/rng.hpp"
 
 namespace mstep::femsim {
 namespace {
@@ -488,6 +491,54 @@ TEST(DistSolver, TrafficOnlyBetweenNeighbors) {
   for (int i = 0; i < 5; ++i) {
     for (int j = 0; j < 5; ++j) {
       if (std::abs(i - j) == 1) {
+        EXPECT_GT(traffic[i][j], 0) << i << "->" << j;
+      } else {
+        EXPECT_EQ(traffic[i][j], 0) << i << "->" << j;
+      }
+    }
+  }
+}
+
+// Any node->processor map, not only the paper's strips and blocks: a
+// seeded random map on the 9x10 plate (both dofs of a node on one
+// processor, as the exchange schedule requires) keeps the P=1 iteration
+// count, and records flow exactly between halo-plan neighbours.  Each
+// node draws one of two processors of its column strip, so processors of
+// strips 0 and 2 never couple and the zero-traffic side is exercised too.
+TEST(DistSolver, RandomNodeMapMatchesOneProcessorAndHaloNeighbors) {
+  const fem::PlateMesh mesh(9, 10);
+  const fem::Material mat;
+  const fem::EdgeLoad load{1.0, 0.0};
+  constexpr int kProcs = 6;
+  Assignment assign = column_strips(mesh, kProcs / 2);
+  assign.nprocs = kProcs;
+  util::Rng rng(2024);
+  for (int& proc : assign.proc_of_node) {
+    if (proc >= 0) proc = 2 * proc + static_cast<int>(rng.uniform_index(2));
+  }
+  const DistributedPlateSolver random(mesh, mat, load, assign);
+  const DistributedPlateSolver single(mesh, mat, load, row_bands(mesh, 1));
+
+  DistOptions opt;
+  opt.m = 2;
+  opt.tolerance = 1e-5;
+  std::vector<std::vector<long long>> traffic;
+  const DistResult dist = random.solve_with_traffic(opt, &traffic);
+  EXPECT_TRUE(dist.converged);
+  EXPECT_EQ(dist.iterations, single.solve(opt).iterations);
+
+  const auto& cs = random.colored_system();
+  std::vector<int> owner(cs.size());
+  for (index_t eq = 0; eq < cs.size(); ++eq) {
+    owner[cs.inv_perm[eq]] =
+        assign.proc_of_node[mesh.equation_node_dof(eq).first];
+  }
+  const shard::HaloPlan halo(cs, owner, kProcs);
+  EXPECT_LT(halo.neighbors(0).size(), static_cast<std::size_t>(kProcs - 1));
+  for (int i = 0; i < kProcs; ++i) {
+    const auto& nbrs = halo.neighbors(i);
+    for (int j = 0; j < kProcs; ++j) {
+      if (std::find(nbrs.begin(), nbrs.end(), j) != nbrs.end()) {
         EXPECT_GT(traffic[i][j], 0) << i << "->" << j;
       } else {
         EXPECT_EQ(traffic[i][j], 0) << i << "->" << j;

@@ -145,7 +145,9 @@ TEST(Quadrature, NodesSymmetricAndSorted) {
   const QuadratureRule rule = gauss_legendre(7);
   for (int i = 0; i < 7; ++i) {
     EXPECT_NEAR(rule.nodes[i], -rule.nodes[6 - i], 1e-13);
-    if (i > 0) EXPECT_GT(rule.nodes[i], rule.nodes[i - 1]);
+    if (i > 0) {
+      EXPECT_GT(rule.nodes[i], rule.nodes[i - 1]);
+    }
   }
 }
 

@@ -34,15 +34,6 @@ TEST(Blas1, XpayFormsCgDirectionUpdate) {
   EXPECT_DOUBLE_EQ(p[1], 3.0);
 }
 
-TEST(Blas1, WaxpbyCombines) {
-  Vec x = {1.0, 0.0};
-  Vec y = {0.0, 1.0};
-  Vec w;
-  waxpby(3.0, x, -2.0, y, w);
-  EXPECT_DOUBLE_EQ(w[0], 3.0);
-  EXPECT_DOUBLE_EQ(w[1], -2.0);
-}
-
 TEST(Blas1, DotMatchesHandComputation) {
   Vec x = {1.0, 2.0, -3.0};
   Vec y = {4.0, -5.0, 6.0};

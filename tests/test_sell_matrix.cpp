@@ -55,8 +55,11 @@ TEST(SellMatrix, FromCsrPreservesEveryEntryInRowOrder) {
   EXPECT_EQ(s.num_nonzero_diagonals(), a.num_nonzero_diagonals());
 
   // The permutation is a bijection onto the real rows (padding slots -1).
+  const simd::SellView v = s.view();
+  constexpr index_t kC = SellSegments::kSliceHeight;
   std::set<index_t> seen;
-  for (const index_t g : s.permutation()) {
+  for (index_t slot = 0; slot < v.num_slices * kC; ++slot) {
+    const index_t g = v.perm[slot];
     if (g < 0) continue;
     EXPECT_TRUE(seen.insert(g).second) << "row " << g << " stored twice";
   }
@@ -64,8 +67,6 @@ TEST(SellMatrix, FromCsrPreservesEveryEntryInRowOrder) {
 
   // Reconstruct each row from the slice-column-major storage and compare
   // with the CSR source entry for entry.
-  const simd::SellView v = s.view();
-  constexpr index_t kC = SellMatrix::kSliceHeight;
   for (index_t sl = 0; sl < v.num_slices; ++sl) {
     for (index_t r = 0; r < kC; ++r) {
       const index_t slot = sl * kC + r;
@@ -81,6 +82,14 @@ TEST(SellMatrix, FromCsrPreservesEveryEntryInRowOrder) {
       }
     }
   }
+}
+
+// A padded lane gathers x at its slice's first row id, so only a square
+// matrix has that entry.
+TEST(SellMatrix, RejectsNonSquareMatrix) {
+  CooBuilder b(5, 3);
+  b.add(4, 0, 1.0);
+  EXPECT_THROW((void)SellMatrix::from_csr(b.build()), std::invalid_argument);
 }
 
 TEST(SellMatrix, SigmaWindowSortOrdersSliceMatesByLength) {
@@ -129,11 +138,12 @@ TEST(SellSegments, PaddingPointsInsideItsRowList) {
   for (index_t i = 5; i < a.rows() - 6; ++i) {
     if (i % 3 != 0) rows.push_back(i);
   }
-  ASSERT_NE(static_cast<index_t>(rows.size()) % SellMatrix::kSliceHeight, 0);
+  ASSERT_NE(static_cast<index_t>(rows.size()) % SellSegments::kSliceHeight,
+            0);
   const SellSegments segs = SellSegments::build(a, a.row_ptr().data(),
                                                 a.row_ptr().data() + 1, rows);
   const simd::SellView v = segs.view();
-  const index_t h = SellMatrix::kSliceHeight;
+  const index_t h = SellSegments::kSliceHeight;
   std::size_t padded = 0;
   for (index_t sl = 0; sl < v.num_slices; ++sl) {
     const std::size_t base = v.slice_ptr[sl];
@@ -216,7 +226,7 @@ CsrMatrix skewed_spd_matrix(index_t n) {
       b.add(i + 1, i, -1.0);
     }
   }
-  for (index_t d = 0; d < n; d += SellMatrix::kDefaultSigma) {
+  for (index_t d = 0; d < n; d += SellSegments::kDefaultSigma) {
     for (index_t j = 0; j < n; ++j) {
       if (j == d || (j + 1 == d || d + 1 == j)) continue;
       b.add(d, j, -0.01);

@@ -1,11 +1,13 @@
 // The shard partitioner and the halo census, unit level: equal contiguous
 // strips per color block with the femsim equal-strip rule, clamping, EXACT
-// ghost sets (brute-forced from the matrix graph — no row no phase reads,
-// none missing) on a 9-point stencil and the paper's FEM plate, and legal
-// empty-boundary shards.
+// ghost sets and neighbour lists (brute-forced from the matrix graph: every
+// stored off-part column of every owned row, none missing) on a 9-point
+// stencil and the paper's FEM plate for strips and seeded random owner
+// maps, rejected bad owner maps, and legal empty-boundary shards.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -44,7 +46,9 @@ TEST(ShardPlan, EqualStripsPerClassWithFemsimRule) {
     ASSERT_EQ(plan.end(plan.num_shards() - 1, c), class_start[c + 1]);
     for (int s = 0; s < plan.num_shards(); ++s) {
       ASSERT_LE(plan.begin(s, c), plan.end(s, c));
-      if (s > 0) ASSERT_EQ(plan.begin(s, c), plan.end(s - 1, c));
+      if (s > 0) {
+        ASSERT_EQ(plan.begin(s, c), plan.end(s - 1, c));
+      }
       const index_t size = plan.end(s, c) - plan.begin(s, c);
       ASSERT_GE(size, len / 4);
       ASSERT_LE(size, (len + 3) / 4);
@@ -85,78 +89,134 @@ int class_of_row(const std::vector<index_t>& class_start, index_t row) {
   return c;
 }
 
-// Brute-force the ghost sets straight from the matrix graph and the sweep
-// structure: a shard needs EXACTLY the off-shard rows its strictly-lower
-// sums read (every class) and its strictly-upper sums read (every class
-// except the last — the backward recursion never sums the last class's
-// upper block), nothing more and nothing less.
-void expect_exact_halo(const std::string& spec, int shards) {
-  const problems::Problem p =
-      problems::ProblemRegistry::instance().create(spec);
-  ASSERT_TRUE(p.has_classes()) << spec;
-  const auto cs = color::make_colored_system(p.matrix, p.classes);
-  const auto splits = color::compute_row_splits(cs);
-  const ShardPlan plan = ShardPlan::build(cs.class_start, shards);
-  ASSERT_EQ(plan.num_shards(), shards) << spec;
-  const HaloPlan halo(cs, plan, splits);
-
-  const int ns = plan.num_shards();
-  const int nc = plan.num_classes();
+// Brute-force the ghost sets straight from the matrix graph: part s reads
+// EXACTLY the off-part columns stored in its rows — the product reads
+// every one, the sweeps the strictly-lower and strictly-upper ones, and
+// a valid colouring's diagonal class blocks hold only the diagonal —
+// nothing more and nothing less.  The neighbours of s are the parts it
+// reads from or is read by, which makes the relation symmetric.
+void expect_exact_halo(const color::ColoredSystem& cs,
+                       const std::vector<int>& owner, int parts,
+                       const HaloPlan& halo, const std::string& what) {
+  const int nc = cs.num_classes();
   const std::vector<index_t>& rp = cs.matrix.row_ptr();
   const std::vector<index_t>& col = cs.matrix.col_idx();
 
   std::vector<std::set<index_t>> expected(
-      static_cast<std::size_t>(ns) * ns * nc);
+      static_cast<std::size_t>(parts) * parts * nc);
   for (index_t i = 0; i < cs.size(); ++i) {
-    const int s = plan.owner_of(i);
-    const int ci = class_of_row(cs.class_start, i);
-    auto visit = [&](index_t a, index_t b) {
-      for (index_t k = a; k < b; ++k) {
-        const index_t j = col[k];
-        const int t = plan.owner_of(j);
-        if (t == s) continue;
-        const int cj = class_of_row(cs.class_start, j);
-        expected[(static_cast<std::size_t>(s) * ns + t) * nc + cj].insert(j);
-      }
-    };
-    visit(rp[i], splits.lo_end[i]);  // lower sums: read by every class
-    if (ci != nc - 1) {
-      // Upper sums: the last class's upper block is never summed (the
-      // backward phases stop before it), so fetching it would be
-      // over-fetch — exactly what this test guards.
-      visit(splits.up_begin[i], rp[i + 1]);
+    const int s = owner[i];
+    for (index_t k = rp[i]; k < rp[i + 1]; ++k) {
+      const index_t j = col[k];
+      const int t = owner[j];
+      if (t == s) continue;
+      const int cj = class_of_row(cs.class_start, j);
+      expected[(static_cast<std::size_t>(s) * parts + t) * nc + cj].insert(j);
     }
   }
 
-  std::size_t total_edges = 0;
-  for (int to = 0; to < ns; ++to) {
+  std::vector<std::set<int>> linked(parts);
+  for (int to = 0; to < parts; ++to) {
     std::size_t ghost = 0;
-    for (int from = 0; from < ns; ++from) {
+    for (int from = 0; from < parts; ++from) {
       for (int c = 0; c < nc; ++c) {
         const auto& want =
-            expected[(static_cast<std::size_t>(to) * ns + from) * nc + c];
+            expected[(static_cast<std::size_t>(to) * parts + from) * nc + c];
         const auto& got = halo.recv_rows(to, from, c);
         ASSERT_TRUE(std::is_sorted(got.begin(), got.end()));
         ASSERT_EQ(std::set<index_t>(got.begin(), got.end()).size(),
                   got.size());
         ASSERT_EQ(std::vector<index_t>(want.begin(), want.end()), got)
-            << spec << " to=" << to << " from=" << from << " class=" << c;
+            << what << " to=" << to << " from=" << from << " class=" << c;
         ghost += got.size();
-        if (!got.empty()) ++total_edges;
+        if (!got.empty()) {
+          linked[to].insert(from);
+          linked[from].insert(to);
+        }
       }
     }
-    ASSERT_EQ(halo.ghost_count(to), ghost) << spec << " shard " << to;
+    ASSERT_EQ(halo.ghost_count(to), ghost) << what << " part " << to;
   }
-  ASSERT_GT(total_edges, 0u) << spec << ": a connected stencil must halo";
+  for (int s = 0; s < parts; ++s) {
+    ASSERT_EQ(std::vector<int>(linked[s].begin(), linked[s].end()),
+              halo.neighbors(s))
+        << what << " part " << s;
+    for (const int t : halo.neighbors(s)) {
+      const auto& back = halo.neighbors(t);
+      ASSERT_TRUE(std::find(back.begin(), back.end(), s) != back.end())
+          << what << ": " << s << " lists " << t << " but not back";
+    }
+  }
+}
+
+void expect_exact_strip_halo(const std::string& spec, int shards) {
+  const problems::Problem p =
+      problems::ProblemRegistry::instance().create(spec);
+  ASSERT_TRUE(p.has_classes()) << spec;
+  const auto cs = color::make_colored_system(p.matrix, p.classes);
+  const ShardPlan plan = ShardPlan::build(cs.class_start, shards);
+  ASSERT_EQ(plan.num_shards(), shards) << spec;
+  for (index_t i = 0; i < cs.size(); ++i) {
+    ASSERT_EQ(plan.owners()[i], plan.owner_of(i));
+  }
+  const HaloPlan halo(cs, plan);
+  expect_exact_halo(cs, plan.owners(), shards, halo, spec);
+  std::size_t ghost = 0;
+  for (int s = 0; s < shards; ++s) ghost += halo.ghost_count(s);
+  ASSERT_GT(ghost, 0u) << spec << ": a connected stencil must halo";
 }
 
 TEST(HaloPlan, GhostSetsAreExactOnStencil9) {
-  expect_exact_halo("stencil9:n=9", 3);
-  expect_exact_halo("stencil9:nx=11:ny=7", 4);
+  expect_exact_strip_halo("stencil9:n=9", 3);
+  expect_exact_strip_halo("stencil9:nx=11:ny=7", 4);
 }
 
 TEST(HaloPlan, GhostSetsAreExactOnFemPlate) {
-  expect_exact_halo("femplate:a=6", 3);
+  expect_exact_strip_halo("femplate:a=6", 3);
+}
+
+// Any owner map, not just strips: seeded random maps with 1..5 parts, the
+// last part left without a single row on every other seed.
+TEST(HaloPlan, GhostSetsAreExactForRandomOwnerMaps) {
+  for (const char* spec : {"stencil9:n=9", "femplate:a=6"}) {
+    const problems::Problem p =
+        problems::ProblemRegistry::instance().create(spec);
+    const auto cs = color::make_colored_system(p.matrix, p.classes);
+    for (int parts = 1; parts <= 5; ++parts) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        util::Rng rng(seed * 31 + static_cast<std::uint64_t>(parts));
+        const bool idle_part = parts >= 2 && seed % 2 == 0;
+        const auto drawn = static_cast<std::uint64_t>(parts - idle_part);
+        std::vector<int> owner(cs.size());
+        for (auto& o : owner) o = static_cast<int>(rng.uniform_index(drawn));
+        const HaloPlan halo(cs, owner, parts);
+        const std::string what = std::string(spec) + " parts=" +
+                                 std::to_string(parts) +
+                                 " seed=" + std::to_string(seed);
+        expect_exact_halo(cs, owner, parts, halo, what);
+        if (idle_part) {
+          ASSERT_EQ(halo.ghost_count(parts - 1), 0u) << what;
+          ASSERT_TRUE(halo.neighbors(parts - 1).empty()) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(HaloPlan, RejectsBadOwnerMaps) {
+  const problems::Problem p =
+      problems::ProblemRegistry::instance().create("stencil9:n=5");
+  const auto cs = color::make_colored_system(p.matrix, p.classes);
+  std::vector<int> owner(cs.size(), 0);
+  EXPECT_THROW(HaloPlan(cs, std::vector<int>(cs.size() - 1, 0), 2),
+               std::invalid_argument);
+  owner.back() = 2;
+  EXPECT_THROW(HaloPlan(cs, owner, 2), std::invalid_argument);
+  owner.back() = -1;
+  EXPECT_THROW(HaloPlan(cs, owner, 2), std::invalid_argument);
+  owner.back() = 0;
+  EXPECT_THROW(HaloPlan(cs, owner, 0), std::invalid_argument);
+  EXPECT_NO_THROW(HaloPlan(cs, owner, 2));
 }
 
 // ---- empty-boundary shards --------------------------------------------------
@@ -183,11 +243,11 @@ TEST(HaloPlan, EmptyBoundaryShardsAreLegal) {
     classes.classes[i % 2].push_back(i);
   }
   const auto cs = color::make_colored_system(k, classes);
-  const auto splits = color::compute_row_splits(cs);
   const ShardPlan plan = ShardPlan::build(cs.class_start, 4);
-  const HaloPlan halo(cs, plan, splits);
+  const HaloPlan halo(cs, plan);
   for (int s = 0; s < 4; ++s) {
     ASSERT_EQ(halo.ghost_count(s), 0u);
+    ASSERT_TRUE(halo.neighbors(s).empty());
     for (int c = 0; c < 2; ++c) {
       for (int t = 0; t < 4; ++t) {
         ASSERT_TRUE(halo.recv_rows(s, t, c).empty());
