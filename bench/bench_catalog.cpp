@@ -50,8 +50,8 @@ int main(int argc, char** argv) {
     const int m = cli.get_int("m", 2);
     const double tol = cli.get_double("tol", 1e-8);
     const int threads = cli.get_int("threads", 0);
-    // csr | dia | sell | auto — auto routes each problem through the
-    // format probes, and the per-row "format_selected" records the pick.
+    // csr | dia | sell | auto — a parse alias: every solve runs on the one
+    // run storage, which the per-row "format_selected" records.
     const solver::MatrixFormat format =
         solver::matrix_format_from_string(cli.get("format", "csr"));
     const double error_cap = cli.get_double("error-cap", 1e-5);

@@ -10,9 +10,10 @@
 // only — SELL padding does not count).  The scale-free column the CI perf
 // gate checks is `simd_speedup` = scalar seconds / simd seconds; the
 // machine-independent hard check is `bitwise_match_scalar` — both paths
-// must produce IDENTICAL bits (the la/simd.hpp contract).  The SELL SpMV
-// result is additionally compared bitwise against the CSR result
-// in-process (the format-registry claim); any mismatch exits 1.  The
+// must produce IDENTICAL bits (the la/simd.hpp contract).  The SELL and
+// DIA SpMV results are additionally compared bitwise against the CSR
+// result in-process; any mismatch exits 1.  The DIA row (the run storage)
+// runs on the colour-permuted plate, the ordering it is built for.  The
 // sweep/csr row also reports `run_row_frac`, the share of swept rows the
 // plan stores as constant-offset runs (ungated).
 //
@@ -229,16 +230,28 @@ int main(int argc, char** argv) {
       rows.push_back(r);
     }
     {
-      const la::DiaMatrix dia = la::DiaMatrix::from_csr(csr);
+      // The run storage on the colour-permuted plate, the matrix the solver
+      // builds it for: the natural ordering interleaves the two unknowns
+      // per node, so no four consecutive rows share an offset list and the
+      // product would be CSR's kernel.
+      const auto cs = color::make_colored_system(
+          csr, color::six_color_classes(mesh));
+      const la::DiaMatrix dia = la::DiaMatrix::from_csr(cs.matrix);
+      Vec dia_scalar_out;
+      {
+        const la::simd::SimdModeGuard guard(la::simd::SimdMode::kForceScalar);
+        cs.matrix.multiply(x, dia_scalar_out);
+      }
       Row r;
       r.kernel = "spmv";
       r.format = "dia";
       r.n = n;
       r.flops_per_apply = 2 * nnz;
-      // Per triad element: v read, x read, y read+write; stored elements
-      // bounded above by n per diagonal.
+      // Per value read (run values, rest rows' CSR entries): value and x
+      // read; y written once per row.  Run offsets are per run, not per
+      // entry, and the rest rows' column indices are not counted.
       r.bytes_per_apply =
-          32LL * static_cast<long long>(dia.num_diagonals()) * n + 8LL * n;
+          16LL * static_cast<long long>(dia.stored_values()) + 8LL * n;
       measure(&r, [&] { dia.multiply(x, y); },
               [&] {
                 Vec fresh;
@@ -247,6 +260,11 @@ int main(int argc, char** argv) {
               },
               target_flops, repeats);
       rows.push_back(r);
+      dia.multiply(x, y);
+      if (y != dia_scalar_out) {
+        std::cerr << "DIA SpMV is not bitwise CSR SpMV!\n";
+        return 1;
+      }
     }
     {
       const la::SellMatrix sell = la::SellMatrix::from_csr(csr);

@@ -1,5 +1,6 @@
 #include "core/multicolor_mstep.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -8,13 +9,13 @@
 
 namespace mstep::core {
 
-MulticolorSweepPlan::MulticolorSweepPlan(const color::ColoredSystem& cs,
-                                         std::vector<double> alphas,
-                                         shard::ShardPlan strips)
+MulticolorSweepPlan::MulticolorSweepPlan(
+    const color::ColoredSystem& cs, std::vector<double> alphas,
+    shard::ShardPlan strips, std::shared_ptr<const la::DiaMatrix> store)
     : cs(&cs), alphas(std::move(alphas)),
       splits(color::compute_row_splits(cs)),
       census(color::compute_class_diagonal_census(cs, splits)),
-      strips(std::move(strips)) {
+      strips(std::move(strips)), store(std::move(store)) {
   if (this->alphas.empty()) {
     throw std::invalid_argument("MulticolorSweepPlan: need m >= 1");
   }
@@ -25,18 +26,30 @@ MulticolorSweepPlan::MulticolorSweepPlan(const color::ColoredSystem& cs,
   const int ns = num_strips();
   if (ns >= 2) halo = shard::HaloPlan(cs, this->strips);
 
-  // Store every strip's row segments once, runs cut at strip boundaries:
-  // each row's sum keeps row_dot's schedule and negation commutes with
-  // rounding, so a strip's sums are the whole-class sums.
+  // View every strip's row segments in the store, whose runs never cross a
+  // cell: each row's sum keeps row_dot's schedule and negation commutes
+  // with rounding, so a strip's sums are the whole-class sums.
+  const std::vector<index_t> cells = this->strips.cell_bounds();
+  if (!this->store) {
+    this->store = std::make_shared<const la::DiaMatrix>(
+        la::DiaMatrix::from_csr(cs.matrix, cells));
+  }
+  const std::vector<index_t>& cuts = this->store->cuts();
+  if (this->store->rows() != cs.size() ||
+      !std::includes(cuts.begin(), cuts.end(), cells.begin(), cells.end())) {
+    throw std::invalid_argument(
+        "MulticolorSweepPlan: the store is not cut at the strip cells");
+  }
   const auto& rp = cs.matrix.row_ptr();
   for (int s = 0; s < ns; ++s) {
     for (int c = 0; c < cs.num_classes(); ++c) {
       const index_t b = this->strips.begin(s, c);
       const index_t e = this->strips.end(s, c);
-      lower.push_back(la::SweepSegments::build(cs.matrix, rp.data(),
-                                               splits.lo_end.data(), b, e));
-      upper.push_back(la::SweepSegments::build(
-          cs.matrix, splits.up_begin.data(), rp.data() + 1, b, e));
+      lower.push_back(la::SweepSegments::build(
+          *this->store, cs.matrix, rp.data(), splits.lo_end.data(), b, e));
+      upper.push_back(la::SweepSegments::build(*this->store, cs.matrix,
+                                               splits.up_begin.data(),
+                                               rp.data() + 1, b, e));
     }
   }
 }
@@ -73,12 +86,7 @@ MulticolorMStepSsor::MulticolorMStepSsor(const color::ColoredSystem& cs,
 MulticolorMStepSsor::MulticolorMStepSsor(
     std::shared_ptr<const MulticolorSweepPlan> plan, par::ThreadPool* pool,
     KernelLog* log)
-    : plan_(std::move(plan)), pool_(pool), log_(log) {
-  if (plan_->num_strips() >= 2 && pool_ == nullptr) {
-    throw std::invalid_argument(
-        "MulticolorMStepSsor: a plan with 2+ strips needs a thread pool");
-  }
-}
+    : plan_(std::move(plan)), pool_(pool), log_(log) {}
 
 // Strip s's share of one phase, on the z every strip shares.  A class-c
 // phase writes z and y only at strip s's class-c rows, and its segment
@@ -118,8 +126,8 @@ void MulticolorMStepSsor::run_strip(const Phase& phase, int s, const Vec& r,
 void MulticolorMStepSsor::run_phase(const Phase& phase, const Vec& r,
                                     Vec& z) const {
   const int ns = plan_->num_strips();
-  if (ns == 1) {
-    run_strip(phase, 0, r, z);
+  if (ns == 1 || pool_ == nullptr) {
+    for (int s = 0; s < ns; ++s) run_strip(phase, s, r, z);
     return;
   }
   // The pool rendezvous is the inter-phase barrier.  Strip bodies never

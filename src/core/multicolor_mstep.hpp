@@ -23,29 +23,33 @@
 // MStepPreconditioner(SsorSplitting(omega = 1)) applied to the
 // colour-permuted matrix; the tests verify the equivalence to rounding.
 //
-// Storage.  Each colour class's strictly-lower and strictly-upper
-// couplings are stored per strip as la::SweepSegments: the stretches of at
-// least four consecutive rows that share one offset list (col - row) are
-// diagonal-major runs — the paper's §3.1 diagonal storage, cut to the rows
-// that have it — and the remaining rows are SELL slices.  One fused kernel,
+// Storage.  The sweep reads the solve's one matrix storage, la::DiaMatrix:
+// constant-offset row runs — the paper's §3.1 diagonal storage, cut to the
+// rows that have it — over the CSR rows.  The store is cut at every (strip,
+// class) cell, so each run lies in one cell, and for each cell the plan
+// keeps two views of its runs (la::SweepSegments): the lower half sums
+// each run's leading lower-class terms, the upper half its trailing
+// upper-class terms — both a term begin and a count over the same stored
+// offsets and values, with no second copy of the couplings.  The rows no
+// usable run covers keep their half as SELL slices.  One fused kernel,
 // la::simd::sweep_segments, sums 4 rows at a time and applies the class
-// update in place.  Every row keeps its CSR term order and row_dot's 8-lane
-// schedule (term k to lane k mod 8), and negating the finished sum
+// update in place.  Every row keeps its CSR term order and row_dot's
+// 8-lane schedule (term k to lane k mod 8), and negating the finished sum
 // commutes with rounding, so each row's value is bitwise
 // -row_dot(segment) whichever layout holds it.
 //
 // This is the only implementation of the sweep, for every execution mode:
 // an immutable, shareable MulticolorSweepPlan, and engines that own only
 // per-call scratch.  The plan cuts every colour class into contiguous
-// strips (shard::ShardPlan); runs never cross a strip boundary.  One strip
-// runs each phase inline on z — the serial kernel.  N strips run each
-// phase as one pool dispatch, every strip reading and writing the one
-// shared z: a class-c phase writes only class-c rows, each owned by one
-// strip, its segment sums read only rows of other classes, and the pool
-// rendezvous orders one phase's writes before the next phase's reads.
-// Since each row's bits do not depend on its layout and the phase order is
-// the class order, every strip count gives the one-strip bits and the same
-// KernelLog stream.
+// strips (shard::ShardPlan).  With a pool, N strips run each phase as one
+// pool dispatch, every strip reading and writing the one shared z: a
+// class-c phase writes only class-c rows, each owned by one strip, its
+// segment sums read only rows of other classes, and the pool rendezvous
+// orders one phase's writes before the next phase's reads.  Without a pool
+// the strips of each phase run inline, in order — with one strip that is
+// the serial kernel.  Since each row's bits do not depend on its layout
+// and the phase order is the class order, every strip count gives the
+// one-strip bits and the same KernelLog stream.
 #pragma once
 
 #include <memory>
@@ -55,6 +59,7 @@
 #include "color/coloring.hpp"
 #include "core/kernel_log.hpp"
 #include "core/preconditioner.hpp"
+#include "la/dia_matrix.hpp"
 #include "la/sweep_segments.hpp"
 #include "par/thread_pool.hpp"
 #include "shard/halo.hpp"
@@ -68,10 +73,15 @@ struct MulticolorSweepPlan {
   /// `cs` must remain alive; its diagonal class blocks must be diagonal
   /// (verified, throws std::invalid_argument otherwise).  `alphas[i]` is
   /// the coefficient of G^i, m = alphas.size() >= 1.  `strips` must be cut
-  /// from cs.class_start.
+  /// from cs.class_start.  `store` is the matrix storage the sweep reads:
+  /// la::DiaMatrix::from_csr(cs.matrix, cuts) with every cell boundary of
+  /// `strips` among the cuts (throws std::invalid_argument otherwise);
+  /// null builds one cut at exactly those boundaries.
   MulticolorSweepPlan(const color::ColoredSystem& cs,
-                      std::vector<double> alphas, shard::ShardPlan strips);
-  /// Convenience: shard::ShardPlan::build(cs.class_start, strips).
+                      std::vector<double> alphas, shard::ShardPlan strips,
+                      std::shared_ptr<const la::DiaMatrix> store = nullptr);
+  /// Convenience: shard::ShardPlan::build(cs.class_start, strips) and its
+  /// own store.
   MulticolorSweepPlan(const color::ColoredSystem& cs,
                       std::vector<double> alphas, int strips = 1);
 
@@ -83,11 +93,12 @@ struct MulticolorSweepPlan {
   color::ClassDiagonalCensus census;  // prices each class in the KernelLog
   shard::ShardPlan strips;
   shard::HaloPlan halo;  // rows strips read from each other; empty with one
+  std::shared_ptr<const la::DiaMatrix> store;
   // Per strip and class (index strip * classes + class): the strictly-
-  // lower / strictly-upper row segments as constant-offset runs plus SELL
-  // leftovers (la::SweepSegments), summed 4 rows at a time and updated in
-  // place by simd::sweep_segments — bitwise -row_dot per row, but
-  // vectorized ACROSS the class's independent rows.
+  // lower / strictly-upper row segments as views of the store's runs plus
+  // SELL leftovers (la::SweepSegments), summed 4 rows at a time and
+  // updated in place by simd::sweep_segments — bitwise -row_dot per row,
+  // but vectorized ACROSS the class's independent rows.
   std::vector<la::SweepSegments> lower;
   std::vector<la::SweepSegments> upper;
 };
@@ -104,9 +115,9 @@ class MulticolorMStepSsor : public Preconditioner {
   MulticolorMStepSsor(const color::ColoredSystem& cs,
                       std::vector<double> alphas, shard::ShardPlan strips,
                       par::ThreadPool& pool, KernelLog* log = nullptr);
-  /// An engine over a shared plan.  `pool` is required when the plan has
-  /// two or more strips (throws std::invalid_argument otherwise) and
-  /// unused with one.  `log` (optional) receives the kernel stream.
+  /// An engine over a shared plan.  With `pool` and two or more strips
+  /// each phase is one pool dispatch; without one the strips run inline,
+  /// in order.  `log` (optional) receives the kernel stream.
   explicit MulticolorMStepSsor(std::shared_ptr<const MulticolorSweepPlan> plan,
                                par::ThreadPool* pool = nullptr,
                                KernelLog* log = nullptr);

@@ -85,10 +85,10 @@ struct MmHeader {
 struct MmMatrix {
   la::CsrMatrix matrix;
   MmHeader header;
-  /// True when la::DiaMatrix::profitable says the diagonal layout pays
-  /// off for this matrix (e.g. banded stencils) — callers can route the
-  /// solve through MatrixFormat::kDia, and `format=auto` does so
-  /// automatically.
+  /// True when la::DiaMatrix::profitable says the matrix has few enough
+  /// distinct diagonals for full-length diagonal storage to pay (e.g.
+  /// banded stencils) — a structure fact; every solve runs on the same
+  /// run storage whatever it says.
   bool dia_friendly = false;
 };
 

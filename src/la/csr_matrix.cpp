@@ -7,7 +7,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <numeric>
-#include <set>
 #include <stdexcept>
 
 namespace mstep::la {
@@ -163,13 +162,20 @@ index_t CsrMatrix::max_row_nnz() const {
 }
 
 index_t CsrMatrix::num_nonzero_diagonals() const {
-  std::set<index_t> offsets;
+  // One mark per possible offset j - i in [-(rows - 1), cols - 1]: a flat
+  // array, not a tree, so the count costs one pass over the entries.
+  std::vector<unsigned char> seen(
+      static_cast<std::size_t>(rows_) + static_cast<std::size_t>(cols_), 0);
+  index_t count = 0;
   for (index_t i = 0; i < rows_; ++i) {
     for (index_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-      if (val_[k] != 0.0) offsets.insert(col_[k] - i);
+      if (val_[k] == 0.0) continue;
+      auto& mark = seen[static_cast<std::size_t>(col_[k] - i + rows_)];
+      count += mark == 0 ? 1 : 0;
+      mark = 1;
     }
   }
-  return static_cast<index_t>(offsets.size());
+  return count;
 }
 
 index_t CsrMatrix::bandwidth() const {

@@ -73,8 +73,8 @@ class CsrMatrix {
 
   /// Bandwidth: max |j - i| over the nonzero entries (0 for diagonal or
   /// empty matrices).  Reported as structure metadata by the mstep_solve
-  /// driver; the DIA-layout decision itself is DiaMatrix::profitable,
-  /// which counts distinct diagonals instead.
+  /// driver; the bandedness fact DiaMatrix::profitable counts distinct
+  /// diagonals instead.
   [[nodiscard]] index_t bandwidth() const;
 
  private:

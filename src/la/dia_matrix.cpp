@@ -1,40 +1,106 @@
 #include "la/dia_matrix.hpp"
 
 #include <algorithm>
-
-#include "la/simd.hpp"
 #include <cassert>
-#include <map>
 #include <stdexcept>
 
 namespace mstep::la {
 
-DiaMatrix DiaMatrix::from_csr(const CsrMatrix& a) {
+DiaMatrix DiaMatrix::from_csr(const CsrMatrix& a, std::vector<index_t> cuts) {
+  if (a.rows() != a.cols()) {
+    throw std::invalid_argument("DiaMatrix: matrix must be square");
+  }
+  const index_t n = a.rows();
+  if (cuts.empty()) cuts = {0, n};
+  if (cuts.front() != 0 || cuts.back() != n ||
+      !std::is_sorted(cuts.begin(), cuts.end())) {
+    throw std::invalid_argument(
+        "DiaMatrix: cuts must ascend from 0 to the row count");
+  }
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+
+  DiaMatrix m;
+  m.n_ = n;
+  m.a_ = &a;
+  m.cuts_ = std::move(cuts);
+  const auto& rp = a.row_ptr();
+  const auto& col = a.col_idx();
+  const auto& val = a.values();
+  const auto same_offsets = [&](index_t i, index_t j) {
+    const index_t len = rp[i + 1] - rp[i];
+    if (rp[j + 1] - rp[j] != len) return false;
+    for (index_t k = 0; k < len; ++k) {
+      if (col[rp[i] + k] - i != col[rp[j] + k] - j) return false;
+    }
+    return true;
+  };
+
+  // Pass 1: cut every cell into maximal equal-offset stretches.
+  std::size_t values = 0;
+  for (std::size_t cell = 0; cell + 1 < m.cuts_.size(); ++cell) {
+    const index_t cell_end = m.cuts_[cell + 1];
+    for (index_t i = m.cuts_[cell]; i < cell_end;) {
+      index_t j = i + 1;
+      while (j < cell_end && same_offsets(i, j)) ++j;
+      if (j - i >= kMinRun) {
+        const index_t terms = rp[i + 1] - rp[i];
+        m.row_.push_back(i);
+        m.len_.push_back(j - i);
+        m.off_ptr_.push_back(static_cast<index_t>(m.off_.size()));
+        m.val_ptr_.push_back(values);
+        m.terms_.push_back(terms);
+        values += static_cast<std::size_t>(terms) * (j - i);
+        for (index_t k = rp[i]; k < rp[i + 1]; ++k) {
+          m.off_.push_back(col[k] - i);
+        }
+      } else if (!m.rest_.empty() && m.rest_.back().end == i) {
+        m.rest_.back().end = j;
+      } else {
+        m.rest_.push_back({i, j, -1});
+      }
+      i = j;
+    }
+  }
+
+  // Pass 2: the run values, diagonal-major, into storage sized once.
+  m.val_.resize(values);
+  for (std::size_t q = 0; q < m.row_.size(); ++q) {
+    const auto len = static_cast<std::size_t>(m.len_[q]);
+    double* out = m.val_.data() + m.val_ptr_[q];
+    for (std::size_t t = 0; t < len; ++t) {
+      const index_t b = rp[m.row_[q] + static_cast<index_t>(t)];
+      for (index_t k = 0; k < m.terms_[q]; ++k) {
+        out[static_cast<std::size_t>(k) * len + t] = val[b + k];
+      }
+    }
+  }
+  // Pass 3: the short rest stretches' rows, copied back to back.
+  m.copy_ptr_.push_back(0);
+  for (RowRange& r : m.rest_) {
+    m.rest_values_ += static_cast<std::size_t>(rp[r.end] - rp[r.begin]);
+    if (r.end - r.begin >= kInPlaceRows) continue;
+    r.copy = static_cast<index_t>(m.copy_ptr_.size()) - 1;
+    for (index_t i = r.begin; i < r.end; ++i) {
+      m.copy_col_.insert(m.copy_col_.end(), col.begin() + rp[i],
+                         col.begin() + rp[i + 1]);
+      m.copy_val_.insert(m.copy_val_.end(), val.begin() + rp[i],
+                         val.begin() + rp[i + 1]);
+      m.copy_ptr_.push_back(static_cast<index_t>(m.copy_col_.size()));
+    }
+  }
+  return m;
+}
+
+DiaMatrix DiaMatrix::without_runs(const CsrMatrix& a) {
   if (a.rows() != a.cols()) {
     throw std::invalid_argument("DiaMatrix: matrix must be square");
   }
   DiaMatrix m;
   m.n_ = a.rows();
-
-  std::map<index_t, std::vector<double>> diags;
-  const auto& rp = a.row_ptr();
-  const auto& col = a.col_idx();
-  const auto& val = a.values();
-  for (index_t i = 0; i < a.rows(); ++i) {
-    for (index_t k = rp[i]; k < rp[i + 1]; ++k) {
-      if (val[k] == 0.0) continue;
-      const index_t off = col[k] - i;
-      auto [it, inserted] = diags.try_emplace(off);
-      if (inserted) it->second.assign(m.n_, 0.0);
-      it->second[i] = val[k];
-    }
-  }
-  m.offsets_.reserve(diags.size());
-  m.diag_.reserve(diags.size());
-  for (auto& [off, d] : diags) {
-    m.offsets_.push_back(off);
-    m.diag_.push_back(std::move(d));
-  }
+  m.a_ = &a;
+  m.cuts_ = {0, m.n_};
+  if (m.n_ > 0) m.rest_.push_back({0, m.n_, -1});
+  m.rest_values_ = static_cast<std::size_t>(a.nnz());
   return m;
 }
 
@@ -45,48 +111,83 @@ bool DiaMatrix::profitable(const CsrMatrix& a, double max_fill) {
   return stored <= max_fill * static_cast<double>(a.nnz());
 }
 
+simd::RunView DiaMatrix::runs() const {
+  simd::RunView v;
+  v.val = val_.data();
+  v.off = off_.data();
+  v.row = row_.data();
+  v.len = len_.data();
+  v.off_at = off_ptr_.data();
+  v.val_at = val_ptr_.data();
+  v.count = terms_.data();
+  v.num_runs = static_cast<index_t>(row_.size());
+  return v;
+}
+
 void DiaMatrix::multiply(const Vec& x, Vec& y) const {
   assert(static_cast<index_t>(x.size()) == n_);
-  y.assign(n_, 0.0);
+  y.resize(n_);  // every row is written exactly once
   multiply_rows(x, y, 0, n_, /*subtract=*/false);
 }
 
 void DiaMatrix::multiply_sub(const Vec& x, Vec& y) const {
-  assert(static_cast<index_t>(x.size()) == n_);
   assert(static_cast<index_t>(y.size()) == n_);
   multiply_rows(x, y, 0, n_, /*subtract=*/true);
 }
 
-void DiaMatrix::multiply_block(const double* x, double* y,
-                               bool subtract) const {
-  constexpr std::size_t kW = simd::kSellSlice;
-  // Rows per strip: the strip's 256 x 4 output (8 KiB) stays in L1 while
-  // every diagonal passes over it, instead of streaming the whole block
-  // once per diagonal.
-  constexpr index_t kStrip = 256;
-  if (!subtract) std::fill(y, y + static_cast<std::size_t>(n_) * kW, 0.0);
-  for (index_t begin = 0; begin < n_; begin += kStrip) {
-    const index_t end = std::min(n_, begin + kStrip);
-    for (std::size_t d = 0; d < offsets_.size(); ++d) {
-      const index_t off = offsets_[d];
-      const index_t lo = std::max(begin, std::max<index_t>(0, -off));
-      const index_t hi = std::min(end, std::min<index_t>(n_, n_ - off));
-      if (lo < hi) {
-        simd::block_dia_triad(diag_[d].data(), x, y, lo, hi, off, subtract);
-      }
+void DiaMatrix::multiply_rows(const Vec& x, Vec& y, index_t begin,
+                              index_t end, bool subtract) const {
+  assert(static_cast<index_t>(x.size()) == n_);
+  assert(static_cast<index_t>(y.size()) == n_);
+  // The runs meeting [begin, end): runs ascend and never overlap.
+  index_t q0 = 0;  // the first run ending past begin
+  for (auto hi = static_cast<index_t>(row_.size()); q0 < hi;) {
+    const index_t mid = q0 + (hi - q0) / 2;
+    if (row_[mid] + len_[mid] <= begin) {
+      q0 = mid + 1;
+    } else {
+      hi = mid;
     }
+  }
+  const auto q1 = static_cast<index_t>(
+      std::lower_bound(row_.begin() + q0, row_.end(), end) - row_.begin());
+  simd::RunView sub = runs();
+  sub.row += q0;
+  sub.len += q0;
+  sub.off_at += q0;
+  sub.val_at += q0;
+  sub.count += q0;
+  sub.num_runs = q1 - q0;
+
+  simd::run_spmv_rows(sub, x.data(), y.data(), begin, end, subtract);
+
+  // The rest stretches meeting [begin, end), clipped: CsrMatrix's kernel
+  // on their rows.
+  auto r = std::upper_bound(
+      rest_.begin(), rest_.end(), begin,
+      [](index_t row, const RowRange& range) { return row < range.end; });
+  for (; r != rest_.end() && r->begin < end; ++r) {
+    rest_rows(*r, std::max(r->begin, begin), std::min(r->end, end),
+              [&](const index_t* rp, const index_t* col, const double* val,
+                  index_t base, index_t b, index_t e) {
+                simd::csr_spmv_rows(rp, col, val, x.data(), y.data() + base,
+                                    b, e, subtract);
+              });
   }
 }
 
-void DiaMatrix::multiply_rows(const Vec& x, Vec& y, index_t begin,
-                              index_t end, bool subtract) const {
-  for (std::size_t d = 0; d < offsets_.size(); ++d) {
-    const index_t off = offsets_[d];
-    const index_t lo = std::max(begin, std::max<index_t>(0, -off));
-    const index_t hi = std::min(end, std::min<index_t>(n_, n_ - off));
-    // Unit-stride triad: y[i] += v[i] * x[i + off]  — the vectorizable form.
-    simd::dia_triad(diag_[d].data(), x.data(), y.data(), lo, hi, off,
-                    subtract);
+void DiaMatrix::multiply_block(const double* x, double* y,
+                               bool subtract) const {
+  simd::block_run_rows(runs(), x, y, subtract);
+  for (const RowRange& r : rest_) {
+    rest_rows(r, r.begin, r.end,
+              [&](const index_t* rp, const index_t* col, const double* val,
+                  index_t base, index_t b, index_t e) {
+                simd::block_csr_rows(
+                    rp, col, val, x,
+                    y + static_cast<std::size_t>(base) * simd::kSellSlice, b,
+                    e, subtract);
+              });
   }
 }
 

@@ -2,10 +2,11 @@
 //
 // Algorithm 1 needs only y = A x (and the derived residual update) from
 // the system matrix, so the PCG driver is written against this non-owning
-// view rather than a concrete storage format.  CSR and the Madsen–
-// Rodrigue–Karush diagonal storage both adapt to it, letting one solver
-// serve both the general-sparsity path and the vector-machine layout the
-// paper times in Section 3.1.  These views are serial; the threaded one is
+// view rather than a concrete storage format.  The solver's outer products
+// run on the Madsen–Rodrigue–Karush diagonal storage cut to row runs
+// (DiaOperator, the layout the paper times in Section 3.1); the CSR and
+// SELL views remain for the generic m-step engine and the benches.  All
+// three are bitwise CSR.  These views are serial; the threaded one is
 // shard::ShardedOperator.
 #pragma once
 
@@ -88,7 +89,8 @@ class CsrOperator final : public LinearOperator {
   const CsrMatrix* a_;
 };
 
-/// Diagonal-storage-backed view (the CYBER 203/205 kernel layout).
+/// Run-storage-backed view (the CYBER 203/205 diagonal layout cut to row
+/// runs): the solver's one operator.  Bitwise identical to CsrOperator.
 class DiaOperator final : public LinearOperator {
  public:
   explicit DiaOperator(const DiaMatrix& a) : a_(&a) {}

@@ -45,6 +45,7 @@ SellSegments SellSegments::build(const CsrMatrix& a, const index_t* seg_begin,
                                  const std::vector<index_t>& rows,
                                  index_t sigma) {
   SellSegments m;
+  m.sigma_ = std::max(sigma, kC);
   const auto n = static_cast<index_t>(rows.size());
   if (n <= 0) return m;
 
@@ -103,6 +104,24 @@ simd::SellView SellSegments::view() const {
   v.slice_ptr = slice_ptr_.data();
   v.num_slices = num_slices();
   return v;
+}
+
+simd::SellView SellSegments::view(index_t slice_begin,
+                                  index_t slice_end) const {
+  simd::SellView v = view();
+  v.len += slice_begin * kC;
+  v.perm += slice_begin * kC;
+  v.slice_ptr += slice_begin;
+  v.num_slices = slice_end - slice_begin;
+  return v;
+}
+
+std::pair<index_t, index_t> SellSegments::slices_of(index_t pos_begin,
+                                                    index_t pos_end) const {
+  if (pos_begin >= pos_end) return {0, 0};
+  const index_t first = pos_begin / sigma_ * sigma_;
+  const index_t last = (pos_end + sigma_ - 1) / sigma_ * sigma_;
+  return {first / kC, std::min(num_slices(), (last + kC - 1) / kC)};
 }
 
 SellMatrix SellMatrix::from_csr(const CsrMatrix& a, index_t sigma) {

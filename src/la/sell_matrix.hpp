@@ -1,5 +1,4 @@
-// SELL-C-sigma: the SIMD-friendly sliced sparse format (Kreutzer et al.),
-// the third entry in the MatrixFormat registry after CSR and DIA.
+// SELL-C-sigma: the SIMD-friendly sliced sparse format (Kreutzer et al.).
 //
 // Rows are grouped into slices of C = 4 rows (one AVX2 double vector);
 // within sorting windows of sigma rows, rows are ordered by descending
@@ -9,20 +8,19 @@
 // all four lane-rows in one vector register, gathering x by column.
 // Padding entries are (col = the slice's first row, val = 0) and masked
 // out of the lane accumulators, never added.  One builder, SellSegments,
-// makes this layout for both whole matrices and the sweep's row segments.
+// makes this layout for whole matrices, for the rows of la::DiaMatrix no
+// run covers, and for the sweep's leftover row segments.
 //
 // The kernel (simd::sell_spmv_slices) accumulates each lane-row's entries
 // through the same fixed 8-lane schedule as the CSR row kernel, so SELL
 // SpMV is BITWISE identical to CSR SpMV — the format changes memory
-// layout and speed, never bits.  The occupancy probe `profitable` is what
-// `--format=auto` consults after the DIA bandedness probe: SELL pays off
-// when sigma-sorted padding is small, i.e. row lengths are locally
-// uniform, which multicolour-permuted stencils and banded random systems
-// both satisfy; a skewed matrix (one dense row per window) fails the
-// probe and stays in CSR.
+// layout and speed, never bits.  The occupancy probe `profitable` says
+// whether sigma-sorted padding is small (row lengths locally uniform);
+// the benches report it, the solver no longer consults it.
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "la/csr_matrix.hpp"
@@ -69,10 +67,26 @@ class SellSegments {
   }
   /// Stored entries including padding — the storage cost of the layout.
   [[nodiscard]] std::size_t stored_values() const { return val_.size(); }
+  /// Bytes held: values, columns and the per-slot/per-slice indexing.
+  [[nodiscard]] std::size_t stored_bytes() const {
+    return val_.size() * (sizeof(double) + sizeof(index_t)) +
+           (len_.size() + perm_.size()) * sizeof(index_t) +
+           slice_ptr_.size() * sizeof(std::size_t);
+  }
   /// Non-owning kernel view; valid while this object lives.
   [[nodiscard]] simd::SellView view() const;
+  /// The view of slices [slice_begin, slice_end) only.
+  [[nodiscard]] simd::SellView view(index_t slice_begin,
+                                    index_t slice_end) const;
+  /// The slices [first, last) that hold the rows at positions [pos_begin,
+  /// pos_end) of the build's row list: sorting moves a row only within its
+  /// sigma window, so these are the slices of the windows those positions
+  /// fall in.
+  [[nodiscard]] std::pair<index_t, index_t> slices_of(index_t pos_begin,
+                                                      index_t pos_end) const;
 
  private:
+  index_t sigma_ = kDefaultSigma;
   std::vector<double> val_;             // slice-column-major, padded
   std::vector<index_t> col_;            // same shape as val_
   std::vector<index_t> len_;            // per slot: real entries of its row

@@ -8,6 +8,7 @@
 // time (tests flip it per-case) without affecting any result.
 #include "la/simd.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -167,15 +168,6 @@ void csr_spmv_rows(const index_t* rp, const index_t* col, const double* val,
   }
 }
 
-void dia_triad(const double* v, const double* x, double* y, index_t lo,
-               index_t hi, index_t off, bool subtract) {
-  if (subtract) {
-    for (index_t i = lo; i < hi; ++i) y[i] -= v[i] * x[i + off];
-  } else {
-    for (index_t i = lo; i < hi; ++i) y[i] += v[i] * x[i + off];
-  }
-}
-
 /// row_dot's schedule over the row in SELL slot (slice sl, lane r).
 double slot_sum(const SellView& s, index_t sl, index_t r, const double* x) {
   constexpr auto kC = static_cast<index_t>(kSellSlice);
@@ -208,6 +200,39 @@ void sell_spmv_slices(const SellView& s, const double* x, double* y,
   }
 }
 
+/// row_dot's schedule over row row[q] + t of run q; xi points at x at
+/// that row, so term k reads xi[off[k]].
+double run_row_sum(const RunView& runs, index_t q, index_t t,
+                   const double* xi) {
+  const auto len = static_cast<std::size_t>(runs.len[q]);
+  const index_t* off = runs.off + runs.off_at[q];
+  const double* val = runs.val + runs.val_at[q] + t;
+  double lane[kRowLanes] = {};
+  for (index_t k = 0; k < runs.count[q]; ++k) {
+    lane[static_cast<std::size_t>(k) % kRowLanes] +=
+        val[static_cast<std::size_t>(k) * len] * xi[off[k]];
+  }
+  double sum = lane[0];
+  for (std::size_t l = 1; l < kRowLanes; ++l) sum += lane[l];
+  return sum;
+}
+
+void run_spmv_rows(const RunView& runs, const double* x, double* y,
+                   index_t begin, index_t end, bool subtract) {
+  for (index_t q = 0; q < runs.num_runs; ++q) {
+    const index_t i0 = runs.row[q];
+    const index_t t_end = std::min(runs.len[q], end - i0);
+    for (index_t t = std::max<index_t>(0, begin - i0); t < t_end; ++t) {
+      const double sum = run_row_sum(runs, q, t, x + i0 + t);
+      if (subtract) {
+        y[i0 + t] -= sum;
+      } else {
+        y[i0 + t] = sum;
+      }
+    }
+  }
+}
+
 /// sweep_segments' class update of row i from its segment sum.
 inline void sweep_update(double sum, index_t i, const double* diag, double a,
                          const double* r, double* z, double* y, bool last) {
@@ -224,20 +249,9 @@ void sweep_segments(const RunView& runs, const SellView& rest,
                     double* y, bool last) {
   for (index_t q = 0; q < runs.num_runs; ++q) {
     const index_t i0 = runs.row[q];
-    const auto len = static_cast<std::size_t>(runs.len[q]);
-    const index_t* off = runs.off + runs.off_ptr[q];
-    const index_t terms = runs.off_ptr[q + 1] - runs.off_ptr[q];
-    const double* val = runs.val + runs.val_ptr[q];
-    for (std::size_t t = 0; t < len; ++t) {
-      const index_t i = i0 + static_cast<index_t>(t);
-      double lane[kRowLanes] = {};
-      for (index_t k = 0; k < terms; ++k) {
-        lane[static_cast<std::size_t>(k) % kRowLanes] +=
-            val[static_cast<std::size_t>(k) * len + t] * z[i + off[k]];
-      }
-      double sum = lane[0];
-      for (std::size_t l = 1; l < kRowLanes; ++l) sum += lane[l];
-      sweep_update(sum, i, diag, a, r, z, y, last);
+    for (index_t t = 0; t < runs.len[q]; ++t) {
+      sweep_update(run_row_sum(runs, q, t, z + i0 + t), i0 + t, diag, a, r, z,
+                   y, last);
     }
   }
   constexpr auto kC = static_cast<index_t>(kSellSlice);
@@ -336,17 +350,30 @@ void block_csr_rows(const index_t* rp, const index_t* col, const double* val,
   }
 }
 
-void block_dia_triad(const double* v, const double* x, double* y, index_t lo,
-                     index_t hi, index_t off, bool subtract) {
-  for (index_t i = lo; i < hi; ++i) {
-    double* yr = y + static_cast<std::size_t>(i) * kW;
-    const double* xr = x + static_cast<std::size_t>(i + off) * kW;
-    for (std::size_t c = 0; c < kW; ++c) {
-      if (subtract) {
-        yr[c] -= v[i] * xr[c];
-      } else {
-        yr[c] += v[i] * xr[c];
+void block_run_rows(const RunView& runs, const double* x, double* y,
+                    bool subtract) {
+  for (index_t q = 0; q < runs.num_runs; ++q) {
+    const auto len = static_cast<std::size_t>(runs.len[q]);
+    const index_t* off = runs.off + runs.off_at[q];
+    for (std::size_t t = 0; t < len; ++t) {
+      const index_t i = runs.row[q] + static_cast<index_t>(t);
+      // Term k of this row is block_row_sum's term k: the value column
+      // walked with stride len, x's block row at i + off[k].
+      double lane[kRowLanes][kW] = {};
+      for (index_t k = 0; k < runs.count[q]; ++k) {
+        const double v =
+            runs.val[runs.val_at[q] + static_cast<std::size_t>(k) * len + t];
+        const double* xr = x + static_cast<std::size_t>(i + off[k]) * kW;
+        double* l = lane[static_cast<std::size_t>(k) % kRowLanes];
+        for (std::size_t c = 0; c < kW; ++c) l[c] += v * xr[c];
       }
+      double sum[kW];
+      for (std::size_t c = 0; c < kW; ++c) {
+        double s = lane[0][c];
+        for (std::size_t l = 1; l < kRowLanes; ++l) s += lane[l][c];
+        sum[c] = s;
+      }
+      store_row(sum, y + static_cast<std::size_t>(i) * kW, subtract);
     }
   }
 }
@@ -438,9 +465,9 @@ void csr_spmv_rows(const index_t* rp, const index_t* col, const double* val,
       csr_spmv_rows(rp, col, val, x, y, row_begin, row_end, subtract));
 }
 
-void dia_triad(const double* v, const double* x, double* y, index_t lo,
-               index_t hi, index_t off, bool subtract) {
-  MSTEP_SIMD_DISPATCH(dia_triad(v, x, y, lo, hi, off, subtract));
+void run_spmv_rows(const RunView& runs, const double* x, double* y,
+                   index_t begin, index_t end, bool subtract) {
+  MSTEP_SIMD_DISPATCH(run_spmv_rows(runs, x, y, begin, end, subtract));
 }
 
 void sell_spmv_slices(const SellView& s, const double* x, double* y,
@@ -482,9 +509,9 @@ void block_csr_rows(const index_t* rp, const index_t* col, const double* val,
       block_csr_rows(rp, col, val, x, y, row_begin, row_end, subtract));
 }
 
-void block_dia_triad(const double* v, const double* x, double* y, index_t lo,
-                     index_t hi, index_t off, bool subtract) {
-  MSTEP_SIMD_DISPATCH(block_dia_triad(v, x, y, lo, hi, off, subtract));
+void block_run_rows(const RunView& runs, const double* x, double* y,
+                    bool subtract) {
+  MSTEP_SIMD_DISPATCH(block_run_rows(runs, x, y, subtract));
 }
 
 void block_sell_slices(const SellView& s, const double* x, double* y,

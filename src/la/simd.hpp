@@ -22,7 +22,7 @@
 //
 // la::kReductionBlock (1024) is a multiple of both, so the threaded
 // fixed-block reduction keeps lane phase across block boundaries.
-// Elementwise kernels (axpy, DIA triads, ...) need no schedule: each
+// Elementwise kernels (axpy, scale, ...) need no schedule: each
 // element's mul+add order is the serial one.  No kernel may use FMA — the
 // portable twin compiles to separate mul and add on every target (the
 // build forces -ffp-contract=off), so the AVX2 path uses _mm256_mul_pd +
@@ -110,10 +110,6 @@ void csr_spmv_rows(const index_t* rp, const index_t* col, const double* val,
                    const double* x, double* y, index_t row_begin,
                    index_t row_end, bool subtract);
 
-/// One DIA triad over [lo, hi): y[i] += (or -=) v[i] * x[i + off].
-void dia_triad(const double* v, const double* x, double* y, index_t lo,
-               index_t hi, index_t off, bool subtract);
-
 /// Non-owning view of SELL-C-sigma storage (see la/sell_matrix.hpp).
 /// C = kSellSlice rows per slice; values/columns slice-column-major:
 /// entry j of the row in slot (slice s, lane r) is val[slice_ptr[s] + j*C
@@ -136,22 +132,35 @@ struct SellView {
 void sell_spmv_slices(const SellView& s, const double* x, double* y,
                       index_t slice_begin, index_t slice_end, bool subtract);
 
-/// Non-owning view of constant-offset row runs (la::SweepSegments).  Run q
-/// covers rows [row[q], row[q] + len[q]); every one of its rows couples to
-/// the same offsets off[off_ptr[q] .. off_ptr[q + 1]) (col - row, in CSR
-/// order), and the values are stored diagonal-major: term k of row
-/// row[q] + t is val[val_ptr[q] + k * len[q] + t] * x[row[q] + t +
-/// off[off_ptr[q] + k]].  Four rows' term k is therefore one contiguous
-/// load of val and one of x — no column indices, no gather.
+/// Non-owning view of constant-offset row runs (la::DiaMatrix, and the
+/// sweep's per-class views of them, la::SweepSegments).  Run q covers rows
+/// [row[q], row[q] + len[q]); every one of its rows couples to the same
+/// offsets (col - row, in CSR order), stored once, with the values
+/// diagonal-major: one column of len[q] values per offset.  A view sums
+/// count[q] consecutive terms of each run, starting at the term whose
+/// offset is off[off_at[q]] and whose value column starts at
+/// val[val_at[q]]: term k of row row[q] + t is
+/// val[val_at[q] + k * len[q] + t] * x[row[q] + t + off[off_at[q] + k]].
+/// Four rows' term k is therefore one contiguous load of val and one of
+/// x — no column indices, no gather.
 struct RunView {
   const double* val = nullptr;
   const index_t* off = nullptr;
-  const index_t* off_ptr = nullptr;      // num_runs + 1 entries
-  const std::size_t* val_ptr = nullptr;  // num_runs entries
   const index_t* row = nullptr;
   const index_t* len = nullptr;
+  const index_t* off_at = nullptr;      // per run: first summed offset
+  const std::size_t* val_at = nullptr;  // per run: first summed value
+  const index_t* count = nullptr;       // per run: terms summed
   index_t num_runs = 0;
 };
+
+/// Run rows clipped to [begin, end): y[i] = (or -=) row i's sum for every
+/// run row i in the range, no other entry of y touched.  Each sum follows
+/// row_dot's schedule (term k to lane k mod 8), so with every term of
+/// every row stored this is bitwise csr_spmv_rows over those rows, whatever
+/// the range.
+void run_spmv_rows(const RunView& runs, const double* x, double* y,
+                   index_t begin, index_t end, bool subtract);
 
 /// One multicolor-sweep phase over one colour class's row segments, fused:
 /// the rows of `runs` and the real slots of `rest` (SELL slices whose perm
@@ -203,9 +212,11 @@ void block_csr_rows(const index_t* rp, const index_t* col, const double* val,
                     const double* x, double* y, index_t row_begin,
                     index_t row_end, bool subtract);
 
-/// dia_triad per column: y(i) += (or -=) v[i] * x(i + off).
-void block_dia_triad(const double* v, const double* x, double* y, index_t lo,
-                     index_t hi, index_t off, bool subtract);
+/// run_spmv_rows per column, over every row of every run: term
+/// k is a broadcast of its value times one contiguous load of the block
+/// row of x.
+void block_run_rows(const RunView& runs, const double* x, double* y,
+                    bool subtract);
 
 /// sell_spmv_slices per column.
 void block_sell_slices(const SellView& s, const double* x, double* y,

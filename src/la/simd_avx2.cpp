@@ -280,28 +280,6 @@ void csr_spmv_rows(const index_t* rp, const index_t* col, const double* val,
   }
 }
 
-void dia_triad(const double* v, const double* x, double* y, index_t lo,
-               index_t hi, index_t off, bool subtract) {
-  index_t i = lo;
-  if (subtract) {
-    for (; i + 4 <= hi; i += 4) {
-      _mm256_storeu_pd(
-          y + i, _mm256_sub_pd(_mm256_loadu_pd(y + i),
-                               _mm256_mul_pd(_mm256_loadu_pd(v + i),
-                                             _mm256_loadu_pd(x + i + off))));
-    }
-    for (; i < hi; ++i) y[i] -= v[i] * x[i + off];
-  } else {
-    for (; i + 4 <= hi; i += 4) {
-      _mm256_storeu_pd(
-          y + i, _mm256_add_pd(_mm256_loadu_pd(y + i),
-                               _mm256_mul_pd(_mm256_loadu_pd(v + i),
-                                             _mm256_loadu_pd(x + i + off))));
-    }
-    for (; i < hi; ++i) y[i] += v[i] * x[i + off];
-  }
-}
-
 namespace {
 
 /// Per-row 8-lane sums of one SELL slice: entry j of every lane-row goes
@@ -364,6 +342,103 @@ void sell_spmv_slices(const SellView& s, const double* x, double* y,
 
 namespace {
 
+/// Rows [t, t + 4) of run q, summed: term k is one contiguous load of the
+/// run's k-th value column and one of x at offset off[k] — row_dot's
+/// schedule in every lane, with no gather.  xi points at x at row
+/// row[q] + t.
+inline __m256d run_sums4(const RunView& runs, index_t q, index_t t,
+                         const double* xi) {
+  const auto len = static_cast<std::size_t>(runs.len[q]);
+  const index_t* off = runs.off + runs.off_at[q];
+  const double* val = runs.val + runs.val_at[q] + t;
+  const index_t count = runs.count[q];
+  const auto term = [&](index_t k) {
+    return _mm256_mul_pd(
+        _mm256_loadu_pd(val + static_cast<std::size_t>(k) * len),
+        _mm256_loadu_pd(xi + off[k]));
+  };
+  if (count <= static_cast<index_t>(kRowLanes)) {
+    // Up to eight terms each get a lane of their own, so row_dot's sum is
+    // (0 + p0) + (0 + p1) + ... + (0 + p[count-1]), plus the empty lanes'
+    // zeros.  Adding +0.0 only turns -0.0 into +0.0, and (0 + a) + (0 + b)
+    // is (a + b) + 0 (a lone NaN passes through both), so that is the
+    // plain left-to-right sum plus one + 0.0: count adds, not count + 7,
+    // and no other bits.
+    __m256d sum = _mm256_setzero_pd();
+    if (count > 0) {
+      sum = term(0);
+      for (index_t k = 1; k < count; ++k) sum = _mm256_add_pd(sum, term(k));
+      sum = _mm256_add_pd(sum, _mm256_setzero_pd());
+    }
+    return sum;
+  }
+  Lanes8 lanes;
+  lanes.run(0, count, [&](__m256d& lane, index_t k) {
+    lane = _mm256_add_pd(lane, term(k));
+  });
+  return lanes.sum();
+}
+
+/// One row of run q: the portable twin's run_row_sum verbatim.
+inline double run_row_sum(const RunView& runs, index_t q, index_t t,
+                          const double* xi) {
+  const auto len = static_cast<std::size_t>(runs.len[q]);
+  const index_t* off = runs.off + runs.off_at[q];
+  const double* val = runs.val + runs.val_at[q] + t;
+  double lane[kRowLanes] = {};
+  for (index_t k = 0; k < runs.count[q]; ++k) {
+    lane[static_cast<std::size_t>(k) % kRowLanes] +=
+        val[static_cast<std::size_t>(k) * len] * xi[off[k]];
+  }
+  double sum = lane[0];
+  for (std::size_t l = 1; l < kRowLanes; ++l) sum += lane[l];
+  return sum;
+}
+
+}  // namespace
+
+void run_spmv_rows(const RunView& runs, const double* x, double* y,
+                   index_t begin, index_t end, bool subtract) {
+  constexpr auto kC = static_cast<index_t>(kSellSlice);
+  const __m256i lane = _mm256_set_epi64x(3, 2, 1, 0);
+  for (index_t q = 0; q < runs.num_runs; ++q) {
+    const index_t i0 = runs.row[q];
+    const index_t t_end = std::min(runs.len[q], end - i0);
+    index_t t = std::max<index_t>(0, begin - i0);
+    for (; t + kC <= t_end; t += kC) {
+      const __m256d sum = run_sums4(runs, q, t, x + i0 + t);
+      double* yi = y + i0 + t;
+      _mm256_storeu_pd(
+          yi, subtract ? _mm256_sub_pd(_mm256_loadu_pd(yi), sum) : sum);
+    }
+    if (t >= t_end) continue;
+    if (runs.len[q] < kC) {  // a hand-built short run: row by row
+      for (; t < t_end; ++t) {
+        const double sum = run_row_sum(runs, q, t, x + i0 + t);
+        y[i0 + t] = subtract ? y[i0 + t] - sum : sum;
+      }
+      continue;
+    }
+    // Fewer than four rows left: sum the run's four rows at w, which hold
+    // them, and load and store only the live lanes, so no row outside
+    // [t, t_end) is read or written — the row next door may be another
+    // strip's.  Each lane is its own row's sum, so the bits are the scalar
+    // rows'.
+    const index_t w = std::min(t, runs.len[q] - kC);
+    const __m256i row = _mm256_add_epi64(_mm256_set1_epi64x(w), lane);
+    const __m256i live = _mm256_andnot_si256(
+        _mm256_cmpgt_epi64(_mm256_set1_epi64x(t), row),
+        _mm256_cmpgt_epi64(_mm256_set1_epi64x(t_end), row));
+    const __m256d sum = run_sums4(runs, q, w, x + i0 + w);
+    double* yi = y + i0 + w;
+    _mm256_maskstore_pd(
+        yi, live,
+        subtract ? _mm256_sub_pd(_mm256_maskload_pd(yi, live), sum) : sum);
+  }
+}
+
+namespace {
+
 /// sweep_segments' class update of one row from its segment sum: the
 /// portable twin's verbatim.
 inline void sweep_update(double sum, index_t i, const double* diag, double a,
@@ -399,43 +474,22 @@ void sweep_segments(const RunView& runs, const SellView& rest,
                     const double* diag, double a, const double* r, double* z,
                     double* y, bool last) {
   const __m256d av = _mm256_set1_pd(a);
+  constexpr auto kC = static_cast<index_t>(kSellSlice);
   for (index_t q = 0; q < runs.num_runs; ++q) {
     const index_t i0 = runs.row[q];
-    const auto len = static_cast<std::size_t>(runs.len[q]);
-    const index_t* off = runs.off + runs.off_ptr[q];
-    const index_t terms = runs.off_ptr[q + 1] - runs.off_ptr[q];
-    const double* val = runs.val + runs.val_ptr[q];
-    std::size_t t = 0;
-    // Four rows per step: term k is one contiguous load of the run's k-th
-    // value column and one of z at offset off[k] — row_dot's schedule in
-    // every lane, with no gather.
-    for (; t + kSellSlice <= len; t += kSellSlice) {
-      const index_t i = i0 + static_cast<index_t>(t);
-      Lanes8 lanes;
-      lanes.run(0, terms, [&](__m256d& lane, index_t k) {
-        lane = _mm256_add_pd(
-            lane,
-            _mm256_mul_pd(
-                _mm256_loadu_pd(val + static_cast<std::size_t>(k) * len + t),
-                _mm256_loadu_pd(z + i + off[k])));
-      });
-      sweep_update4(lanes.sum(), i, diag, av, r, z, y, last);
+    const index_t len = runs.len[q];
+    index_t t = 0;
+    for (; t + kC <= len; t += kC) {
+      sweep_update4(run_sums4(runs, q, t, z + i0 + t), i0 + t, diag, av, r,
+                    z, y, last);
     }
     for (; t < len; ++t) {
-      const index_t i = i0 + static_cast<index_t>(t);
-      double lane[kRowLanes] = {};
-      for (index_t k = 0; k < terms; ++k) {
-        lane[static_cast<std::size_t>(k) % kRowLanes] +=
-            val[static_cast<std::size_t>(k) * len + t] * z[i + off[k]];
-      }
-      double sum = lane[0];
-      for (std::size_t l = 1; l < kRowLanes; ++l) sum += lane[l];
-      sweep_update(sum, i, diag, a, r, z, y, last);
+      sweep_update(run_row_sum(runs, q, t, z + i0 + t), i0 + t, diag, a, r,
+                   z, y, last);
     }
   }
   // The leftover rows' slice sums are complete before any of the slice's
   // rows is updated; a padded lane's gather is blended away.
-  constexpr auto kC = static_cast<index_t>(kSellSlice);
   for (index_t sl = 0; sl < rest.num_slices; ++sl) {
     double sum[kSellSlice];
     _mm256_storeu_pd(sum, slice_sums(rest, sl, z));
@@ -540,15 +594,27 @@ void block_csr_rows(const index_t* rp, const index_t* col, const double* val,
   }
 }
 
-void block_dia_triad(const double* v, const double* x, double* y, index_t lo,
-                     index_t hi, index_t off, bool subtract) {
-  for (index_t i = lo; i < hi; ++i) {
-    const __m256d prod =
-        _mm256_mul_pd(_mm256_broadcast_sd(v + i), load_row(x, i + off));
-    double* yr = y + static_cast<std::size_t>(i) * kW;
-    const __m256d old = _mm256_loadu_pd(yr);
-    _mm256_storeu_pd(yr, subtract ? _mm256_sub_pd(old, prod)
-                                  : _mm256_add_pd(old, prod));
+void block_run_rows(const RunView& runs, const double* x, double* y,
+                    bool subtract) {
+  for (index_t q = 0; q < runs.num_runs; ++q) {
+    const auto len = static_cast<std::size_t>(runs.len[q]);
+    const index_t* off = runs.off + runs.off_at[q];
+    const double* val = runs.val + runs.val_at[q];
+    for (std::size_t t = 0; t < len; ++t) {
+      const index_t i = runs.row[q] + static_cast<index_t>(t);
+      // block_row_sum's schedule: term k broadcasts its value and loads
+      // the block row of x at i + off[k].
+      Lanes8 lanes;
+      lanes.run(0, runs.count[q], [&](__m256d& lane, index_t k) {
+        lane = _mm256_add_pd(
+            lane,
+            _mm256_mul_pd(
+                _mm256_broadcast_sd(val + static_cast<std::size_t>(k) * len +
+                                    t),
+                load_row(x, i + off[k])));
+      });
+      store_row(lanes.sum(), y, i, subtract);
+    }
   }
 }
 

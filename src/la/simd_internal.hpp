@@ -28,10 +28,10 @@ void hadamard(const double* x, const double* y, double* w, std::size_t n);
 void csr_spmv_rows(const index_t* rp, const index_t* col, const double* val,
                    const double* x, double* y, index_t row_begin,
                    index_t row_end, bool subtract);
-void dia_triad(const double* v, const double* x, double* y, index_t lo,
-               index_t hi, index_t off, bool subtract);
 void sell_spmv_slices(const SellView& s, const double* x, double* y,
                       index_t slice_begin, index_t slice_end, bool subtract);
+void run_spmv_rows(const RunView& runs, const double* x, double* y,
+                   index_t begin, index_t end, bool subtract);
 void sweep_segments(const RunView& runs, const SellView& rest,
                     const double* diag, double a, const double* r, double* z,
                     double* y, bool last);
@@ -47,8 +47,8 @@ void block_xpay(const double* x, const double* b, double* y,
 void block_csr_rows(const index_t* rp, const index_t* col, const double* val,
                     const double* x, double* y, index_t row_begin,
                     index_t row_end, bool subtract);
-void block_dia_triad(const double* v, const double* x, double* y, index_t lo,
-                     index_t hi, index_t off, bool subtract);
+void block_run_rows(const RunView& runs, const double* x, double* y,
+                    bool subtract);
 void block_sell_slices(const SellView& s, const double* x, double* y,
                        index_t slice_begin, index_t slice_end, bool subtract);
 void block_sweep_rows(const index_t* seg_begin, const index_t* seg_end,

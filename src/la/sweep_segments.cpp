@@ -1,74 +1,64 @@
 #include "la/sweep_segments.hpp"
 
+#include <algorithm>
+
 namespace mstep::la {
 
-SweepSegments SweepSegments::build(const CsrMatrix& a,
+SweepSegments SweepSegments::build(const DiaMatrix& store, const CsrMatrix& a,
                                    const index_t* seg_begin,
                                    const index_t* seg_end, index_t row_begin,
                                    index_t row_end) {
-  const auto& col = a.col_idx();
-  const auto& val = a.values();
-  const auto same_offsets = [&](index_t i, index_t j) {
-    const index_t len = seg_end[i] - seg_begin[i];
-    if (seg_end[j] - seg_begin[j] != len) return false;
-    for (index_t k = 0; k < len; ++k) {
-      if (col[seg_begin[i] + k] - i != col[seg_begin[j] + k] - j) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  // Pass 1: cut [row_begin, row_end) into maximal equal-offset stretches.
+  const index_t* rp = a.row_ptr().data();
+  const simd::RunView all = store.runs();
   SweepSegments m;
-  m.off_ptr_.push_back(0);
-  std::vector<index_t> rest_rows;
-  std::size_t values = 0;
-  for (index_t i = row_begin; i < row_end;) {
-    index_t j = i + 1;
-    while (j < row_end && same_offsets(i, j)) ++j;
-    if (j - i >= kMinRun) {
-      const index_t terms = seg_end[i] - seg_begin[i];
-      m.row_.push_back(i);
-      m.len_.push_back(j - i);
-      m.val_ptr_.push_back(values);
-      values += static_cast<std::size_t>(terms) * (j - i);
-      for (index_t k = 0; k < terms; ++k) {
-        m.off_.push_back(col[seg_begin[i] + k] - i);
-      }
-      m.off_ptr_.push_back(static_cast<index_t>(m.off_.size()));
-      m.run_rows_ += j - i;
-    } else {
-      for (index_t g = i; g < j; ++g) rest_rows.push_back(g);
-    }
-    i = j;
-  }
+  m.val_ = all.val;
+  m.off_ = all.off;
 
-  // Pass 2: the run values, diagonal-major, into storage sized once.
-  m.val_.resize(values);
-  for (std::size_t q = 0; q < m.row_.size(); ++q) {
-    const auto len = static_cast<std::size_t>(m.len_[q]);
-    const index_t terms = m.off_ptr_[q + 1] - m.off_ptr_[q];
-    double* out = m.val_.data() + m.val_ptr_[q];
-    for (std::size_t t = 0; t < len; ++t) {
-      const index_t b = seg_begin[m.row_[q] + static_cast<index_t>(t)];
-      for (index_t k = 0; k < terms; ++k) {
-        out[static_cast<std::size_t>(k) * len + t] = val[b + k];
-      }
+  // The store's runs inside [row_begin, row_end): no run crosses a cut.
+  const index_t* first = std::lower_bound(all.row, all.row + all.num_runs,
+                                          row_begin);
+  std::vector<index_t> rest_rows;
+  index_t next = row_begin;  // first row not yet placed
+  const auto to_rest = [&](index_t end) {
+    for (; next < end; ++next) rest_rows.push_back(next);
+  };
+  for (auto q = static_cast<index_t>(first - all.row);
+       q < all.num_runs && all.row[q] < row_end; ++q) {
+    const index_t i0 = all.row[q];
+    const index_t len = all.len[q];
+    // The segment's first and last term, the same in every row of the run
+    // when the class block is diagonal; a run where they move (explicit
+    // zeros off the diagonal of the class block) stays out.
+    const index_t k0 = seg_begin[i0] - rp[i0];
+    const index_t k1 = seg_end[i0] - rp[i0];
+    bool fixed = true;
+    for (index_t i = i0 + 1; i < i0 + len && fixed; ++i) {
+      fixed = seg_begin[i] - rp[i] == k0 && seg_end[i] - rp[i] == k1;
     }
+    if (!fixed) continue;
+    to_rest(i0);
+    m.row_.push_back(i0);
+    m.len_.push_back(len);
+    m.off_at_.push_back(all.off_at[q] + k0);
+    m.val_at_.push_back(all.val_at[q] + static_cast<std::size_t>(k0) * len);
+    m.count_.push_back(k1 - k0);
+    m.run_rows_ += len;
+    next = i0 + len;
   }
+  to_rest(row_end);
   m.rest_ = SellSegments::build(a, seg_begin, seg_end, rest_rows);
   return m;
 }
 
 simd::RunView SweepSegments::runs() const {
   simd::RunView v;
-  v.val = val_.data();
-  v.off = off_.data();
-  v.off_ptr = off_ptr_.data();
-  v.val_ptr = val_ptr_.data();
+  v.val = val_;
+  v.off = off_;
   v.row = row_.data();
   v.len = len_.data();
+  v.off_at = off_at_.data();
+  v.val_at = val_at_.data();
+  v.count = count_.data();
   v.num_runs = static_cast<index_t>(row_.size());
   return v;
 }

@@ -1,23 +1,26 @@
-// Storage of one colour class's strictly-lower or strictly-upper coupling
-// rows for the multicolor sweep, in the form simd::sweep_segments sums.
+// One colour class's strictly-lower or strictly-upper coupling rows for the
+// multicolor sweep, in the form simd::sweep_segments sums — a VIEW of the
+// solve's one matrix storage, not a copy of it.
 //
-// On a stencil or finite-element matrix in multicolour order, consecutive
-// rows of a class usually couple to their neighbours through the same
-// offsets: row i's segment reads columns i + o_0, i + o_1, ... for one
-// offset list (col - row, in CSR order) shared by a whole stretch of rows.
-// Such a stretch — a RUN — is the paper's diagonal storage (§3.1) cut to
-// the rows that have it: the offsets are stored once and the values
-// diagonal-major, so four rows' term k is one contiguous load of the
-// values and one of the iterate.  Because every run row keeps its own CSR
-// term order, each row's sum is still row_dot's 8-lane schedule over its
-// segment, bitwise.  The rows no run covers go to SELL slices
-// (la::SellSegments) and through the same fused update.
+// la::DiaMatrix stores the matrix as constant-offset row runs (the paper's
+// §3.1 diagonal storage cut to the rows that have it) over the CSR rows.  A
+// run row's CSR terms are its lower-class entries, its diagonal, then its
+// upper-class entries, so the lower half of every row of a run is the same
+// leading stretch of the run's terms and the upper half the same trailing
+// stretch.  A sweep segment therefore sums, per run, a term begin and a
+// count over the store's own offsets and values: four rows' term k is one
+// contiguous load of values and one of the iterate.  Each row's sum is
+// row_dot's 8-lane schedule over its segment (term k - k0 to lane
+// (k - k0) mod 8), bitwise.  The rows of the class that no usable run
+// covers keep their segment as SELL slices (la::SellSegments) and go
+// through the same fused update.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "la/csr_matrix.hpp"
+#include "la/dia_matrix.hpp"
 #include "la/sell_matrix.hpp"
 #include "la/simd.hpp"
 
@@ -25,36 +28,44 @@ namespace mstep::la {
 
 class SweepSegments {
  public:
-  /// A run covers at least this many consecutive rows: one vector of rows.
-  static constexpr index_t kMinRun = static_cast<index_t>(simd::kSellSlice);
-
   SweepSegments() = default;
 
   /// Rows [row_begin, row_end) of `a`, row i contributing its CSR entries
   /// [seg_begin[i], seg_end[i]); both arrays are indexed by global row id
-  /// (pass row_ptr().data() / the RowSplits arrays).  Runs are the maximal
-  /// stretches of at least kMinRun consecutive rows with identical offset
-  /// lists; every other row goes to rest().
-  [[nodiscard]] static SweepSegments build(const CsrMatrix& a,
+  /// (pass row_ptr().data() / the RowSplits arrays).  `store` must be
+  /// la::DiaMatrix::from_csr(a, cuts) with row_begin and row_end among the
+  /// cuts, and must outlive this view.  A store run whose rows all start
+  /// and end their segment at the same terms is summed in place; the rows
+  /// of every other run, and those outside runs, go to rest().
+  [[nodiscard]] static SweepSegments build(const DiaMatrix& store,
+                                           const CsrMatrix& a,
                                            const index_t* seg_begin,
                                            const index_t* seg_end,
                                            index_t row_begin,
                                            index_t row_end);
 
-  /// Non-owning kernel view of the runs; valid while this object lives.
+  /// Non-owning kernel view of the runs; valid while this object and the
+  /// store live.
   [[nodiscard]] simd::RunView runs() const;
-  /// The rows outside every run.
+  /// The rows outside every summed run.
   [[nodiscard]] const SellSegments& rest() const { return rest_; }
   /// Rows summed on the run path.
   [[nodiscard]] index_t run_rows() const { return run_rows_; }
+  /// Bytes this view holds itself (the store's runs are not counted).
+  [[nodiscard]] std::size_t stored_bytes() const {
+    return row_.size() * (4 * sizeof(index_t) + sizeof(std::size_t)) +
+           rest_.stored_bytes();
+  }
 
  private:
-  std::vector<double> val_;
-  std::vector<index_t> off_;
-  std::vector<index_t> off_ptr_;
-  std::vector<std::size_t> val_ptr_;
+  const double* val_ = nullptr;   // the store's values
+  const index_t* off_ = nullptr;  // the store's offsets
+  // Per summed run: first row, length, first offset, first value, terms.
   std::vector<index_t> row_;
   std::vector<index_t> len_;
+  std::vector<index_t> off_at_;
+  std::vector<std::size_t> val_at_;
+  std::vector<index_t> count_;
   index_t run_rows_ = 0;
   SellSegments rest_;
 };

@@ -1,7 +1,7 @@
 // obs::Tracer — low-overhead, thread-safe tracing and profiling.
 //
 // The solver narrates its phase structure through RAII `Span`s
-// (prepare → coloring → format_probe; solve → iteration → sweep) and
+// (prepare → coloring → params; solve → iteration → sweep) and
 // bumps a small set of global counters (flops, bytes moved, cache
 // hits).  Each thread records into its own bounded ring buffer — a
 // span costs two steady_clock reads and one uncontended mutex when

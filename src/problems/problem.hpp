@@ -62,8 +62,8 @@ struct Problem {
   /// six colours, 5-point grid: red/black); empty means the solver
   /// colours the matrix graph greedily.
   color::ColorClasses classes;
-  /// Bandedness probe (la::DiaMatrix::profitable): the DIA operator
-  /// layout pays off for this matrix.
+  /// Bandedness fact (la::DiaMatrix::profitable): few enough distinct
+  /// diagonals that full-length diagonal storage would pay.
   bool dia_friendly = false;
 
   [[nodiscard]] bool has_exact() const { return !exact_solution.empty(); }

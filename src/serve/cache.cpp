@@ -1,5 +1,6 @@
 #include "serve/cache.hpp"
 
+#include "core/multicolor_mstep.hpp"
 #include "serve/hash.hpp"
 #include "solver/config.hpp"
 
@@ -110,21 +111,22 @@ std::size_t estimate_entry_bytes(const ProblemData& problem,
            static_cast<std::size_t>(m.rows() + 1) * sizeof(index_t);
   };
   std::size_t bytes = csr_bytes(problem.matrix);
-  // The colour permutation copies the matrix (plus two index maps), and
-  // the multicolor sweeps keep copies of every row's strictly-lower and
-  // strictly-upper segments (la::SweepSegments: diagonal-major runs plus
-  // SELL leftovers — together at most about one more matrix); the DIA
-  // layout stores rows * num_diagonals doubles and the SELL layout a
-  // padded slice copy, both bounded below by the CSR size — each
-  // estimated as one more matrix.
+  // The colour permutation copies the matrix (plus two index maps).  The
+  // one storage every product and the sweep read is priced at its actual
+  // size, and the sweep adds only its leftover SELL segments and run views.
   if (prepared.coloring().used) {
-    bytes += 2 * csr_bytes(problem.matrix) +
+    bytes += csr_bytes(problem.matrix) +
              2 * static_cast<std::size_t>(problem.matrix.rows()) *
                  sizeof(index_t);
   }
-  if (prepared.resolved_format() == solver::MatrixFormat::kDia ||
-      prepared.resolved_format() == solver::MatrixFormat::kSell) {
-    bytes += csr_bytes(problem.matrix);
+  bytes += prepared.storage().stored_bytes();
+  if (const auto* sweep = dynamic_cast<const core::MulticolorMStepSsor*>(
+          &prepared.preconditioner())) {
+    for (const auto* half : {&sweep->plan()->lower, &sweep->plan()->upper}) {
+      for (const la::SweepSegments& segs : *half) {
+        bytes += segs.stored_bytes();
+      }
+    }
   }
   bytes += problem.rhs.size() * sizeof(double);
   bytes += prepared.alphas().size() * sizeof(double);

@@ -126,9 +126,10 @@ class PreparedCache {
 };
 
 /// Budget estimate for one prepared pipeline: the problem data plus the
-/// Prepared's own copies (the colour-permuted matrix when multicolour,
-/// the DIA twin when that layout was selected) plus fixed overhead.  An
-/// estimate, not an audit — documented in docs/protocol.md.
+/// Prepared's own copies (the colour-permuted matrix when multicolour, the
+/// run storage at its actual size, the sweep's leftover segments) plus
+/// fixed overhead.  An estimate, not an audit — documented in
+/// docs/protocol.md.
 [[nodiscard]] std::size_t estimate_entry_bytes(
     const ProblemData& problem, const solver::Prepared& prepared);
 

@@ -3,6 +3,7 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstring>
 #include <fstream>
@@ -19,6 +20,25 @@
 namespace mstep::serve {
 
 namespace {
+
+/// First read of a payload; each later read doubles what has arrived.
+constexpr std::size_t kPayloadChunk = std::size_t{64} << 10;
+
+/// Reads a `len`-byte payload into `out`, growing it only as bytes arrive:
+/// a header may claim up to max_payload, but memory follows what the peer
+/// actually sends (at most twice it).  False when the peer closes first.
+bool read_payload(Socket& sock, std::size_t len, std::string& out) {
+  try {
+    while (out.size() < len) {
+      const std::size_t got = out.size();
+      out.resize(got + std::min(std::max(kPayloadChunk, got), len - got));
+      if (!sock.read_exact(&out[got], out.size() - got)) return false;
+    }
+  } catch (const SocketError&) {
+    return false;  // closed partway through a read
+  }
+  return true;
+}
 
 /// The self-pipe the signal handlers write to.  One live server per
 /// process (install_signal_handlers documents "latest wins").
@@ -237,11 +257,6 @@ void Server::serve_connection(Socket sock) {
       std::string payload;
       try {
         fh = decode_header(header, options_.max_payload);
-        payload.resize(static_cast<std::size_t>(fh.payload_len));
-        if (fh.payload_len > 0 &&
-            !sock.read_exact(&payload[0], payload.size())) {
-          throw SocketError("peer closed the connection mid-frame");
-        }
       } catch (const ProtocolError& e) {
         metrics_.count_error();
         const std::string body =
@@ -249,6 +264,12 @@ void Server::serve_connection(Socket sock) {
         sock.write_all(encode_header(MsgType::kErrorReply, body.size()));
         sock.write_all(body);
         return;  // framing is lost; drop the connection
+      }
+      if (!read_payload(sock, static_cast<std::size_t>(fh.payload_len),
+                        payload)) {
+        metrics_.count_error();
+        log("connection dropped: peer closed the connection mid-frame");
+        return;
       }
       if (!handle_frame(sock, fh.type, payload)) return;
     }

@@ -44,4 +44,11 @@ ShardPlan ShardPlan::build(const std::vector<index_t>& class_start,
   return plan;
 }
 
+std::vector<index_t> ShardPlan::cell_bounds() const {
+  std::vector<index_t> cuts = bounds_;
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  return cuts;
+}
+
 }  // namespace mstep::shard

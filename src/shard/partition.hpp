@@ -56,6 +56,11 @@ class ShardPlan {
     return class_start_;
   }
 
+  /// Every (shard, class) cell boundary, ascending and duplicate-free,
+  /// from 0 to rows(): the cuts la::DiaMatrix::from_csr takes so that no
+  /// stored run crosses a cell.
+  [[nodiscard]] std::vector<index_t> cell_bounds() const;
+
  private:
   int shards_ = 1;
   std::vector<index_t> class_start_;

@@ -27,10 +27,8 @@ void ShardedOperator::run(const Vec& x, Vec& y, bool subtract) const {
 
   if (subtract) {
     assert(static_cast<index_t>(y.size()) == n);
-  } else if (dia_) {
-    y.assign(n, 0.0);  // DIA accumulates diagonal triads into y
   } else {
-    y.resize(n);
+    y.resize(n);  // every owned row is written exactly once
   }
 
   if (sell_) {

@@ -3,12 +3,13 @@
 //
 // Unlike the sweep, SpMV has no inter-class data dependence — x is fully
 // formed before the product starts — so no halo staging is needed here;
-// each shard reads x directly and writes only its owned rows (CSR/DIA) or
-// its slice strip (SELL, whose sigma-sorted slices interleave rows across
-// shard boundaries, so the strip partition follows slices instead of the
-// ownership map).  Every per-row/per-element kernel is the serial one on
-// a sub-range, so the product is bitwise identical to the serial operator
-// for any shard count.
+// each shard reads x directly and writes only its owned rows (CSR, and the
+// run storage, whose runs are clipped to each strip) or its slice strip
+// (SELL, whose sigma-sorted slices interleave rows across shard
+// boundaries, so the strip partition follows slices instead of the
+// ownership map).  Every per-row kernel is the serial one on a sub-range,
+// so the product is bitwise identical to the serial operator for any
+// shard count.
 //
 // This is the only partitioned SpMV: the solver's outer products and the
 // generic m-step engine's K z both run here, on the one strip partition

@@ -22,9 +22,9 @@
 // vector.  One lane rule: a single lane runs Prepared::solve's path, on
 // the strip partition if there is one (and then w = 1); two or more lanes
 // run inside one pool job, which may not dispatch, so they run the serial
-// kernels (on the Algorithm-2 path over one shared one-strip sweep plan).
-// Either way every per-RHS result is BITWISE identical to the serial
-// Prepared::solve.
+// kernels (on the Algorithm-2 path over the pipeline's own sweep plan,
+// its strips run inline).  Either way every per-RHS result is BITWISE
+// identical to the serial Prepared::solve.
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
@@ -128,21 +128,16 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs,
   const shard::ShardPlan* strips = partitioned ? strips_.get() : nullptr;
 
   // Build one scratch arena per lane; the expensive setup — coloring,
-  // interval, alphas — is shared read-only.  On the Algorithm-2 path the
-  // lanes share one sweep plan too: this pipeline's own if it has one
-  // strip or the single lane runs partitioned, else a one-strip plan built
-  // once for this call.  Other paths go through prepare()'s selection
-  // policy.  A lane's KernelLog is non-null only when tracing is on as the
-  // batch starts, so untraced batches keep the log-free code paths.
+  // interval, alphas, the storage — is shared read-only.  On the
+  // Algorithm-2 path the lanes share this pipeline's sweep plan too; a lane
+  // without the pool runs its strips inline.  Other paths go through
+  // prepare()'s selection policy.  A lane's KernelLog is non-null only
+  // when tracing is on as the batch starts, so untraced batches keep the
+  // log-free code paths.
   const auto* sweep =
       dynamic_cast<const core::MulticolorMStepSsor*>(precond_.get());
-  std::shared_ptr<const core::MulticolorSweepPlan> sweep_plan;
-  if (sweep) {
-    sweep_plan = partitioned || sweep->plan()->num_strips() == 1
-                     ? sweep->plan()
-                     : std::make_shared<const core::MulticolorSweepPlan>(
-                           *cs_, alphas_);
-  }
+  const std::shared_ptr<const core::MulticolorSweepPlan> sweep_plan =
+      sweep ? sweep->plan() : nullptr;
   const bool tracing = obs::Tracer::instance().enabled();
   std::vector<Lane> arena(static_cast<std::size_t>(lanes));
   for (Lane& lane : arena) {
@@ -230,7 +225,7 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs,
           report.coloring = stats_;
           report.preconditioner_name = precond.name();
           report.steps = config_.steps;
-          report.format_selected = resolved_format_;
+          report.format_selected = resolved_format();
           report.shards = partitioned ? shards() : 0;
           // A distinct slot per right-hand side: no race.
           br.reports[ids[c]] = std::move(report);

@@ -111,7 +111,6 @@ std::string SolverConfig::to_string() const {
       "splitting=" + util::spec_string(splitting, splitting_options) +
       ";m=" + std::to_string(steps) + ";params=" + params +
       ";ordering=" + solver::to_string(ordering) +
-      ";format=" + solver::to_string(format) +
       ";stop=" + solver::to_string(stop_rule) +
       ";tol=" + util::format_double(tolerance) +
       ";maxit=" + std::to_string(max_iterations);
@@ -244,8 +243,7 @@ bool operator==(const SolverConfig& a, const SolverConfig& b) {
   return a.splitting == b.splitting &&
          a.splitting_options == b.splitting_options && a.steps == b.steps &&
          a.params == b.params && a.ordering == b.ordering &&
-         a.format == b.format && a.stop_rule == b.stop_rule &&
-         a.tolerance == b.tolerance &&
+         a.stop_rule == b.stop_rule && a.tolerance == b.tolerance &&
          a.max_iterations == b.max_iterations &&
          a.record_history == b.record_history &&
          a.execution == b.execution && a.batch == b.batch && iv_equal;

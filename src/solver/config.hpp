@@ -5,7 +5,7 @@
 // here, and the whole config round-trips through a compact string form:
 //
 //   splitting=ssor:omega=1.2;m=4;params=lsq;ordering=multicolor;
-//   format=csr;stop=delta_inf;tol=1e-06;maxit=20000
+//   stop=delta_inf;tol=1e-06;maxit=20000
 //
 // so an experiment is reproducible from one line of a log, and a CLI
 // driver exposes the full design space as --splitting/--m/--params/
@@ -29,21 +29,19 @@ enum class Ordering {
   kMulticolor,  // colour-permute first (Section 3)
 };
 
-/// Storage format the outer CG matrix-vector products run on.
+/// Names of the operator storage formats, kept for the `format=` alias.
 ///
-/// `kAuto` defers the choice to prepare time: the solver probes the
-/// actual iteration matrix (after any multicolour permutation) with
-/// la::DiaMatrix::profitable (banded layout first) and, failing that,
-/// la::SellMatrix::profitable (sliced-ELL occupancy), routing through
-/// kCsr when neither structured layout pays off.  The resolved choice is
-/// reported in SolveReport::format_selected (and the driver's JSON
-/// `format_selected` field), so a log line always names the layout that
-/// actually ran.
+/// Every solve runs its outer CG products on one storage, la::DiaMatrix
+/// (constant-offset row runs over the CSR rows, bitwise CSR), and the
+/// Algorithm-2 sweep reads the same runs; SolveReport::format_selected and
+/// the driver's JSON `format_selected` field always say kDia.  The other
+/// names still parse so old config lines and command lines keep working,
+/// and la-level benches use them to pick a layout by hand.
 enum class MatrixFormat {
   kCsr,   // general sparsity
-  kDia,   // by diagonals — the CYBER 203/205 layout (Section 3.1)
-  kSell,  // SELL-C-sigma sliced layout for the SIMD SpMV kernel
-  kAuto,  // probe at prepare time; resolves to kDia, kSell, or kCsr
+  kDia,   // by diagonals cut to row runs — the solver's one storage (§3.1)
+  kSell,  // SELL-C-sigma sliced layout
+  kAuto,  // formerly a prepare-time probe; now the same storage as the rest
 };
 
 /// Parse "csr" | "dia" | "sell" | "auto"; throws std::invalid_argument
@@ -106,9 +104,11 @@ struct SolverConfig {
   int steps = 4;                         // m; 0 = plain CG
   std::string params = "lsq";            // parameter strategy key
   Ordering ordering = Ordering::kMulticolor;
-  /// Operator storage for the outer CG products (string form
-  /// "format=csr|dia|sell|auto", CLI --format).  kAuto defers to the
-  /// bandedness/occupancy probes at prepare time; see MatrixFormat.
+  /// A parse alias (string form "format=csr|dia|sell|auto", CLI
+  /// --format): the value is validated and kept here for tools that pick a
+  /// layout by hand, but the solver ignores it, to_string() omits it and
+  /// operator== does not compare it, so every spelling is the same solve
+  /// and shares one daemon cache key.  See MatrixFormat.
   MatrixFormat format = MatrixFormat::kCsr;
   core::StopRule stop_rule = core::StopRule::kDeltaInf;
   double tolerance = 1e-6;               // on the stop_rule quantity
@@ -131,7 +131,8 @@ struct SolverConfig {
   /// unregistered splitting/strategy (SSOR omega must lie in (0, 2)).
   void validate() const;
 
-  /// Serialize; from_string(to_string()) reproduces every field.
+  /// Serialize; from_string(to_string()) reproduces every field the
+  /// solver reads (not the `format` alias).
   [[nodiscard]] std::string to_string() const;
   static SolverConfig from_string(const std::string& text);
 

@@ -36,13 +36,20 @@ double ssor_omega(const SolverConfig& config) {
 
 namespace detail {
 
+bool uses_multicolor_sweep(const SolverConfig& config,
+                           const color::ColoredSystem* cs) {
+  return config.steps > 0 && cs != nullptr && config.splitting == "ssor" &&
+         ssor_omega(config) == 1.0;
+}
+
 PrecondChoice make_preconditioner(const SolverConfig& config,
                                   const color::ColoredSystem* cs,
                                   const la::CsrMatrix& matrix,
                                   const std::vector<double>& alphas,
                                   core::KernelLog* log,
                                   const par::Execution* exec,
-                                  const shard::ShardPlan* strips) {
+                                  const shard::ShardPlan* strips,
+                                  std::shared_ptr<const la::DiaMatrix> store) {
   PrecondChoice choice;
   if (config.steps <= 0) {
     choice.precond =
@@ -53,12 +60,13 @@ PrecondChoice make_preconditioner(const SolverConfig& config,
   // SSOR(omega = 1) m-step operator on the colour-permuted matrix.  One
   // engine serves every execution mode, differing only in its strips: the
   // partition's, one pool task each, else one (serial, inline).  Any strip
-  // count is bitwise the serial sweep.
-  if (cs && config.splitting == "ssor" && ssor_omega(config) == 1.0) {
-    auto plan = strips ? std::make_shared<const core::MulticolorSweepPlan>(
-                             *cs, alphas, *strips)
-                       : std::make_shared<const core::MulticolorSweepPlan>(
-                             *cs, alphas);
+  // count is bitwise the serial sweep.  The sweep reads `store` when the
+  // caller has one, else its plan builds its own.
+  if (uses_multicolor_sweep(config, cs)) {
+    auto plan = std::make_shared<const core::MulticolorSweepPlan>(
+        *cs, alphas,
+        strips ? *strips : shard::ShardPlan::build(cs->class_start, 1),
+        std::move(store));
     choice.precond = std::make_unique<core::MulticolorMStepSsor>(
         std::move(plan), strips && exec ? exec->pool() : nullptr, log);
     return choice;
@@ -147,7 +155,21 @@ Prepared Solver::prepare(const la::CsrMatrix& k,
     if (strips->num_shards() >= 2) p.strips_ = std::move(strips);
   }
 
-  // 3. Parameters and preconditioner (splitting via the registries).
+  // 3. The one matrix storage (la::DiaMatrix: constant-offset row runs
+  // over the CSR rows), cut at every cell of the partition so the sweep
+  // finds each run inside one (strip, class) cell.  Every outer product
+  // runs on it, bitwise CSR.  The runs are built when the Algorithm-2
+  // sweep reads them; for any other preconditioner they would be a second
+  // copy of the values that only the outer product reads, so there the
+  // store reads the CSR rows in place and costs nothing to build or hold.
+  p.store_ = std::make_shared<const la::DiaMatrix>(
+      detail::uses_multicolor_sweep(config_, p.cs_.get())
+          ? la::DiaMatrix::from_csr(*p.matrix_, p.strips_
+                                                    ? p.strips_->cell_bounds()
+                                                    : p.cs_->class_start)
+          : la::DiaMatrix::without_runs(*p.matrix_));
+
+  // 4. Parameters and preconditioner (splitting via the registries).
   {
     const obs::Span params_span("params");
     if (config_.steps > 0) {
@@ -159,54 +181,19 @@ Prepared Solver::prepare(const la::CsrMatrix& k,
       p.alphas_ = ParamStrategyRegistry::instance().alphas(
           config_.params, config_.steps, p.interval_);
     }
-    auto choice = detail::make_preconditioner(config_, p.cs_.get(),
-                                              *p.matrix_, p.alphas_, log,
-                                              p.kernel_exec(), p.strips_.get());
+    auto choice = detail::make_preconditioner(
+        config_, p.cs_.get(), *p.matrix_, p.alphas_, log, p.kernel_exec(),
+        p.strips_.get(), p.store_);
     p.splitting_ = std::move(choice.splitting);
     p.precond_ = std::move(choice.precond);
   }
 
-  // 4. Operator view for the outer CG products.  `auto` is resolved HERE,
-  // on the matrix PCG actually iterates on (the colour-permuted one when
-  // multicolour) — a matrix that is banded in the caller's ordering can
-  // scatter its diagonals under the permutation and vice versa, so the
-  // probe must see the operator matrix, not the input.
-  // The registry probe order is banded-first: the diagonal layout beats
-  // the sliced one when the matrix is banded enough to fill it, and SELL
-  // catches the irregular-but-dense-rows middle ground before the CSR
-  // fallback.
-  const obs::Span probe_span("format_probe");
-  p.resolved_format_ = config_.format;
-  if (p.resolved_format_ == MatrixFormat::kAuto) {
-    if (la::DiaMatrix::profitable(*p.matrix_)) {
-      p.resolved_format_ = MatrixFormat::kDia;
-    } else if (la::SellMatrix::profitable(*p.matrix_)) {
-      p.resolved_format_ = MatrixFormat::kSell;
-    } else {
-      p.resolved_format_ = MatrixFormat::kCsr;
-    }
-  }
-  // Each format gets its serial view and, over step 2's strips, its
-  // partitioned one.
-  const auto partitioned = [&p, this](const auto& matrix) {
-    if (p.strips_) {
-      p.strip_op_ = std::make_unique<shard::ShardedOperator>(
-          matrix, *p.strips_, *exec_->pool());
-    }
-  };
-  if (p.resolved_format_ == MatrixFormat::kDia) {
-    p.dia_ =
-        std::make_unique<la::DiaMatrix>(la::DiaMatrix::from_csr(*p.matrix_));
-    p.op_ = std::make_unique<la::DiaOperator>(*p.dia_);
-    partitioned(*p.dia_);
-  } else if (p.resolved_format_ == MatrixFormat::kSell) {
-    p.sell_ =
-        std::make_unique<la::SellMatrix>(la::SellMatrix::from_csr(*p.matrix_));
-    p.op_ = std::make_unique<la::SellOperator>(*p.sell_);
-    partitioned(*p.sell_);
-  } else {
-    p.op_ = std::make_unique<la::CsrOperator>(*p.matrix_);
-    partitioned(*p.matrix_);
+  // 5. The operator views for the outer CG products: serial, and over
+  // step 2's strips when there are any.
+  p.op_ = std::make_unique<la::DiaOperator>(*p.store_);
+  if (p.strips_) {
+    p.strip_op_ = std::make_unique<shard::ShardedOperator>(
+        *p.store_, *p.strips_, *exec_->pool());
   }
   return p;
 }
@@ -257,7 +244,7 @@ SolveReport Prepared::solve(const Vec& f, const Vec& u0) const {
   report.coloring = stats_;
   report.preconditioner_name = precond_->name();
   report.steps = config_.steps;
-  report.format_selected = resolved_format_;
+  report.format_selected = resolved_format();
   report.shards = shards();
   return report;
 }

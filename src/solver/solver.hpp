@@ -5,9 +5,10 @@
 // owns: multicolour ordering (caller-supplied classes or a greedy matrix
 // colouring), splitting construction through the registry, alpha selection
 // through the parameter-strategy registry, preconditioner assembly (with
-// the Algorithm-2 Conrad–Wallach fast path when it applies), the
-// CSR/DIA/SELL operator choice, and PCG itself.  Prepared splits the pipeline from the
-// solve so one factorization serves many right-hand sides.
+// the Algorithm-2 Conrad–Wallach fast path when it applies), the one
+// matrix storage the outer products and the sweep share (la::DiaMatrix),
+// and PCG itself.  Prepared splits the pipeline from the solve so one
+// factorization serves many right-hand sides.
 #pragma once
 
 #include <cstddef>
@@ -50,11 +51,9 @@ struct SolveReport {
   ColoringStats coloring;
   std::string preconditioner_name;
   int steps = 0;
-  /// The storage format the outer products actually ran on — kCsr, kDia,
-  /// or kSell, never kAuto (prepare resolves `format=auto` through the
-  /// la::DiaMatrix / la::SellMatrix profitability probes on the iteration
-  /// matrix).
-  MatrixFormat format_selected = MatrixFormat::kCsr;
+  /// The storage the outer products ran on: always kDia, the run storage
+  /// (la::DiaMatrix) every request shares, whatever `format` asked for.
+  MatrixFormat format_selected = MatrixFormat::kDia;
   /// Strips of the partition this solve ran on (`threads` after the
   /// widest-colour-block clamp), or 0 for a serial run: threads in {0, 1},
   /// under par::kSerialCutoff rows, or a batch lane beside others.
@@ -72,6 +71,11 @@ struct SolveReport {
 
 namespace detail {
 
+/// True when make_preconditioner picks the Algorithm-2 sweep, the one
+/// preconditioner that reads the store's runs.
+[[nodiscard]] bool uses_multicolor_sweep(const SolverConfig& config,
+                                         const color::ColoredSystem* cs);
+
 /// The one preconditioner-selection policy, shared by Solver::prepare and
 /// the batch engine's lanes: the Algorithm-2 Conrad–Wallach sweep for
 /// multicolor SSOR(omega = 1), the generic m-step engine for every other
@@ -83,6 +87,9 @@ namespace detail {
 /// pool: the Algorithm-2 sweep runs one strip per pool task, and the
 /// generic engine's K z a CSR shard::ShardedOperator.  Without it, both
 /// run serially (`exec` still threads the generic engine's vector ops).
+/// `store` (optional) is the pipeline's matrix storage, cut at the
+/// strips' cells; the Algorithm-2 sweep reads it instead of building its
+/// own.
 struct PrecondChoice {
   std::unique_ptr<split::Splitting> splitting;  // set on the generic path
   std::unique_ptr<core::Preconditioner> precond;
@@ -92,7 +99,8 @@ struct PrecondChoice {
     const SolverConfig& config, const color::ColoredSystem* cs,
     const la::CsrMatrix& matrix, const std::vector<double>& alphas,
     core::KernelLog* log, const par::Execution* exec,
-    const shard::ShardPlan* strips = nullptr);
+    const shard::ShardPlan* strips = nullptr,
+    std::shared_ptr<const la::DiaMatrix> store = nullptr);
 
 }  // namespace detail
 
@@ -190,8 +198,8 @@ class Prepared {
   /// pipeline's one coloring/splitting/alpha setup.  Work-stealing
   /// round-robin over the RHSs on the solver's shared thread pool: each
   /// worker lane owns a scratch arena (its own serial preconditioner — on
-  /// the Algorithm-2 path an engine over one one-strip sweep plan shared by
-  /// all lanes — and PCG workspaces), grabs the next unsolved RHSs, and
+  /// the Algorithm-2 path an engine over this pipeline's sweep plan, its
+  /// strips run inline — and PCG workspaces), grabs the next unsolved RHSs, and
   /// runs a full serial-kernel PCG on them.  On the Algorithm-2 path a
   /// lane takes blocks of min(4, ceil(nrhs / lanes)) right-hand sides and
   /// solves each block in one core::pcg_solve_block (one pass over the
@@ -207,6 +215,9 @@ class Prepared {
 
   /// The matrix PCG iterates on (colour-permuted when multicolour).
   [[nodiscard]] const la::CsrMatrix& matrix() const { return *matrix_; }
+  /// The one storage of matrix(): the outer products' operator and the
+  /// Algorithm-2 sweep's runs.
+  [[nodiscard]] const la::DiaMatrix& storage() const { return *store_; }
   [[nodiscard]] const core::Preconditioner& preconditioner() const {
     return *precond_;
   }
@@ -215,13 +226,10 @@ class Prepared {
   [[nodiscard]] const ColoringStats& coloring() const { return stats_; }
   [[nodiscard]] const SolverConfig& config() const { return config_; }
 
-  /// The operator layout this pipeline runs on: the config's format, with
-  /// kAuto resolved at prepare time (on the matrix the outer products
-  /// iterate on, i.e. after any colour permutation) — kDia when the
-  /// diagonal probe pays off, else kSell when the sliced-ELL occupancy
-  /// probe does, else kCsr.
+  /// The operator layout this pipeline runs on: always kDia, the run
+  /// storage (la::DiaMatrix) — `format` is a parse alias.
   [[nodiscard]] MatrixFormat resolved_format() const {
-    return resolved_format_;
+    return MatrixFormat::kDia;
   }
 
   /// Strips of this pipeline's partition: the configured `threads`
@@ -246,14 +254,14 @@ class Prepared {
   }
 
   SolverConfig config_;
-  // cs_ and the format-specific matrices live on the heap so every
-  // internal pointer (matrix_, the operator view, the preconditioner's
-  // system reference) stays valid when a Prepared is moved.
+  // cs_ and the storage live on the heap so every internal pointer
+  // (matrix_, the operator views, the preconditioner's system reference)
+  // stays valid when a Prepared is moved.
   std::unique_ptr<color::ColoredSystem> cs_;  // set when multicolour
   const la::CsrMatrix* matrix_ = nullptr;     // cs_->matrix or the caller's k
-  std::unique_ptr<la::DiaMatrix> dia_;        // set when format == dia
-  std::unique_ptr<la::SellMatrix> sell_;      // set when format == sell
-  std::unique_ptr<la::LinearOperator> op_;  // serial view, resolved format
+  // The one matrix storage: the outer products and the sweep plan's runs.
+  std::shared_ptr<const la::DiaMatrix> store_;
+  std::unique_ptr<la::LinearOperator> op_;  // serial view of store_
   std::unique_ptr<split::Splitting> splitting_;
   std::unique_ptr<core::Preconditioner> precond_;
   // The one strip partition, null when solves run serially: the sweep,
@@ -266,7 +274,6 @@ class Prepared {
   std::vector<double> alphas_;
   core::SpectrumInterval interval_{};
   ColoringStats stats_;
-  MatrixFormat resolved_format_ = MatrixFormat::kCsr;
   core::KernelLog* log_ = nullptr;
 };
 

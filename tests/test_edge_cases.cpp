@@ -100,15 +100,24 @@ TEST(EdgeCase, PcgZeroRhsReturnsZeroImmediately) {
 TEST(EdgeCase, DiaMatrixRejectsRectangular) {
   la::CooBuilder b(2, 3);
   b.add(0, 0, 1.0);
-  EXPECT_THROW((void)la::DiaMatrix::from_csr(b.build()),
-               std::invalid_argument);
+  const la::CsrMatrix a = b.build();
+  EXPECT_THROW((void)la::DiaMatrix::from_csr(a), std::invalid_argument);
 }
 
-TEST(EdgeCase, DiaStoredValuesAccountsAllDiagonals) {
+// A product reads each run row's terms once from the run storage and each
+// other row's terms from the CSR matrix: exactly the nonzeros, never the
+// full-length diagonals' fill, and exactly n for a diagonal matrix (one
+// run, no rest).
+TEST(EdgeCase, DiaStoredValuesAreRunTermsPlusRestRows) {
   const auto a = fem::PoissonProblem(4, 4).matrix();
   const auto d = la::DiaMatrix::from_csr(a);
-  EXPECT_EQ(d.stored_values(),
+  EXPECT_EQ(d.stored_values(), static_cast<std::size_t>(a.nnz()));
+  EXPECT_LE(d.stored_values(),
             static_cast<std::size_t>(d.num_diagonals()) * a.rows());
+  const la::CsrMatrix id = la::csr_identity(9);
+  const auto eye = la::DiaMatrix::from_csr(id);
+  EXPECT_EQ(eye.stored_values(), 9u);
+  EXPECT_TRUE(eye.rest().empty());
 }
 
 TEST(EdgeCase, PolynomialTrimDropsZeros) {

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <numeric>
@@ -253,11 +254,18 @@ TEST(StripSweep, NamesItsStripCount) {
             "multicolor-ssor-m2");
   EXPECT_EQ(strip_engine(p.cs, alphas, 2, pool).name(),
             "multicolor-ssor-m2-s2");
-  // A multi-strip plan has nothing to run on without a pool.
-  EXPECT_THROW(core::MulticolorMStepSsor(
-                   std::make_shared<const core::MulticolorSweepPlan>(
-                       p.cs, alphas, 2)),
-               std::invalid_argument);
+  // Without a pool a multi-strip plan runs its strips inline, in order:
+  // the same name and the serial bits.
+  const core::MulticolorMStepSsor inline_strips(
+      std::make_shared<const core::MulticolorSweepPlan>(p.cs, alphas, 2));
+  EXPECT_EQ(inline_strips.name(), "multicolor-ssor-m2-s2");
+  util::Rng rng(5);
+  const Vec r = rng.uniform_vector(p.cs.size());
+  Vec z1, z2;
+  core::MulticolorMStepSsor(p.cs, alphas).apply(r, z1);
+  inline_strips.apply(r, z2);
+  ASSERT_EQ(z1.size(), z2.size());
+  EXPECT_EQ(std::memcmp(z1.data(), z2.data(), z1.size() * sizeof(double)), 0);
 }
 
 // The plan is immutable and the scratch is per engine: four engines over

@@ -1,0 +1,479 @@
+// The run storage's products (la::DiaMatrix: constant-offset row runs plus
+// the source CSR rows outside them) against CsrMatrix::multiply, bit for
+// bit, on both kernel paths: the AVX2 kernel == its portable twin == the
+// CSR row sums.
+//
+// The matrix is built to hit every corner of the layout: runs of every
+// length from 4 up (4-row bodies and masked tails), stretches of 1-3 rows
+// that stay outside runs, rows with no terms inside and outside runs,
+// explicit zeros, and -0.0, +-inf and NaN couplings.  Each row holds at
+// most one non-finite product: IEEE 754 leaves open which payload NaN +
+// NaN keeps, and a compiler may commute a scalar add, so no kernel can
+// promise those bits.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <functional>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "color/coloring.hpp"
+#include "la/csr_matrix.hpp"
+#include "la/dia_matrix.hpp"
+#include "la/linear_operator.hpp"
+#include "la/simd.hpp"
+#include "par/thread_pool.hpp"
+#include "problems/problem.hpp"
+#include "shard/partition.hpp"
+#include "shard/sharded_operator.hpp"
+#include "solver/solver.hpp"
+#include "util/rng.hpp"
+
+namespace mstep {
+namespace {
+
+using la::simd::SimdMode;
+using la::simd::SimdModeGuard;
+
+constexpr std::size_t kW = la::simd::kSellSlice;
+
+bool bitwise_equal(const Vec& a, const Vec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// `kernel` under the forced scalar path and the vector path; both must
+/// write the same bits.  Returns the result.
+Vec both_paths(const std::function<Vec()>& kernel, const std::string& what) {
+  Vec scalar_out;
+  {
+    const SimdModeGuard guard(SimdMode::kForceScalar);
+    scalar_out = kernel();
+  }
+  const SimdModeGuard guard(SimdMode::kForceVector);
+  const Vec vector_out = kernel();
+  EXPECT_TRUE(bitwise_equal(scalar_out, vector_out)) << what;
+  return vector_out;
+}
+
+/// Stretches of rows sharing one offset list, in order: lengths 4-13 make
+/// runs, 1-3 go to the short (copied) rest, and the listed empty stretches
+/// store no term at all; then kLongRest rows alternating between two offset
+/// lists, a rest stretch long enough to be read in place.  Offsets near the
+/// ends are dropped where they leave the matrix, which breaks those
+/// stretches up further.
+constexpr index_t kLongRest = la::DiaMatrix::kInPlaceRows + 6;
+
+la::CsrMatrix corner_matrix() {
+  const index_t stretch[] = {4, 1, 6, 2, 9, 3, 5, 13, 4, 2, 7, 1, 1, 8, 3,
+                             4, 11, 2, 5, 10, 6, 1, 4};
+  const bool empty[] = {false, false, false, false, false, true, false,
+                        false, true,  true,  false, false, false, false,
+                        false, false, false, false, true, false, false,
+                        false, false};
+  util::Rng rng(41);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {inf, -inf,
+                             std::numeric_limits<double>::quiet_NaN()};
+  index_t n = kLongRest;
+  for (const index_t s : stretch) n += s;
+
+  std::vector<index_t> rp{0};
+  std::vector<index_t> col;
+  Vec val;
+  index_t i = 0;
+  const auto emit_row = [&](const std::vector<index_t>& offsets) {
+    std::size_t placed = 0;
+    for (const index_t o : offsets) {
+      if (i + o < 0 || i + o >= n) continue;
+      col.push_back(i + o);
+      double v = rng.uniform(-1.0, 1.0);
+      if (placed % 5 == 1) v = -0.0;
+      if (placed % 5 == 3) v = 0.0;  // an explicit zero stays stored
+      if (placed == 2 && i % 3 == 0) v = specials[(i / 3) % 3];
+      val.push_back(v);
+      ++placed;
+    }
+    rp.push_back(static_cast<index_t>(col.size()));
+    ++i;
+  };
+  for (std::size_t s = 0; s < std::size(stretch); ++s) {
+    // 1-17 distinct offsets in [-20, 20], ascending (CSR column order).
+    std::vector<index_t> offsets;
+    if (!empty[s]) {
+      const auto terms = static_cast<index_t>(1 + (s * 5) % 17);
+      for (index_t o = -20; o <= 20; ++o) {
+        if (static_cast<index_t>(offsets.size()) < terms &&
+            rng.uniform(0.0, 1.0) < 0.55) {
+          offsets.push_back(o);
+        }
+      }
+    }
+    for (index_t t = 0; t < stretch[s]; ++t) emit_row(offsets);
+  }
+  for (index_t t = 0; t < kLongRest; ++t) {
+    emit_row(t % 2 == 0 ? std::vector<index_t>{-9, -3, 0, 2, 11}
+                        : std::vector<index_t>{-2, 0, 5, 9, 10, 12});
+  }
+  return la::CsrMatrix(n, n, std::move(rp), std::move(col), std::move(val));
+}
+
+/// A finite x with scattered -0.0 entries.
+Vec make_x(util::Rng& rng, index_t n) {
+  Vec x = rng.uniform_vector(static_cast<std::size_t>(n), -1.0, 1.0);
+  for (index_t i = 0; i < n; i += 7) x[i] = -0.0;
+  return x;
+}
+
+/// The reference: CsrMatrix::multiply / multiply_sub on the portable path.
+Vec csr_product(const la::CsrMatrix& a, const Vec& x, const Vec& y0,
+                bool subtract) {
+  const SimdModeGuard guard(SimdMode::kForceScalar);
+  Vec y = y0;
+  if (subtract) {
+    a.multiply_sub(x, y);
+  } else {
+    a.multiply(x, y);
+  }
+  return y;
+}
+
+TEST(RunProduct, LayoutCoversEveryRowAndRespectsTheCuts) {
+  const la::CsrMatrix a = corner_matrix();
+  const index_t n = a.rows();
+  const std::vector<index_t> cuts{0, 7, 8, 30, 31, 64, n};
+  const la::DiaMatrix d = la::DiaMatrix::from_csr(a, cuts);
+  EXPECT_EQ(d.cuts(), cuts);
+  std::vector<int> seen(static_cast<std::size_t>(n), 0);
+  const la::simd::RunView runs = d.runs();
+  for (index_t q = 0; q < runs.num_runs; ++q) {
+    EXPECT_GE(runs.len[q], la::DiaMatrix::kMinRun);
+    for (const index_t c : cuts) {
+      EXPECT_FALSE(runs.row[q] < c && c < runs.row[q] + runs.len[q])
+          << "run " << q << " crosses cut " << c;
+    }
+    for (index_t t = 0; t < runs.len[q]; ++t) ++seen[runs.row[q] + t];
+  }
+  // The rest stretches ascend, are maximal (never adjacent) and hold the
+  // rows no run covers; the short ones are copied, the long one is not.
+  index_t rest_rows = 0;
+  bool empty_rest_row = false;
+  int in_place = 0;
+  const auto& rp = a.row_ptr();
+  for (std::size_t r = 0; r < d.rest().size(); ++r) {
+    const auto [b, e, copy] = d.rest()[r];
+    EXPECT_LT(b, e);
+    if (r > 0) {
+      EXPECT_LT(d.rest()[r - 1].end, b);
+    }
+    EXPECT_EQ(copy < 0, e - b >= la::DiaMatrix::kInPlaceRows);
+    in_place += copy < 0 ? 1 : 0;
+    for (index_t g = b; g < e; ++g) {
+      ++seen[g];
+      empty_rest_row = empty_rest_row || rp[g] == rp[g + 1];
+    }
+    rest_rows += e - b;
+  }
+  for (index_t i = 0; i < n; ++i) EXPECT_EQ(seen[i], 1) << "row " << i;
+  EXPECT_EQ(in_place, 1);
+  EXPECT_LT(rest_rows, n / 2 + kLongRest);
+  // Rows with no terms sit both in a run and among the rest.
+  EXPECT_NE(std::find(runs.count, runs.count + runs.num_runs, 0),
+            runs.count + runs.num_runs);
+  EXPECT_TRUE(empty_rest_row);
+
+  EXPECT_THROW((void)la::DiaMatrix::from_csr(a, {1, n}),
+               std::invalid_argument);
+  EXPECT_THROW((void)la::DiaMatrix::from_csr(a, {0, 9, 4, n}),
+               std::invalid_argument);
+  EXPECT_THROW((void)la::DiaMatrix::from_csr(a, {0, n - 1}),
+               std::invalid_argument);
+}
+
+TEST(RunProduct, MultiplyIsBitwiseCsrOnBothPaths) {
+  const la::CsrMatrix a = corner_matrix();
+  const index_t n = a.rows();
+  util::Rng rng(3);
+  const Vec x = make_x(rng, n);
+  const Vec y0 = rng.uniform_vector(static_cast<std::size_t>(n), -1.0, 1.0);
+  for (const auto& cuts :
+       {std::vector<index_t>{}, std::vector<index_t>{0, 5, 6, 33, 90, 150, n}}) {
+    const la::DiaMatrix d = la::DiaMatrix::from_csr(a, cuts);
+    const la::DiaOperator op(d);
+    for (const bool subtract : {false, true}) {
+      const std::string what = std::to_string(cuts.size()) + " cuts" +
+                               (subtract ? " multiply_sub" : " multiply");
+      const Vec out = both_paths(
+          [&] {
+            Vec y = y0;
+            if (subtract) {
+              op.multiply_sub(x, y);
+            } else {
+              op.multiply(x, y);
+            }
+            return y;
+          },
+          what);
+      EXPECT_TRUE(bitwise_equal(out, csr_product(a, x, y0, subtract)))
+          << what;
+    }
+  }
+}
+
+// The store without runs is CsrMatrix's kernel on every row: the product,
+// every row range, the partitioned product and the block form.
+TEST(RunProduct, StoreWithoutRunsIsTheCsrProduct) {
+  const la::CsrMatrix a = corner_matrix();
+  const index_t n = a.rows();
+  const la::DiaMatrix d = la::DiaMatrix::without_runs(a);
+  EXPECT_EQ(d.runs().num_runs, 0);
+  ASSERT_EQ(d.rest().size(), 1u);
+  EXPECT_EQ(d.stored_values(), static_cast<std::size_t>(a.nnz()));
+  util::Rng rng(17);
+  const Vec x = make_x(rng, n);
+  const Vec y0 = rng.uniform_vector(static_cast<std::size_t>(n), -1.0, 1.0);
+  par::ThreadPool pool(3);
+  const shard::ShardPlan plan = shard::ShardPlan::build({0, n}, 3);
+  const shard::ShardedOperator sharded(d, plan, pool);
+  for (const bool subtract : {false, true}) {
+    const Vec want = csr_product(a, x, y0, subtract);
+    for (const index_t begin : {index_t{0}, index_t{1}, n / 3}) {
+      Vec y = y0;
+      d.multiply_rows(x, y, begin, n - begin, subtract);
+      Vec clipped = y0;
+      std::copy(want.begin() + begin, want.end() - begin,
+                clipped.begin() + begin);
+      EXPECT_TRUE(bitwise_equal(y, clipped)) << begin;
+    }
+    Vec y = y0;
+    if (subtract) {
+      sharded.multiply_sub(x, y);
+    } else {
+      sharded.multiply(x, y);
+    }
+    EXPECT_TRUE(bitwise_equal(y, want)) << "sharded";
+  }
+  const auto nn = static_cast<std::size_t>(n);
+  const Vec xb = rng.uniform_vector(nn * kW, -1.0, 1.0);
+  Vec from_store(nn * kW, 0.0);
+  Vec from_csr(nn * kW, 0.0);
+  d.multiply_block(xb.data(), from_store.data(), /*subtract=*/false);
+  a.multiply_block(xb.data(), from_csr.data(), /*subtract=*/false);
+  EXPECT_TRUE(bitwise_equal(from_store, from_csr));
+}
+
+// Prepare builds runs only for the Algorithm-2 sweep, which reads them;
+// every other preconditioner gets the store without runs.
+TEST(RunProduct, PrepareBuildsRunsOnlyForTheSweep) {
+  const problems::Problem p =
+      problems::ProblemRegistry::instance().create("femplate:a=12");
+  for (const char* config :
+       {"splitting=ssor", "splitting=ssor:omega=1.2", "splitting=jacobi",
+        "splitting=ssor;ordering=natural", "splitting=ssor;m=0"}) {
+    const auto cfg = solver::SolverConfig::from_string(config);
+    const solver::Prepared prepared =
+        cfg.ordering == solver::Ordering::kMulticolor
+            ? solver::Solver::from_config(cfg).prepare(p.matrix, p.classes)
+            : solver::Solver::from_config(cfg).prepare(p.matrix);
+    const bool sweep = std::string(config) == "splitting=ssor";
+    EXPECT_EQ(prepared.storage().runs().num_runs > 0, sweep) << config;
+    EXPECT_EQ(prepared.storage().rest().size() == 1 &&
+                  prepared.storage().rest()[0].copy < 0,
+              !sweep)
+        << config;
+  }
+}
+
+// Every [begin, end), so every way a range can clip a run or a rest stretch:
+// the rows in range are the CSR product's, the rows outside untouched.
+TEST(RunProduct, MultiplyRowsIsBitwiseCsrOverEveryRange) {
+  const la::CsrMatrix a = corner_matrix();
+  const index_t n = a.rows();
+  const la::DiaMatrix d = la::DiaMatrix::from_csr(a);
+  util::Rng rng(5);
+  const Vec x = make_x(rng, n);
+  const Vec y0 = rng.uniform_vector(static_cast<std::size_t>(n), -1.0, 1.0);
+  for (const bool subtract : {false, true}) {
+    const Vec full = csr_product(a, x, y0, subtract);
+    for (const SimdMode mode :
+         {SimdMode::kForceScalar, SimdMode::kForceVector}) {
+      const SimdModeGuard guard(mode);
+      for (index_t begin = 0; begin <= n; ++begin) {
+        for (index_t end = begin; end <= n; ++end) {
+          Vec y = y0;
+          d.multiply_rows(x, y, begin, end, subtract);
+          Vec want = y0;
+          std::copy(full.begin() + begin, full.begin() + end,
+                    want.begin() + begin);
+          ASSERT_TRUE(bitwise_equal(y, want))
+              << "[" << begin << ", " << end << ")"
+              << (subtract ? " multiply_sub" : " multiply")
+              << " simd=" << la::simd::simd_isa();
+        }
+      }
+    }
+  }
+}
+
+// The partitioned product at 1-8 strips, over a store cut at the strips'
+// cells and over one cut only at {0, n}: bitwise CSR either way.
+TEST(RunProduct, ShardedOperatorIsBitwiseCsrAtStrips1To8) {
+  const problems::Problem p =
+      problems::ProblemRegistry::instance().create("femplate:a=20");
+  const color::ColoredSystem cs = color::make_colored_system(p.matrix,
+                                                             p.classes);
+  const la::CsrMatrix corner = corner_matrix();
+  const std::vector<index_t> whole{0, corner.rows()};
+  par::ThreadPool pool(4);
+  util::Rng rng(9);
+  const struct {
+    const char* name;
+    const la::CsrMatrix* a;
+    const std::vector<index_t>* class_start;
+  } systems[] = {{"femplate:a=20", &cs.matrix, &cs.class_start},
+                 {"corner", &corner, &whole}};
+  for (const auto& sys : systems) {
+    const index_t n = sys.a->rows();
+    const Vec x = make_x(rng, n);
+    const Vec y0 =
+        rng.uniform_vector(static_cast<std::size_t>(n), -1.0, 1.0);
+    for (int strips = 1; strips <= 8; ++strips) {
+      const shard::ShardPlan plan =
+          shard::ShardPlan::build(*sys.class_start, strips);
+      for (const bool cut_at_cells : {true, false}) {
+        const la::DiaMatrix d = la::DiaMatrix::from_csr(
+            *sys.a, cut_at_cells ? plan.cell_bounds()
+                                 : std::vector<index_t>{0, n});
+        const shard::ShardedOperator op(d, plan, pool);
+        for (const bool subtract : {false, true}) {
+          const std::string what =
+              std::string(sys.name) + " strips=" + std::to_string(strips) +
+              (cut_at_cells ? " cells" : " whole") +
+              (subtract ? " multiply_sub" : " multiply");
+          const Vec out = both_paths(
+              [&] {
+                Vec y = y0;
+                if (subtract) {
+                  op.multiply_sub(x, y);
+                } else {
+                  op.multiply(x, y);
+                }
+                return y;
+              },
+              what);
+          EXPECT_TRUE(bitwise_equal(out, csr_product(*sys.a, x, y0,
+                                                     subtract)))
+              << what;
+        }
+      }
+    }
+  }
+}
+
+// The block form for solveMany: column c of the block product is bitwise
+// the single-vector product of column c.
+TEST(RunProduct, BlockFormIsBitwisePerColumn) {
+  const la::CsrMatrix a = corner_matrix();
+  const auto n = static_cast<std::size_t>(a.rows());
+  const la::DiaMatrix d = la::DiaMatrix::from_csr(a);
+  util::Rng rng(11);
+  Vec x = rng.uniform_vector(n * kW, -1.0, 1.0);
+  for (std::size_t i = 0; i < n; i += 5) x[i * kW + i % kW] = -0.0;
+  const Vec y0 = rng.uniform_vector(n * kW, -1.0, 1.0);
+  const auto column = [&](const Vec& block, std::size_t c) {
+    Vec v(n);
+    for (std::size_t i = 0; i < n; ++i) v[i] = block[i * kW + c];
+    return v;
+  };
+  for (const bool subtract : {false, true}) {
+    const std::string what = subtract ? "multiply_sub" : "multiply";
+    const Vec out = both_paths(
+        [&] {
+          Vec y = y0;
+          d.multiply_block(x.data(), y.data(), subtract);
+          return y;
+        },
+        what);
+    for (std::size_t c = 0; c < kW; ++c) {
+      EXPECT_TRUE(bitwise_equal(column(out, c),
+                                csr_product(a, column(x, c), column(y0, c),
+                                            subtract)))
+          << what << " column " << c;
+    }
+  }
+}
+
+// The kernel itself on hand-built runs the builder never makes: lengths
+// 1-9 (shorter than a vector of rows, and every tail) and term counts
+// 0-17, each row bitwise row_dot over its terms.
+TEST(RunProduct, KernelSumsShortRunsAsRowDot) {
+  util::Rng rng(13);
+  const index_t n = 120;
+  const Vec x = make_x(rng, n);
+  const auto offset = [](index_t k) { return (k % 2 == 0 ? -1 : 1) * (k + 1); };
+  for (const index_t len : {1, 2, 3, 4, 5, 6, 7, 8, 9}) {
+    for (const index_t terms : {0, 1, 7, 8, 9, 17}) {
+      const std::vector<index_t> row{40, 60};
+      const std::vector<index_t> lens{len, 4};
+      const std::vector<index_t> count{terms, 3};
+      std::vector<index_t> off;
+      for (index_t k = 0; k < terms; ++k) off.push_back(offset(k));
+      for (index_t k = 0; k < 3; ++k) off.push_back(offset(k + 2));
+      const std::vector<index_t> off_at{0, terms};
+      const std::vector<std::size_t> val_at{
+          0, static_cast<std::size_t>(terms * len)};
+      Vec val;
+      for (index_t q = 0; q < terms * len + 3 * 4; ++q) {
+        val.push_back(q % 6 == 0 ? -0.0 : rng.uniform(-1.0, 1.0));
+      }
+      la::simd::RunView runs;
+      runs.val = val.data();
+      runs.off = off.data();
+      runs.row = row.data();
+      runs.len = lens.data();
+      runs.off_at = off_at.data();
+      runs.val_at = val_at.data();
+      runs.count = count.data();
+      runs.num_runs = 2;
+
+      const Vec y0 = rng.uniform_vector(static_cast<std::size_t>(n));
+      for (const bool subtract : {false, true}) {
+        const std::string what = "len=" + std::to_string(len) + " terms=" +
+                                 std::to_string(terms) +
+                                 (subtract ? " subtract" : "");
+        const Vec out = both_paths(
+            [&] {
+              Vec y = y0;
+              la::simd::run_spmv_rows(runs, x.data(), y.data(), 0, n,
+                                      subtract);
+              return y;
+            },
+            what);
+        Vec want = y0;
+        for (index_t q = 0; q < 2; ++q) {
+          for (index_t t = 0; t < lens[q]; ++t) {
+            const index_t i = row[q] + t;
+            Vec v;
+            std::vector<index_t> c;
+            for (index_t k = 0; k < count[q]; ++k) {
+              v.push_back(
+                  val[val_at[q] + static_cast<std::size_t>(k * lens[q] + t)]);
+              c.push_back(i + off[off_at[q] + k]);
+            }
+            const SimdModeGuard guard(SimdMode::kForceScalar);
+            const double sum = la::simd::row_dot(
+                v.data(), c.data(), x.data(), 0, count[q]);
+            want[i] = subtract ? want[i] - sum : sum;
+          }
+        }
+        EXPECT_TRUE(bitwise_equal(out, want)) << what;
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace mstep

@@ -242,20 +242,25 @@ TEST(SellMatrix, ProbeRejectsSkewedRowLengths) {
   EXPECT_GT(SellMatrix::fill_estimate(a), SellMatrix::kDefaultMaxFill);
 }
 
-TEST(FormatAuto, SkewedMatrixFallsBackToCsr) {
+// `format` is a parse alias: a matrix both old probes rejected runs on the
+// one run storage too, bitwise the format=csr solve.
+TEST(FormatAuto, SkewedMatrixRunsOnTheOneStorageBitwiseCsr) {
   const CsrMatrix a = skewed_spd_matrix(256);
   Vec f(a.rows(), 1.0);
   solver::SolverConfig cfg;
   cfg.splitting = "jacobi";
   cfg.steps = 2;
   cfg.params = "ones";
+  const auto csr = solver::Solver::from_config(cfg).solve(a, f);
   cfg.format = solver::MatrixFormat::kAuto;
   const auto report = solver::Solver::from_config(cfg).solve(a, f);
   ASSERT_TRUE(report.converged());
-  EXPECT_EQ(report.format_selected, solver::MatrixFormat::kCsr);
+  EXPECT_EQ(report.format_selected, solver::MatrixFormat::kDia);
+  EXPECT_EQ(report.iterations(), csr.iterations());
+  EXPECT_TRUE(bitwise_equal(report.solution, csr.solution));
 }
 
-TEST(FormatAuto, PlateResolvesToSellAndMatchesCsrBitwise) {
+TEST(FormatAuto, PlateRunsOnTheOneStorageAndMatchesCsrBitwise) {
   const auto p = problems::ProblemRegistry::instance().create("femplate:a=8");
   solver::SolverConfig cfg;
   cfg.tolerance = 1e-8;
@@ -267,21 +272,28 @@ TEST(FormatAuto, PlateResolvesToSellAndMatchesCsrBitwise) {
                                                                p.classes);
   ASSERT_TRUE(csr.converged());
   ASSERT_TRUE(auto_run.converged());
-  // The multicolor-permuted plate has locally uniform row lengths but no
-  // narrow band: the probe order (DIA, then SELL) must land on SELL —
-  // and the format changes layout only, never bits.
-  EXPECT_EQ(auto_run.format_selected, solver::MatrixFormat::kSell);
+  // Every spelling of `format` runs on the run storage, which changes
+  // layout only, never bits.
+  EXPECT_EQ(auto_run.format_selected, solver::MatrixFormat::kDia);
+  EXPECT_EQ(csr.format_selected, solver::MatrixFormat::kDia);
   EXPECT_EQ(auto_run.iterations(), csr.iterations());
   EXPECT_TRUE(bitwise_equal(auto_run.solution, csr.solution));
 }
 
 // ---- config round-trip ------------------------------------------------------
 
-TEST(FormatConfig, SellRoundTripsThroughStringAndParser) {
+// `format=sell` still parses and is kept for tools that pick a layout by
+// hand, but the canonical string omits it and equality ignores it, so it
+// shares the config's daemon cache key.
+TEST(FormatConfig, SellParsesAsAnAliasTheCanonicalStringDrops) {
   solver::SolverConfig cfg;
   cfg.format = solver::MatrixFormat::kSell;
+  EXPECT_EQ(cfg.to_string().find("format"), std::string::npos);
+  EXPECT_EQ(cfg.to_string(), solver::SolverConfig{}.to_string());
   const auto back = solver::SolverConfig::from_string(cfg.to_string());
-  EXPECT_EQ(back.format, solver::MatrixFormat::kSell);
+  EXPECT_EQ(back, cfg);
+  EXPECT_EQ(solver::SolverConfig::from_string("format=sell").format,
+            solver::MatrixFormat::kSell);
   EXPECT_EQ(solver::matrix_format_from_string("sell"),
             solver::MatrixFormat::kSell);
   EXPECT_EQ(solver::to_string(solver::MatrixFormat::kSell), "sell");

@@ -214,9 +214,16 @@ TEST(PreparedCache, HitOnIdenticalMatrixAndConfig) {
   // Config-string spelling does not matter, the canonical form is the key.
   const auto reordered = fx.get(cache, data, "m=2;splitting=ssor");
   EXPECT_TRUE(reordered.hit);
+  // Nor does the `format` alias: every spelling runs on the one storage.
+  for (const char* format : {"csr", "dia", "sell", "auto"}) {
+    EXPECT_TRUE(fx.get(cache, data,
+                       std::string("splitting=ssor;m=2;format=") + format)
+                    .hit)
+        << format;
+  }
 
   const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.hits, 6u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.entries, 1u);
 }

@@ -2,12 +2,17 @@
 // and TCP), driven through serve::Client — cold-miss/warm-hit caching,
 // bitwise identity with a direct library solve, the inline-CSR and
 // fingerprint request flows, the error retcode surface, the metrics
-// document, deterministic busy shedding, and graceful shutdown by both
+// document, bounded memory under oversized frame headers, deterministic
+// busy shedding, and graceful shutdown by both
 // the protocol request and SIGTERM (drain, final metrics snapshot,
 // clean exit).  Process-local serve contracts live in
 // tests/test_serve_cache.cpp.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/socket.h>
+
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -19,7 +24,9 @@
 
 #include "problems/problem.hpp"
 #include "serve/client.hpp"
+#include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "serve/socket.hpp"
 #include "solver/solver.hpp"
 
 namespace mstep::serve {
@@ -215,6 +222,43 @@ TEST(Served, MetricsDocumentCountsTraffic) {
   std::ostringstream direct;
   daemon.server.metrics_json().dump(direct);
   EXPECT_EQ(metrics_field(direct.str(), "solve"), 2);
+}
+
+// A header may claim up to the payload limit (1 GiB by default); the
+// server must spend memory only on bytes that arrive.  Four connections
+// each claim the maximum, send three bytes and stop sending: each is
+// dropped without a reply, each drop is counted as an error, and the
+// process's peak RSS grows by far less than one claimed payload.
+TEST(Served, OversizedHeaderIsDroppedWithoutPinningItsClaim) {
+  const std::string sock = sock_path("oversized");
+  ServedServer daemon(unix_options(sock));
+  rusage before{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &before), 0);
+  constexpr int kConnections = 4;
+  for (int c = 0; c < kConnections; ++c) {
+    Socket raw = connect_unix(sock);
+    raw.write_all(encode_header(MsgType::kSolve, kDefaultMaxPayload));
+    raw.write_all("abc", 3);
+    ASSERT_EQ(::shutdown(raw.fd(), SHUT_WR), 0);
+    char header[kHeaderBytes];
+    EXPECT_FALSE(raw.read_exact(header, kHeaderBytes))
+        << "the server must close the connection without a reply";
+  }
+  Client client = Client::connect("unix:" + sock);
+  long long errors = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((errors = metrics_field(client.metrics().body, "errors")) <
+             kConnections &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(errors, kConnections);
+  rusage after{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &after), 0);
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64L * 1024)  // KiB
+      << "peak RSS grew by " << (after.ru_maxrss - before.ru_maxrss)
+      << " KiB";
 }
 
 TEST(Served, TracedRequestRoundTripsACorrelatedTrace) {

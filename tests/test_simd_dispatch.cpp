@@ -373,13 +373,15 @@ TEST(SimdDispatch, SweepSegmentsAreBitwiseRowDotPlusClassUpdate) {
       for (index_t q = 0; q < terms * len + terms1 * len1; ++q) {
         val.push_back(q % 6 == 0 ? -0.0 : rng.uniform(-1.0, 1.0));
       }
+      const std::vector<index_t> count{terms, terms1};
       la::simd::RunView runs;
       runs.val = val.data();
       runs.off = off.data();
-      runs.off_ptr = off_ptr.data();
-      runs.val_ptr = val_ptr.data();
       runs.row = row.data();
       runs.len = lens.data();
+      runs.off_at = off_ptr.data();
+      runs.val_at = val_ptr.data();
+      runs.count = count.data();
       runs.num_runs = 2;
 
       // Every updated row's segment in CSR order: (row, values, columns).
@@ -464,8 +466,8 @@ TEST(SimdDispatch, SweepSegmentsAreBitwiseRowDotPlusClassUpdate) {
   }
 }
 
-// The block operators (CSR, DIA with its row strips, SELL, and the base
-// class's per-column fallback) and the block sweep: every column is
+// The block operators (CSR, the run storage, SELL, and the base class's
+// per-column fallback) and the block sweep: every column is
 // bitwise the single-vector product on both kernel paths.
 TEST(SimdDispatch, BlockOperatorsAndSweepMatchSingleVectorPerColumn) {
   const auto p = problems::ProblemRegistry::instance().create("femplate:a=24");

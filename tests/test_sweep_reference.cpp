@@ -5,9 +5,9 @@
 // path.  A storage bug that moved every path alike would pass them all.
 // Here Algorithm 2 is written out by hand on plain CSR row segments, each
 // sum one la::simd::row_dot call, and MulticolorMStepSsor::apply must
-// match it bit for bit at 1-4 strips under both kernel paths.  A second
-// test audits the plan's run/leftover layout row by row against the CSR
-// matrix.
+// match it bit for bit at 1-8 strips, with and without a pool, under
+// both kernel paths.  A second test audits the plan's views of the run
+// storage and its leftover rows row by row against the CSR matrix.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -150,19 +150,24 @@ TEST(SweepReference, ApplyIsBitwiseTheHandWrittenAlgorithm) {
       const SimdModeGuard guard(SimdMode::kForceScalar);
       want = reference_apply(c.cs, alphas, r);
     }
-    for (int strips = 1; strips <= 4; ++strips) {
-      const core::MulticolorMStepSsor engine(
-          std::make_shared<const core::MulticolorSweepPlan>(c.cs, alphas,
-                                                            strips),
-          &pool);
-      for (const SimdMode mode :
-           {SimdMode::kForceScalar, SimdMode::kForceVector}) {
-        const SimdModeGuard guard(mode);
-        Vec z;
-        engine.apply(r, z);
-        EXPECT_TRUE(bitwise_equal(z, want))
-            << c.name << " strips=" << strips << " simd="
-            << la::simd::simd_isa();
+    for (int strips = 1; strips <= 8; ++strips) {
+      const auto plan = std::make_shared<const core::MulticolorSweepPlan>(
+          c.cs, alphas, strips);
+      // With the pool each phase is one dispatch; without it the strips
+      // run inline, in order.
+      for (par::ThreadPool* with : {&pool, static_cast<par::ThreadPool*>(
+                                               nullptr)}) {
+        const core::MulticolorMStepSsor engine(plan, with);
+        for (const SimdMode mode :
+             {SimdMode::kForceScalar, SimdMode::kForceVector}) {
+          const SimdModeGuard guard(mode);
+          Vec z;
+          engine.apply(r, z);
+          EXPECT_TRUE(bitwise_equal(z, want))
+              << c.name << " strips=" << strips
+              << (with ? " pool" : " inline")
+              << " simd=" << la::simd::simd_isa();
+        }
       }
     }
   }
@@ -170,8 +175,9 @@ TEST(SweepReference, ApplyIsBitwiseTheHandWrittenAlgorithm) {
 
 // Per (strip, class, half): every row of the strip's class sits exactly
 // once in a run or among the leftovers, every run spans at least one
-// vector of rows, and each run row's stored offsets and values are its CSR
-// segment's columns and values in CSR order.
+// vector of rows, and each run row's viewed offsets and values — a term
+// begin and a count over the plan's one store — are its CSR segment's
+// columns and values in CSR order.
 TEST(SweepLayout, RunsAndLeftoversCoverEveryRowExactly) {
   const auto alphas = core::least_squares_alphas(2, core::ssor_interval());
   for (const Case& c : cases()) {
@@ -202,12 +208,15 @@ TEST(SweepLayout, RunsAndLeftoversCoverEveryRowExactly) {
             };
 
             const la::simd::RunView runs = segs.runs();
+            // A view of the plan's one store, not a copy.
+            EXPECT_EQ(runs.val, plan.store->runs().val) << where;
+            EXPECT_EQ(runs.off, plan.store->runs().off) << where;
             index_t in_runs = 0;
             for (index_t q = 0; q < runs.num_runs; ++q) {
               const index_t len = runs.len[q];
               EXPECT_GE(len, static_cast<index_t>(la::simd::kSellSlice))
                   << where;
-              const index_t terms = runs.off_ptr[q + 1] - runs.off_ptr[q];
+              const index_t terms = runs.count[q];
               for (index_t t = 0; t < len; ++t) {
                 const index_t i = runs.row[q] + t;
                 mark(i);
@@ -215,11 +224,11 @@ TEST(SweepLayout, RunsAndLeftoversCoverEveryRowExactly) {
                 ASSERT_EQ(static_cast<index_t>(entries.size()), terms)
                     << where << " row " << i;
                 for (index_t j = 0; j < terms; ++j) {
-                  EXPECT_EQ(i + runs.off[runs.off_ptr[q] + j],
+                  EXPECT_EQ(i + runs.off[runs.off_at[q] + j],
                             col[entries[j]])
                       << where << " row " << i;
                   const double v =
-                      runs.val[runs.val_ptr[q] + j * len + t];
+                      runs.val[runs.val_at[q] + j * len + t];
                   EXPECT_EQ(std::memcmp(&v, &val[entries[j]], sizeof v), 0)
                       << where << " row " << i;
                 }

@@ -11,7 +11,8 @@
 // and streamed; without --rhs the driver manufactures b = K*1 so the
 // error is still measurable).  Every SolverConfig flag applies
 // (--splitting/--m/--params/--ordering/--format/--threads/--batch/...;
-// --format=auto probes the matrix and picks csr or dia), --nrhs adds
+// --format is a parse alias: every solve runs on the one run storage),
+// --nrhs adds
 // deterministic extra right-hand sides for the batch engine, and --out
 // writes the JSON report tools/check_report.py validates in CI.  Exit
 // status: 0 all solved and converged, 1 otherwise, 2 on a
@@ -84,9 +85,9 @@ int print_help() {
       "  --m=<int>          preconditioner steps; 0 = plain CG (default 4)\n"
       "  --params=<key>     parameter strategy: ones | lsq | minmax (default lsq)\n"
       "  --ordering=<o>     natural | multicolor (default multicolor)\n"
-      "  --format=<f>       csr | dia | sell | auto — operator storage for the\n"
-      "                     outer products; auto probes the matrix (dia first,\n"
-      "                     then sell) and falls back to csr (default csr)\n"
+      "  --format=<f>       csr | dia | sell | auto — accepted for old command\n"
+      "                     lines; every solve runs on the one run storage\n"
+      "                     (reported as dia), whatever the spelling\n"
       "  --stop=<rule>      delta_inf | residual2 (default delta_inf)\n"
       "  --tol=<t>          stopping tolerance (default 1e-06)\n"
       "  --maxit=<n>        iteration cap (default 20000)\n"
