@@ -14,6 +14,9 @@ namespace mstep::core {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+constexpr std::size_t kW = la::simd::kSellSlice;
+
 void validate(const la::LinearOperator& k, const Vec& f,
               const Preconditioner& m, const PcgOptions& options,
               const Vec& u0) {
@@ -34,83 +37,288 @@ void validate(const la::LinearOperator& k, const Vec& f,
   }
 }
 
-/// The scalar half of Algorithm 1 for one right-hand side: rho, alpha and
-/// beta, the counters, the stopping test and the history.  pcg_solve and
-/// every column of pcg_solve_block drive it between their vector kernels,
-/// so the two loops cannot drift apart.
-class PcgScalars {
- public:
-  PcgScalars(const PcgOptions& options, double f_norm, PcgResult& res)
-      : options_(&options), f_norm_(f_norm), res_(&res) {}
+/// Algorithm 1 for `cols` (1 to kW) right-hand sides, written once.  The
+/// backend holds the operator `k` and the workspace `ws` and supplies the
+/// vector half on them: r0 = f - K u0 (residual0), the preconditioner, the
+/// products, the reductions into per-column arrays, the updates with
+/// per-column scalars, and retire(c, final_residual), which stops column
+/// c.  This body owns the rest: each column's rho, alpha and beta, its
+/// counters, stopping test and history, and the kernel stream it narrates
+/// to `log` once per live column.  Both backends replay the same operation
+/// sequence, so a block column is bitwise the single-vector solve of its
+/// right-hand side.
+template <class Backend>
+void iterate(Backend& b, std::size_t cols, const PcgOptions& options,
+             KernelLog* log, PcgResult* res) {
+  const la::LinearOperator& k = b.k;
+  PcgWorkspace& ws = b.ws;
+  const index_t n = k.rows();
+  const int ndiags = log ? static_cast<int>(k.num_nonzero_diagonals()) : 0;
+  // One span per solve; the per-iteration and per-sweep spans nest
+  // inside it on whichever thread runs this solve (a batch lane's track
+  // in a multi-RHS trace).
+  const obs::Span solve_span("solve");
 
-  /// z0 = M r0 was applied; rho0 = (z0, r0).
-  void start(double rho) {
-    ++res_->precond_applications;
-    ++res_->inner_products;
-    rho_ = rho;
-    // History timing marks between consecutive convergence checks: each
-    // record's `seconds` covers one full trip around the loop, so the
-    // column sums to the loop's wall-clock.  The clock is only read when
-    // history is requested.
-    if (options_->record_history) mark_ = Clock::now();
-  }
+  bool live[kW] = {};
+  int nlive = static_cast<int>(cols);
+  const auto narrate = [&](auto&& emit) {
+    if (!log) return;
+    for (int c = 0; c < nlive; ++c) emit();
+  };
+  const auto retire = [&](std::size_t c, bool final_residual) {
+    live[c] = false;
+    --nlive;
+    b.retire(c, final_residual);
+  };
 
-  /// pw = (p, K p).  False on a breakdown — loss of positive
-  /// definiteness, which should not happen for SPD M, K — which ends the
-  /// solve unconverged.
-  bool curvature(double pw) {
-    ++res_->inner_products;
-    if (pw <= 0.0) {
-      res_->converged = false;
-      return false;
+  b.residual0();
+  narrate([&] {
+    log->spmv_diagonals(n, ndiags);
+    log->vec_op(n, 1);
+  });
+  // Already at the solution (e.g. zero right-hand side with a zero guess):
+  // converged without entering the loop, where the zero curvature p^T K p
+  // would otherwise read as a breakdown.
+  double rn[kW] = {};
+  b.nrm2(ws.r, rn);
+  for (std::size_t c = 0; c < cols; ++c) {
+    live[c] = true;
+    if (rn[c] == 0.0) {
+      res[c].converged = true;
+      retire(c, /*final_residual=*/false);
     }
-    alpha_ = rho_ / pw;
-    return true;
   }
-  [[nodiscard]] double alpha() const { return alpha_; }
+  if (nlive == 0) return;
+  double f_norm[kW] = {};
+  b.rhs_nrm2(f_norm);
 
-  /// u += alpha p and r -= alpha w are done: `delta_inf` = |alpha p|_inf,
-  /// `rn` = ||r||_2 (read by the residual rule only).  True when the solve
-  /// has converged.
-  bool converged(int it, double delta_inf, double rn) {
-    res_->iterations = it + 1;
-    res_->final_delta_inf = delta_inf;
-    double value = delta_inf;
-    bool stop = false;
-    if (options_->stop_rule == StopRule::kDeltaInf) {
-      stop = delta_inf < options_->tolerance;
+  // z0 = M^{-1} r0 ; p0 = z0 ; rho0 = (z0, r0)
+  b.precondition(ws.r, ws.zw, nlive);
+  ws.p = ws.zw;
+  narrate([&] { log->vec_op(n, 1); });
+  double rho[kW] = {};
+  b.dot(ws.zw, ws.r, rho);
+  for (std::size_t c = 0; c < cols; ++c) {
+    if (!live[c]) continue;
+    ++res[c].precond_applications;
+    ++res[c].inner_products;
+  }
+  narrate([&] { log->dot_op(n); });
+
+  // History timing marks between consecutive convergence checks: each
+  // record's `seconds` covers one full trip around the loop, so the column
+  // sums to the loop's wall-clock.  The clock is only read when history is
+  // requested.
+  Clock::time_point mark;
+  if (options.record_history) mark = Clock::now();
+  for (int it = 0; it < options.max_iterations && nlive > 0; ++it) {
+    const obs::Span iteration_span("iteration");
+    // w = K p ; alpha = rho / (p, w).  pw <= 0 is a breakdown — loss of
+    // positive definiteness, which should not happen for SPD M, K — and
+    // stops the column unconverged.
+    b.multiply(ws.p, ws.zw);
+    double pw[kW] = {};
+    b.dot(ws.p, ws.zw, pw);
+    narrate([&] {
+      log->spmv_diagonals(n, ndiags);
+      log->dot_op(n);
+    });
+    double alpha[kW] = {};
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (!live[c]) continue;
+      ++res[c].inner_products;
+      if (pw[c] <= 0.0) {
+        retire(c, /*final_residual=*/true);
+      } else {
+        alpha[c] = rho[c] / pw[c];
+      }
+    }
+    if (nlive == 0) break;
+
+    // u^{k+1} = u^k + alpha p with delta_inf = |alpha p|_inf ;
+    // r^{k+1} = r^k - alpha w
+    double delta_inf[kW] = {};
+    b.step_update_max(alpha, ws.p, delta_inf);
+    double neg_alpha[kW] = {};
+    for (std::size_t c = 0; c < kW; ++c) neg_alpha[c] = -alpha[c];
+    b.axpy(neg_alpha, ws.zw, ws.r);
+    narrate([&] {
+      log->vec_op(n, 1);
+      log->max_op(n);
+      log->vec_op(n, 1);
+    });
+
+    const bool residual_rule = options.stop_rule == StopRule::kResidual2;
+    if (residual_rule) b.nrm2(ws.r, rn);
+    narrate([&] { log->end_iteration(); });
+    const Clock::time_point now =
+        options.record_history ? Clock::now() : mark;
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (!live[c]) continue;
+      PcgResult& rc = res[c];
+      rc.iterations = it + 1;
+      rc.final_delta_inf = delta_inf[c];
+      if (residual_rule) rc.final_residual2 = rn[c];
+      const double value = residual_rule ? rn[c] : delta_inf[c];
+      const double bound =
+          residual_rule
+              ? options.tolerance * (f_norm[c] > 0 ? f_norm[c] : 1.0)
+              : options.tolerance;
+      if (options.record_history) {
+        rc.history.push_back(
+            IterationRecord{value, alpha[c],
+                            std::chrono::duration<double>(now - mark).count()});
+      }
+      if (value < bound) {
+        rc.converged = true;
+        retire(c, /*final_residual=*/true);
+      }
+    }
+    mark = now;
+    if (nlive == 0) break;
+
+    // z = M^{-1} r ; beta = rho_new / rho ; p = z + beta p
+    b.precondition(ws.r, ws.zw, nlive);
+    double rho_new[kW] = {};
+    b.dot(ws.zw, ws.r, rho_new);
+    double beta[kW] = {};
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (!live[c]) continue;
+      ++res[c].precond_applications;
+      ++res[c].inner_products;
+      beta[c] = rho_new[c] / rho[c];
+      rho[c] = rho_new[c];
+    }
+    narrate([&] { log->dot_op(n); });
+    b.xpay(ws.zw, beta, ws.p);
+    narrate([&] { log->vec_op(n, 1); });
+  }
+  // The iteration limit: every column still live stops unconverged.
+  for (std::size_t c = 0; c < cols; ++c) {
+    if (live[c]) retire(c, /*final_residual=*/true);
+  }
+}
+
+/// pcg_solve's backend: one vector through par::Execution, from the guess
+/// u0 (zero if empty), with z and w sharing ws.zw.
+struct VectorBackend {
+  const la::LinearOperator& k;
+  const Vec& f;
+  const Preconditioner& m;
+  const par::Execution& ex;
+  const Vec& u0;
+  PcgWorkspace& ws;
+  PcgResult& res;
+
+  void residual0() {
+    if (u0.empty()) {
+      res.solution.assign(static_cast<std::size_t>(k.rows()), 0.0);
     } else {
-      res_->final_residual2 = rn;
-      value = rn;
-      stop = rn < options_->tolerance * (f_norm_ > 0 ? f_norm_ : 1.0);
+      res.solution = u0;
     }
-    if (options_->record_history) {
-      const Clock::time_point now = Clock::now();
-      res_->history.push_back(IterationRecord{
-          value, alpha_, std::chrono::duration<double>(now - mark_).count()});
-      mark_ = now;
+    k.residual(f, res.solution, ws.r);
+  }
+  void rhs_nrm2(double* out) const { out[0] = ex.nrm2(f); }
+  void nrm2(const Vec& x, double* out) const { out[0] = ex.nrm2(x); }
+  void dot(const Vec& x, const Vec& y, double* out) const {
+    out[0] = ex.dot(x, y);
+  }
+  void multiply(const Vec& x, Vec& y) const { k.multiply(x, y); }
+  void precondition(const Vec& r, Vec& z, int /*nlive*/) const {
+    m.apply(r, z);
+  }
+  void step_update_max(const double* a, const Vec& p, double* out) const {
+    out[0] = ex.step_update_max(a[0], p, res.solution);
+  }
+  void axpy(const double* a, const Vec& x, Vec& y) const {
+    ex.axpy(a[0], x, y);
+  }
+  void xpay(const Vec& x, const double* b, Vec& y) const {
+    ex.xpay(x, b[0], y);
+  }
+  /// zw is dead once the solve stops: it holds the final residual.
+  void retire(std::size_t /*c*/, bool final_residual) const {
+    if (!final_residual) return;
+    k.residual(f, res.solution, ws.zw);
+    res.final_residual2 = ex.nrm2(ws.zw);
+  }
+};
+
+/// pcg_solve_block's backend: the columns as one row-interleaved block on
+/// the serial kernels, from a zero guess.  Column c's iterate is
+/// res[c].solution itself; retiring the column nulls u[c], which freezes
+/// it, and zeroes its r and p, which every kernel keeps zero.
+struct BlockBackend {
+  const la::LinearOperator& k;
+  util::Span<Vec> fs;
+  const MulticolorMStepSsor& m;
+  PcgWorkspace& ws;
+  PcgResult* res;
+  std::size_t rows;
+  double* u[kW] = {};
+
+  /// u0 = 0, in residual()'s order: r = f, then r -= K u.  The columns
+  /// past fs.size() stay zero throughout.
+  void residual0() {
+    ws.r.resize(rows * kW);
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t c = 0; c < kW; ++c) {
+        ws.r[i * kW + c] = c < fs.size() ? fs[c][i] : 0.0;
+      }
     }
-    if (stop) res_->converged = true;
-    return stop;
+    ws.p.assign(rows * kW, 0.0);  // u0 as a block
+    k.multiply_block(ws.p.data(), ws.r.data(), /*subtract=*/true);
+    for (std::size_t c = 0; c < fs.size(); ++c) {
+      res[c].solution.assign(rows, 0.0);
+      u[c] = res[c].solution.data();
+    }
   }
-
-  /// z = M r was applied; rho_new = (z, r).  Returns beta.
-  double beta(double rho_new) {
-    ++res_->precond_applications;
-    ++res_->inner_products;
-    const double beta = rho_new / rho_;
-    rho_ = rho_new;
-    return beta;
+  void rhs_nrm2(double* out) const {
+    for (std::size_t c = 0; c < fs.size(); ++c) out[c] = la::nrm2(fs[c]);
   }
-
- private:
-  using Clock = std::chrono::steady_clock;
-  const PcgOptions* options_;
-  double f_norm_;
-  PcgResult* res_;
-  double rho_ = 0.0;
-  double alpha_ = 0.0;
-  Clock::time_point mark_;
+  void nrm2(const Vec& x, double* out) const {
+    dot(x, x, out);
+    for (std::size_t c = 0; c < kW; ++c) out[c] = std::sqrt(out[c]);
+  }
+  /// la::dot per column: the same 1024-row reduction blocks, combined in
+  /// block order.
+  void dot(const Vec& x, const Vec& y, double* out) const {
+    std::fill(out, out + kW, 0.0);
+    for (std::size_t b = 0; b < rows; b += la::kReductionBlock) {
+      double part[kW];
+      la::simd::block_dot(x.data() + b * kW, y.data() + b * kW,
+                          std::min(rows, b + la::kReductionBlock) - b, part);
+      for (std::size_t c = 0; c < kW; ++c) out[c] += part[c];
+    }
+  }
+  void multiply(const Vec& x, Vec& y) const {
+    k.multiply_block(x.data(), y.data(), /*subtract=*/false);
+  }
+  void precondition(const Vec& r, Vec& z, int nlive) const {
+    m.apply_block(r, z, nlive);
+  }
+  void step_update_max(const double* a, const Vec& p, double* out) const {
+    la::simd::block_step_update_max(a, p.data(), u, rows, out);
+  }
+  void axpy(const double* a, const Vec& x, Vec& y) const {
+    la::simd::block_axpy(a, x.data(), y.data(), rows);
+  }
+  void xpay(const Vec& x, const double* b, Vec& y) const {
+    la::simd::block_xpay(x.data(), b, y.data(), rows);
+  }
+  /// The final residual goes through the single-vector operator, in the
+  /// spent right-hand side.
+  void retire(std::size_t c, bool final_residual) {
+    if (final_residual) {
+      k.residual(fs[c], res[c].solution, fs[c]);
+      res[c].final_residual2 = la::nrm2(fs[c]);
+    }
+    for (std::size_t i = 0; i < rows; ++i) {
+      ws.r[i * kW + c] = 0.0;
+      ws.p[i * kW + c] = 0.0;
+    }
+    u[c] = nullptr;
+  }
 };
 
 }  // namespace
@@ -119,283 +327,33 @@ PcgResult pcg_solve(const la::LinearOperator& k, const Vec& f,
                     const Preconditioner& m, const PcgOptions& options,
                     KernelLog* log, const Vec& u0,
                     const par::Execution* exec, PcgWorkspace* workspace) {
-  const par::Execution& ex = exec ? *exec : par::serial_execution();
   validate(k, f, m, options, u0);
-  const index_t n = k.rows();
-  const int ndiags =
-      log ? static_cast<int>(k.num_nonzero_diagonals()) : 0;
-
-  // One span per solve; the per-iteration and per-sweep spans nest
-  // inside it on whichever thread runs this solve (a batch lane's track
-  // in a multi-RHS trace).
-  const obs::Span solve_span("solve");
-
-  PcgResult res;
-  // All solve-sized scratch comes from the workspace when one is supplied
-  // (reused, no allocation on a warm arena) or from a local one.
   PcgWorkspace local;
   PcgWorkspace& ws = workspace ? *workspace : local;
-
-  Vec& u = ws.u;
-  if (u0.empty()) {
-    u.assign(n, 0.0);
-  } else {
-    u = u0;
-  }
-
-  // r0 = f - K u0
-  Vec& r = ws.r;
-  k.residual(f, u, r);
-  if (log) {
-    log->spmv_diagonals(n, ndiags);
-    log->vec_op(n, 1);
-  }
-
-  // Already at the solution (e.g. zero right-hand side with a zero guess):
-  // report convergence without entering the loop, where the zero curvature
-  // p^T K p would otherwise read as a breakdown.
-  if (ex.nrm2(r) == 0.0) {
-    res.converged = true;
-    res.solution = std::move(u);
-    return res;
-  }
-
-  PcgScalars scalars(options, ex.nrm2(f), res);
-  // z0 = M^{-1} r0 ; p0 = z0
-  Vec& z = ws.z;
-  m.apply(r, z);
-  Vec& p = ws.p;
-  p = z;
-  if (log) log->vec_op(n, 1);
-  scalars.start(ex.dot(z, r));
-  if (log) log->dot_op(n);
-
-  Vec& w = ws.w;
-  w.resize(n);
-  for (int it = 0; it < options.max_iterations; ++it) {
-    const obs::Span iteration_span("iteration");
-    // w = K p ; alpha = rho / (p, w)
-    k.multiply(p, w);
-    const double pw = ex.dot(p, w);
-    if (log) {
-      log->spmv_diagonals(n, ndiags);
-      log->dot_op(n);
-    }
-    if (!scalars.curvature(pw)) break;
-    const double alpha = scalars.alpha();
-
-    // u^{k+1} = u^k + alpha p ; stopping quantity before overwriting.
-    const double delta_inf = ex.step_update_max(alpha, p, u);
-    if (log) {
-      log->vec_op(n, 1);
-      log->max_op(n);
-    }
-
-    // r^{k+1} = r^k - alpha w
-    ex.axpy(-alpha, w, r);
-    if (log) log->vec_op(n, 1);
-
-    const double rn =
-        options.stop_rule == StopRule::kResidual2 ? ex.nrm2(r) : 0.0;
-    const bool stop = scalars.converged(it, delta_inf, rn);
-    if (log) log->end_iteration();
-    if (stop) break;
-
-    // z = M^{-1} r ; beta = rho_new / rho ; p = z + beta p
-    m.apply(r, z);
-    const double beta = scalars.beta(ex.dot(z, r));
-    if (log) log->dot_op(n);
-    ex.xpay(z, beta, p);
-    if (log) log->vec_op(n, 1);
-  }
-
-  res.final_residual2 = [&] {
-    // w is dead scratch after the loop: reuse it for the final residual.
-    k.residual(f, u, w);
-    return ex.nrm2(w);
-  }();
-  // Moving out of the workspace leaves ws.u empty; the next solve's
-  // assign() re-grows it, which is the same single output allocation the
-  // returned solution costs anyway.
-  res.solution = std::move(u);
+  PcgResult res;
+  VectorBackend b{k, f, m, exec ? *exec : par::serial_execution(), u0, ws,
+                  res};
+  iterate(b, 1, options, log, &res);
   return res;
 }
-
-namespace {
-
-constexpr std::size_t kW = la::simd::kSellSlice;
-
-/// la::dot per column of two blocks: the same 1024-row reduction blocks,
-/// combined in block order.
-void block_dot(const Vec& x, const Vec& y, double* out) {
-  const std::size_t rows = x.size() / kW;
-  std::fill(out, out + kW, 0.0);
-  for (std::size_t b = 0; b < rows; b += la::kReductionBlock) {
-    double part[kW];
-    la::simd::block_dot(x.data() + b * kW, y.data() + b * kW,
-                        std::min(rows, b + la::kReductionBlock) - b, part);
-    for (std::size_t c = 0; c < kW; ++c) out[c] += part[c];
-  }
-}
-
-}  // namespace
 
 std::vector<PcgResult> pcg_solve_block(const la::LinearOperator& k,
                                        util::Span<Vec> fs,
                                        const MulticolorMStepSsor& m,
                                        const PcgOptions& options,
                                        KernelLog* log,
-                                       PcgBlockWorkspace* workspace) {
-  const std::size_t cols = fs.size();
-  if (cols == 0 || cols > kW) {
+                                       PcgWorkspace* workspace) {
+  if (fs.size() == 0 || fs.size() > kW) {
     throw std::invalid_argument("pcg_solve_block: needs 1 to " +
                                 std::to_string(kW) + " right-hand sides");
   }
   for (const Vec& f : fs) validate(k, f, m, options, {});
-  const index_t n = k.rows();
-  const auto rows = static_cast<std::size_t>(n);
-  const int ndiags =
-      log ? static_cast<int>(k.num_nonzero_diagonals()) : 0;
-  const obs::Span solve_span("solve");
-
-  // Column c's iterate is results[c].solution itself; u[c] goes null when
-  // the column stops, which freezes it.
-  std::vector<PcgResult> res(cols);
-  std::vector<PcgScalars> scalars;
-  scalars.reserve(cols);
-  double* u[kW] = {};
-  int nlive = 0;
-  // The kernel stream of every live column.
-  const auto narrate = [&](auto&& emit) {
-    if (!log) return;
-    for (int c = 0; c < nlive; ++c) emit();
-  };
-
-  PcgBlockWorkspace local;
-  PcgBlockWorkspace& ws = workspace ? *workspace : local;
-  Vec& r = ws.r;
-  Vec& p = ws.p;
-  Vec& zw = ws.zw;
-  r.resize(rows * kW);
-  p.resize(rows * kW);
-
-  // Stops column c: its solution stays as it is, its final residual goes
-  // through the single-vector operator (in the spent right-hand side),
-  // and its r and p become exact zeros, which every kernel keeps zero.
-  const auto retire = [&](std::size_t c, bool final_residual) {
-    if (final_residual) {
-      k.residual(fs[c], res[c].solution, fs[c]);
-      res[c].final_residual2 = la::nrm2(fs[c]);
-    }
-    for (std::size_t i = 0; i < rows; ++i) {
-      r[i * kW + c] = 0.0;
-      p[i * kW + c] = 0.0;
-    }
-    u[c] = nullptr;
-    --nlive;
-  };
-
-  // r0 = f - K u0 with u0 = 0, in residual()'s order: r = f, then
-  // r -= K u.  The columns past `cols` stay zero throughout.
-  for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t c = 0; c < kW; ++c) {
-      r[i * kW + c] = c < cols ? fs[c][i] : 0.0;
-    }
-  }
-  std::fill(p.begin(), p.end(), 0.0);  // u0 as a block
-  k.multiply_block(p.data(), r.data(), /*subtract=*/true);
-  for (std::size_t c = 0; c < cols; ++c) {
-    res[c].solution.assign(rows, 0.0);
-    u[c] = res[c].solution.data();
-    scalars.emplace_back(options, la::nrm2(fs[c]), res[c]);
-  }
-  nlive = static_cast<int>(cols);
-  narrate([&] {
-    log->spmv_diagonals(n, ndiags);
-    log->vec_op(n, 1);
-  });
-  double rr[kW];
-  block_dot(r, r, rr);
-  for (std::size_t c = 0; c < cols; ++c) {
-    if (std::sqrt(rr[c]) == 0.0) {  // already at the solution
-      res[c].converged = true;
-      retire(c, /*final_residual=*/false);
-    }
-  }
-  if (nlive == 0) return res;
-
-  // z0 = M^{-1} r0 ; p0 = z0
-  m.apply_block(r, zw, nlive);
-  p = zw;
-  narrate([&] { log->vec_op(n, 1); });
-  double rho[kW];
-  block_dot(zw, r, rho);
-  for (std::size_t c = 0; c < cols; ++c) {
-    if (u[c] != nullptr) scalars[c].start(rho[c]);
-  }
-  narrate([&] { log->dot_op(n); });
-
-  for (int it = 0; it < options.max_iterations && nlive > 0; ++it) {
-    const obs::Span iteration_span("iteration");
-    // w = K p ; alpha = rho / (p, w)
-    k.multiply_block(p.data(), zw.data(), /*subtract=*/false);
-    double pw[kW];
-    block_dot(p, zw, pw);
-    narrate([&] {
-      log->spmv_diagonals(n, ndiags);
-      log->dot_op(n);
-    });
-    double alpha[kW] = {};
-    for (std::size_t c = 0; c < cols; ++c) {
-      if (u[c] == nullptr) continue;
-      if (scalars[c].curvature(pw[c])) {
-        alpha[c] = scalars[c].alpha();
-      } else {
-        retire(c, /*final_residual=*/true);
-      }
-    }
-
-    // u^{k+1} = u^k + alpha p ; r^{k+1} = r^k - alpha w
-    double delta_inf[kW];
-    la::simd::block_step_update_max(alpha, p.data(), u, rows, delta_inf);
-    double neg_alpha[kW];
-    for (std::size_t c = 0; c < kW; ++c) neg_alpha[c] = -alpha[c];
-    la::simd::block_axpy(neg_alpha, zw.data(), r.data(), rows);
-    narrate([&] {
-      log->vec_op(n, 1);
-      log->max_op(n);
-      log->vec_op(n, 1);
-    });
-
-    double rn[kW] = {};
-    if (options.stop_rule == StopRule::kResidual2) {
-      block_dot(r, r, rn);
-      for (double& v : rn) v = std::sqrt(v);
-    }
-    narrate([&] { log->end_iteration(); });
-    for (std::size_t c = 0; c < cols; ++c) {
-      if (u[c] != nullptr && scalars[c].converged(it, delta_inf[c], rn[c])) {
-        retire(c, /*final_residual=*/true);
-      }
-    }
-    if (nlive == 0) break;
-
-    // z = M^{-1} r ; beta = rho_new / rho ; p = z + beta p
-    m.apply_block(r, zw, nlive);
-    double rho_new[kW];
-    block_dot(zw, r, rho_new);
-    double beta[kW] = {};
-    for (std::size_t c = 0; c < cols; ++c) {
-      if (u[c] != nullptr) beta[c] = scalars[c].beta(rho_new[c]);
-    }
-    narrate([&] { log->dot_op(n); });
-    la::simd::block_xpay(zw.data(), beta, p.data(), rows);
-    narrate([&] { log->vec_op(n, 1); });
-  }
-  // The iteration limit: every column still live stops unconverged.
-  for (std::size_t c = 0; c < cols; ++c) {
-    if (u[c] != nullptr) retire(c, /*final_residual=*/true);
-  }
+  PcgWorkspace local;
+  PcgWorkspace& ws = workspace ? *workspace : local;
+  std::vector<PcgResult> res(fs.size());
+  BlockBackend b{k, fs, m, ws, res.data(),
+                 static_cast<std::size_t>(k.rows())};
+  iterate(b, fs.size(), options, log, res.data());
   return res;
 }
 

@@ -1,6 +1,10 @@
 // Algorithm 1 of the paper: preconditioned conjugate gradients with the
 // |u^{k+1} - u^k|_inf stopping test.
 //
+// The iteration is written once, over a backend: pcg_solve runs it on one
+// vector through par::Execution, pcg_solve_block on a row-interleaved
+// block of up to la::simd::kSellSlice right-hand sides.  Both replay the
+// same operation sequence, so a block column is bitwise its single solve.
 // The solver is written against la::LinearOperator, so CSR and
 // diagonal-storage (DIA) matrices flow through the same solve path; the
 // CsrMatrix overloads below keep the historical call sites unchanged.
@@ -56,21 +60,18 @@ struct PcgResult {
   std::vector<IterationRecord> history;
 };
 
-/// Reusable scratch for pcg_solve_block: n x la::simd::kSellSlice
-/// row-interleaved blocks, resized on demand like PcgWorkspace.  z = M r
-/// and w = K p are never live at once, so they share `zw`; the iterates
-/// live in the results' solution vectors.
-struct PcgBlockWorkspace {
-  Vec r, p, zw;
-};
-
-/// Reusable scratch for pcg_solve: the solve-sized vectors Algorithm 1
-/// needs.  Passing one lets a caller run many solves with no per-solve
-/// allocation beyond the returned solution — the batch engine keeps one
-/// arena per worker lane.  Vectors are resized on demand and keep their
-/// capacity across solves; the contents are overwritten, never read.
+/// Reusable scratch for pcg_solve and pcg_solve_block: the residual r,
+/// the search direction p, and zw, which holds z = M r and w = K p in turn
+/// (they are never live at once; Preconditioner::apply only writes z).
+/// One vector of n entries each, or an n x la::simd::kSellSlice
+/// row-interleaved block for pcg_solve_block.  The iterates live in the
+/// results' solution vectors.  Passing one lets a caller run many solves
+/// with no per-solve allocation beyond the returned solutions — the batch
+/// engine keeps one per worker lane.  Vectors are resized on demand and
+/// keep their capacity across solves; the contents are overwritten, never
+/// read.
 struct PcgWorkspace {
-  Vec u, r, z, p, w;
+  Vec r, p, zw;
 };
 
 /// Solve K u = f with preconditioner M (Algorithm 1).  `u0` is the initial
@@ -79,8 +80,8 @@ struct PcgWorkspace {
 /// is a shard::ShardedOperator); the deterministic blocked reductions make
 /// the result BITWISE identical to the serial solve for any thread count.
 /// `workspace` (optional) supplies the solve scratch so repeated solves do
-/// not allocate.  Throws
-/// std::invalid_argument on dimension mismatches, a non-positive
+/// not allocate.  A breakdown (p^T K p <= 0) stops the solve unconverged.
+/// Throws std::invalid_argument on dimension mismatches, a non-positive
 /// tolerance, or a non-positive iteration limit.
 [[nodiscard]] PcgResult pcg_solve(const la::LinearOperator& k, const Vec& f,
                                   const Preconditioner& m,
@@ -99,21 +100,21 @@ struct PcgWorkspace {
                                   PcgWorkspace* workspace = nullptr);
 
 /// pcg_solve for up to la::simd::kSellSlice right-hand sides at once, with
-/// the Algorithm-2 sweep as M and a zero initial guess.  The columns
-/// travel as one row-interleaved block, so every SpMV and sweep loads each
-/// matrix entry once for all of them; each column keeps its own alpha,
-/// beta, rho, counters and stopping test, and stops (is frozen) at its
-/// own iteration.  results[c] is BITWISE pcg_solve(k, fs[c], m, options)
-/// on the serial kernels — solution, iterations, final_delta_inf,
-/// final_residual2, counters and history values.  The right-hand sides
-/// double as the final residuals' scratch: their contents on return are
-/// unspecified.  `log` hears each live column's kernel stream.  Throws
-/// std::invalid_argument as pcg_solve does, and for 0 or more than
-/// kSellSlice right-hand sides.
+/// the Algorithm-2 sweep as M and a zero initial guess: the same iteration
+/// body over the block backend.  The columns travel as one row-interleaved
+/// block, so every SpMV and sweep loads each matrix entry once for all of
+/// them; each column keeps its own alpha, beta, rho, counters and stopping
+/// test, and stops (is frozen) at its own iteration.  results[c] is
+/// BITWISE pcg_solve(k, fs[c], m, options) on the serial kernels —
+/// solution, iterations, final_delta_inf, final_residual2, counters and
+/// history values.  The right-hand sides double as the final residuals'
+/// scratch: their contents on return are unspecified.  `log` hears each
+/// live column's kernel stream.  Throws std::invalid_argument as
+/// pcg_solve does, and for 0 or more than kSellSlice right-hand sides.
 [[nodiscard]] std::vector<PcgResult> pcg_solve_block(
     const la::LinearOperator& k, util::Span<Vec> fs,
     const MulticolorMStepSsor& m, const PcgOptions& options = {},
-    KernelLog* log = nullptr, PcgBlockWorkspace* workspace = nullptr);
+    KernelLog* log = nullptr, PcgWorkspace* workspace = nullptr);
 
 /// Plain conjugate gradients (M = I, the paper's m = 0 baseline).
 [[nodiscard]] PcgResult cg_solve(const la::LinearOperator& k, const Vec& f,

@@ -15,6 +15,9 @@ class Preconditioner {
 
   [[nodiscard]] virtual index_t size() const = 0;
 
+  /// z = M^{-1} r.  z is output only: it is resized to size() and every
+  /// entry is written, none read, so the caller may pass a buffer holding
+  /// anything — PCG passes the one that held w = K p.
   virtual void apply(const Vec& r, Vec& z) const = 0;
 
   /// Number of inner steps (m); 0 for the identity (plain CG).

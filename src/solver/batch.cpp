@@ -17,7 +17,7 @@
 // pcg_solve per right-hand side.
 //
 // Each lane owns a scratch arena — its own preconditioner instance plus
-// its PCG workspaces and reorder buffers — built once before the loop, so
+// its PCG workspace and reorder buffers — built once before the loop, so
 // nothing allocates inside the batch loop beyond each report's solution
 // vector.  One lane rule: a single lane runs Prepared::solve's path, on
 // the strip partition if there is one (and then w = 1); two or more lanes
@@ -46,8 +46,7 @@ namespace {
 /// Per-lane scratch arena: everything one concurrent PCG solve mutates.
 struct Lane {
   detail::PrecondChoice engine;  // preconditioner (+ its splitting)
-  core::PcgWorkspace workspace;  // blocks of one
-  core::PcgBlockWorkspace block;
+  core::PcgWorkspace workspace;
   /// Permuted right-hand sides of the current block; each moves on into
   /// its report as the solution buffer.
   std::vector<Vec> fp;
@@ -206,11 +205,11 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs,
           results = core::pcg_solve_block(
               op, util::Span<Vec>(lane.fp.data(), cols),
               static_cast<const core::MulticolorMStepSsor&>(precond), options,
-              lane.trace_log.get(), &lane.block);
+              lane.trace_log.get(), &lane.workspace);
         }
         for (std::size_t c = 0; c < cols; ++c) {
-          SolveReport report;
-          report.result = std::move(results[c]);
+          SolveReport report = make_report(std::move(results[c]), precond,
+                                           partitioned ? shards() : 0);
           if (cs_) {
             // The spent permuted right-hand side becomes the report's
             // solution buffer: no allocation, and no buffer held past its
@@ -220,13 +219,6 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs,
           } else {
             report.solution = report.result.solution;
           }
-          report.alphas = alphas_;
-          report.interval = interval_;
-          report.coloring = stats_;
-          report.preconditioner_name = precond.name();
-          report.steps = config_.steps;
-          report.format_selected = resolved_format();
-          report.shards = partitioned ? shards() : 0;
           // A distinct slot per right-hand side: no race.
           br.reports[ids[c]] = std::move(report);
         }

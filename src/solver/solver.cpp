@@ -231,22 +231,30 @@ Vec Prepared::unpermute(const Vec& x) const {
 SolveReport Prepared::solve(const Vec& f, const Vec& u0) const {
   const Vec fp = permute(f);
   const Vec u0p = u0.empty() ? Vec{} : permute(u0);
-
-  SolveReport report;
   // The partitioned operator, when there is one, is bitwise the serial
   // view, so everything downstream is unchanged.
   const la::LinearOperator& op = strip_op_ ? *strip_op_ : *op_;
-  report.result = core::pcg_solve(op, fp, *precond_, config_.pcg_options(),
-                                  log_, u0p, kernel_exec());
+  SolveReport report =
+      make_report(core::pcg_solve(op, fp, *precond_, config_.pcg_options(),
+                                  log_, u0p, kernel_exec()),
+                  *precond_, shards());
   report.solution = unpermute(report.result.solution);
-  report.alphas = alphas_;
-  report.interval = interval_;
-  report.coloring = stats_;
-  report.preconditioner_name = precond_->name();
-  report.steps = config_.steps;
-  report.format_selected = resolved_format();
-  report.shards = shards();
   return report;
+}
+
+SolveReport Prepared::make_report(core::PcgResult result,
+                                  const core::Preconditioner& precond,
+                                  int shards) const {
+  SolveReport rep;
+  rep.result = std::move(result);
+  rep.alphas = alphas_;
+  rep.interval = interval_;
+  rep.coloring = stats_;
+  rep.preconditioner_name = precond.name();
+  rep.steps = config_.steps;
+  rep.format_selected = resolved_format();
+  rep.shards = shards;
+  return rep;
 }
 
 }  // namespace mstep::solver

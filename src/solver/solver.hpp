@@ -253,6 +253,12 @@ class Prepared {
     return strips_ ? exec_.get() : nullptr;
   }
 
+  /// A report of `result` with this pipeline's setup facts, for a solve
+  /// that ran `precond` on `shards` strips; the caller sets its solution.
+  [[nodiscard]] SolveReport make_report(core::PcgResult result,
+                                        const core::Preconditioner& precond,
+                                        int shards) const;
+
   SolverConfig config_;
   // cs_ and the storage live on the heap so every internal pointer
   // (matrix_, the operator views, the preconditioner's system reference)

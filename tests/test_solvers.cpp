@@ -5,8 +5,13 @@
 // uses; the operator-level unit tests stay on the low-level classes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "color/coloring.hpp"
 #include "core/baselines.hpp"
@@ -396,6 +401,205 @@ TEST(Pcg, MaxIterationsRespected) {
   const auto res = cg_solve(p.k, p.f, opt);
   EXPECT_FALSE(res.converged);
   EXPECT_EQ(res.iterations, 3);
+}
+
+// ---- one iteration body: breakdown and the block census ---------------------
+
+/// Decoupled copies of the 5-point Laplacian on `grid` (diagonal 4,
+/// off-diagonals -1), copy b shifted by -shifts[b]: symmetric with a
+/// positive diagonal, and indefinite once a shift passes the smallest
+/// eigenvalue 4 - 4 cos(pi h).  Copy b holds unknowns [b n, (b + 1) n).
+la::CsrMatrix shifted_laplacians(const fem::PoissonProblem& grid,
+                                 const std::vector<double>& shifts) {
+  const index_t n = grid.num_unknowns();
+  const auto copies = static_cast<index_t>(shifts.size());
+  la::CooBuilder builder(copies * n, copies * n);
+  for (index_t b = 0; b < copies; ++b) {
+    const auto id = [&](int i, int j) { return b * n + grid.unknown_id(i, j); };
+    for (int j = 0; j < grid.ny(); ++j) {
+      for (int i = 0; i < grid.nx(); ++i) {
+        builder.add(id(i, j), id(i, j), 4.0 - shifts[b]);
+        if (i > 0) builder.add(id(i, j), id(i - 1, j), -1.0);
+        if (i < grid.nx() - 1) builder.add(id(i, j), id(i + 1, j), -1.0);
+        if (j > 0) builder.add(id(i, j), id(i, j - 1), -1.0);
+        if (j < grid.ny() - 1) builder.add(id(i, j), id(i, j + 1), -1.0);
+      }
+    }
+  }
+  return builder.build();
+}
+
+/// Eigenvector sin(a pi x) sin(a pi y) of the Laplacian on the square
+/// grid, eigenvalue 4 - 4 cos(a pi h) before the shift, placed in copy
+/// `copy` of `copies`.
+Vec laplacian_mode(const fem::PoissonProblem& grid, int a, int copy = 0,
+                   int copies = 1) {
+  const Vec mode = grid.grid_function([a](double x, double y) {
+    return std::sin(a * M_PI * x) * std::sin(a * M_PI * y);
+  });
+  Vec v(mode.size() * copies, 0.0);
+  std::copy(mode.begin(), mode.end(), v.begin() + mode.size() * copy);
+  return v;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void expect_same_result(const PcgResult& single, const PcgResult& column,
+                        const std::string& what) {
+  EXPECT_EQ(single.converged, column.converged) << what;
+  EXPECT_EQ(single.iterations, column.iterations) << what;
+  EXPECT_TRUE(same_bits(single.final_delta_inf, column.final_delta_inf))
+      << what;
+  EXPECT_TRUE(same_bits(single.final_residual2, column.final_residual2))
+      << what;
+  EXPECT_EQ(single.inner_products, column.inner_products) << what;
+  EXPECT_EQ(single.precond_applications, column.precond_applications)
+      << what;
+  ASSERT_EQ(single.solution.size(), column.solution.size()) << what;
+  for (std::size_t i = 0; i < single.solution.size(); ++i) {
+    ASSERT_TRUE(same_bits(single.solution[i], column.solution[i]))
+        << what << " i=" << i;
+  }
+}
+
+// A breakdown (p^T K p <= 0) stops the solve unconverged in the iteration
+// it happens, with the true final residual and exact counters.
+TEST(Pcg, BreakdownStopsUnconvergedWithExactCounters) {
+  // sigma = 1 puts the smoothest mode's eigenvalue at -0.76.  With f half
+  // that mode, p0 = f has negative curvature: iteration 0 breaks down.
+  // Adding the (positive) highest mode makes p0's curvature positive; p1
+  // is K-conjugate to p0 in their two-mode span, so it has negative
+  // curvature: iteration 1 breaks down.
+  const fem::PoissonProblem grid(8, 8);
+  const la::CsrMatrix k = shifted_laplacians(grid, {1.0});
+  for (const int breaks_at : {0, 1}) {
+    Vec f = laplacian_mode(grid, 1);
+    la::scale(0.5, f);
+    if (breaks_at == 1) la::axpy(1.0, laplacian_mode(grid, 8), f);
+    PcgOptions opt;
+    opt.record_history = true;
+    CountingLog log;
+    const PcgResult res = cg_solve(k, f, opt, &log);
+    const std::string what = "breaks_at=" + std::to_string(breaks_at);
+    EXPECT_FALSE(res.converged) << what;
+    EXPECT_EQ(res.iterations, breaks_at) << what;
+    // rho0, then (p, K p) and rho_new per finished iteration, then the
+    // curvature that broke down.
+    EXPECT_EQ(res.inner_products, 2 + 2 * breaks_at) << what;
+    EXPECT_EQ(res.precond_applications, 1 + breaks_at) << what;
+    EXPECT_EQ(res.history.size(), static_cast<std::size_t>(breaks_at))
+        << what;
+    // The final residual is the true one of the iterate the solve
+    // stopped at.
+    Vec r = f;
+    k.multiply_sub(res.solution, r);
+    EXPECT_TRUE(same_bits(res.final_residual2, la::nrm2(r))) << what;
+    EXPECT_GT(res.final_residual2, 0.0) << what;
+    // The kernel stream stops at the breakdown.
+    EXPECT_EQ(log.spmvs, 2 + breaks_at) << what;
+    EXPECT_EQ(log.dots, 2 + 2 * breaks_at) << what;
+    EXPECT_EQ(log.maxes, breaks_at) << what;
+    EXPECT_EQ(log.iterations, breaks_at) << what;
+  }
+}
+
+// One column of a block breaks down: it stops as its own solve does, and
+// the columns that converge, exit at once or run on stay bitwise theirs.
+// The matrix is two decoupled grids, the first shifted past its smallest
+// eigenvalue, the second SPD; columns supported on the second never see
+// the negative mode, because M and K keep the grids apart.
+TEST(PcgBlock, BreakdownColumnStopsAloneAndTheOthersStayBitwise) {
+  const fem::PoissonProblem grid(8, 8);
+  const index_t n = grid.num_unknowns();
+  color::ColorClasses red_black;
+  red_black.classes.resize(2);
+  for (index_t b = 0; b < 2; ++b) {
+    for (int j = 0; j < grid.ny(); ++j) {
+      for (int i = 0; i < grid.nx(); ++i) {
+        red_black.classes[static_cast<std::size_t>(grid.color(i, j))]
+            .push_back(b * n + grid.unknown_id(i, j));
+      }
+    }
+  }
+  const auto cs = color::make_colored_system(
+      shifted_laplacians(grid, {0.5, 0.0}), red_black);
+  const MulticolorMStepSsor m(cs, unparametrized_alphas(2));
+  const la::CsrOperator k(cs.matrix);
+  util::Rng rng(3);
+  Vec on_spd = rng.uniform_vector(static_cast<std::size_t>(2 * n));
+  std::fill(on_spd.begin(), on_spd.begin() + n, 0.0);
+  std::vector<Vec> fs = {cs.permute(on_spd),
+                         cs.permute(laplacian_mode(grid, 1, 0, 2)),
+                         Vec(static_cast<std::size_t>(2 * n), 0.0),
+                         cs.permute(laplacian_mode(grid, 3, 1, 2))};
+  PcgOptions opt;
+  opt.tolerance = 1e-10;
+  for (const int limit : {200, 3}) {
+    opt.max_iterations = limit;
+    std::vector<PcgResult> singles;
+    for (const Vec& f : fs) singles.push_back(pcg_solve(k, f, m, opt));
+    std::vector<Vec> spent = fs;  // the block spends its right-hand sides
+    const std::vector<PcgResult> block = pcg_solve_block(
+        k, util::Span<Vec>(spent.data(), spent.size()), m, opt);
+    const std::string what = "limit=" + std::to_string(limit);
+    for (std::size_t c = 0; c < fs.size(); ++c) {
+      expect_same_result(singles[c], block[c],
+                         what + " column " + std::to_string(c));
+    }
+    // Column 0 converges in 12 iterations or stops at the limit of 3,
+    // column 2 exits at once and column 3 converges in 3.
+    EXPECT_EQ(block[0].converged, limit > 12) << what;
+    EXPECT_EQ(block[0].iterations, std::min(limit, 12)) << what;
+    EXPECT_TRUE(block[2].converged && block[2].iterations == 0) << what;
+    EXPECT_TRUE(block[3].converged && block[3].iterations == 3) << what;
+    // Column 1 breaks down in iteration 0, below either limit.
+    EXPECT_FALSE(block[1].converged) << what;
+    EXPECT_EQ(block[1].iterations, 0) << what;
+    EXPECT_EQ(block[1].inner_products, 2) << what;
+    EXPECT_EQ(block[1].precond_applications, 1) << what;
+    EXPECT_TRUE(same_bits(block[1].final_residual2, la::nrm2(fs[1]))) << what;
+  }
+}
+
+// A block narrates what its columns' single solves narrate: the solver
+// and the sweep engine each speak once per live column, so the block's
+// census is the sum of its columns' censuses.
+TEST(PcgBlock, KernelCensusIsTheSumOfItsColumns) {
+  const auto p = make_plate(6, 6);
+  const index_t n = p.cs.size();
+  util::Rng rng(5);
+  std::vector<Vec> fs = {p.f_colored, Vec(static_cast<std::size_t>(n), 0.0),
+                         rng.uniform_vector(static_cast<std::size_t>(n)),
+                         p.f_colored};
+  la::scale(1e-6, fs[3]);  // stops early under the absolute |du|_inf rule
+  PcgOptions opt;
+  opt.tolerance = 1e-8;
+  const auto alphas = least_squares_alphas(3, ssor_interval());
+  const la::CsrOperator k(p.cs.matrix);
+
+  CountingLog singles;
+  const MulticolorMStepSsor single_m(p.cs, alphas, &singles);
+  std::set<int> stops;
+  for (const Vec& f : fs) {
+    stops.insert(pcg_solve(k, f, single_m, opt, &singles).iterations);
+  }
+  EXPECT_EQ(stops.size(), fs.size());  // every column stops on its own
+  EXPECT_EQ(*stops.begin(), 0);        // the zero right-hand side
+
+  CountingLog blocked;
+  const MulticolorMStepSsor block_m(p.cs, alphas, &blocked);
+  (void)pcg_solve_block(k, util::Span<Vec>(fs.data(), fs.size()), block_m,
+                        opt, &blocked);
+  EXPECT_EQ(blocked.vec_ops, singles.vec_ops);
+  EXPECT_EQ(blocked.dots, singles.dots);
+  EXPECT_EQ(blocked.maxes, singles.maxes);
+  EXPECT_EQ(blocked.diag_ops, singles.diag_ops);
+  EXPECT_EQ(blocked.spmvs, singles.spmvs);
+  EXPECT_EQ(blocked.iterations, singles.iterations);
+  EXPECT_EQ(blocked.precond_steps, singles.precond_steps);
+  EXPECT_EQ(blocked.flops, singles.flops);
 }
 
 // ---- condition number (Adams 1982 claims) ------------------------------------
