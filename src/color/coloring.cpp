@@ -1,7 +1,6 @@
 #include "color/coloring.hpp"
 
 #include <cassert>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -97,7 +96,7 @@ ColoredSystem make_colored_system(const la::CsrMatrix& k,
   ColoredSystem cs;
   cs.perm = permutation_from_classes(classes);
   cs.inv_perm = inverse_permutation(cs.perm);
-  cs.matrix = k.permuted_symmetric(cs.perm);
+  cs.matrix = k.permuted_symmetric(cs.perm, cs.inv_perm);
   cs.class_start.assign(1, 0);
   for (const auto& cls : classes.classes) {
     cs.class_start.push_back(cs.class_start.back() +
@@ -180,28 +179,42 @@ bool coloring_is_valid(const la::CsrMatrix& k, const ColorClasses& classes) {
 }
 
 RowSplits compute_row_splits(const ColoredSystem& cs) {
-  RowSplits rs;
-  rs.diag = cs.matrix.diagonal();
   const index_t n = cs.size();
+  RowSplits rs;
+  rs.diag.resize(n);
   rs.lo_end.resize(n);
   rs.up_begin.resize(n);
   const auto& rp = cs.matrix.row_ptr();
   const auto& col = cs.matrix.col_idx();
   const auto& val = cs.matrix.values();
+  // One scan per row finds both splits and the diagonal (its first entry
+  // in column i, as CsrMatrix::diagonal reads it).  A missing or zero
+  // diagonal throws diagonal()'s error wherever it lies, before any
+  // off-diagonal entry in a class block is reported.
+  bool blocks_diagonal = true;
   for (int c = 0; c < cs.num_classes(); ++c) {
     for (index_t i = cs.class_start[c]; i < cs.class_start[c + 1]; ++i) {
       index_t t = rp[i];
       while (t < rp[i + 1] && col[t] < cs.class_start[c]) ++t;
       rs.lo_end[i] = t;
-      while (t < rp[i + 1] && col[t] < cs.class_start[c + 1]) {
-        if (col[t] != i && val[t] != 0.0) {
-          throw std::invalid_argument(
-              "compute_row_splits: diagonal class block is not diagonal");
+      double d = 0.0;
+      bool seen = false;
+      for (; t < rp[i + 1] && col[t] < cs.class_start[c + 1]; ++t) {
+        if (col[t] == i) {
+          if (!seen) d = val[t];
+          seen = true;
+        } else if (val[t] != 0.0) {
+          blocks_diagonal = false;
         }
-        ++t;
       }
       rs.up_begin[i] = t;
+      if (d == 0.0) throw std::runtime_error("diagonal: zero/absent entry");
+      rs.diag[i] = d;
     }
+  }
+  if (!blocks_diagonal) {
+    throw std::invalid_argument(
+        "compute_row_splits: diagonal class block is not diagonal");
   }
   return rs;
 }
@@ -209,6 +222,7 @@ RowSplits compute_row_splits(const ColoredSystem& cs) {
 ClassDiagonalCensus compute_class_diagonal_census(const ColoredSystem& cs,
                                                   const RowSplits& splits) {
   const int nc = cs.num_classes();
+  const index_t n = cs.size();
   ClassDiagonalCensus census;
   census.lower.assign(nc, 0);
   census.upper.assign(nc, 0);
@@ -217,19 +231,24 @@ ClassDiagonalCensus compute_class_diagonal_census(const ColoredSystem& cs,
   const auto& col = cs.matrix.col_idx();
   const auto& val = cs.matrix.values();
 
+  // One mark per offset in (-n, n), holding the last class that counted
+  // it: lower offsets are negative and upper ones positive, so the two
+  // halves share the array, and a new class needs no clearing.
+  std::vector<int> counted_in(2 * static_cast<std::size_t>(n), -1);
+  int* mark = counted_in.data() + n;
   for (int c = 0; c < nc; ++c) {
-    std::set<index_t> lower_offsets;
-    std::set<index_t> upper_offsets;
     for (index_t i = cs.class_start[c]; i < cs.class_start[c + 1]; ++i) {
       for (index_t u = rp[i]; u < splits.lo_end[i]; ++u) {
-        if (val[u] != 0.0) lower_offsets.insert(col[u] - i);
+        if (val[u] == 0.0 || mark[col[u] - i] == c) continue;
+        mark[col[u] - i] = c;
+        ++census.lower[c];
       }
       for (index_t u = splits.up_begin[i]; u < rp[i + 1]; ++u) {
-        if (val[u] != 0.0) upper_offsets.insert(col[u] - i);
+        if (val[u] == 0.0 || mark[col[u] - i] == c) continue;
+        mark[col[u] - i] = c;
+        ++census.upper[c];
       }
     }
-    census.lower[c] = static_cast<int>(lower_offsets.size());
-    census.upper[c] = static_cast<int>(upper_offsets.size());
   }
   return census;
 }

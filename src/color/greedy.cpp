@@ -5,26 +5,40 @@
 
 namespace mstep::color {
 
-std::vector<int> greedy_vertex_coloring(
-    const std::vector<std::vector<index_t>>& adjacency) {
-  const std::size_t n = adjacency.size();
+namespace {
+
+/// First-fit colouring of vertices 0..n-1 in order: each vertex takes the
+/// smallest colour none of its already-coloured neighbours holds.
+/// `for_neighbors(v, visit)` calls visit(w) for every neighbour w of v.
+/// used_by[c] == v marks colour c as taken around v, so no per-vertex
+/// clearing is needed.
+template <typename ForNeighbors>
+std::vector<int> first_fit(std::size_t n, const ForNeighbors& for_neighbors) {
   std::vector<int> color(n, -1);
-  std::vector<char> used;
+  std::vector<std::size_t> used_by;
   for (std::size_t v = 0; v < n; ++v) {
-    used.assign(used.size(), 0);
-    int max_needed = 0;
-    for (index_t w : adjacency[v]) {
-      if (color[w] >= 0) max_needed = std::max(max_needed, color[w] + 1);
-    }
-    used.assign(static_cast<std::size_t>(max_needed) + 1, 0);
-    for (index_t w : adjacency[v]) {
-      if (color[w] >= 0) used[color[w]] = 1;
-    }
-    int c = 0;
-    while (c < static_cast<int>(used.size()) && used[c]) ++c;
-    color[v] = c;
+    for_neighbors(v, [&](index_t w) {
+      const int cw = color[w];
+      if (cw < 0) return;
+      if (static_cast<std::size_t>(cw) >= used_by.size()) {
+        used_by.resize(static_cast<std::size_t>(cw) + 1, n);
+      }
+      used_by[cw] = v;
+    });
+    std::size_t c = 0;
+    while (c < used_by.size() && used_by[c] == v) ++c;
+    color[v] = static_cast<int>(c);
   }
   return color;
+}
+
+}  // namespace
+
+std::vector<int> greedy_vertex_coloring(
+    const std::vector<std::vector<index_t>>& adjacency) {
+  return first_fit(adjacency.size(), [&](std::size_t v, const auto& visit) {
+    for (index_t w : adjacency[v]) visit(w);
+  });
 }
 
 ColorClasses greedy_classes(const fem::TriMesh& mesh) {
@@ -56,21 +70,26 @@ ColorClasses greedy_classes(const fem::TriMesh& mesh) {
 }
 
 ColorClasses greedy_classes_from_matrix(const la::CsrMatrix& k) {
-  const index_t n = k.rows();
-  std::vector<std::vector<index_t>> adjacency(n);
+  if (k.rows() != k.cols()) {
+    throw std::invalid_argument("greedy_classes_from_matrix: not square");
+  }
   const auto& rp = k.row_ptr();
   const auto& col = k.col_idx();
-  for (index_t i = 0; i < n; ++i) {
-    for (index_t t = rp[i]; t < rp[i + 1]; ++t) {
-      if (col[t] != i) adjacency[i].push_back(col[t]);
-    }
-  }
-  const std::vector<int> color = greedy_vertex_coloring(adjacency);
+  // The off-diagonal pattern of row v is v's neighbour list, explicit
+  // zeros included.
+  const std::vector<int> color = first_fit(
+      static_cast<std::size_t>(k.rows()),
+      [&](std::size_t v, const auto& visit) {
+        const auto i = static_cast<index_t>(v);
+        for (index_t t = rp[i]; t < rp[i + 1]; ++t) {
+          if (col[t] != i) visit(col[t]);
+        }
+      });
   int ncolors = 0;
   for (int c : color) ncolors = std::max(ncolors, c + 1);
   ColorClasses cc;
   cc.classes.assign(ncolors, {});
-  for (index_t i = 0; i < n; ++i) cc.classes[color[i]].push_back(i);
+  for (index_t i = 0; i < k.rows(); ++i) cc.classes[color[i]].push_back(i);
   return cc;
 }
 

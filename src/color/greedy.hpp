@@ -34,7 +34,7 @@ namespace mstep::color {
 /// colour, equations within a class ordered by row id.  No two coupled
 /// equations share a class, so every diagonal class block is diagonal —
 /// this is how the Solver facade multicolour-orders a system it only
-/// knows as a matrix.
+/// knows as a matrix.  Throws std::invalid_argument if `k` is not square.
 [[nodiscard]] ColorClasses greedy_classes_from_matrix(const la::CsrMatrix& k);
 
 }  // namespace mstep::color

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace mstep::la {
 
@@ -73,10 +74,17 @@ CsrMatrix CsrMatrix::permuted_symmetric(
       static_cast<index_t>(perm.size()) != rows_) {
     throw std::invalid_argument("permuted_symmetric: bad perm");
   }
-  // inv[old] = new position
   std::vector<index_t> inv(rows_);
   for (index_t i = 0; i < rows_; ++i) inv[perm[i]] = i;
+  return permuted_symmetric(perm, inv);
+}
 
+CsrMatrix CsrMatrix::permuted_symmetric(const std::vector<index_t>& perm,
+                                        const std::vector<index_t>& inv) const {
+  if (rows_ != cols_ || static_cast<index_t>(perm.size()) != rows_ ||
+      static_cast<index_t>(inv.size()) != rows_) {
+    throw std::invalid_argument("permuted_symmetric: bad perm");
+  }
   std::vector<index_t> rp(rows_ + 1, 0);
   for (index_t i = 0; i < rows_; ++i) {
     const index_t old = perm[i];
@@ -84,27 +92,42 @@ CsrMatrix CsrMatrix::permuted_symmetric(
   }
   std::vector<index_t> col(rp[rows_]);
   std::vector<double> val(rp[rows_]);
-  for (index_t i = 0; i < rows_; ++i) {
-    const index_t old = perm[i];
-    index_t out = rp[i];
-    for (index_t k = row_ptr_[old]; k < row_ptr_[old + 1]; ++k, ++out) {
-      col[out] = inv[col_[k]];
-      val[out] = val_[k];
+  // Each source row, read in order, is written straight into its new place
+  // and sorted by column there, stably: by insertion when short, by a
+  // merge sort when long.
+  std::vector<std::pair<index_t, double>> long_row;
+  for (index_t old = 0; old < rows_; ++old) {
+    const index_t first = rp[inv[old]];
+    const index_t len = row_ptr_[old + 1] - row_ptr_[old];
+    index_t* c = col.data() + first;
+    double* v = val.data() + first;
+    const index_t* src_col = col_.data() + row_ptr_[old];
+    const double* src_val = val_.data() + row_ptr_[old];
+    if (len <= kInsertionSortRow) {
+      for (index_t k = 0; k < len; ++k) {
+        const index_t ck = inv[src_col[k]];
+        index_t t = k;
+        for (; t > 0 && c[t - 1] > ck; --t) {
+          c[t] = c[t - 1];
+          v[t] = v[t - 1];
+        }
+        c[t] = ck;
+        v[t] = src_val[k];
+      }
+      continue;
     }
-    // Restore sorted column order within the row.
-    std::vector<index_t> order(rp[i + 1] - rp[i]);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](index_t a, index_t b) {
-      return col[rp[i] + a] < col[rp[i] + b];
-    });
-    std::vector<index_t> c2(order.size());
-    std::vector<double> v2(order.size());
-    for (std::size_t t = 0; t < order.size(); ++t) {
-      c2[t] = col[rp[i] + order[t]];
-      v2[t] = val[rp[i] + order[t]];
+    long_row.resize(static_cast<std::size_t>(len));
+    for (index_t k = 0; k < len; ++k) {
+      long_row[k] = {inv[src_col[k]], src_val[k]};
     }
-    std::copy(c2.begin(), c2.end(), col.begin() + rp[i]);
-    std::copy(v2.begin(), v2.end(), val.begin() + rp[i]);
+    std::stable_sort(long_row.begin(), long_row.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    for (index_t k = 0; k < len; ++k) {
+      c[k] = long_row[k].first;
+      v[k] = long_row[k].second;
+    }
   }
   return CsrMatrix(rows_, cols_, std::move(rp), std::move(col),
                    std::move(val));

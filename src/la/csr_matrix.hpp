@@ -52,8 +52,14 @@ class CsrMatrix {
   [[nodiscard]] Vec diagonal() const;
 
   /// Symmetric permutation B = A(p, p): row/col i of B is row/col p[i] of A.
+  /// Each row's entries are sorted by their new column, stably: entries
+  /// that share a column keep their order in A.
   [[nodiscard]] CsrMatrix permuted_symmetric(
       const std::vector<index_t>& perm) const;
+  /// The same with the inverse permutation supplied (inv[perm[i]] == i),
+  /// for a caller that already holds it.
+  [[nodiscard]] CsrMatrix permuted_symmetric(
+      const std::vector<index_t>& perm, const std::vector<index_t>& inv) const;
 
   /// Exact transpose.
   [[nodiscard]] CsrMatrix transposed() const;
@@ -78,6 +84,9 @@ class CsrMatrix {
   [[nodiscard]] index_t bandwidth() const;
 
  private:
+  /// permuted_symmetric sorts a row this short by insertion in place.
+  static constexpr index_t kInsertionSortRow = 32;
+
   index_t rows_ = 0;
   index_t cols_ = 0;
   std::vector<index_t> row_ptr_;

@@ -26,13 +26,16 @@ DiaMatrix DiaMatrix::from_csr(const CsrMatrix& a, std::vector<index_t> cuts) {
   const auto& rp = a.row_ptr();
   const auto& col = a.col_idx();
   const auto& val = a.values();
+  // Rows i and j share their offsets when every column of j is the one of
+  // i shifted by j - i: one branch-free pass the compiler vectorizes.
   const auto same_offsets = [&](index_t i, index_t j) {
     const index_t len = rp[i + 1] - rp[i];
     if (rp[j + 1] - rp[j] != len) return false;
-    for (index_t k = 0; k < len; ++k) {
-      if (col[rp[i] + k] - i != col[rp[j] + k] - j) return false;
-    }
-    return true;
+    const index_t* ci = col.data() + rp[i];
+    const index_t* cj = col.data() + rp[j];
+    index_t differ = 0;
+    for (index_t k = 0; k < len; ++k) differ |= (cj[k] - ci[k]) ^ (j - i);
+    return differ == 0;
   };
 
   // Pass 1: cut every cell into maximal equal-offset stretches.
@@ -62,15 +65,18 @@ DiaMatrix DiaMatrix::from_csr(const CsrMatrix& a, std::vector<index_t> cuts) {
     }
   }
 
-  // Pass 2: the run values, diagonal-major, into storage sized once.
+  // Pass 2: the run values, diagonal-major, into storage sized once.  A
+  // run's rows are equally long and adjacent in the CSR arrays, so value
+  // column k reads every terms-th value from the run's first row on.
   m.val_.resize(values);
   for (std::size_t q = 0; q < m.row_.size(); ++q) {
     const auto len = static_cast<std::size_t>(m.len_[q]);
+    const auto terms = static_cast<std::size_t>(m.terms_[q]);
+    const double* in = val.data() + rp[m.row_[q]];
     double* out = m.val_.data() + m.val_ptr_[q];
-    for (std::size_t t = 0; t < len; ++t) {
-      const index_t b = rp[m.row_[q] + static_cast<index_t>(t)];
-      for (index_t k = 0; k < m.terms_[q]; ++k) {
-        out[static_cast<std::size_t>(k) * len + t] = val[b + k];
+    for (std::size_t k = 0; k < terms; ++k) {
+      for (std::size_t t = 0; t < len; ++t) {
+        out[k * len + t] = in[t * terms + k];
       }
     }
   }

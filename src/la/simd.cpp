@@ -406,13 +406,12 @@ void block_sweep_rows(const index_t* seg_begin, const index_t* seg_end,
     block_row_sum(val + b, col + b, seg_end[i] - b, 1, z, sum);
     const std::size_t at = static_cast<std::size_t>(i) * kW;
     for (std::size_t c = 0; c < kW; ++c) {
-      const double x = -sum[c];
       if (r == nullptr) {
-        y[at + c] = x;
+        y[at + c] = -sum[c];
         continue;
       }
-      z[at + c] = (x + y[at + c] + a * r[at + c]) / diag[i];
-      y[at + c] = last ? 0.0 : x;
+      z[at + c] = (y[at + c] - sum[c] + a * r[at + c]) / diag[i];
+      y[at + c] = last ? 0.0 : -sum[c];
     }
   }
 }

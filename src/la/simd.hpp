@@ -224,10 +224,10 @@ void block_sell_slices(const SellView& s, const double* x, double* y,
 
 /// One multicolor-sweep phase over rows [row_begin, row_end) of one colour
 /// class, fused.  Row i's sum over its CSR entries [seg_begin[i],
-/// seg_end[i]) follows row_dot's schedule per column; x = -sum.  With `r`
-/// set: z(i) = (x + y(i) + a * r(i)) / diag[i], then y(i) = last ? 0 : x —
-/// sweep_segments' class update.  With r == nullptr (the save phase):
-/// y(i) = x.
+/// seg_end[i]) follows row_dot's schedule per column.  With `r` set:
+/// z(i) = (y(i) - sum + a * r(i)) / diag[i], then y(i) = last ? 0 : -sum —
+/// sweep_segments' class update in its operation order, so a NaN keeps the
+/// single-vector bits.  With r == nullptr (the save phase): y(i) = -sum.
 void block_sweep_rows(const index_t* seg_begin, const index_t* seg_end,
                       const index_t* col, const double* val,
                       const double* diag, double a, const double* r,

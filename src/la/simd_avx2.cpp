@@ -643,19 +643,19 @@ void block_sweep_rows(const index_t* seg_begin, const index_t* seg_end,
   const __m256d sign = _mm256_set1_pd(-0.0);
   for (index_t i = row_begin; i < row_end; ++i) {
     const index_t b = seg_begin[i];
+    const __m256d sum = block_row_sum(val + b, col + b, seg_end[i] - b, 1, z);
     // -sum: a sign flip, exactly the scalar negation.
-    const __m256d x = _mm256_xor_pd(
-        block_row_sum(val + b, col + b, seg_end[i] - b, 1, z), sign);
+    const __m256d x = _mm256_xor_pd(sum, sign);
     double* yr = y + static_cast<std::size_t>(i) * kW;
     if (r == nullptr) {
       _mm256_storeu_pd(yr, x);
       continue;
     }
-    const __m256d sum = _mm256_add_pd(
-        _mm256_add_pd(x, _mm256_loadu_pd(yr)),
-        _mm256_mul_pd(av, load_row(r, i)));
+    // sweep_update4's order: (y - sum) + a * r.
+    const __m256d t = _mm256_add_pd(_mm256_sub_pd(_mm256_loadu_pd(yr), sum),
+                                    _mm256_mul_pd(av, load_row(r, i)));
     _mm256_storeu_pd(z + static_cast<std::size_t>(i) * kW,
-                     _mm256_div_pd(sum, _mm256_broadcast_sd(diag + i)));
+                     _mm256_div_pd(t, _mm256_broadcast_sd(diag + i)));
     _mm256_storeu_pd(yr, last ? _mm256_setzero_pd() : x);
   }
 }

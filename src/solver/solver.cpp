@@ -162,14 +162,17 @@ Prepared Solver::prepare(const la::CsrMatrix& k,
   // sweep reads them; for any other preconditioner they would be a second
   // copy of the values that only the outer product reads, so there the
   // store reads the CSR rows in place and costs nothing to build or hold.
-  p.store_ = std::make_shared<const la::DiaMatrix>(
-      detail::uses_multicolor_sweep(config_, p.cs_.get())
-          ? la::DiaMatrix::from_csr(*p.matrix_, p.strips_
-                                                    ? p.strips_->cell_bounds()
-                                                    : p.cs_->class_start)
-          : la::DiaMatrix::without_runs(*p.matrix_));
+  {
+    const obs::Span store_span("store");
+    p.store_ = std::make_shared<const la::DiaMatrix>(
+        detail::uses_multicolor_sweep(config_, p.cs_.get())
+            ? la::DiaMatrix::from_csr(*p.matrix_,
+                                      p.strips_ ? p.strips_->cell_bounds()
+                                                : p.cs_->class_start)
+            : la::DiaMatrix::without_runs(*p.matrix_));
+  }
 
-  // 4. Parameters and preconditioner (splitting via the registries).
+  // 4. Parameters, then the preconditioner (splitting via the registries).
   {
     const obs::Span params_span("params");
     if (config_.steps > 0) {
@@ -181,6 +184,9 @@ Prepared Solver::prepare(const la::CsrMatrix& k,
       p.alphas_ = ParamStrategyRegistry::instance().alphas(
           config_.params, config_.steps, p.interval_);
     }
+  }
+  {
+    const obs::Span precond_span("precond");
     auto choice = detail::make_preconditioner(
         config_, p.cs_.get(), *p.matrix_, p.alphas_, log, p.kernel_exec(),
         p.strips_.get(), p.store_);

@@ -2,8 +2,19 @@
 // equation (3.1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "color/coloring.hpp"
+#include "color/greedy.hpp"
 #include "fem/plane_stress.hpp"
+#include "fem/poisson.hpp"
+#include "io/matrix_market.hpp"
+#include "problems/problem.hpp"
 #include "util/rng.hpp"
 
 namespace mstep::color {
@@ -136,6 +147,200 @@ TEST(Validity, RejectsIncompleteClasses) {
   ColorClasses missing = two_color_classes(p);
   missing.classes[0].pop_back();
   EXPECT_FALSE(coloring_is_valid(a, missing));
+}
+
+// ---- the prepare-time analyses against plain references ---------------------
+
+/// A random symmetric matrix with a full positive diagonal: each row
+/// couples to a few random others, explicit zeros and -0.0 among the
+/// values, coloured greedily so every class block is diagonal.
+ColoredSystem random_colored_system(util::Rng& rng, index_t n) {
+  la::CooBuilder b(n, n);
+  for (index_t i = 0; i < n; ++i) b.add(i, i, 4.0 + rng.uniform());
+  for (index_t e = 0; e < 3 * n; ++e) {
+    const auto i = static_cast<index_t>(rng.uniform_index(n));
+    const auto j = static_cast<index_t>(rng.uniform_index(n));
+    if (i == j) continue;
+    const double u = rng.uniform();
+    const double v = u < 0.1 ? 0.0 : u < 0.2 ? -0.0 : rng.uniform(-1.0, 1.0);
+    b.add(i, j, v);
+    b.add(j, i, v);
+  }
+  const la::CsrMatrix k = b.build();
+  return make_colored_system(k, greedy_classes_from_matrix(k));
+}
+
+/// The census counted with one std::set of offsets per class and half.
+ClassDiagonalCensus census_by_sets(const ColoredSystem& cs,
+                                   const RowSplits& splits) {
+  const auto& rp = cs.matrix.row_ptr();
+  const auto& col = cs.matrix.col_idx();
+  const auto& val = cs.matrix.values();
+  ClassDiagonalCensus census;
+  for (int c = 0; c < cs.num_classes(); ++c) {
+    std::set<index_t> lower;
+    std::set<index_t> upper;
+    for (index_t i = cs.class_start[c]; i < cs.class_start[c + 1]; ++i) {
+      for (index_t u = rp[i]; u < splits.lo_end[i]; ++u) {
+        if (val[u] != 0.0) lower.insert(col[u] - i);
+      }
+      for (index_t u = splits.up_begin[i]; u < rp[i + 1]; ++u) {
+        if (val[u] != 0.0) upper.insert(col[u] - i);
+      }
+    }
+    census.lower.push_back(static_cast<int>(lower.size()));
+    census.upper.push_back(static_cast<int>(upper.size()));
+  }
+  return census;
+}
+
+TEST(RowSplits, DiagonalAndCensusMatchTheirReferences) {
+  util::Rng rng(5);
+  for (int trial = 0; trial < 20; ++trial) {
+    const auto n = static_cast<index_t>(2 + rng.uniform_index(300));
+    const ColoredSystem cs = random_colored_system(rng, n);
+    const RowSplits splits = compute_row_splits(cs);
+    const Vec diag = cs.matrix.diagonal();
+    ASSERT_EQ(splits.diag.size(), diag.size());
+    EXPECT_EQ(std::memcmp(splits.diag.data(), diag.data(),
+                          diag.size() * sizeof(double)),
+              0)
+        << trial;
+    const ClassDiagonalCensus want = census_by_sets(cs, splits);
+    const ClassDiagonalCensus got = compute_class_diagonal_census(cs, splits);
+    EXPECT_EQ(got.lower, want.lower) << trial;
+    EXPECT_EQ(got.upper, want.upper) << trial;
+  }
+  // A row that holds its diagonal twice reads the first, as diagonal()
+  // does.
+  const fem::PoissonProblem poisson(4, 3);
+  const la::CsrMatrix a = poisson.matrix();
+  std::vector<index_t> rp(1, 0);
+  std::vector<index_t> col;
+  std::vector<double> val;
+  for (index_t i = 0; i < a.rows(); ++i) {
+    for (index_t t = a.row_ptr()[i]; t < a.row_ptr()[i + 1]; ++t) {
+      col.push_back(a.col_idx()[t]);
+      val.push_back(a.values()[t]);
+      if (i == 5 && a.col_idx()[t] == 5) {
+        col.push_back(5);
+        val.push_back(-1.0);
+      }
+    }
+    rp.push_back(static_cast<index_t>(col.size()));
+  }
+  const ColoredSystem twice =
+      make_colored_system(la::CsrMatrix(a.rows(), a.cols(), rp, col, val),
+                          two_color_classes(poisson));
+  EXPECT_EQ(compute_row_splits(twice).diag, twice.matrix.diagonal());
+
+  // The plate's six classes too.
+  const auto s = make_plate(7, 9);
+  const RowSplits splits = compute_row_splits(s.cs);
+  const ClassDiagonalCensus want = census_by_sets(s.cs, splits);
+  EXPECT_EQ(compute_class_diagonal_census(s.cs, splits).lower, want.lower);
+  EXPECT_EQ(compute_class_diagonal_census(s.cs, splits).upper, want.upper);
+}
+
+// A missing, zero or -0.0 diagonal throws CsrMatrix::diagonal()'s
+// std::runtime_error, also when a class block is not diagonal as well;
+// only a class block that is not diagonal throws std::invalid_argument.
+TEST(RowSplits, BadDiagonalThrowsDiagonalsError) {
+  const fem::PoissonProblem p(4, 3);
+  const la::CsrMatrix a = p.matrix();
+  const ColorClasses two = two_color_classes(p);
+  ColorClasses one;
+  one.classes.assign(1, {});
+  for (index_t i = 0; i < a.rows(); ++i) one.classes[0].push_back(i);
+  for (const double bad : {0.0, -0.0}) {
+    la::CsrMatrix k = a;
+    const auto& rp = k.row_ptr();
+    const auto& col = k.col_idx();
+    const auto at = std::find(col.begin() + rp[5], col.begin() + rp[6], 5);
+    k.values()[static_cast<std::size_t>(at - col.begin())] = bad;
+    for (const ColorClasses& classes : {two, one}) {
+      const ColoredSystem cs = make_colored_system(k, classes);
+      EXPECT_THROW((void)cs.matrix.diagonal(), std::runtime_error);
+      EXPECT_THROW((void)compute_row_splits(cs), std::runtime_error);
+    }
+  }
+  // Row 5 without a diagonal entry at all.
+  std::vector<index_t> rp(1, 0);
+  std::vector<index_t> col;
+  std::vector<double> val;
+  for (index_t i = 0; i < a.rows(); ++i) {
+    for (index_t t = a.row_ptr()[i]; t < a.row_ptr()[i + 1]; ++t) {
+      if (i == 5 && a.col_idx()[t] == 5) continue;
+      col.push_back(a.col_idx()[t]);
+      val.push_back(a.values()[t]);
+    }
+    rp.push_back(static_cast<index_t>(col.size()));
+  }
+  const la::CsrMatrix holed(a.rows(), a.cols(), rp, col, val);
+  const ColoredSystem cs = make_colored_system(holed, two);
+  EXPECT_THROW((void)cs.matrix.diagonal(), std::runtime_error);
+  EXPECT_THROW((void)compute_row_splits(cs), std::runtime_error);
+  EXPECT_THROW((void)compute_row_splits(make_colored_system(a, one)),
+               std::invalid_argument);
+}
+
+/// First-fit colouring as first written: one adjacency vector per row
+/// (the off-diagonal pattern, explicit zeros included), then the smallest
+/// colour no earlier neighbour holds.
+ColorClasses greedy_by_adjacency(const la::CsrMatrix& k) {
+  const index_t n = k.rows();
+  std::vector<std::vector<index_t>> adjacency(n);
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t t = k.row_ptr()[i]; t < k.row_ptr()[i + 1]; ++t) {
+      if (k.col_idx()[t] != i) adjacency[i].push_back(k.col_idx()[t]);
+    }
+  }
+  std::vector<int> color(n, -1);
+  int ncolors = 0;
+  for (index_t v = 0; v < n; ++v) {
+    std::vector<char> used(static_cast<std::size_t>(ncolors) + 1, 0);
+    for (const index_t w : adjacency[v]) {
+      if (color[w] >= 0) used[color[w]] = 1;
+    }
+    int c = 0;
+    while (used[c]) ++c;
+    color[v] = c;
+    ncolors = std::max(ncolors, c + 1);
+  }
+  ColorClasses cc;
+  cc.classes.assign(ncolors, {});
+  for (index_t i = 0; i < n; ++i) cc.classes[color[i]].push_back(i);
+  return cc;
+}
+
+TEST(Greedy, ClassesMatchTheAdjacencyColouring) {
+  auto& registry = problems::ProblemRegistry::instance();
+  for (const std::string& name : registry.names()) {
+    const problems::Problem p = registry.create(name);
+    EXPECT_EQ(greedy_classes_from_matrix(p.matrix).classes,
+              greedy_by_adjacency(p.matrix).classes)
+        << name;
+  }
+  const la::CsrMatrix band =
+      io::read_matrix_market(std::string(MSTEP_TEST_DATA_DIR) +
+                             "/spd_band_symmetric.mtx")
+          .matrix;
+  EXPECT_EQ(greedy_classes_from_matrix(band).classes,
+            greedy_by_adjacency(band).classes);
+  util::Rng rng(9);
+  const ColoredSystem cs = random_colored_system(rng, 400);
+  EXPECT_EQ(greedy_classes_from_matrix(cs.matrix).classes,
+            greedy_by_adjacency(cs.matrix).classes);
+}
+
+// A column past the last row would index the colour of a vertex that does
+// not exist: a matrix that is not square is refused before any colouring.
+TEST(Greedy, RejectsANonSquareMatrix) {
+  la::CooBuilder b(3, 50);
+  for (index_t i = 0; i < 3; ++i) b.add(i, i, 1.0);
+  b.add(0, 49, 1.0);
+  EXPECT_THROW((void)greedy_classes_from_matrix(b.build()),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,6 +1,12 @@
 // Tests for CSR, the COO builder, and storage-by-diagonals.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <numeric>
+#include <utility>
+#include <vector>
+
 #include "fem/plane_stress.hpp"
 #include "fem/poisson.hpp"
 #include "la/csr_matrix.hpp"
@@ -130,6 +136,88 @@ TEST(Csr, PermutationPreservesSymmetryAndSpectrumTrace) {
     tr_p += p.at(i, i);
   }
   EXPECT_DOUBLE_EQ(tr_a, tr_p);
+}
+
+/// permuted_symmetric as first written: gather each row, then sort an
+/// index array by new column.  The sort here is stable, so entries that
+/// share a column keep their source order.
+CsrMatrix permuted_by_sorting_rows(const CsrMatrix& a,
+                                   const std::vector<index_t>& perm) {
+  const index_t n = a.rows();
+  const auto& arp = a.row_ptr();
+  std::vector<index_t> inv(n);
+  for (index_t i = 0; i < n; ++i) inv[perm[i]] = i;
+  std::vector<index_t> rp(n + 1, 0);
+  for (index_t i = 0; i < n; ++i) {
+    rp[i + 1] = rp[i] + (arp[perm[i] + 1] - arp[perm[i]]);
+  }
+  std::vector<index_t> col(rp[n]);
+  std::vector<double> val(rp[n]);
+  for (index_t i = 0; i < n; ++i) {
+    const index_t first = arp[perm[i]];
+    std::vector<index_t> order(rp[i + 1] - rp[i]);
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](index_t x, index_t y) {
+      return inv[a.col_idx()[first + x]] < inv[a.col_idx()[first + y]];
+    });
+    for (std::size_t t = 0; t < order.size(); ++t) {
+      col[rp[i] + t] = inv[a.col_idx()[first + order[t]]];
+      val[rp[i] + t] = a.values()[first + order[t]];
+    }
+  }
+  return CsrMatrix(n, n, std::move(rp), std::move(col), std::move(val));
+}
+
+/// A random square CSR with ascending columns, repeats allowed: rows of 0
+/// to max_len entries (every seventh row empty), values with explicit
+/// zeros and -0.0 among them.
+CsrMatrix random_square(util::Rng& rng, index_t n, index_t max_len) {
+  std::vector<index_t> rp(1, 0);
+  std::vector<index_t> col;
+  std::vector<double> val;
+  for (index_t i = 0; i < n; ++i) {
+    const auto draw = rng.uniform_index(static_cast<std::uint64_t>(max_len + 1));
+    const index_t len = i % 7 == 0 ? 0 : static_cast<index_t>(draw);
+    std::vector<index_t> cols(len);
+    for (index_t& c : cols) c = static_cast<index_t>(rng.uniform_index(n));
+    std::sort(cols.begin(), cols.end());
+    for (const index_t c : cols) {
+      const double u = rng.uniform();
+      col.push_back(c);
+      val.push_back(u < 0.1 ? 0.0 : u < 0.2 ? -0.0 : rng.uniform(-1.0, 1.0));
+    }
+    rp.push_back(static_cast<index_t>(col.size()));
+  }
+  return CsrMatrix(n, n, std::move(rp), std::move(col), std::move(val));
+}
+
+TEST(Csr, PermutedSymmetricMatchesSortingEachRow) {
+  util::Rng rng(41);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto n = static_cast<index_t>(1 + rng.uniform_index(150));
+    // Short rows take the in-place insertion, rows past 32 the long path;
+    // with few columns to draw from, long rows repeat columns often.
+    const CsrMatrix a = random_square(rng, n, trial % 2 == 0 ? 12 : 60);
+    std::vector<index_t> perm(n);
+    std::iota(perm.begin(), perm.end(), 0);
+    for (index_t i = n - 1; i > 0; --i) {
+      std::swap(perm[i], perm[rng.uniform_index(
+                             static_cast<std::uint64_t>(i) + 1)]);
+    }
+    std::vector<index_t> inv(n);
+    for (index_t i = 0; i < n; ++i) inv[perm[i]] = i;
+    const CsrMatrix want = permuted_by_sorting_rows(a, perm);
+    for (const CsrMatrix& got :
+         {a.permuted_symmetric(perm), a.permuted_symmetric(perm, inv)}) {
+      EXPECT_EQ(got.row_ptr(), want.row_ptr()) << trial;
+      EXPECT_EQ(got.col_idx(), want.col_idx()) << trial;
+      ASSERT_EQ(got.values().size(), want.values().size()) << trial;
+      EXPECT_EQ(std::memcmp(got.values().data(), want.values().data(),
+                            want.values().size() * sizeof(double)),
+                0)
+          << trial;
+    }
+  }
 }
 
 TEST(Csr, MaxRowNnz) {

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -246,6 +248,41 @@ TEST_F(ObsTest, TracedSolveIsBitwiseIdenticalPerSplittingAndFormat) {
       EXPECT_NE(json.find("\"iteration\""), std::string::npos) << what;
       EXPECT_GT(Tracer::instance().counter(Counter::kFlops), 0) << what;
     }
+  }
+}
+
+// Each stage of Solver::prepare records its own span, and all four nest
+// inside "prepare": the colouring, the store build, the parameter
+// selection and the preconditioner build.
+TEST_F(ObsTest, PrepareStagesNestInsidePrepare) {
+  const problems::Problem p =
+      problems::ProblemRegistry::instance().create("femplate:a=8");
+  solver::SolverConfig cfg;
+  cfg.steps = 2;
+  Tracer::instance().set_enabled(true);
+  (void)solver::Solver::from_config(cfg).prepare(p.matrix, p.classes);
+  Tracer::instance().set_enabled(false);
+
+  struct Event {
+    long long begin;
+    long long end;
+  };
+  std::map<std::string, std::vector<Event>> events;
+  const std::string json = Tracer::instance().chrome_json();
+  const std::regex complete(
+      R"re("name": "(\w+)", "ph": "X", "ts": (\d+), "dur": (\d+))re");
+  for (auto it = std::sregex_iterator(json.begin(), json.end(), complete);
+       it != std::sregex_iterator(); ++it) {
+    const long long ts = std::stoll((*it)[2]);
+    events[(*it)[1]].push_back({ts, ts + std::stoll((*it)[3])});
+  }
+  ASSERT_EQ(events["prepare"].size(), 1u) << json;
+  const Event prepare = events["prepare"][0];
+  for (const char* stage : {"coloring", "store", "params", "precond"}) {
+    ASSERT_EQ(events[stage].size(), 1u) << stage;
+    const Event e = events[stage][0];
+    EXPECT_LE(prepare.begin, e.begin) << stage;
+    EXPECT_LE(e.end, prepare.end) << stage;
   }
 }
 

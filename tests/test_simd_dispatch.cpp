@@ -299,14 +299,14 @@ TEST(SimdDispatch, BlockKernelsAreBitwiseAcrossPathsAndPerColumn) {
       for (index_t i = 0; i < n; ++i) {
         // Rows update in order, each reading z as the rows before it
         // left it.
-        const double s = -la::simd::row_dot(val.data(), col.data(),
-                                            zc.data(), rp[i], rp[i + 1]);
+        const double sum = la::simd::row_dot(val.data(), col.data(),
+                                             zc.data(), rp[i], rp[i + 1]);
         if (save) {
-          auxc[i] = s;
+          auxc[i] = -sum;
           continue;
         }
-        zc[i] = (s + auxc[i] + 0.75 * rc[i]) / diag[i];
-        auxc[i] = last ? 0.0 : s;
+        zc[i] = (auxc[i] - sum + 0.75 * rc[i]) / diag[i];
+        auxc[i] = last ? 0.0 : -sum;
       }
       const Vec zs(swept.begin(), swept.begin() + rows * kW);
       const Vec auxs(swept.begin() + rows * kW, swept.end());
@@ -526,6 +526,51 @@ TEST(SimdDispatch, BlockOperatorsAndSweepMatchSingleVectorPerColumn) {
     Vec zc;
     sweep.apply(column(x, c), zc);
     EXPECT_TRUE(bitwise_equal(column(z, c), zc)) << "sweep column " << c;
+  }
+}
+
+// One symmetric pair of NaN couplings, for every coupled pair of the
+// 8 x 8 grid: a row that reads one sums to NaN, and the block sweep's class
+// update must combine that sum with y and r in the single-vector order,
+// (y - sum) + a * r — subtracting a NaN keeps its sign where adding its
+// negation flips it — so column 0 of apply_block keeps apply()'s bits on
+// both kernel paths.  One step: with more, NaNs of both signs meet in one
+// product or sum, and IEEE 754 leaves open which one survives.
+TEST(SimdDispatch, NanCouplingsKeepSingleVectorBitsInBlockSweep) {
+  const auto p = problems::ProblemRegistry::instance().create("poisson2d:n=8");
+  const auto& rp = p.matrix.row_ptr();
+  const auto& col = p.matrix.col_idx();
+  util::Rng rng(23);
+  const Vec r = make_block(rng, static_cast<std::size_t>(p.matrix.rows()));
+  const Vec r0 = column(r, 0);
+  for (index_t i = 0; i < p.matrix.rows(); ++i) {
+    for (index_t t = rp[i]; t < rp[i + 1]; ++t) {
+      const index_t j = col[t];
+      if (j <= i) continue;
+      la::CsrMatrix k = p.matrix;
+      k.values()[static_cast<std::size_t>(t)] =
+          std::numeric_limits<double>::quiet_NaN();
+      const auto back = std::lower_bound(col.begin() + rp[j],
+                                         col.begin() + rp[j + 1], i);
+      k.values()[static_cast<std::size_t>(back - col.begin())] =
+          std::numeric_limits<double>::quiet_NaN();
+      const auto cs = color::make_colored_system(k, p.classes);
+      const core::MulticolorMStepSsor sweep(
+          cs, core::least_squares_alphas(1, core::ssor_interval()));
+      for (const SimdMode mode :
+           {SimdMode::kForceScalar, SimdMode::kForceVector}) {
+        const SimdModeGuard guard(mode);
+        Vec block;
+        sweep.apply_block(r, block, static_cast<int>(kW));
+        Vec single;
+        sweep.apply(r0, single);
+        ASSERT_TRUE(std::any_of(single.begin(), single.end(),
+                                [](double v) { return std::isnan(v); }));
+        EXPECT_TRUE(bitwise_equal(column(block, 0), single))
+            << "pair " << i << "," << j
+            << (mode == SimdMode::kForceScalar ? " scalar" : " vector");
+      }
+    }
   }
 }
 
