@@ -109,7 +109,8 @@ struct RowSplits {
 /// strictly-lower-class and strictly-upper-class blocks.  The kernel
 /// instrumentation prices one class sweep as this many vector triads
 /// (Section 3.1); the multicolor sweep reports through it for any strip
-/// count.
+/// count.  This counts it from every CSR entry; core::MulticolorSweepPlan
+/// counts the same from its run segments, one offset per run term.
 struct ClassDiagonalCensus {
   std::vector<int> lower;  // per class
   std::vector<int> upper;

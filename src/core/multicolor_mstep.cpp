@@ -9,13 +9,50 @@
 
 namespace mstep::core {
 
+namespace {
+
+/// The offsets among `segs`' terms that hold a nonzero and are not yet
+/// marked `stamp` in `mark` (indexed by offset), marked and counted.
+int count_offsets(const la::SweepSegments& segs, int stamp, int* mark) {
+  int counted = 0;
+  const auto count = [&](index_t offset) {
+    if (mark[offset] == stamp) return;
+    mark[offset] = stamp;
+    ++counted;
+  };
+  const la::simd::RunView runs = segs.runs();
+  for (index_t q = 0; q < runs.num_runs; ++q) {
+    const auto len = static_cast<std::size_t>(runs.len[q]);
+    for (index_t k = 0; k < runs.count[q]; ++k) {
+      const double* v =
+          runs.val + runs.val_at[q] + static_cast<std::size_t>(k) * len;
+      if (std::any_of(v, v + len, [](double x) { return x != 0.0; })) {
+        count(runs.off[runs.off_at[q] + k]);
+      }
+    }
+  }
+  const la::simd::SellView rest = segs.rest().view();
+  constexpr auto kC = static_cast<index_t>(la::simd::kSellSlice);
+  for (index_t slot = 0; slot < rest.num_slices * kC; ++slot) {
+    const index_t g = rest.perm[slot];
+    if (g < 0) continue;
+    const std::size_t base = rest.slice_ptr[slot / kC] + slot % kC;
+    for (index_t j = 0; j < rest.len[slot]; ++j) {
+      const std::size_t at = base + static_cast<std::size_t>(j) * kC;
+      if (rest.val[at] != 0.0) count(rest.col[at] - g);
+    }
+  }
+  return counted;
+}
+
+}  // namespace
+
 MulticolorSweepPlan::MulticolorSweepPlan(
     const color::ColoredSystem& cs, std::vector<double> alphas,
     shard::ShardPlan strips, std::shared_ptr<const la::DiaMatrix> store)
     : cs(&cs), alphas(std::move(alphas)),
-      splits(color::compute_row_splits(cs)),
-      census(color::compute_class_diagonal_census(cs, splits)),
-      strips(std::move(strips)), store(std::move(store)) {
+      splits(color::compute_row_splits(cs)), strips(std::move(strips)),
+      store(std::move(store)) {
   if (this->alphas.empty()) {
     throw std::invalid_argument("MulticolorSweepPlan: need m >= 1");
   }
@@ -41,8 +78,9 @@ MulticolorSweepPlan::MulticolorSweepPlan(
         "MulticolorSweepPlan: the store is not cut at the strip cells");
   }
   const auto& rp = cs.matrix.row_ptr();
+  const int nc = cs.num_classes();
   for (int s = 0; s < ns; ++s) {
-    for (int c = 0; c < cs.num_classes(); ++c) {
+    for (int c = 0; c < nc; ++c) {
       const index_t b = this->strips.begin(s, c);
       const index_t e = this->strips.end(s, c);
       lower.push_back(la::SweepSegments::build(
@@ -50,6 +88,22 @@ MulticolorSweepPlan::MulticolorSweepPlan(
       upper.push_back(la::SweepSegments::build(*this->store, cs.matrix,
                                                splits.up_begin.data(),
                                                rp.data() + 1, b, e));
+    }
+  }
+
+  // The census from the segments: per run one offset per term, per
+  // leftover row its entries.  Lower offsets are negative and upper ones
+  // positive, so one mark per offset in (-n, n), stamped with the class
+  // that counted it, serves both halves of every class, class by class.
+  const index_t n = cs.size();
+  std::vector<int> counted_in(2 * static_cast<std::size_t>(n), -1);
+  census.lower.assign(nc, 0);
+  census.upper.assign(nc, 0);
+  for (int c = 0; c < nc; ++c) {
+    for (int s = 0; s < ns; ++s) {
+      const std::size_t cell = static_cast<std::size_t>(s) * nc + c;
+      census.lower[c] += count_offsets(lower[cell], c, counted_in.data() + n);
+      census.upper[c] += count_offsets(upper[cell], c, counted_in.data() + n);
     }
   }
 }
@@ -139,24 +193,20 @@ void MulticolorMStepSsor::run_phase(const Phase& phase, const Vec& r,
   });
 }
 
-// Block form of run_strip over a whole class: the sums read the plan's CSR
-// row segments directly and the class update is fused into the kernel.
+// Block form of run_phase over a whole class: every strip's segments in
+// turn, on the calling thread.
 void MulticolorMStepSsor::run_block_phase(const Phase& phase, const Vec& r,
                                           Vec& z) const {
   constexpr std::size_t kW = la::simd::kSellSlice;
   const MulticolorSweepPlan& plan = *plan_;
   const color::ColoredSystem& cs = *plan.cs;
+  const int nc = cs.num_classes();
   const int c = phase.cls;
-  const index_t row_begin = cs.class_start[c];
-  const index_t row_end = cs.class_start[c + 1];
-  const index_t* rp = cs.matrix.row_ptr().data();
-  const index_t* lo_end = plan.splits.lo_end.data();
-  const index_t* up_begin = plan.splits.up_begin.data();
   const Vec& diag = plan.splits.diag;
   const double a = phase.alpha;
 
   if (phase.kind == Phase::kFinal) {
-    for (index_t i = row_begin; i < row_end; ++i) {
+    for (index_t i = cs.class_start[c]; i < cs.class_start[c + 1]; ++i) {
       const std::size_t at = static_cast<std::size_t>(i) * kW;
       for (std::size_t k = at; k < at + kW; ++k) {
         z[k] = (y_[k] + a * r[k]) / diag[i];
@@ -165,11 +215,15 @@ void MulticolorMStepSsor::run_block_phase(const Phase& phase, const Vec& r,
     return;
   }
   const bool forward = phase.kind == Phase::kForward;
-  la::simd::block_sweep_rows(
-      forward ? rp : up_begin, forward ? lo_end : rp + 1,
-      cs.matrix.col_idx().data(), cs.matrix.values().data(), diag.data(), a,
-      phase.kind == Phase::kSave ? nullptr : r.data(), z.data(), y_.data(),
-      row_begin, row_end, forward && c == cs.num_classes() - 1);
+  for (int s = 0; s < plan.num_strips(); ++s) {
+    const la::SweepSegments& segs =
+        (forward ? plan.lower : plan.upper)[static_cast<std::size_t>(s) * nc +
+                                            c];
+    la::simd::block_sweep_segments(
+        segs.runs(), segs.rest().view(), diag.data(), a,
+        phase.kind == Phase::kSave ? nullptr : r.data(), z.data(), y_.data(),
+        forward && c == nc - 1);
+  }
 }
 
 template <typename Run>

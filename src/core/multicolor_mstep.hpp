@@ -33,10 +33,11 @@
 // offsets and values, with no second copy of the couplings.  The rows no
 // usable run covers keep their half as SELL slices.  One fused kernel,
 // la::simd::sweep_segments, sums 4 rows at a time and applies the class
-// update in place.  Every row keeps its CSR term order and row_dot's
-// 8-lane schedule (term k to lane k mod 8), and negating the finished sum
-// commutes with rounding, so each row's value is bitwise
-// -row_dot(segment) whichever layout holds it.
+// update in place; its block form, la::simd::block_sweep_segments, reads
+// the same views for apply_block, so no sweep reads the CSR arrays.  Every
+// row keeps its CSR term order and row_dot's 8-lane schedule (term k to
+// lane k mod 8), and negating the finished sum commutes with rounding, so
+// each row's value is bitwise -row_dot(segment) whichever layout holds it.
 //
 // This is the only implementation of the sweep, for every execution mode:
 // an immutable, shareable MulticolorSweepPlan, and engines that own only
@@ -89,8 +90,7 @@ struct MulticolorSweepPlan {
 
   const color::ColoredSystem* cs;
   std::vector<double> alphas;
-  color::RowSplits splits;            // diagonal + lower/upper row splits
-  color::ClassDiagonalCensus census;  // prices each class in the KernelLog
+  color::RowSplits splits;  // diagonal + lower/upper row splits
   shard::ShardPlan strips;
   shard::HaloPlan halo;  // rows strips read from each other; empty with one
   std::shared_ptr<const la::DiaMatrix> store;
@@ -101,6 +101,9 @@ struct MulticolorSweepPlan {
   // but vectorized ACROSS the class's independent rows.
   std::vector<la::SweepSegments> lower;
   std::vector<la::SweepSegments> upper;
+  // Prices each class in the KernelLog; counted from the segments above,
+  // equal to color::compute_class_diagonal_census(*cs, splits).
+  color::ClassDiagonalCensus census;
 };
 
 /// One Algorithm-2 engine: a shared plan plus this engine's scratch.
@@ -125,10 +128,11 @@ class MulticolorMStepSsor : public Preconditioner {
   [[nodiscard]] index_t size() const override { return plan_->cs->size(); }
   void apply(const Vec& r, Vec& z) const override;
   /// apply() on an n x la::simd::kSellSlice row-interleaved block: one
-  /// pass over each class's CSR row segments serves every column, and
-  /// column c of z is bitwise apply() of column c of r.  Runs serially on
-  /// the calling thread whatever the plan's strips.  The kernel log hears
-  /// `columns` copies of apply()'s stream — the live columns' census.
+  /// pass over each class's segments (la::simd::block_sweep_segments,
+  /// strip by strip) serves every column, and column c of z is bitwise
+  /// apply() of column c of r.  Runs serially on the calling thread
+  /// whatever the plan's strips.  The kernel log hears `columns` copies
+  /// of apply()'s stream — the live columns' census.
   void apply_block(const Vec& r, Vec& z, int columns) const;
   [[nodiscard]] int steps() const override {
     return static_cast<int>(plan_->alphas.size());

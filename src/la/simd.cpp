@@ -350,30 +350,37 @@ void block_csr_rows(const index_t* rp, const index_t* col, const double* val,
   }
 }
 
+/// block_row_sum's schedule over block row row[q] + t of run q: term k is
+/// the value column walked with stride len times x's block row at
+/// row[q] + t + off[k].
+void block_run_row_sum(const RunView& runs, index_t q, index_t t,
+                       const double* x, double* sum) {
+  const auto len = static_cast<std::size_t>(runs.len[q]);
+  const index_t* off = runs.off + runs.off_at[q];
+  const double* val = runs.val + runs.val_at[q] + t;
+  const index_t i = runs.row[q] + t;
+  double lane[kRowLanes][kW] = {};
+  for (index_t k = 0; k < runs.count[q]; ++k) {
+    const double v = val[static_cast<std::size_t>(k) * len];
+    const double* xr = x + static_cast<std::size_t>(i + off[k]) * kW;
+    double* l = lane[static_cast<std::size_t>(k) % kRowLanes];
+    for (std::size_t c = 0; c < kW; ++c) l[c] += v * xr[c];
+  }
+  for (std::size_t c = 0; c < kW; ++c) {
+    double s = lane[0][c];
+    for (std::size_t l = 1; l < kRowLanes; ++l) s += lane[l][c];
+    sum[c] = s;
+  }
+}
+
 void block_run_rows(const RunView& runs, const double* x, double* y,
                     bool subtract) {
   for (index_t q = 0; q < runs.num_runs; ++q) {
-    const auto len = static_cast<std::size_t>(runs.len[q]);
-    const index_t* off = runs.off + runs.off_at[q];
-    for (std::size_t t = 0; t < len; ++t) {
-      const index_t i = runs.row[q] + static_cast<index_t>(t);
-      // Term k of this row is block_row_sum's term k: the value column
-      // walked with stride len, x's block row at i + off[k].
-      double lane[kRowLanes][kW] = {};
-      for (index_t k = 0; k < runs.count[q]; ++k) {
-        const double v =
-            runs.val[runs.val_at[q] + static_cast<std::size_t>(k) * len + t];
-        const double* xr = x + static_cast<std::size_t>(i + off[k]) * kW;
-        double* l = lane[static_cast<std::size_t>(k) % kRowLanes];
-        for (std::size_t c = 0; c < kW; ++c) l[c] += v * xr[c];
-      }
+    for (index_t t = 0; t < runs.len[q]; ++t) {
       double sum[kW];
-      for (std::size_t c = 0; c < kW; ++c) {
-        double s = lane[0][c];
-        for (std::size_t l = 1; l < kRowLanes; ++l) s += lane[l][c];
-        sum[c] = s;
-      }
-      store_row(sum, y + static_cast<std::size_t>(i) * kW, subtract);
+      block_run_row_sum(runs, q, t, x, sum);
+      store_row(sum, y + static_cast<std::size_t>(runs.row[q] + t) * kW,
+                subtract);
     }
   }
 }
@@ -395,23 +402,42 @@ void block_sell_slices(const SellView& s, const double* x, double* y,
   }
 }
 
-void block_sweep_rows(const index_t* seg_begin, const index_t* seg_end,
-                      const index_t* col, const double* val,
-                      const double* diag, double a, const double* r,
-                      double* z, double* y, index_t row_begin,
-                      index_t row_end, bool last) {
-  for (index_t i = row_begin; i < row_end; ++i) {
-    const index_t b = seg_begin[i];
-    double sum[kW];
-    block_row_sum(val + b, col + b, seg_end[i] - b, 1, z, sum);
-    const std::size_t at = static_cast<std::size_t>(i) * kW;
-    for (std::size_t c = 0; c < kW; ++c) {
-      if (r == nullptr) {
-        y[at + c] = -sum[c];
-        continue;
-      }
-      z[at + c] = (y[at + c] - sum[c] + a * r[at + c]) / diag[i];
-      y[at + c] = last ? 0.0 : -sum[c];
+/// block_sweep_segments' class update of block row i from its sum:
+/// sweep_update's in every column.
+void block_sweep_update(const double* sum, index_t i, const double* diag,
+                        double a, const double* r, double* z, double* y,
+                        bool last) {
+  const std::size_t at = static_cast<std::size_t>(i) * kW;
+  for (std::size_t c = 0; c < kW; ++c) {
+    if (r == nullptr) {
+      y[at + c] = -sum[c];
+      continue;
+    }
+    z[at + c] = (y[at + c] - sum[c] + a * r[at + c]) / diag[i];
+    y[at + c] = last ? 0.0 : -sum[c];
+  }
+}
+
+void block_sweep_segments(const RunView& runs, const SellView& rest,
+                          const double* diag, double a, const double* r,
+                          double* z, double* y, bool last) {
+  double sum[kW];
+  for (index_t q = 0; q < runs.num_runs; ++q) {
+    for (index_t t = 0; t < runs.len[q]; ++t) {
+      block_run_row_sum(runs, q, t, z, sum);
+      block_sweep_update(sum, runs.row[q] + t, diag, a, r, z, y, last);
+    }
+  }
+  constexpr auto kC = static_cast<index_t>(kSellSlice);
+  for (index_t sl = 0; sl < rest.num_slices; ++sl) {
+    const std::size_t base = rest.slice_ptr[sl];
+    for (index_t lane = 0; lane < kC; ++lane) {
+      const index_t slot = sl * kC + lane;
+      const index_t g = rest.perm[slot];
+      if (g < 0) continue;
+      block_row_sum(rest.val + base + lane, rest.col + base + lane,
+                    rest.len[slot], kSellSlice, z, sum);
+      block_sweep_update(sum, g, diag, a, r, z, y, last);
     }
   }
 }
@@ -519,13 +545,11 @@ void block_sell_slices(const SellView& s, const double* x, double* y,
       block_sell_slices(s, x, y, slice_begin, slice_end, subtract));
 }
 
-void block_sweep_rows(const index_t* seg_begin, const index_t* seg_end,
-                      const index_t* col, const double* val,
-                      const double* diag, double a, const double* r,
-                      double* z, double* y, index_t row_begin,
-                      index_t row_end, bool last) {
-  MSTEP_SIMD_DISPATCH(block_sweep_rows(seg_begin, seg_end, col, val, diag, a,
-                                       r, z, y, row_begin, row_end, last));
+void block_sweep_segments(const RunView& runs, const SellView& rest,
+                          const double* diag, double a, const double* r,
+                          double* z, double* y, bool last) {
+  MSTEP_SIMD_DISPATCH(
+      block_sweep_segments(runs, rest, diag, a, r, z, y, last));
 }
 
 #undef MSTEP_SIMD_DISPATCH

@@ -27,6 +27,16 @@
 // portable twin compiles to separate mul and add on every target (the
 // build forces -ffp-contract=off), so the AVX2 path uses _mm256_mul_pd +
 // _mm256_add_pd, never _mm256_fmadd_pd.
+//
+// NaN payloads are the one exception, on every path.  A NaN that meets
+// only numbers passes through every mul, add, subtract and divide with
+// its bits, so it keeps them.  Where two NaNs meet in one operation (a NaN
+// coupling times a NaN iterate entry, two NaN terms of one sum) IEEE 754
+// leaves open which payload survives; x86 keeps the first operand's, and
+// the compiler picks the operand order of a commutative mul or add.  So
+// there the payload is unspecified: the portable and AVX2 twins, and a
+// single-vector kernel and its block form, agree on where the NaNs are,
+// not on which NaN each is.
 #pragma once
 
 #include <cstddef>
@@ -154,6 +164,14 @@ struct RunView {
   index_t num_runs = 0;
 };
 
+/// The AVX2 run kernels (run_spmv_rows, sweep_segments, block_run_rows,
+/// block_sweep_segments) are one family: each run is dispatched once on
+/// its term count to a kernel compiled for that count (0-16; a longer run
+/// loops over its terms), in one of two shapes — four rows per register,
+/// or one block row, four columns, per register.  Each keeps row_dot's
+/// schedule: up to 8 terms summed left to right plus one + 0.0, more
+/// with term k in lane k mod 8.
+
 /// Run rows clipped to [begin, end): y[i] = (or -=) row i's sum for every
 /// run row i in the range, no other entry of y touched.  Each sum follows
 /// row_dot's schedule (term k to lane k mod 8), so with every term of
@@ -222,16 +240,12 @@ void block_run_rows(const RunView& runs, const double* x, double* y,
 void block_sell_slices(const SellView& s, const double* x, double* y,
                        index_t slice_begin, index_t slice_end, bool subtract);
 
-/// One multicolor-sweep phase over rows [row_begin, row_end) of one colour
-/// class, fused.  Row i's sum over its CSR entries [seg_begin[i],
-/// seg_end[i]) follows row_dot's schedule per column.  With `r` set:
-/// z(i) = (y(i) - sum + a * r(i)) / diag[i], then y(i) = last ? 0 : -sum —
-/// sweep_segments' class update in its operation order, so a NaN keeps the
-/// single-vector bits.  With r == nullptr (the save phase): y(i) = -sum.
-void block_sweep_rows(const index_t* seg_begin, const index_t* seg_end,
-                      const index_t* col, const double* val,
-                      const double* diag, double a, const double* r,
-                      double* z, double* y, index_t row_begin,
-                      index_t row_end, bool last);
+/// sweep_segments per column: the rows of `runs` and the real slots of
+/// `rest` (each slot's row summed like block_sell_slices), each block row
+/// updated in sweep_segments' operation order, so a lone NaN keeps the
+/// single-vector bits.
+void block_sweep_segments(const RunView& runs, const SellView& rest,
+                          const double* diag, double a, const double* r,
+                          double* z, double* y, bool last);
 
 }  // namespace mstep::la::simd

@@ -7,8 +7,10 @@
 // schedules map lanes onto vector-register lanes, every product uses
 // _mm256_mul_pd followed by _mm256_add_pd (never _mm256_fmadd_pd — the
 // portable twin has no fused rounding, so neither may this path), and the
-// scalar tails are the twin's tails verbatim.  See la/simd.hpp for the
-// bitwise contract.
+// scalar tails are the twin's tails verbatim.  The one departure is the
+// run kernels' compile-time-count sums (fixed_sum), which leave out the
+// lanes' +0.0 starts in a way that changes no bit.  See la/simd.hpp for
+// the bitwise contract.
 #include "la/simd_internal.hpp"
 
 #if defined(MSTEP_HAS_AVX2)
@@ -18,6 +20,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 
 namespace mstep::la::simd::avx2 {
 
@@ -342,42 +345,135 @@ void sell_spmv_slices(const SellView& s, const double* x, double* y,
 
 namespace {
 
-/// Rows [t, t + 4) of run q, summed: term k is one contiguous load of the
-/// run's k-th value column and one of x at offset off[k] — row_dot's
-/// schedule in every lane, with no gather.  xi points at x at row
-/// row[q] + t.
-inline __m256d run_sums4(const RunView& runs, index_t q, index_t t,
-                         const double* xi) {
-  const auto len = static_cast<std::size_t>(runs.len[q]);
-  const index_t* off = runs.off + runs.off_at[q];
-  const double* val = runs.val + runs.val_at[q] + t;
-  const index_t count = runs.count[q];
-  const auto term = [&](index_t k) {
-    return _mm256_mul_pd(
-        _mm256_loadu_pd(val + static_cast<std::size_t>(k) * len),
-        _mm256_loadu_pd(xi + off[k]));
-  };
-  if (count <= static_cast<index_t>(kRowLanes)) {
-    // Up to eight terms each get a lane of their own, so row_dot's sum is
-    // (0 + p0) + (0 + p1) + ... + (0 + p[count-1]), plus the empty lanes'
-    // zeros.  Adding +0.0 only turns -0.0 into +0.0, and (0 + a) + (0 + b)
-    // is (a + b) + 0 (a lone NaN passes through both), so that is the
-    // plain left-to-right sum plus one + 0.0: count adds, not count + 7,
-    // and no other bits.
-    __m256d sum = _mm256_setzero_pd();
-    if (count > 0) {
-      sum = term(0);
-      for (index_t k = 1; k < count; ++k) sum = _mm256_add_pd(sum, term(k));
-      sum = _mm256_add_pd(sum, _mm256_setzero_pd());
-    }
-    return sum;
+// The fixed-count kernels below are one straight line of loads, multiplies
+// and adds per row only when every helper and lambda in them is inlined;
+// left to itself the compiler calls some of them out of line.
+#define MSTEP_INLINE inline __attribute__((always_inline))
+
+/// f(std::integral_constant<int, K>{}) for K = B, B + 1, ..., E - 1.
+template <int B, int E, typename F>
+MSTEP_INLINE void unroll(const F& f) {
+  if constexpr (B < E) {
+    f(std::integral_constant<int, B>{});
+    unroll<B + 1, E>(f);
   }
-  Lanes8 lanes;
-  lanes.run(0, count, [&](__m256d& lane, index_t k) {
-    lane = _mm256_add_pd(lane, term(k));
-  });
-  return lanes.sum();
 }
+
+/// The longest run, in terms, with a kernel of its own; longer runs loop.
+constexpr int kMaxFixedTerms = 16;
+
+/// body(std::integral_constant<int, count>{}) for a count in [0,
+/// kMaxFixedTerms], body(std::integral_constant<int, -1>{}) for a longer
+/// one: a run's term count is fixed, so each run takes this branch once.
+template <int N = 0, typename Body>
+inline void with_terms(index_t count, const Body& body) {
+  if constexpr (N > kMaxFixedTerms) {
+    body(std::integral_constant<int, -1>{});
+  } else if (count == N) {
+    body(std::integral_constant<int, N>{});
+  } else {
+    with_terms<N + 1>(count, body);
+  }
+}
+
+/// row_dot's schedule over `count` terms, term(k) being one register of
+/// term-k products (four rows', or four columns' of one row), with the
+/// count N known at compile time (N < 0: only at run time, in `count`).
+/// row_dot starts each lane at +0.0.  Leaving that start out changes only
+/// the sign of a zero, in every lane and in every partial sum, and a
+/// zero-started lane is never -0.0 (+0 + -0 is +0), so row_dot's sum is
+/// the sum without the start plus one + 0.0 (a lone NaN passes through
+/// it): count adds, not count + 8, and no other bits.  With at most eight
+/// terms each lane holds one, and the sum is the left-to-right one.
+template <int N, typename Term>
+MSTEP_INLINE __m256d fixed_sum(index_t count, const Term& term) {
+  if constexpr (N < 0) {
+    Lanes8 lanes;
+    lanes.run(0, count, [&](__m256d& lane, index_t k) {
+      lane = _mm256_add_pd(lane, term(k));
+    });
+    return lanes.sum();
+  } else if constexpr (N == 0) {
+    return _mm256_setzero_pd();
+  } else {
+    constexpr int kLanes = N < 8 ? N : 8;
+    __m256d lane[kLanes];
+    unroll<0, kLanes>(
+        [&](auto k) __attribute__((always_inline)) { lane[k] = term(k); });
+    unroll<8, N>([&](auto k) __attribute__((always_inline)) {
+      lane[k - 8] = _mm256_add_pd(lane[k - 8], term(k));
+    });
+    __m256d sum = lane[0];
+    unroll<1, kLanes>([&](auto k) __attribute__((always_inline)) {
+      sum = _mm256_add_pd(sum, lane[k]);
+    });
+    return _mm256_add_pd(sum, _mm256_setzero_pd());
+  }
+}
+
+/// The summed terms of run q over x, resolved once per run: term k of row
+/// row[q] + t is value column k at t times x at row[q] + t + off[k], x
+/// holding W doubles per row (1: a vector, kSellSlice: a block).  With N
+/// terms known at compile time each term's value column and x position is
+/// one pointer; a longer run (N < 0) finds them per term.  Every operand
+/// a kernel loop reads is copied into this object or a local: the vector
+/// stores may alias any memory, so whatever the loop reads through a
+/// reference would be reloaded after each of them.
+template <int N, std::size_t W>
+struct RunTerms {
+  RunTerms(const RunView& runs, index_t q, const double* x)
+      : val(runs.val + runs.val_at[q]), off(runs.off + runs.off_at[q]),
+        x(x + static_cast<std::size_t>(runs.row[q]) * W),
+        len(static_cast<std::size_t>(runs.len[q])), count(runs.count[q]) {
+    for (int k = 0; k < N; ++k) {
+      col[k] = column(k);
+      at[k] = position(k);
+    }
+  }
+
+  /// Value column k, and x at row[q] + off[k].
+  [[nodiscard]] MSTEP_INLINE const double* column(index_t k) const {
+    return val + static_cast<std::size_t>(k) * len;
+  }
+  [[nodiscard]] MSTEP_INLINE const double* position(index_t k) const {
+    return x + static_cast<std::ptrdiff_t>(off[k]) *
+                   static_cast<std::ptrdiff_t>(W);
+  }
+
+  /// Term k of rows [t, t + 4) (W = 1: one contiguous load of value column
+  /// k and one of x, no gather), or of block row t (W = kSellSlice: a
+  /// broadcast of the value times the block row of x).
+  [[nodiscard]] MSTEP_INLINE __m256d term(index_t k, std::size_t t) const {
+    const double* v = nullptr;
+    const double* xi = nullptr;
+    if constexpr (N < 0) {
+      v = column(k) + t;
+      xi = position(k) + t * W;
+    } else {
+      v = col[k] + t;
+      xi = at[k] + t * W;
+    }
+    if constexpr (W == 1) {
+      return _mm256_mul_pd(_mm256_loadu_pd(v), _mm256_loadu_pd(xi));
+    } else {
+      return _mm256_mul_pd(_mm256_broadcast_sd(v), _mm256_loadu_pd(xi));
+    }
+  }
+
+  [[nodiscard]] MSTEP_INLINE __m256d sum(std::size_t t) const {
+    return fixed_sum<N>(count, [&](index_t k) __attribute__((always_inline)) {
+      return term(k, t);
+    });
+  }
+
+  const double* val;
+  const index_t* off;
+  const double* x;  // at the run's first row
+  std::size_t len;
+  index_t count;
+  const double* col[N > 0 ? N : 1];
+  const double* at[N > 0 ? N : 1];
+};
 
 /// One row of run q: the portable twin's run_row_sum verbatim.
 inline double run_row_sum(const RunView& runs, index_t q, index_t t,
@@ -395,45 +491,63 @@ inline double run_row_sum(const RunView& runs, index_t q, index_t t,
   return sum;
 }
 
+/// The lanes of rows [w, w + 4) that lie in [t, t_end).
+inline __m256i live_lanes(index_t w, index_t t, index_t t_end) {
+  const __m256i row =
+      _mm256_add_epi64(_mm256_set1_epi64x(w), _mm256_set_epi64x(3, 2, 1, 0));
+  return _mm256_andnot_si256(
+      _mm256_cmpgt_epi64(_mm256_set1_epi64x(t), row),
+      _mm256_cmpgt_epi64(_mm256_set1_epi64x(t_end), row));
+}
+
+/// run_spmv_rows over rows [t_begin, t_end) of run q, N terms, at least
+/// four rows long.
+template <int N>
+void run_rows4(const RunView& runs, index_t q, const double* x, double* y,
+               index_t t_begin, index_t t_end, bool subtract) {
+  constexpr auto kC = static_cast<index_t>(kSellSlice);
+  const RunTerms<N, 1> terms(runs, q, x);
+  double* yr = y + runs.row[q];
+  index_t t = t_begin;
+  for (; t + kC <= t_end; t += kC) {
+    const __m256d sum = terms.sum(static_cast<std::size_t>(t));
+    _mm256_storeu_pd(
+        yr + t, subtract ? _mm256_sub_pd(_mm256_loadu_pd(yr + t), sum) : sum);
+  }
+  if (t >= t_end) return;
+  // Fewer than four rows left: sum the run's four rows at w, which hold
+  // them, and load and store only the live lanes, so no row outside [t,
+  // t_end) is read or written — the row next door may be another strip's.
+  // Each lane is its own row's sum, so the bits are the scalar rows'.
+  const index_t w = std::min(t, runs.len[q] - kC);
+  const __m256i live = live_lanes(w, t, t_end);
+  const __m256d sum = terms.sum(static_cast<std::size_t>(w));
+  _mm256_maskstore_pd(
+      yr + w, live,
+      subtract ? _mm256_sub_pd(_mm256_maskload_pd(yr + w, live), sum) : sum);
+}
+
 }  // namespace
 
 void run_spmv_rows(const RunView& runs, const double* x, double* y,
                    index_t begin, index_t end, bool subtract) {
-  constexpr auto kC = static_cast<index_t>(kSellSlice);
-  const __m256i lane = _mm256_set_epi64x(3, 2, 1, 0);
   for (index_t q = 0; q < runs.num_runs; ++q) {
     const index_t i0 = runs.row[q];
     const index_t t_end = std::min(runs.len[q], end - i0);
-    index_t t = std::max<index_t>(0, begin - i0);
-    for (; t + kC <= t_end; t += kC) {
-      const __m256d sum = run_sums4(runs, q, t, x + i0 + t);
-      double* yi = y + i0 + t;
-      _mm256_storeu_pd(
-          yi, subtract ? _mm256_sub_pd(_mm256_loadu_pd(yi), sum) : sum);
-    }
-    if (t >= t_end) continue;
-    if (runs.len[q] < kC) {  // a hand-built short run: row by row
-      for (; t < t_end; ++t) {
+    const index_t t_begin = std::max<index_t>(0, begin - i0);
+    if (t_begin >= t_end) continue;
+    if (runs.len[q] < static_cast<index_t>(kSellSlice)) {
+      // A hand-built short run: row by row.
+      for (index_t t = t_begin; t < t_end; ++t) {
         const double sum = run_row_sum(runs, q, t, x + i0 + t);
         y[i0 + t] = subtract ? y[i0 + t] - sum : sum;
       }
       continue;
     }
-    // Fewer than four rows left: sum the run's four rows at w, which hold
-    // them, and load and store only the live lanes, so no row outside
-    // [t, t_end) is read or written — the row next door may be another
-    // strip's.  Each lane is its own row's sum, so the bits are the scalar
-    // rows'.
-    const index_t w = std::min(t, runs.len[q] - kC);
-    const __m256i row = _mm256_add_epi64(_mm256_set1_epi64x(w), lane);
-    const __m256i live = _mm256_andnot_si256(
-        _mm256_cmpgt_epi64(_mm256_set1_epi64x(t), row),
-        _mm256_cmpgt_epi64(_mm256_set1_epi64x(t_end), row));
-    const __m256d sum = run_sums4(runs, q, w, x + i0 + w);
-    double* yi = y + i0 + w;
-    _mm256_maskstore_pd(
-        yi, live,
-        subtract ? _mm256_sub_pd(_mm256_maskload_pd(yi, live), sum) : sum);
+    with_terms(runs.count[q], [&](auto terms) {
+      run_rows4<decltype(terms)::value>(runs, q, x, y, t_begin, t_end,
+                                        subtract);
+    });
   }
 }
 
@@ -451,21 +565,54 @@ inline void sweep_update(double sum, index_t i, const double* diag, double a,
   y[i] = last ? 0.0 : -sum;
 }
 
-/// The same update of rows [i, i + 4), one register per operand.
+/// Stores v at p, or only its `live` lanes when given.
+inline void store4(double* p, __m256d v, const __m256i* live) {
+  if (live == nullptr) {
+    _mm256_storeu_pd(p, v);
+  } else {
+    _mm256_maskstore_pd(p, *live, v);
+  }
+}
+
+/// The same update of rows [i, i + 4), one register per operand; with
+/// `live`, z and y are written in the live lanes only.
 inline void sweep_update4(__m256d sum, index_t i, const double* diag,
                           __m256d av, const double* r, double* z, double* y,
-                          bool last) {
+                          bool last, const __m256i* live = nullptr) {
   // -sum: a sign flip, exactly the scalar negation.
   const __m256d x = _mm256_xor_pd(sum, _mm256_set1_pd(-0.0));
   if (r == nullptr) {
-    _mm256_storeu_pd(y + i, x);
+    store4(y + i, x, live);
     return;
   }
   const __m256d t =
       _mm256_add_pd(_mm256_sub_pd(_mm256_loadu_pd(y + i), sum),
                     _mm256_mul_pd(av, _mm256_loadu_pd(r + i)));
-  _mm256_storeu_pd(z + i, _mm256_div_pd(t, _mm256_loadu_pd(diag + i)));
-  _mm256_storeu_pd(y + i, last ? _mm256_setzero_pd() : x);
+  store4(z + i, _mm256_div_pd(t, _mm256_loadu_pd(diag + i)), live);
+  store4(y + i, last ? _mm256_setzero_pd() : x, live);
+}
+
+/// sweep_segments over run q, N terms, at least four rows long: four rows
+/// at a time, then the last rows masked as in run_rows4.  That update
+/// reads y, r and diag in all four lanes, rows of the same run.
+template <int N>
+void sweep_run4(const RunView& runs, index_t q, const double* diag,
+                __m256d av, const double* r, double* z, double* y,
+                bool last) {
+  constexpr auto kC = static_cast<index_t>(kSellSlice);
+  const RunTerms<N, 1> terms(runs, q, z);
+  const index_t row = runs.row[q];
+  const index_t len = runs.len[q];
+  index_t t = 0;
+  for (; t + kC <= len; t += kC) {
+    sweep_update4(terms.sum(static_cast<std::size_t>(t)), row + t, diag, av,
+                  r, z, y, last);
+  }
+  if (t == len) return;
+  const index_t w = len - kC;
+  const __m256i live = live_lanes(w, t, len);
+  sweep_update4(terms.sum(static_cast<std::size_t>(w)), row + w, diag, av, r,
+                z, y, last, &live);
 }
 
 }  // namespace
@@ -476,16 +623,17 @@ void sweep_segments(const RunView& runs, const SellView& rest,
   const __m256d av = _mm256_set1_pd(a);
   constexpr auto kC = static_cast<index_t>(kSellSlice);
   for (index_t q = 0; q < runs.num_runs; ++q) {
-    const index_t i0 = runs.row[q];
-    const index_t len = runs.len[q];
-    index_t t = 0;
-    for (; t + kC <= len; t += kC) {
-      sweep_update4(run_sums4(runs, q, t, z + i0 + t), i0 + t, diag, av, r,
-                    z, y, last);
+    if (runs.len[q] >= kC) {
+      with_terms(runs.count[q], [&](auto terms) {
+        sweep_run4<decltype(terms)::value>(runs, q, diag, av, r, z, y, last);
+      });
+      continue;
     }
-    for (; t < len; ++t) {
-      sweep_update(run_row_sum(runs, q, t, z + i0 + t), i0 + t, diag, a, r,
-                   z, y, last);
+    // A hand-built short run: row by row.
+    const index_t i0 = runs.row[q];
+    for (index_t t = 0; t < runs.len[q]; ++t) {
+      sweep_update(run_row_sum(runs, q, t, z + i0 + t), i0 + t, diag, a, r, z,
+                   y, last);
     }
   }
   // The leftover rows' slice sums are complete before any of the slice's
@@ -594,27 +742,28 @@ void block_csr_rows(const index_t* rp, const index_t* col, const double* val,
   }
 }
 
+namespace {
+
+/// block_run_rows over run q, N terms.
+template <int N>
+void block_run(const RunView& runs, index_t q, const double* x, double* y,
+               bool subtract) {
+  const RunTerms<N, kW> terms(runs, q, x);
+  const index_t row = runs.row[q];
+  const auto len = static_cast<std::size_t>(runs.len[q]);
+  for (std::size_t t = 0; t < len; ++t) {
+    store_row(terms.sum(t), y, row + static_cast<index_t>(t), subtract);
+  }
+}
+
+}  // namespace
+
 void block_run_rows(const RunView& runs, const double* x, double* y,
                     bool subtract) {
   for (index_t q = 0; q < runs.num_runs; ++q) {
-    const auto len = static_cast<std::size_t>(runs.len[q]);
-    const index_t* off = runs.off + runs.off_at[q];
-    const double* val = runs.val + runs.val_at[q];
-    for (std::size_t t = 0; t < len; ++t) {
-      const index_t i = runs.row[q] + static_cast<index_t>(t);
-      // block_row_sum's schedule: term k broadcasts its value and loads
-      // the block row of x at i + off[k].
-      Lanes8 lanes;
-      lanes.run(0, runs.count[q], [&](__m256d& lane, index_t k) {
-        lane = _mm256_add_pd(
-            lane,
-            _mm256_mul_pd(
-                _mm256_broadcast_sd(val + static_cast<std::size_t>(k) * len +
-                                    t),
-                load_row(x, i + off[k])));
-      });
-      store_row(lanes.sum(), y, i, subtract);
-    }
+    with_terms(runs.count[q], [&](auto terms) {
+      block_run<decltype(terms)::value>(runs, q, x, y, subtract);
+    });
   }
 }
 
@@ -634,31 +783,69 @@ void block_sell_slices(const SellView& s, const double* x, double* y,
   }
 }
 
-void block_sweep_rows(const index_t* seg_begin, const index_t* seg_end,
-                      const index_t* col, const double* val,
-                      const double* diag, double a, const double* r,
-                      double* z, double* y, index_t row_begin,
-                      index_t row_end, bool last) {
-  const __m256d av = _mm256_set1_pd(a);
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  for (index_t i = row_begin; i < row_end; ++i) {
-    const index_t b = seg_begin[i];
-    const __m256d sum = block_row_sum(val + b, col + b, seg_end[i] - b, 1, z);
-    // -sum: a sign flip, exactly the scalar negation.
-    const __m256d x = _mm256_xor_pd(sum, sign);
-    double* yr = y + static_cast<std::size_t>(i) * kW;
-    if (r == nullptr) {
-      _mm256_storeu_pd(yr, x);
-      continue;
-    }
-    // sweep_update4's order: (y - sum) + a * r.
-    const __m256d t = _mm256_add_pd(_mm256_sub_pd(_mm256_loadu_pd(yr), sum),
-                                    _mm256_mul_pd(av, load_row(r, i)));
-    _mm256_storeu_pd(z + static_cast<std::size_t>(i) * kW,
-                     _mm256_div_pd(t, _mm256_broadcast_sd(diag + i)));
-    _mm256_storeu_pd(yr, last ? _mm256_setzero_pd() : x);
+namespace {
+
+/// block_sweep_segments' class update of block row i from its sum:
+/// sweep_update4's operation order in every column.
+inline void block_sweep_update(__m256d sum, index_t i, const double* diag,
+                               __m256d av, const double* r, double* z,
+                               double* y, bool last) {
+  // -sum: a sign flip, exactly the scalar negation.
+  const __m256d x = _mm256_xor_pd(sum, _mm256_set1_pd(-0.0));
+  double* yr = y + static_cast<std::size_t>(i) * kW;
+  if (r == nullptr) {
+    _mm256_storeu_pd(yr, x);
+    return;
+  }
+  const __m256d t = _mm256_add_pd(_mm256_sub_pd(_mm256_loadu_pd(yr), sum),
+                                  _mm256_mul_pd(av, load_row(r, i)));
+  _mm256_storeu_pd(z + static_cast<std::size_t>(i) * kW,
+                   _mm256_div_pd(t, _mm256_broadcast_sd(diag + i)));
+  _mm256_storeu_pd(yr, last ? _mm256_setzero_pd() : x);
+}
+
+/// block_sweep_segments over run q, N terms.
+template <int N>
+void block_sweep_run(const RunView& runs, index_t q, const double* diag,
+                     __m256d av, const double* r, double* z, double* y,
+                     bool last) {
+  const RunTerms<N, kW> terms(runs, q, z);
+  const index_t row = runs.row[q];
+  const auto len = static_cast<std::size_t>(runs.len[q]);
+  for (std::size_t t = 0; t < len; ++t) {
+    block_sweep_update(terms.sum(t), row + static_cast<index_t>(t), diag, av,
+                       r, z, y, last);
   }
 }
+
+}  // namespace
+
+void block_sweep_segments(const RunView& runs, const SellView& rest,
+                          const double* diag, double a, const double* r,
+                          double* z, double* y, bool last) {
+  const __m256d av = _mm256_set1_pd(a);
+  for (index_t q = 0; q < runs.num_runs; ++q) {
+    with_terms(runs.count[q], [&](auto terms) {
+      block_sweep_run<decltype(terms)::value>(runs, q, diag, av, r, z, y,
+                                              last);
+    });
+  }
+  constexpr auto kC = static_cast<index_t>(kSellSlice);
+  for (index_t sl = 0; sl < rest.num_slices; ++sl) {
+    const std::size_t base = rest.slice_ptr[sl];
+    for (index_t lane = 0; lane < kC; ++lane) {
+      const index_t slot = sl * kC + lane;
+      const index_t g = rest.perm[slot];
+      if (g < 0) continue;
+      block_sweep_update(block_row_sum(rest.val + base + lane,
+                                       rest.col + base + lane,
+                                       rest.len[slot], kSellSlice, z),
+                         g, diag, av, r, z, y, last);
+    }
+  }
+}
+
+#undef MSTEP_INLINE
 
 }  // namespace mstep::la::simd::avx2
 

@@ -51,11 +51,9 @@ void block_run_rows(const RunView& runs, const double* x, double* y,
                     bool subtract);
 void block_sell_slices(const SellView& s, const double* x, double* y,
                        index_t slice_begin, index_t slice_end, bool subtract);
-void block_sweep_rows(const index_t* seg_begin, const index_t* seg_end,
-                      const index_t* col, const double* val,
-                      const double* diag, double a, const double* r,
-                      double* z, double* y, index_t row_begin,
-                      index_t row_end, bool last);
+void block_sweep_segments(const RunView& runs, const SellView& rest,
+                          const double* diag, double a, const double* r,
+                          double* z, double* y, bool last);
 
 }  // namespace mstep::la::simd::avx2
 

@@ -1,6 +1,7 @@
 // One colour class's strictly-lower or strictly-upper coupling rows for the
-// multicolor sweep, in the form simd::sweep_segments sums — a VIEW of the
-// solve's one matrix storage, not a copy of it.
+// multicolor sweep, in the form simd::sweep_segments and its block form
+// simd::block_sweep_segments sum — a VIEW of the solve's one matrix
+// storage, not a copy of it.
 //
 // la::DiaMatrix stores the matrix as constant-offset row runs (the paper's
 // §3.1 diagonal storage cut to the rows that have it) over the CSR rows.  A

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "color/coloring.hpp"
+#include "core/multicolor_mstep.hpp"
+#include "core/params.hpp"
 #include "fem/plane_stress.hpp"
 #include "la/simd.hpp"
 #include "par/execution.hpp"
@@ -360,6 +362,55 @@ TEST(SolveManyBlocks, BadColumnsDoNotPoisonTheirBlock) {
     EXPECT_TRUE(std::isnan(nan_block.result.final_residual2)) << what;
     expect_bitwise_equal(prepared.solve(bs[0]), br.reports[0], what);
     expect_bitwise_equal(prepared.solve(bs[3]), br.reports[3], what);
+  }
+}
+
+// The block sweep walks a class's strip segments in turn, as the single
+// sweep's strips do, on plans of 1-8 strips: column c of apply_block is
+// bitwise apply() of column c, and both are the one-strip bits, on both
+// kernel paths.
+TEST(SolveManyBlocks, ApplyBlockOverStrips1To8IsApplyPerColumn) {
+  constexpr std::size_t kW = la::simd::kSellSlice;
+  const Plate p = make_plate(20);
+  const color::ColoredSystem cs = color::make_colored_system(p.k, p.classes);
+  const auto alphas = core::least_squares_alphas(3, core::ssor_interval());
+  const auto n = static_cast<std::size_t>(cs.size());
+  util::Rng rng(31);
+  Vec r = rng.uniform_vector(n * kW, -1.0, 1.0);
+  for (std::size_t i = 0; i < n; i += 11) r[i * kW + i % kW] = -0.0;
+  const auto column = [&](const Vec& block, std::size_t c) {
+    Vec v(n);
+    for (std::size_t i = 0; i < n; ++i) v[i] = block[i * kW + c];
+    return v;
+  };
+  for (const auto mode : {la::simd::SimdMode::kForceScalar,
+                          la::simd::SimdMode::kForceVector}) {
+    const la::simd::SimdModeGuard guard(mode);
+    const core::MulticolorMStepSsor one(cs, alphas);
+    std::vector<Vec> want(kW);
+    for (std::size_t c = 0; c < kW; ++c) one.apply(column(r, c), want[c]);
+    for (int strips = 1; strips <= 8; ++strips) {
+      const core::MulticolorMStepSsor sweep(
+          std::make_shared<const core::MulticolorSweepPlan>(cs, alphas,
+                                                            strips));
+      ASSERT_EQ(sweep.plan()->num_strips(), strips);
+      Vec block;
+      sweep.apply_block(r, block, static_cast<int>(kW));
+      for (std::size_t c = 0; c < kW; ++c) {
+        Vec single;
+        sweep.apply(column(r, c), single);
+        const Vec got = column(block, c);
+        const std::string what = "strips=" + std::to_string(strips) +
+                                 " column " + std::to_string(c) + " simd=" +
+                                 la::simd::simd_isa();
+        ASSERT_EQ(std::memcmp(got.data(), single.data(), n * sizeof(double)),
+                  0)
+            << what;
+        ASSERT_EQ(
+            std::memcmp(got.data(), want[c].data(), n * sizeof(double)), 0)
+            << what;
+      }
+    }
   }
 }
 

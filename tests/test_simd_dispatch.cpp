@@ -273,8 +273,18 @@ TEST(SimdDispatch, BlockKernelsAreBitwiseAcrossPathsAndPerColumn) {
     }
   }
 
-  // The fused sweep phase, in its update form (last and not) and its
-  // save form, against -row_dot and the single-vector class update.
+  // The fused sweep phase over SELL leftover rows, in its update form
+  // (last and not) and its save form: rows [0, 64) of the CSR rows above,
+  // their couplings moved past row 64 as in a colour class, against
+  // -row_dot and the single-vector class update per column.
+  const index_t updated = 64;
+  std::vector<index_t> seg_col = col;
+  for (index_t& c : seg_col) c = updated + c % (n - updated);
+  const la::CsrMatrix segs(n, n, rp, seg_col, val);
+  std::vector<index_t> rest_rows(static_cast<std::size_t>(updated));
+  for (index_t i = 0; i < updated; ++i) rest_rows[i] = i;
+  const la::SellSegments rest = la::SellSegments::build(
+      segs, segs.row_ptr().data(), segs.row_ptr().data() + 1, rest_rows);
   const Vec diag = rng.uniform_vector(rows, 1.0, 2.0);
   const Vec r = make_block(rng, rows);
   for (const int form : {0, 1, 2}) {
@@ -284,22 +294,20 @@ TEST(SimdDispatch, BlockKernelsAreBitwiseAcrossPathsAndPerColumn) {
         [&] {
           Vec z = x;
           Vec aux = y;
-          la::simd::block_sweep_rows(rp.data(), rp.data() + 1, col.data(),
-                                     val.data(), diag.data(), 0.75,
-                                     save ? nullptr : r.data(), z.data(),
-                                     aux.data(), 0, n, last);
+          la::simd::block_sweep_segments(la::simd::RunView{}, rest.view(),
+                                         diag.data(), 0.75,
+                                         save ? nullptr : r.data(), z.data(),
+                                         aux.data(), last);
           z.insert(z.end(), aux.begin(), aux.end());
           return z;
         },
-        "block_sweep_rows");
+        "block_sweep_segments");
     for (std::size_t c = 0; c < kW; ++c) {
       const Vec rc = column(r, c);
       Vec zc = column(x, c);
       Vec auxc = column(y, c);
-      for (index_t i = 0; i < n; ++i) {
-        // Rows update in order, each reading z as the rows before it
-        // left it.
-        const double sum = la::simd::row_dot(val.data(), col.data(),
+      for (index_t i = 0; i < updated; ++i) {
+        const double sum = la::simd::row_dot(val.data(), seg_col.data(),
                                              zc.data(), rp[i], rp[i + 1]);
         if (save) {
           auxc[i] = -sum;
@@ -461,6 +469,196 @@ TEST(SimdDispatch, SweepSegmentsAreBitwiseRowDotPlusClassUpdate) {
         }
         z.insert(z.end(), y.begin(), y.end());
         EXPECT_TRUE(bitwise_equal(out, z)) << what;
+      }
+    }
+  }
+}
+
+// The run kernels dispatch each run once on its term count to a kernel
+// compiled for that count (longer runs loop over the terms), so every
+// count must give row_dot's bits: counts 0-17, across the 8-term lane wrap
+// and into the loop, and run lengths 1-9 (the scalar rows of a short run,
+// the 4-row body and the masked last rows).  Two runs in one view, on
+// `terms` and 17 - terms terms, so the count changes from run to run.
+// Values hold explicit zeros and -0.0, x holds -0.0.  Checked for every
+// kernel that reads runs: run_spmv_rows over every range that clips the
+// runs, sweep_segments, block_run_rows and block_sweep_segments, each
+// column of a block against row_dot on that column.
+TEST(SimdDispatch, FixedCountRunKernelsAreBitwiseTheLaneSchedule) {
+  util::Rng rng(29);
+  const index_t n = 300;
+  const auto rows = static_cast<std::size_t>(n);
+  Vec x = rng.uniform_vector(rows, -1.0, 1.0);
+  for (index_t i = 0; i < n; i += 9) x[i] = -0.0;
+  const Vec xb = make_block(rng, rows);
+  const Vec y0 = rng.uniform_vector(rows, -1.0, 1.0);
+  const Vec yb0 = make_block(rng, rows);
+  const Vec r = rng.uniform_vector(rows, -1.0, 1.0);
+  const Vec rb = make_block(rng, rows);
+  const Vec diag = rng.uniform_vector(rows, 1.0, 2.0);
+  // Every coupling reaches at least 25 rows away, outside rows [120, 140)
+  // that the runs cover, as in a colour class.
+  const auto offset = [](index_t k) {
+    return (k % 2 == 0 ? -1 : 1) * (25 + 5 * k);
+  };
+
+  for (index_t len = 1; len <= 9; ++len) {
+    for (index_t terms = 0; terms <= 17; ++terms) {
+      const std::vector<index_t> row{120, 130};
+      const std::vector<index_t> lens{len, len};
+      const std::vector<index_t> count{terms, 17 - terms};
+      const std::vector<index_t> off_at{0, terms};
+      const std::vector<std::size_t> val_at{
+          0, static_cast<std::size_t>(terms * len)};
+      std::vector<index_t> off;
+      for (index_t k = 0; k < terms; ++k) off.push_back(offset(k));
+      for (index_t k = 0; k < 17 - terms; ++k) off.push_back(offset(16 - k));
+      Vec val;
+      for (index_t q = 0; q < 17 * len; ++q) {
+        val.push_back(q % 6 == 0   ? -0.0
+                      : q % 6 == 3 ? 0.0
+                                   : rng.uniform(-1.0, 1.0));
+      }
+      la::simd::RunView runs;
+      runs.val = val.data();
+      runs.off = off.data();
+      runs.row = row.data();
+      runs.len = lens.data();
+      runs.off_at = off_at.data();
+      runs.val_at = val_at.data();
+      runs.count = count.data();
+      runs.num_runs = 2;
+      const std::string what =
+          "len=" + std::to_string(len) + " terms=" + std::to_string(terms);
+
+      // Each run row's sum over vector v, on row_dot's schedule.
+      const auto row_sums = [&](const Vec& v) {
+        Vec sums(rows, std::numeric_limits<double>::quiet_NaN());
+        for (index_t q = 0; q < 2; ++q) {
+          for (index_t t = 0; t < len; ++t) {
+            const index_t i = row[q] + t;
+            Vec vals;
+            std::vector<index_t> cols;
+            for (index_t k = 0; k < count[q]; ++k) {
+              vals.push_back(val[val_at[q] + static_cast<std::size_t>(
+                                                 k * len + t)]);
+              cols.push_back(i + off[off_at[q] + k]);
+            }
+            sums[i] = la::simd::row_dot(vals.data(), cols.data(), v.data(), 0,
+                                        count[q]);
+          }
+        }
+        return sums;
+      };
+      const auto in_runs = [&](index_t i) {
+        return (i >= 120 && i < 120 + len) || (i >= 130 && i < 130 + len);
+      };
+      const Vec sums = row_sums(x);
+
+      // run_spmv_rows, clipped to every range over the runs.
+      for (const bool subtract : {false, true}) {
+        for (index_t begin = 119; begin <= 140; ++begin) {
+          for (index_t end = begin; end <= 140; ++end) {
+            const Vec out = both_paths(
+                [&] {
+                  Vec y = y0;
+                  la::simd::run_spmv_rows(runs, x.data(), y.data(), begin,
+                                          end, subtract);
+                  return y;
+                },
+                what + " run_spmv_rows");
+            Vec want = y0;
+            for (index_t i = begin; i < end; ++i) {
+              if (!in_runs(i)) continue;
+              want[i] = subtract ? want[i] - sums[i] : sums[i];
+            }
+            ASSERT_TRUE(bitwise_equal(out, want))
+                << what << " [" << begin << ", " << end << ")"
+                << (subtract ? " subtract" : "");
+          }
+        }
+      }
+
+      // The class update of row i from its sum, as sweep_segments does it.
+      const auto update = [&](index_t i, double sum, double ri, double& zi,
+                              double& yi, int form) {
+        if (form == 2) {
+          yi = -sum;
+          return;
+        }
+        zi = (yi - sum + 0.75 * ri) / diag[i];
+        yi = form == 1 ? 0.0 : -sum;
+      };
+      for (const int form : {0, 1, 2}) {
+        const double* rv = form == 2 ? nullptr : r.data();
+        const double* rbv = form == 2 ? nullptr : rb.data();
+        const std::string phase = what + " form=" + std::to_string(form);
+        const Vec swept = both_paths(
+            [&] {
+              Vec z = x;
+              Vec y = y0;
+              la::simd::sweep_segments(runs, la::simd::SellView{},
+                                       diag.data(), 0.75, rv, z.data(),
+                                       y.data(), form == 1);
+              z.insert(z.end(), y.begin(), y.end());
+              return z;
+            },
+            phase + " sweep_segments");
+        Vec want = x;
+        Vec want_y = y0;
+        for (index_t i = 0; i < n; ++i) {
+          if (in_runs(i)) update(i, sums[i], r[i], want[i], want_y[i], form);
+        }
+        want.insert(want.end(), want_y.begin(), want_y.end());
+        EXPECT_TRUE(bitwise_equal(swept, want)) << phase;
+
+        const Vec block_swept = both_paths(
+            [&] {
+              Vec z = xb;
+              Vec y = yb0;
+              la::simd::block_sweep_segments(runs, la::simd::SellView{},
+                                             diag.data(), 0.75, rbv, z.data(),
+                                             y.data(), form == 1);
+              z.insert(z.end(), y.begin(), y.end());
+              return z;
+            },
+            phase + " block_sweep_segments");
+        const Vec zs(block_swept.begin(), block_swept.begin() + rows * kW);
+        const Vec ys(block_swept.begin() + rows * kW, block_swept.end());
+        for (std::size_t c = 0; c < kW; ++c) {
+          const Vec xc = column(xb, c);
+          const Vec sums_c = row_sums(xc);
+          const Vec rc = column(rb, c);
+          Vec zc = xc;
+          Vec yc = column(yb0, c);
+          for (index_t i = 0; i < n; ++i) {
+            if (in_runs(i)) update(i, sums_c[i], rc[i], zc[i], yc[i], form);
+          }
+          EXPECT_TRUE(bitwise_equal(column(zs, c), zc)) << phase << " " << c;
+          EXPECT_TRUE(bitwise_equal(column(ys, c), yc)) << phase << " " << c;
+        }
+      }
+
+      // block_run_rows: column c is the run rows' sums over column c.
+      for (const bool subtract : {false, true}) {
+        const Vec out = both_paths(
+            [&] {
+              Vec y = yb0;
+              la::simd::block_run_rows(runs, xb.data(), y.data(), subtract);
+              return y;
+            },
+            what + " block_run_rows");
+        for (std::size_t c = 0; c < kW; ++c) {
+          const Vec sums_c = row_sums(column(xb, c));
+          Vec want = column(yb0, c);
+          for (index_t i = 0; i < n; ++i) {
+            if (in_runs(i)) want[i] = subtract ? want[i] - sums_c[i]
+                                               : sums_c[i];
+          }
+          EXPECT_TRUE(bitwise_equal(column(out, c), want))
+              << what << " block_run_rows " << c
+              << (subtract ? " subtract" : "");
+        }
       }
     }
   }

@@ -7,7 +7,9 @@
 // sum one la::simd::row_dot call, and MulticolorMStepSsor::apply must
 // match it bit for bit at 1-8 strips, with and without a pool, under
 // both kernel paths.  A second test audits the plan's views of the run
-// storage and its leftover rows row by row against the CSR matrix.
+// storage and its leftover rows row by row against the CSR matrix, and
+// the KernelLog census the plan counts from those views against the one
+// counted from every CSR entry.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -257,6 +259,60 @@ TEST(SweepLayout, RunsAndLeftoversCoverEveryRowExactly) {
     EXPECT_GT(run_rows, 0) << c.name;
     if (c.name == "poisson3d:n=11") {
       EXPECT_GT(rest_rows, 0) << "both layouts carry rows";
+    }
+  }
+}
+
+// The plan counts each class's distinct nonzero offsets from its run
+// terms and leftover rows; the count must be color's census over every
+// CSR entry.  Every catalog problem (its own classes, else greedy ones),
+// the cases above, and a plate with explicit zeros: one offset zero in
+// every row of a class (not counted unless another row holds it nonzero),
+// and single zero or -0.0 entries inside runs (the offset still counts).
+TEST(SweepLayout, CensusFromTheSegmentsIsTheCsrCensus) {
+  auto& registry = problems::ProblemRegistry::instance();
+  std::vector<Case> systems = cases();
+  for (const std::string& name : registry.names()) {
+    const problems::Problem p = registry.create(name);
+    systems.push_back(
+        {name, color::make_colored_system(
+                   p.matrix, p.has_classes()
+                                 ? p.classes
+                                 : color::greedy_classes_from_matrix(
+                                       p.matrix))});
+  }
+  const problems::Problem plate = registry.create("femplate:a=16");
+  color::ColoredSystem zeros =
+      color::make_colored_system(plate.matrix, plate.classes);
+  {
+    const auto& rp = zeros.matrix.row_ptr();
+    const auto& col = zeros.matrix.col_idx();
+    auto& val = zeros.matrix.values();
+    // Class 2: every entry at the first row's first offset becomes zero.
+    const index_t first = zeros.class_start[2];
+    const index_t offset = col[rp[first]] - first;
+    for (index_t i = first; i < zeros.class_start[3]; ++i) {
+      for (index_t t = rp[i]; t < rp[i + 1]; ++t) {
+        if (col[t] - i == offset) val[t] = 0.0;
+      }
+    }
+    // Class 4: scattered single zeros and -0.0.
+    for (index_t i = zeros.class_start[4]; i < zeros.class_start[5]; i += 7) {
+      val[rp[i]] = i % 2 == 0 ? 0.0 : -0.0;
+    }
+  }
+  systems.push_back({"femplate:a=16 (explicit zeros)", std::move(zeros)});
+
+  const auto alphas = core::least_squares_alphas(1, core::ssor_interval());
+  for (const Case& c : systems) {
+    const color::ClassDiagonalCensus want = color::compute_class_diagonal_census(
+        c.cs, color::compute_row_splits(c.cs));
+    for (int strips = 1; strips <= 4; ++strips) {
+      const core::MulticolorSweepPlan plan(c.cs, alphas, strips);
+      EXPECT_EQ(plan.census.lower, want.lower)
+          << c.name << " strips=" << strips;
+      EXPECT_EQ(plan.census.upper, want.upper)
+          << c.name << " strips=" << strips;
     }
   }
 }
