@@ -219,38 +219,4 @@ RowSplits compute_row_splits(const ColoredSystem& cs) {
   return rs;
 }
 
-ClassDiagonalCensus compute_class_diagonal_census(const ColoredSystem& cs,
-                                                  const RowSplits& splits) {
-  const int nc = cs.num_classes();
-  const index_t n = cs.size();
-  ClassDiagonalCensus census;
-  census.lower.assign(nc, 0);
-  census.upper.assign(nc, 0);
-
-  const auto& rp = cs.matrix.row_ptr();
-  const auto& col = cs.matrix.col_idx();
-  const auto& val = cs.matrix.values();
-
-  // One mark per offset in (-n, n), holding the last class that counted
-  // it: lower offsets are negative and upper ones positive, so the two
-  // halves share the array, and a new class needs no clearing.
-  std::vector<int> counted_in(2 * static_cast<std::size_t>(n), -1);
-  int* mark = counted_in.data() + n;
-  for (int c = 0; c < nc; ++c) {
-    for (index_t i = cs.class_start[c]; i < cs.class_start[c + 1]; ++i) {
-      for (index_t u = rp[i]; u < splits.lo_end[i]; ++u) {
-        if (val[u] == 0.0 || mark[col[u] - i] == c) continue;
-        mark[col[u] - i] = c;
-        ++census.lower[c];
-      }
-      for (index_t u = splits.up_begin[i]; u < rp[i + 1]; ++u) {
-        if (val[u] == 0.0 || mark[col[u] - i] == c) continue;
-        mark[col[u] - i] = c;
-        ++census.upper[c];
-      }
-    }
-  }
-  return census;
-}
-
 }  // namespace mstep::color

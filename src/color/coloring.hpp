@@ -109,14 +109,11 @@ struct RowSplits {
 /// strictly-lower-class and strictly-upper-class blocks.  The kernel
 /// instrumentation prices one class sweep as this many vector triads
 /// (Section 3.1); the multicolor sweep reports through it for any strip
-/// count.  This counts it from every CSR entry; core::MulticolorSweepPlan
-/// counts the same from its run segments, one offset per run term.
+/// count.  core::MulticolorSweepPlan counts it from its run segments, one
+/// offset per run term.
 struct ClassDiagonalCensus {
   std::vector<int> lower;  // per class
   std::vector<int> upper;
 };
-
-[[nodiscard]] ClassDiagonalCensus compute_class_diagonal_census(
-    const ColoredSystem& cs, const RowSplits& splits);
 
 }  // namespace mstep::color

@@ -17,16 +17,21 @@
 
 namespace mstep::core {
 
-/// An m-step preconditioner bundled with the splitting it uses (keeps the
-/// lifetime management in one object).
+/// An m-step preconditioner bundled with the splitting and the operator
+/// view it uses (keeps the lifetime management in one object).  `k` must
+/// outlive it.
 class OwningMStepPreconditioner : public Preconditioner {
  public:
   OwningMStepPreconditioner(const la::CsrMatrix& k,
                             std::unique_ptr<split::Splitting> split,
                             std::vector<double> alphas,
                             KernelLog* log = nullptr)
-      : split_(std::move(split)),
-        inner_(k, *split_, std::move(alphas), log) {}
+      : split_(std::move(split)), op_(k),
+        inner_(op_, *split_, std::move(alphas), log) {}
+  // inner_ holds op_'s address.
+  OwningMStepPreconditioner(const OwningMStepPreconditioner&) = delete;
+  OwningMStepPreconditioner& operator=(const OwningMStepPreconditioner&) =
+      delete;
 
   [[nodiscard]] index_t size() const override { return inner_.size(); }
   void apply(const Vec& r, Vec& z) const override { inner_.apply(r, z); }
@@ -39,6 +44,7 @@ class OwningMStepPreconditioner : public Preconditioner {
 
  private:
   std::unique_ptr<split::Splitting> split_;
+  la::CsrOperator op_;
   MStepPreconditioner inner_;
 };
 

@@ -8,12 +8,11 @@
 
 namespace mstep::core {
 
-MStepPreconditioner::MStepPreconditioner(const la::CsrMatrix& k,
+MStepPreconditioner::MStepPreconditioner(const la::LinearOperator& k,
                                          const split::Splitting& split,
                                          std::vector<double> alphas,
                                          KernelLog* log,
-                                         const par::Execution* exec,
-                                         const shard::ShardPlan* strips)
+                                         const par::Execution* exec)
     : k_(&k), split_(&split), alphas_(std::move(alphas)), log_(log),
       exec_(exec),
       ndiags_(log ? static_cast<int>(k.num_nonzero_diagonals()) : 0) {
@@ -22,13 +21,6 @@ MStepPreconditioner::MStepPreconditioner(const la::CsrMatrix& k,
   }
   if (split.size() != k.rows()) {
     throw std::invalid_argument("MStepPreconditioner: size mismatch");
-  }
-  if (strips) {
-    if (!exec || !exec->pool()) {
-      throw std::invalid_argument(
-          "MStepPreconditioner: strips need a parallel execution");
-    }
-    strip_k_.emplace(k, *strips, *exec->pool());
   }
 }
 
@@ -50,11 +42,7 @@ void MStepPreconditioner::apply(const Vec& r, Vec& z) const {
     } else {
       // tmp = alpha * r - K z
       ex.scale_copy(a, r, tmp_);
-      if (strip_k_) {
-        strip_k_->multiply_sub(z, tmp_);
-      } else {
-        k_->multiply_sub(z, tmp_);
-      }
+      k_->multiply_sub(z, tmp_);
       if (log_) {
         log_->vec_op(n, 2);
         log_->spmv_diagonals(n, ndiags_);

@@ -14,13 +14,11 @@
 // Dubois–Greenbaum–Rodrigue truncated Neumann series.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "core/kernel_log.hpp"
 #include "core/preconditioner.hpp"
-#include "la/csr_matrix.hpp"
-#include "shard/sharded_operator.hpp"
+#include "la/linear_operator.hpp"
 #include "split/splitting.hpp"
 
 namespace mstep::par {
@@ -32,16 +30,22 @@ namespace mstep::core {
 class MStepPreconditioner : public Preconditioner {
  public:
   /// `alphas[i]` is the coefficient of G^i; m = alphas.size() >= 1.
-  /// K, the splitting, `exec` and `strips` must outlive the
+  /// `k` is the operator K z runs on: a solver pipeline passes its own
+  /// outer-product view (serial, or shard::ShardedOperator over its strip
+  /// partition).  `k`, the splitting and `exec` must outlive the
   /// preconditioner.  `exec` (optional) threads the vector ops — plus the
-  /// P^{-1} application for the elementwise splittings; `strips`
-  /// (optional, needs a parallel `exec`) runs K z as a CSR
-  /// shard::ShardedOperator on exec's pool.  The result is BITWISE the
-  /// serial sweep for any thread count.
-  MStepPreconditioner(const la::CsrMatrix& k, const split::Splitting& split,
+  /// P^{-1} application for the elementwise splittings.  Every view of K
+  /// is bitwise CSR, so the result is BITWISE the serial sweep for any
+  /// thread count.
+  MStepPreconditioner(const la::LinearOperator& k,
+                      const split::Splitting& split,
                       std::vector<double> alphas, KernelLog* log = nullptr,
-                      const par::Execution* exec = nullptr,
-                      const shard::ShardPlan* strips = nullptr);
+                      const par::Execution* exec = nullptr);
+  /// A temporary view would dangle.
+  MStepPreconditioner(const la::LinearOperator&& k,
+                      const split::Splitting& split,
+                      std::vector<double> alphas, KernelLog* log = nullptr,
+                      const par::Execution* exec = nullptr) = delete;
 
   [[nodiscard]] index_t size() const override { return k_->rows(); }
   void apply(const Vec& r, Vec& z) const override;
@@ -53,12 +57,11 @@ class MStepPreconditioner : public Preconditioner {
   [[nodiscard]] const std::vector<double>& alphas() const { return alphas_; }
 
  private:
-  const la::CsrMatrix* k_;
+  const la::LinearOperator* k_;
   const split::Splitting* split_;
   std::vector<double> alphas_;
   KernelLog* log_;
-  const par::Execution* exec_;  // nullptr = serial sweep
-  std::optional<shard::ShardedOperator> strip_k_;  // K on the strips, if any
+  const par::Execution* exec_;  // nullptr = serial vector ops
   int ndiags_;  // cached diagonal count for the instrumentation stream
   mutable Vec tmp_;
   mutable Vec pz_;

@@ -101,8 +101,8 @@ struct MulticolorSweepPlan {
   // but vectorized ACROSS the class's independent rows.
   std::vector<la::SweepSegments> lower;
   std::vector<la::SweepSegments> upper;
-  // Prices each class in the KernelLog; counted from the segments above,
-  // equal to color::compute_class_diagonal_census(*cs, splits).
+  // Prices each class in the KernelLog: per class, the distinct offsets
+  // that hold a nonzero, counted from the segments above.
   color::ClassDiagonalCensus census;
 };
 

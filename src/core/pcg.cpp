@@ -17,10 +17,8 @@ namespace {
 using Clock = std::chrono::steady_clock;
 constexpr std::size_t kW = la::simd::kSellSlice;
 
-void validate(const la::LinearOperator& k, const Vec& f,
-              const Preconditioner& m, const PcgOptions& options,
-              const Vec& u0) {
-  const index_t n = k.rows();
+void validate(index_t n, const Vec& f, const Preconditioner& m,
+              const PcgOptions& options, const Vec& u0) {
   if (static_cast<index_t>(f.size()) != n || m.size() != n) {
     throw std::invalid_argument("pcg_solve: dimension mismatch");
   }
@@ -38,22 +36,21 @@ void validate(const la::LinearOperator& k, const Vec& f,
 }
 
 /// Algorithm 1 for `cols` (1 to kW) right-hand sides, written once.  The
-/// backend holds the operator `k` and the workspace `ws` and supplies the
-/// vector half on them: r0 = f - K u0 (residual0), the preconditioner, the
-/// products, the reductions into per-column arrays, the updates with
-/// per-column scalars, and retire(c, final_residual), which stops column
-/// c.  This body owns the rest: each column's rho, alpha and beta, its
-/// counters, stopping test and history, and the kernel stream it narrates
-/// to `log` once per live column.  Both backends replay the same operation
-/// sequence, so a block column is bitwise the single-vector solve of its
-/// right-hand side.
+/// backend holds the matrix `k` and the workspace `ws`, counts K's
+/// diagonals for the kernel stream, and supplies the vector half on them:
+/// r0 = f - K u0 (residual0), the preconditioner, the products, the
+/// reductions into per-column arrays, the updates with per-column scalars,
+/// and retire(c, final_residual), which stops column c.  This body owns
+/// the rest: each column's rho, alpha and beta, its counters, stopping
+/// test and history, and the kernel stream it narrates to `log` once per
+/// live column.  Both backends replay the same operation sequence, so a
+/// block column is bitwise the single-vector solve of its right-hand side.
 template <class Backend>
 void iterate(Backend& b, std::size_t cols, const PcgOptions& options,
              KernelLog* log, PcgResult* res) {
-  const la::LinearOperator& k = b.k;
   PcgWorkspace& ws = b.ws;
-  const index_t n = k.rows();
-  const int ndiags = log ? static_cast<int>(k.num_nonzero_diagonals()) : 0;
+  const index_t n = b.k.rows();
+  const int ndiags = log ? static_cast<int>(b.diagonals()) : 0;
   // One span per solve; the per-iteration and per-sweep spans nest
   // inside it on whichever thread runs this solve (a batch lane's track
   // in a multi-RHS trace).
@@ -210,6 +207,7 @@ struct VectorBackend {
   PcgWorkspace& ws;
   PcgResult& res;
 
+  [[nodiscard]] index_t diagonals() const { return k.num_nonzero_diagonals(); }
   void residual0() {
     if (u0.empty()) {
       res.solution.assign(static_cast<std::size_t>(k.rows()), 0.0);
@@ -245,11 +243,11 @@ struct VectorBackend {
 };
 
 /// pcg_solve_block's backend: the columns as one row-interleaved block on
-/// the serial kernels, from a zero guess.  Column c's iterate is
-/// res[c].solution itself; retiring the column nulls u[c], which freezes
+/// the run storage's serial kernels, from a zero guess.  Column c's iterate
+/// is res[c].solution itself; retiring the column nulls u[c], which freezes
 /// it, and zeroes its r and p, which every kernel keeps zero.
 struct BlockBackend {
-  const la::LinearOperator& k;
+  const la::DiaMatrix& k;
   util::Span<Vec> fs;
   const MulticolorMStepSsor& m;
   PcgWorkspace& ws;
@@ -257,6 +255,7 @@ struct BlockBackend {
   std::size_t rows;
   double* u[kW] = {};
 
+  [[nodiscard]] index_t diagonals() const { return k.num_diagonals(); }
   /// u0 = 0, in residual()'s order: r = f, then r -= K u.  The columns
   /// past fs.size() stay zero throughout.
   void residual0() {
@@ -306,11 +305,11 @@ struct BlockBackend {
   void xpay(const Vec& x, const double* b, Vec& y) const {
     la::simd::block_xpay(x.data(), b, y.data(), rows);
   }
-  /// The final residual goes through the single-vector operator, in the
-  /// spent right-hand side.
+  /// The final residual goes through the single-vector product, in the
+  /// spent right-hand side, which still holds f: r = f - K u.
   void retire(std::size_t c, bool final_residual) {
     if (final_residual) {
-      k.residual(fs[c], res[c].solution, fs[c]);
+      k.multiply_sub(res[c].solution, fs[c]);
       res[c].final_residual2 = la::nrm2(fs[c]);
     }
     for (std::size_t i = 0; i < rows; ++i) {
@@ -327,7 +326,7 @@ PcgResult pcg_solve(const la::LinearOperator& k, const Vec& f,
                     const Preconditioner& m, const PcgOptions& options,
                     KernelLog* log, const Vec& u0,
                     const par::Execution* exec, PcgWorkspace* workspace) {
-  validate(k, f, m, options, u0);
+  validate(k.rows(), f, m, options, u0);
   PcgWorkspace local;
   PcgWorkspace& ws = workspace ? *workspace : local;
   PcgResult res;
@@ -337,7 +336,7 @@ PcgResult pcg_solve(const la::LinearOperator& k, const Vec& f,
   return res;
 }
 
-std::vector<PcgResult> pcg_solve_block(const la::LinearOperator& k,
+std::vector<PcgResult> pcg_solve_block(const la::DiaMatrix& k,
                                        util::Span<Vec> fs,
                                        const MulticolorMStepSsor& m,
                                        const PcgOptions& options,
@@ -347,7 +346,7 @@ std::vector<PcgResult> pcg_solve_block(const la::LinearOperator& k,
     throw std::invalid_argument("pcg_solve_block: needs 1 to " +
                                 std::to_string(kW) + " right-hand sides");
   }
-  for (const Vec& f : fs) validate(k, f, m, options, {});
+  for (const Vec& f : fs) validate(k.rows(), f, m, options, {});
   PcgWorkspace local;
   PcgWorkspace& ws = workspace ? *workspace : local;
   std::vector<PcgResult> res(fs.size());

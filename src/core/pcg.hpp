@@ -5,9 +5,11 @@
 // vector through par::Execution, pcg_solve_block on a row-interleaved
 // block of up to la::simd::kSellSlice right-hand sides.  Both replay the
 // same operation sequence, so a block column is bitwise its single solve.
-// The solver is written against la::LinearOperator, so CSR and
-// diagonal-storage (DIA) matrices flow through the same solve path; the
-// CsrMatrix overloads below keep the historical call sites unchanged.
+// pcg_solve is written against la::LinearOperator, so the serial and
+// partitioned views of the run storage, and CSR, flow through the same
+// solve path; the CsrMatrix overloads below keep the historical call sites
+// unchanged.  pcg_solve_block runs on the run storage (la::DiaMatrix)
+// itself, the one matrix a block of right-hand sides is ever solved on.
 #pragma once
 
 #include <vector>
@@ -15,6 +17,7 @@
 #include "core/kernel_log.hpp"
 #include "core/preconditioner.hpp"
 #include "la/csr_matrix.hpp"
+#include "la/dia_matrix.hpp"
 #include "la/linear_operator.hpp"
 #include "util/span.hpp"
 
@@ -101,18 +104,20 @@ struct PcgWorkspace {
 
 /// pcg_solve for up to la::simd::kSellSlice right-hand sides at once, with
 /// the Algorithm-2 sweep as M and a zero initial guess: the same iteration
-/// body over the block backend.  The columns travel as one row-interleaved
-/// block, so every SpMV and sweep loads each matrix entry once for all of
-/// them; each column keeps its own alpha, beta, rho, counters and stopping
-/// test, and stops (is frozen) at its own iteration.  results[c] is
-/// BITWISE pcg_solve(k, fs[c], m, options) on the serial kernels —
-/// solution, iterations, final_delta_inf, final_residual2, counters and
-/// history values.  The right-hand sides double as the final residuals'
-/// scratch: their contents on return are unspecified.  `log` hears each
-/// live column's kernel stream.  Throws std::invalid_argument as
-/// pcg_solve does, and for 0 or more than kSellSlice right-hand sides.
+/// body over the block backend, on the run storage `k` (the pipeline's
+/// store; the sweep reads the same runs).  The columns travel as one
+/// row-interleaved block, so every SpMV and sweep loads each matrix entry
+/// once for all of them; each column keeps its own alpha, beta, rho,
+/// counters and stopping test, and stops (is frozen) at its own iteration.
+/// results[c] is BITWISE pcg_solve(la::DiaOperator(k), fs[c], m, options)
+/// on the serial kernels — solution, iterations, final_delta_inf,
+/// final_residual2, counters and history values.  The right-hand sides
+/// double as the final residuals' scratch: their contents on return are
+/// unspecified.  `log` hears each live column's kernel stream.  Throws
+/// std::invalid_argument as pcg_solve does, and for 0 or more than
+/// kSellSlice right-hand sides.
 [[nodiscard]] std::vector<PcgResult> pcg_solve_block(
-    const la::LinearOperator& k, util::Span<Vec> fs,
+    const la::DiaMatrix& k, util::Span<Vec> fs,
     const MulticolorMStepSsor& m, const PcgOptions& options = {},
     KernelLog* log = nullptr, PcgWorkspace* workspace = nullptr);
 

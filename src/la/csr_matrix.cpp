@@ -46,12 +46,6 @@ void CsrMatrix::multiply_sub(const Vec& x, Vec& y) const {
                       y.data(), 0, rows_, /*subtract=*/true);
 }
 
-void CsrMatrix::multiply_block(const double* x, double* y,
-                               bool subtract) const {
-  simd::block_csr_rows(row_ptr_.data(), col_.data(), val_.data(), x, y, 0,
-                       rows_, subtract);
-}
-
 void CsrMatrix::residual(const Vec& b, const Vec& x, Vec& r) const {
   r = b;
   multiply_sub(x, r);

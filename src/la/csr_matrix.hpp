@@ -43,11 +43,6 @@ class CsrMatrix {
   /// r = b - A x
   void residual(const Vec& b, const Vec& x, Vec& r) const;
 
-  /// Y = A X, or Y -= A X with `subtract`, on n x simd::kSellSlice
-  /// row-interleaved blocks (la/simd.hpp): column c of Y is bitwise
-  /// multiply / multiply_sub of column c of X.
-  void multiply_block(const double* x, double* y, bool subtract) const;
-
   /// Diagonal entries as a vector.  Throws if a diagonal entry is absent.
   [[nodiscard]] Vec diagonal() const;
 

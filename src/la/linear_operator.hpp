@@ -4,10 +4,14 @@
 // the system matrix, so the PCG driver is written against this non-owning
 // view rather than a concrete storage format.  The solver's outer products
 // run on the Madsen–Rodrigue–Karush diagonal storage cut to row runs
-// (DiaOperator, the layout the paper times in Section 3.1); the CSR and
-// SELL views remain for the generic m-step engine and the benches.  All
-// three are bitwise CSR.  These views are serial; the threaded one is
-// shard::ShardedOperator.
+// (DiaOperator, the layout the paper times in Section 3.1), and so does
+// the generic m-step engine's K z, which takes the same view.  The CSR
+// view serves callers that hold only a CsrMatrix (pcg_solve's CsrMatrix
+// overloads, the baselines); the SELL view serves the benches.  All three
+// are bitwise CSR.  These views are serial; the threaded one is
+// shard::ShardedOperator.  A block of right-hand sides
+// (core::pcg_solve_block) runs on the run storage itself, not through a
+// view.
 #pragma once
 
 #include "la/csr_matrix.hpp"
@@ -31,31 +35,6 @@ class LinearOperator {
   /// y = y - A x
   virtual void multiply_sub(const Vec& x, Vec& y) const = 0;
 
-  /// Y = A X, or Y -= A X with `subtract`, on n x simd::kSellSlice
-  /// row-interleaved blocks (la/simd.hpp): column c of the result is
-  /// bitwise multiply / multiply_sub of column c.  The storage views run
-  /// one pass over the matrix for all columns; this fallback runs
-  /// multiply / multiply_sub once per column.
-  virtual void multiply_block(const double* x, double* y,
-                              bool subtract) const {
-    constexpr std::size_t kW = simd::kSellSlice;
-    const auto n = static_cast<std::size_t>(rows());
-    Vec xc(n);
-    Vec yc(n);
-    for (std::size_t c = 0; c < kW; ++c) {
-      for (std::size_t i = 0; i < n; ++i) {
-        xc[i] = x[i * kW + c];
-        yc[i] = y[i * kW + c];
-      }
-      if (subtract) {
-        multiply_sub(xc, yc);
-      } else {
-        multiply(xc, yc);
-      }
-      for (std::size_t i = 0; i < n; ++i) y[i * kW + c] = yc[i];
-    }
-  }
-
   /// Number of nonzero (generalized) diagonals — the instrumentation
   /// stream prices an SpMV as this many vector triads (Section 3.1).
   [[nodiscard]] virtual index_t num_nonzero_diagonals() const = 0;
@@ -77,10 +56,6 @@ class CsrOperator final : public LinearOperator {
   void multiply_sub(const Vec& x, Vec& y) const override {
     a_->multiply_sub(x, y);
   }
-  void multiply_block(const double* x, double* y,
-                      bool subtract) const override {
-    a_->multiply_block(x, y, subtract);
-  }
   [[nodiscard]] index_t num_nonzero_diagonals() const override {
     return a_->num_nonzero_diagonals();
   }
@@ -100,10 +75,6 @@ class DiaOperator final : public LinearOperator {
   void multiply_sub(const Vec& x, Vec& y) const override {
     a_->multiply_sub(x, y);
   }
-  void multiply_block(const double* x, double* y,
-                      bool subtract) const override {
-    a_->multiply_block(x, y, subtract);
-  }
   [[nodiscard]] index_t num_nonzero_diagonals() const override {
     return a_->num_diagonals();
   }
@@ -122,10 +93,6 @@ class SellOperator final : public LinearOperator {
   void multiply(const Vec& x, Vec& y) const override { a_->multiply(x, y); }
   void multiply_sub(const Vec& x, Vec& y) const override {
     a_->multiply_sub(x, y);
-  }
-  void multiply_block(const double* x, double* y,
-                      bool subtract) const override {
-    a_->multiply_block(x, y, subtract);
   }
   [[nodiscard]] index_t num_nonzero_diagonals() const override {
     return a_->num_nonzero_diagonals();

@@ -45,7 +45,6 @@ SellSegments SellSegments::build(const CsrMatrix& a, const index_t* seg_begin,
                                  const std::vector<index_t>& rows,
                                  index_t sigma) {
   SellSegments m;
-  m.sigma_ = std::max(sigma, kC);
   const auto n = static_cast<index_t>(rows.size());
   if (n <= 0) return m;
 
@@ -106,24 +105,6 @@ simd::SellView SellSegments::view() const {
   return v;
 }
 
-simd::SellView SellSegments::view(index_t slice_begin,
-                                  index_t slice_end) const {
-  simd::SellView v = view();
-  v.len += slice_begin * kC;
-  v.perm += slice_begin * kC;
-  v.slice_ptr += slice_begin;
-  v.num_slices = slice_end - slice_begin;
-  return v;
-}
-
-std::pair<index_t, index_t> SellSegments::slices_of(index_t pos_begin,
-                                                    index_t pos_end) const {
-  if (pos_begin >= pos_end) return {0, 0};
-  const index_t first = pos_begin / sigma_ * sigma_;
-  const index_t last = (pos_end + sigma_ - 1) / sigma_ * sigma_;
-  return {first / kC, std::min(num_slices(), (last + kC - 1) / kC)};
-}
-
 SellMatrix SellMatrix::from_csr(const CsrMatrix& a, index_t sigma) {
   if (a.rows() != a.cols()) {
     throw std::invalid_argument("SellMatrix: matrix must be square");
@@ -174,11 +155,6 @@ void SellMatrix::multiply_sub(const Vec& x, Vec& y) const {
   assert(static_cast<index_t>(y.size()) == rows_);
   simd::sell_spmv_slices(view(), x.data(), y.data(), 0, num_slices(),
                          /*subtract=*/true);
-}
-
-void SellMatrix::multiply_block(const double* x, double* y,
-                                bool subtract) const {
-  simd::block_sell_slices(view(), x, y, 0, num_slices(), subtract);
 }
 
 }  // namespace mstep::la

@@ -8,8 +8,8 @@
 // all four lane-rows in one vector register, gathering x by column.
 // Padding entries are (col = the slice's first row, val = 0) and masked
 // out of the lane accumulators, never added.  One builder, SellSegments,
-// makes this layout for whole matrices, for the rows of la::DiaMatrix no
-// run covers, and for the sweep's leftover row segments.
+// makes this layout for whole matrices and for the sweep's leftover row
+// segments (la::DiaMatrix keeps the rows no run covers in CSR form).
 //
 // The kernel (simd::sell_spmv_slices) accumulates each lane-row's entries
 // through the same fixed 8-lane schedule as the CSR row kernel, so SELL
@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "la/csr_matrix.hpp"
@@ -75,18 +74,8 @@ class SellSegments {
   }
   /// Non-owning kernel view; valid while this object lives.
   [[nodiscard]] simd::SellView view() const;
-  /// The view of slices [slice_begin, slice_end) only.
-  [[nodiscard]] simd::SellView view(index_t slice_begin,
-                                    index_t slice_end) const;
-  /// The slices [first, last) that hold the rows at positions [pos_begin,
-  /// pos_end) of the build's row list: sorting moves a row only within its
-  /// sigma window, so these are the slices of the windows those positions
-  /// fall in.
-  [[nodiscard]] std::pair<index_t, index_t> slices_of(index_t pos_begin,
-                                                      index_t pos_end) const;
 
  private:
-  index_t sigma_ = kDefaultSigma;
   std::vector<double> val_;             // slice-column-major, padded
   std::vector<index_t> col_;            // same shape as val_
   std::vector<index_t> len_;            // per slot: real entries of its row
@@ -135,11 +124,6 @@ class SellMatrix {
 
   /// y = y - A x
   void multiply_sub(const Vec& x, Vec& y) const;
-
-  /// Y = A X, or Y -= A X with `subtract`, on n x simd::kSellSlice
-  /// row-interleaved blocks (la/simd.hpp): column c of Y is bitwise
-  /// multiply / multiply_sub of column c of X.
-  void multiply_block(const double* x, double* y, bool subtract) const;
 
   /// Non-owning kernel view; valid while this matrix lives.
   [[nodiscard]] simd::SellView view() const { return slices_.view(); }

@@ -385,23 +385,6 @@ void block_run_rows(const RunView& runs, const double* x, double* y,
   }
 }
 
-void block_sell_slices(const SellView& s, const double* x, double* y,
-                       index_t slice_begin, index_t slice_end, bool subtract) {
-  constexpr auto kC = static_cast<index_t>(kSellSlice);
-  for (index_t sl = slice_begin; sl < slice_end; ++sl) {
-    const std::size_t base = s.slice_ptr[sl];
-    for (index_t r = 0; r < kC; ++r) {
-      const index_t slot = sl * kC + r;
-      const index_t g = s.perm[slot];
-      if (g < 0) continue;
-      double sum[kW];
-      block_row_sum(s.val + base + r, s.col + base + r, s.len[slot], kSellSlice,
-                    x, sum);
-      store_row(sum, y + static_cast<std::size_t>(g) * kW, subtract);
-    }
-  }
-}
-
 /// block_sweep_segments' class update of block row i from its sum:
 /// sweep_update's in every column.
 void block_sweep_update(const double* sum, index_t i, const double* diag,
@@ -537,12 +520,6 @@ void block_csr_rows(const index_t* rp, const index_t* col, const double* val,
 void block_run_rows(const RunView& runs, const double* x, double* y,
                     bool subtract) {
   MSTEP_SIMD_DISPATCH(block_run_rows(runs, x, y, subtract));
-}
-
-void block_sell_slices(const SellView& s, const double* x, double* y,
-                       index_t slice_begin, index_t slice_end, bool subtract) {
-  MSTEP_SIMD_DISPATCH(
-      block_sell_slices(s, x, y, slice_begin, slice_end, subtract));
 }
 
 void block_sweep_segments(const RunView& runs, const SellView& rest,

@@ -236,14 +236,10 @@ void block_csr_rows(const index_t* rp, const index_t* col, const double* val,
 void block_run_rows(const RunView& runs, const double* x, double* y,
                     bool subtract);
 
-/// sell_spmv_slices per column.
-void block_sell_slices(const SellView& s, const double* x, double* y,
-                       index_t slice_begin, index_t slice_end, bool subtract);
-
 /// sweep_segments per column: the rows of `runs` and the real slots of
-/// `rest` (each slot's row summed like block_sell_slices), each block row
-/// updated in sweep_segments' operation order, so a lone NaN keeps the
-/// single-vector bits.
+/// `rest` (each slot's row summed like block_csr_rows sums a row), each
+/// block row updated in sweep_segments' operation order, so a lone NaN
+/// keeps the single-vector bits.
 void block_sweep_segments(const RunView& runs, const SellView& rest,
                           const double* diag, double a, const double* r,
                           double* z, double* y, bool last);

@@ -767,22 +767,6 @@ void block_run_rows(const RunView& runs, const double* x, double* y,
   }
 }
 
-void block_sell_slices(const SellView& s, const double* x, double* y,
-                       index_t slice_begin, index_t slice_end, bool subtract) {
-  constexpr auto kC = static_cast<index_t>(kSellSlice);
-  for (index_t sl = slice_begin; sl < slice_end; ++sl) {
-    const std::size_t base = s.slice_ptr[sl];
-    for (index_t r = 0; r < kC; ++r) {
-      const index_t slot = sl * kC + r;
-      const index_t g = s.perm[slot];
-      if (g < 0) continue;
-      store_row(block_row_sum(s.val + base + r, s.col + base + r, s.len[slot],
-                              kSellSlice, x),
-                y, g, subtract);
-    }
-  }
-}
-
 namespace {
 
 /// block_sweep_segments' class update of block row i from its sum:

@@ -49,8 +49,6 @@ void block_csr_rows(const index_t* rp, const index_t* col, const double* val,
                     index_t row_end, bool subtract);
 void block_run_rows(const RunView& runs, const double* x, double* y,
                     bool subtract);
-void block_sell_slices(const SellView& s, const double* x, double* y,
-                       index_t slice_begin, index_t slice_end, bool subtract);
 void block_sweep_segments(const RunView& runs, const SellView& rest,
                           const double* diag, double a, const double* r,
                           double* z, double* y, bool last);

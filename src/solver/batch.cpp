@@ -124,7 +124,7 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs,
   // the strip partition, exactly as solve() does.
   const bool partitioned = strips_ && lanes == 1;
   const par::Execution* exec = partitioned ? exec_.get() : nullptr;
-  const shard::ShardPlan* strips = partitioned ? strips_.get() : nullptr;
+  const la::LinearOperator& op = partitioned ? *strip_op_ : *op_;
 
   // Build one scratch arena per lane; the expensive setup — coloring,
   // interval, alphas, the storage — is shared read-only.  On the
@@ -147,10 +147,9 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs,
     } else {
       lane.engine = detail::make_preconditioner(
           config_, cs_.get(), *matrix_, alphas_, lane.trace_log.get(), exec,
-          strips);
+          nullptr, nullptr, &op);
     }
   }
-  const la::LinearOperator& op = partitioned ? *strip_op_ : *op_;
 
   // Block width: the Algorithm-2 lanes on the serial kernels share the
   // right-hand sides out in blocks of up to kSellSlice (one AVX2 register
@@ -203,7 +202,7 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs,
               lane.trace_log.get(), {}, exec, &lane.workspace));
         } else {
           results = core::pcg_solve_block(
-              op, util::Span<Vec>(lane.fp.data(), cols),
+              *store_, util::Span<Vec>(lane.fp.data(), cols),
               static_cast<const core::MulticolorMStepSsor&>(precond), options,
               lane.trace_log.get(), &lane.workspace);
         }

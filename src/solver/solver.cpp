@@ -49,7 +49,8 @@ PrecondChoice make_preconditioner(const SolverConfig& config,
                                   core::KernelLog* log,
                                   const par::Execution* exec,
                                   const shard::ShardPlan* strips,
-                                  std::shared_ptr<const la::DiaMatrix> store) {
+                                  std::shared_ptr<const la::DiaMatrix> store,
+                                  const la::LinearOperator* op) {
   PrecondChoice choice;
   if (config.steps <= 0) {
     choice.precond =
@@ -72,13 +73,17 @@ PrecondChoice make_preconditioner(const SolverConfig& config,
     return choice;
   }
   // Generic m-step engine: every registered splitting, its K z on the
-  // partition's strips and its vector ops through the execution policy
-  // (deterministic, bitwise the serial sweep).
+  // pipeline's own operator (over the strips when it has them) and its
+  // vector ops through the execution policy (deterministic, bitwise the
+  // serial sweep).
+  if (op == nullptr) {
+    throw std::invalid_argument(
+        "make_preconditioner: the generic m-step engine needs an operator");
+  }
   choice.splitting = SplittingRegistry::instance().create(
       config.splitting, matrix, config.splitting_options);
   choice.precond = std::make_unique<core::MStepPreconditioner>(
-      matrix, *choice.splitting, alphas, log,
-      exec, strips);
+      *op, *choice.splitting, alphas, log, exec);
   return choice;
 }
 
@@ -172,7 +177,16 @@ Prepared Solver::prepare(const la::CsrMatrix& k,
             : la::DiaMatrix::without_runs(*p.matrix_));
   }
 
-  // 4. Parameters, then the preconditioner (splitting via the registries).
+  // 4. The operator views for the outer CG products, which the generic
+  // m-step engine's K z shares: serial, and over step 2's strips when
+  // there are any.
+  p.op_ = std::make_unique<la::DiaOperator>(*p.store_);
+  if (p.strips_) {
+    p.strip_op_ = std::make_unique<shard::ShardedOperator>(
+        *p.store_, *p.strips_, *exec_->pool());
+  }
+
+  // 5. Parameters, then the preconditioner (splitting via the registries).
   {
     const obs::Span params_span("params");
     if (config_.steps > 0) {
@@ -189,17 +203,9 @@ Prepared Solver::prepare(const la::CsrMatrix& k,
     const obs::Span precond_span("precond");
     auto choice = detail::make_preconditioner(
         config_, p.cs_.get(), *p.matrix_, p.alphas_, log, p.kernel_exec(),
-        p.strips_.get(), p.store_);
+        p.strips_.get(), p.store_, &p.operator_view());
     p.splitting_ = std::move(choice.splitting);
     p.precond_ = std::move(choice.precond);
-  }
-
-  // 5. The operator views for the outer CG products: serial, and over
-  // step 2's strips when there are any.
-  p.op_ = std::make_unique<la::DiaOperator>(*p.store_);
-  if (p.strips_) {
-    p.strip_op_ = std::make_unique<shard::ShardedOperator>(
-        *p.store_, *p.strips_, *exec_->pool());
   }
   return p;
 }
@@ -237,13 +243,10 @@ Vec Prepared::unpermute(const Vec& x) const {
 SolveReport Prepared::solve(const Vec& f, const Vec& u0) const {
   const Vec fp = permute(f);
   const Vec u0p = u0.empty() ? Vec{} : permute(u0);
-  // The partitioned operator, when there is one, is bitwise the serial
-  // view, so everything downstream is unchanged.
-  const la::LinearOperator& op = strip_op_ ? *strip_op_ : *op_;
-  SolveReport report =
-      make_report(core::pcg_solve(op, fp, *precond_, config_.pcg_options(),
-                                  log_, u0p, kernel_exec()),
-                  *precond_, shards());
+  SolveReport report = make_report(
+      core::pcg_solve(operator_view(), fp, *precond_, config_.pcg_options(),
+                      log_, u0p, kernel_exec()),
+      *precond_, shards());
   report.solution = unpermute(report.result.solution);
   return report;
 }

@@ -84,12 +84,13 @@ namespace detail {
 /// path's.
 ///
 /// `strips` (optional) is the solve's strip partition, run on `exec`'s
-/// pool: the Algorithm-2 sweep runs one strip per pool task, and the
-/// generic engine's K z a CSR shard::ShardedOperator.  Without it, both
-/// run serially (`exec` still threads the generic engine's vector ops).
-/// `store` (optional) is the pipeline's matrix storage, cut at the
-/// strips' cells; the Algorithm-2 sweep reads it instead of building its
-/// own.
+/// pool: the Algorithm-2 sweep runs one strip per pool task; without it
+/// the sweep runs serially.  `store` (optional) is the pipeline's matrix
+/// storage, cut at the strips' cells; the Algorithm-2 sweep reads it
+/// instead of building its own.  `op` is the pipeline's operator view of
+/// the same storage (serial, or over the strips), which the generic
+/// engine's K z runs on; `exec` threads that engine's vector ops.  The
+/// generic engine throws std::invalid_argument without it.
 struct PrecondChoice {
   std::unique_ptr<split::Splitting> splitting;  // set on the generic path
   std::unique_ptr<core::Preconditioner> precond;
@@ -100,7 +101,8 @@ struct PrecondChoice {
     const la::CsrMatrix& matrix, const std::vector<double>& alphas,
     core::KernelLog* log, const par::Execution* exec,
     const shard::ShardPlan* strips = nullptr,
-    std::shared_ptr<const la::DiaMatrix> store = nullptr);
+    std::shared_ptr<const la::DiaMatrix> store = nullptr,
+    const la::LinearOperator* op = nullptr);
 
 }  // namespace detail
 
@@ -253,6 +255,13 @@ class Prepared {
     return strips_ ? exec_.get() : nullptr;
   }
 
+  /// The operator a single-vector solve runs on, and the generic m-step
+  /// engine's K z with it: the strip view when prepare cut a partition,
+  /// else the serial view.  Both are bitwise the same products.
+  [[nodiscard]] const la::LinearOperator& operator_view() const {
+    return strip_op_ ? *strip_op_ : *op_;
+  }
+
   /// A report of `result` with this pipeline's setup facts, for a solve
   /// that ran `precond` on `shards` strips; the caller sets its solution.
   [[nodiscard]] SolveReport make_report(core::PcgResult result,
@@ -270,8 +279,8 @@ class Prepared {
   std::unique_ptr<la::LinearOperator> op_;  // serial view of store_
   std::unique_ptr<split::Splitting> splitting_;
   std::unique_ptr<core::Preconditioner> precond_;
-  // The one strip partition, null when solves run serially: the sweep,
-  // strip_op_ (the outer products) and the generic engine's K z run on it.
+  // The one strip partition, null when solves run serially: the sweep and
+  // strip_op_ (the outer products and the generic engine's K z) run on it.
   std::unique_ptr<shard::ShardPlan> strips_;
   std::unique_ptr<la::LinearOperator> strip_op_;
   // Shared with the creating Solver (and its other Prepared instances):

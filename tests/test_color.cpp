@@ -4,13 +4,15 @@
 
 #include <algorithm>
 #include <cstring>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "census_reference.hpp"
 #include "color/coloring.hpp"
 #include "color/greedy.hpp"
+#include "core/multicolor_mstep.hpp"
+#include "core/params.hpp"
 #include "fem/plane_stress.hpp"
 #include "fem/poisson.hpp"
 #include "io/matrix_market.hpp"
@@ -170,31 +172,8 @@ ColoredSystem random_colored_system(util::Rng& rng, index_t n) {
   return make_colored_system(k, greedy_classes_from_matrix(k));
 }
 
-/// The census counted with one std::set of offsets per class and half.
-ClassDiagonalCensus census_by_sets(const ColoredSystem& cs,
-                                   const RowSplits& splits) {
-  const auto& rp = cs.matrix.row_ptr();
-  const auto& col = cs.matrix.col_idx();
-  const auto& val = cs.matrix.values();
-  ClassDiagonalCensus census;
-  for (int c = 0; c < cs.num_classes(); ++c) {
-    std::set<index_t> lower;
-    std::set<index_t> upper;
-    for (index_t i = cs.class_start[c]; i < cs.class_start[c + 1]; ++i) {
-      for (index_t u = rp[i]; u < splits.lo_end[i]; ++u) {
-        if (val[u] != 0.0) lower.insert(col[u] - i);
-      }
-      for (index_t u = splits.up_begin[i]; u < rp[i + 1]; ++u) {
-        if (val[u] != 0.0) upper.insert(col[u] - i);
-      }
-    }
-    census.lower.push_back(static_cast<int>(lower.size()));
-    census.upper.push_back(static_cast<int>(upper.size()));
-  }
-  return census;
-}
-
 TEST(RowSplits, DiagonalAndCensusMatchTheirReferences) {
+  const auto alphas = core::least_squares_alphas(1, core::ssor_interval());
   util::Rng rng(5);
   for (int trial = 0; trial < 20; ++trial) {
     const auto n = static_cast<index_t>(2 + rng.uniform_index(300));
@@ -206,10 +185,13 @@ TEST(RowSplits, DiagonalAndCensusMatchTheirReferences) {
                           diag.size() * sizeof(double)),
               0)
         << trial;
-    const ClassDiagonalCensus want = census_by_sets(cs, splits);
-    const ClassDiagonalCensus got = compute_class_diagonal_census(cs, splits);
-    EXPECT_EQ(got.lower, want.lower) << trial;
-    EXPECT_EQ(got.upper, want.upper) << trial;
+    // The sweep plan's census, counted from its run segments.
+    const ClassDiagonalCensus want = reference::census_by_sets(cs, splits);
+    for (const int strips : {1, 3}) {
+      const core::MulticolorSweepPlan plan(cs, alphas, strips);
+      EXPECT_EQ(plan.census.lower, want.lower) << trial << " " << strips;
+      EXPECT_EQ(plan.census.upper, want.upper) << trial << " " << strips;
+    }
   }
   // A row that holds its diagonal twice reads the first, as diagonal()
   // does.
@@ -237,9 +219,10 @@ TEST(RowSplits, DiagonalAndCensusMatchTheirReferences) {
   // The plate's six classes too.
   const auto s = make_plate(7, 9);
   const RowSplits splits = compute_row_splits(s.cs);
-  const ClassDiagonalCensus want = census_by_sets(s.cs, splits);
-  EXPECT_EQ(compute_class_diagonal_census(s.cs, splits).lower, want.lower);
-  EXPECT_EQ(compute_class_diagonal_census(s.cs, splits).upper, want.upper);
+  const ClassDiagonalCensus want = reference::census_by_sets(s.cs, splits);
+  const core::MulticolorSweepPlan plan(s.cs, alphas);
+  EXPECT_EQ(plan.census.lower, want.lower);
+  EXPECT_EQ(plan.census.upper, want.upper);
 }
 
 // A missing, zero or -0.0 diagonal throws CsrMatrix::diagonal()'s

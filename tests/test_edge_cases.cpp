@@ -65,7 +65,8 @@ TEST(EdgeCase, MStepRejectsEmptyAlphas) {
   const fem::PoissonProblem prob(3, 3);
   const auto a = prob.matrix();
   const split::JacobiSplitting jac(a);
-  EXPECT_THROW(core::MStepPreconditioner(a, jac, {}), std::invalid_argument);
+  const la::CsrOperator k(a);
+  EXPECT_THROW(core::MStepPreconditioner(k, jac, {}), std::invalid_argument);
 }
 
 TEST(EdgeCase, MStepRejectsSizeMismatch) {
@@ -74,7 +75,8 @@ TEST(EdgeCase, MStepRejectsSizeMismatch) {
   const auto a1 = p1.matrix();
   const auto a2 = p2.matrix();
   const split::JacobiSplitting jac2(a2);
-  EXPECT_THROW(core::MStepPreconditioner(a1, jac2, {1.0}),
+  const la::CsrOperator k1(a1);
+  EXPECT_THROW(core::MStepPreconditioner(k1, jac2, {1.0}),
                std::invalid_argument);
 }
 

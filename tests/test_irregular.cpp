@@ -192,7 +192,8 @@ TEST(LShape, MulticolorEqualsGenericSsorOnIrregularMesh) {
   const auto sys = make_lshape(3);
   const auto alphas = core::least_squares_alphas(4, core::ssor_interval());
   const split::SsorSplitting ssor(sys.cs.matrix, 1.0);
-  const core::MStepPreconditioner generic(sys.cs.matrix, ssor, alphas);
+  const la::CsrOperator k(sys.cs.matrix);
+  const core::MStepPreconditioner generic(k, ssor, alphas);
   const core::MulticolorMStepSsor colored(sys.cs, alphas);
   util::Rng rng(3);
   const Vec r = rng.uniform_vector(sys.cs.size());

@@ -19,7 +19,6 @@
 #include "core/params.hpp"
 #include "la/csr_matrix.hpp"
 #include "la/dia_matrix.hpp"
-#include "la/linear_operator.hpp"
 #include "la/sell_matrix.hpp"
 #include "la/simd.hpp"
 #include "la/vector.hpp"
@@ -664,50 +663,44 @@ TEST(SimdDispatch, FixedCountRunKernelsAreBitwiseTheLaneSchedule) {
   }
 }
 
-// The block operators (CSR, the run storage, SELL, and the base class's
-// per-column fallback) and the block sweep: every column is
-// bitwise the single-vector product on both kernel paths.
+// The run storage's block product — with its runs, and without
+// (every row through block_csr_rows) — and the block sweep: every column
+// is bitwise the single-vector CSR product on both kernel paths.
 TEST(SimdDispatch, BlockOperatorsAndSweepMatchSingleVectorPerColumn) {
   const auto p = problems::ProblemRegistry::instance().create("femplate:a=24");
   const auto cs = color::make_colored_system(p.matrix, p.classes);
   const la::CsrMatrix& k = cs.matrix;
-  const la::DiaMatrix dia = la::DiaMatrix::from_csr(k);
-  const la::SellMatrix sell = la::SellMatrix::from_csr(k);
-  const la::CsrOperator csr_op(k);
-  const la::DiaOperator dia_op(dia);
-  const la::SellOperator sell_op(sell);
+  const la::DiaMatrix runs = la::DiaMatrix::from_csr(k);
+  const la::DiaMatrix no_runs = la::DiaMatrix::without_runs(k);
+  ASSERT_GT(runs.runs().num_runs, 0);
+  ASSERT_EQ(no_runs.runs().num_runs, 0);
   const auto rows = static_cast<std::size_t>(k.rows());
   util::Rng rng(13);
   const Vec x = make_block(rng, rows);
   const Vec y = make_block(rng, rows);
 
-  const std::pair<const la::LinearOperator*, const char*> ops[] = {
-      {&csr_op, "csr"}, {&dia_op, "dia"}, {&sell_op, "sell"}};
-  for (const auto& [op, name] : ops) {
+  const std::pair<const la::DiaMatrix*, const char*> stores[] = {
+      {&runs, "runs"}, {&no_runs, "without_runs"}};
+  for (const auto& [store, name] : stores) {
     for (const bool subtract : {false, true}) {
       const std::string what = std::string(name) +
                                (subtract ? " multiply_sub" : " multiply");
       const Vec out = both_paths(
           [&] {
             Vec blk = y;
-            op->multiply_block(x.data(), blk.data(), subtract);
+            store->multiply_block(x.data(), blk.data(), subtract);
             return blk;
           },
           what);
       for (std::size_t c = 0; c < kW; ++c) {
         Vec yc = column(y, c);
         if (subtract) {
-          op->multiply_sub(column(x, c), yc);
+          k.multiply_sub(column(x, c), yc);
         } else {
-          op->multiply(column(x, c), yc);
+          k.multiply(column(x, c), yc);
         }
         EXPECT_TRUE(bitwise_equal(column(out, c), yc)) << what << " " << c;
       }
-      // The base-class fallback: one multiply per column.
-      Vec fallback = y;
-      op->la::LinearOperator::multiply_block(x.data(), fallback.data(),
-                                             subtract);
-      EXPECT_TRUE(bitwise_equal(fallback, out)) << what << " fallback";
     }
   }
 

@@ -144,7 +144,8 @@ TEST(Ssor, SpectrumOfPinvKIsInUnitInterval) {
 TEST(MStep, OneStepJacobiEqualsScaledDiagonalSolve) {
   const auto p = make_plate(3, 4);
   const split::JacobiSplitting jac(p.k);
-  const MStepPreconditioner m1(p.k, jac, {1.0});
+  const la::CsrOperator k(p.k);
+  const MStepPreconditioner m1(k, jac, {1.0});
   util::Rng rng(4);
   const Vec r = rng.uniform_vector(p.k.rows());
   Vec z1, z2;
@@ -158,7 +159,8 @@ TEST(MStep, MatchesExplicitPolynomialInG) {
   const auto p = make_plate(3, 3);
   const split::JacobiSplitting jac(p.k);
   const std::vector<double> alphas = {0.7, -0.2, 1.3};
-  const MStepPreconditioner m(p.k, jac, alphas);
+  const la::CsrOperator k(p.k);
+  const MStepPreconditioner m(k, jac, alphas);
 
   const index_t n = p.k.rows();
   // Dense G = I - P^{-1}K.
@@ -190,7 +192,8 @@ TEST(MStep, PreconditionerMatrixIsSymmetric) {
   // columns and check.
   const auto p = make_plate(3, 3);
   const split::SsorSplitting ssor(p.k, 1.0);
-  const MStepPreconditioner m(p.k, ssor, least_squares_alphas(3, ssor_interval()));
+  const la::CsrOperator k(p.k);
+  const MStepPreconditioner m(k, ssor, least_squares_alphas(3, ssor_interval()));
   const index_t n = p.k.rows();
   la::DenseMatrix minv(n, n);
   Vec e(n), z(n);
@@ -223,7 +226,8 @@ TEST_P(MulticolorEquivalence, MatchesGenericSsorEngine) {
   const auto p = make_plate(5, 6);
   const split::SsorSplitting ssor(p.cs.matrix, 1.0);
   const auto alphas = least_squares_alphas(m, ssor_interval());
-  const MStepPreconditioner generic(p.cs.matrix, ssor, alphas);
+  const la::CsrOperator k(p.cs.matrix);
+  const MStepPreconditioner generic(k, ssor, alphas);
   const MulticolorMStepSsor colored(p.cs, alphas);
 
   util::Rng rng(m);
@@ -249,7 +253,8 @@ TEST(Multicolor, WorksWithTwoColors) {
       color::make_colored_system(a, color::two_color_classes(prob));
   const split::SsorSplitting ssor(cs.matrix, 1.0);
   const auto alphas = least_squares_alphas(3, ssor_interval());
-  const MStepPreconditioner generic(cs.matrix, ssor, alphas);
+  const la::CsrOperator k(cs.matrix);
+  const MStepPreconditioner generic(k, ssor, alphas);
   const MulticolorMStepSsor colored(cs, alphas);
   util::Rng rng(8);
   const Vec r = rng.uniform_vector(cs.size());
@@ -526,7 +531,10 @@ TEST(PcgBlock, BreakdownColumnStopsAloneAndTheOthersStayBitwise) {
   const auto cs = color::make_colored_system(
       shifted_laplacians(grid, {0.5, 0.0}), red_black);
   const MulticolorMStepSsor m(cs, unparametrized_alphas(2));
+  // The singles run on CSR, the block on the run storage: bitwise the same
+  // products.
   const la::CsrOperator k(cs.matrix);
+  const la::DiaMatrix store = la::DiaMatrix::from_csr(cs.matrix);
   util::Rng rng(3);
   Vec on_spd = rng.uniform_vector(static_cast<std::size_t>(2 * n));
   std::fill(on_spd.begin(), on_spd.begin() + n, 0.0);
@@ -542,7 +550,7 @@ TEST(PcgBlock, BreakdownColumnStopsAloneAndTheOthersStayBitwise) {
     for (const Vec& f : fs) singles.push_back(pcg_solve(k, f, m, opt));
     std::vector<Vec> spent = fs;  // the block spends its right-hand sides
     const std::vector<PcgResult> block = pcg_solve_block(
-        k, util::Span<Vec>(spent.data(), spent.size()), m, opt);
+        store, util::Span<Vec>(spent.data(), spent.size()), m, opt);
     const std::string what = "limit=" + std::to_string(limit);
     for (std::size_t c = 0; c < fs.size(); ++c) {
       expect_same_result(singles[c], block[c],
@@ -578,6 +586,7 @@ TEST(PcgBlock, KernelCensusIsTheSumOfItsColumns) {
   opt.tolerance = 1e-8;
   const auto alphas = least_squares_alphas(3, ssor_interval());
   const la::CsrOperator k(p.cs.matrix);
+  const la::DiaMatrix store = la::DiaMatrix::from_csr(p.cs.matrix);
 
   CountingLog singles;
   const MulticolorMStepSsor single_m(p.cs, alphas, &singles);
@@ -590,8 +599,8 @@ TEST(PcgBlock, KernelCensusIsTheSumOfItsColumns) {
 
   CountingLog blocked;
   const MulticolorMStepSsor block_m(p.cs, alphas, &blocked);
-  (void)pcg_solve_block(k, util::Span<Vec>(fs.data(), fs.size()), block_m,
-                        opt, &blocked);
+  (void)pcg_solve_block(store, util::Span<Vec>(fs.data(), fs.size()),
+                        block_m, opt, &blocked);
   EXPECT_EQ(blocked.vec_ops, singles.vec_ops);
   EXPECT_EQ(blocked.dots, singles.dots);
   EXPECT_EQ(blocked.maxes, singles.maxes);

@@ -38,7 +38,8 @@ TEST(Richardson, MStepSpectrumIsTransparent) {
   const double theta = 1.0 / ev.back();
   const RichardsonSplitting rich(a.rows(), theta);
   const auto alphas = core::unparametrized_alphas(3);
-  const core::MStepPreconditioner prec(a, rich, alphas);
+  const la::CsrOperator k(a);
+  const core::MStepPreconditioner prec(k, rich, alphas);
 
   // Dense M^{-1}K spectrum vs s(theta*lambda).
   const index_t n = a.rows();

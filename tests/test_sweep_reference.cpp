@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "census_reference.hpp"
 #include "color/coloring.hpp"
 #include "color/greedy.hpp"
 #include "core/multicolor_mstep.hpp"
@@ -264,8 +265,8 @@ TEST(SweepLayout, RunsAndLeftoversCoverEveryRowExactly) {
 }
 
 // The plan counts each class's distinct nonzero offsets from its run
-// terms and leftover rows; the count must be color's census over every
-// CSR entry.  Every catalog problem (its own classes, else greedy ones),
+// terms and leftover rows; the count must be the reference census over
+// every CSR entry (one std::set of offsets per class and half).  Every catalog problem (its own classes, else greedy ones),
 // the cases above, and a plate with explicit zeros: one offset zero in
 // every row of a class (not counted unless another row holds it nonzero),
 // and single zero or -0.0 entries inside runs (the offset still counts).
@@ -305,7 +306,7 @@ TEST(SweepLayout, CensusFromTheSegmentsIsTheCsrCensus) {
 
   const auto alphas = core::least_squares_alphas(1, core::ssor_interval());
   for (const Case& c : systems) {
-    const color::ClassDiagonalCensus want = color::compute_class_diagonal_census(
+    const color::ClassDiagonalCensus want = reference::census_by_sets(
         c.cs, color::compute_row_splits(c.cs));
     for (int strips = 1; strips <= 4; ++strips) {
       const core::MulticolorSweepPlan plan(c.cs, alphas, strips);
