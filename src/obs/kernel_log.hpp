@@ -22,25 +22,23 @@ class TracingKernelLog : public core::KernelLog {
 
   void vec_op(index_t n, int count) override {
     if (inner_) inner_->vec_op(n, count);
-    count_ops(Counter::kVecOps, count, static_cast<long long>(n) * count,
-              // streaming triad: two reads + one write per element
-              24LL * n * count);
+    count_ops(Counter::kVecOps, count, static_cast<long long>(n) * count);
   }
   void dot_op(index_t n) override {
     if (inner_) inner_->dot_op(n);
-    count_ops(Counter::kDots, 1, 2LL * n, 16LL * n);
+    count_ops(Counter::kDots, 1, 2LL * n);
   }
   void max_op(index_t n) override {
     if (inner_) inner_->max_op(n);
-    count_ops(Counter::kVecOps, 1, n, 8LL * n);
+    count_ops(Counter::kVecOps, 1, n);
   }
   void diag_op(index_t n) override {
     if (inner_) inner_->diag_op(n);
-    count_ops(Counter::kVecOps, 1, n, 24LL * n);
+    count_ops(Counter::kVecOps, 1, n);
   }
   void spmv_diagonals(index_t len, int ndiags) override {
     if (inner_) inner_->spmv_diagonals(len, ndiags);
-    count_ops(Counter::kSpmvs, 1, 2LL * len * ndiags, 24LL * len * ndiags);
+    count_ops(Counter::kSpmvs, 1, 2LL * len * ndiags);
   }
   void end_iteration() override {
     if (inner_) inner_->end_iteration();
@@ -51,13 +49,11 @@ class TracingKernelLog : public core::KernelLog {
   }
 
  private:
-  static void count_ops(Counter kind, long long ops, long long flops,
-                        long long bytes) {
+  static void count_ops(Counter kind, long long ops, long long flops) {
     Tracer& t = Tracer::instance();
     if (!t.enabled()) return;
     t.add(kind, ops);
     t.add(Counter::kFlops, flops);
-    t.add(Counter::kBytes, bytes);
   }
 
   core::KernelLog* inner_;

@@ -84,7 +84,6 @@ thread_local std::uint64_t tls_correlation = 0;
 const char* counter_name(Counter c) {
   switch (c) {
     case Counter::kFlops: return "flops";
-    case Counter::kBytes: return "bytes_moved";
     case Counter::kVecOps: return "vec_ops";
     case Counter::kDots: return "dots";
     case Counter::kSpmvs: return "spmvs";

@@ -2,7 +2,7 @@
 //
 // The solver narrates its phase structure through RAII `Span`s
 // (prepare → coloring → params; solve → iteration → sweep) and
-// bumps a small set of global counters (flops, bytes moved, cache
+// bumps a small set of global counters (flops, kernel calls, cache
 // hits).  Each thread records into its own bounded ring buffer — a
 // span costs two steady_clock reads and one uncontended mutex when
 // tracing is ON, and a single relaxed atomic load when OFF, so the
@@ -38,7 +38,6 @@ namespace mstep::obs {
 /// exported in the trace document's "counters" object.
 enum class Counter : int {
   kFlops = 0,      // floating-point operations (KernelLog census)
-  kBytes,          // bytes moved by the counted kernels
   kVecOps,         // elementwise vector kernels (axpy/scale/copy)
   kDots,           // inner products
   kSpmvs,          // sparse matrix-vector products

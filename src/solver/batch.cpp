@@ -93,33 +93,27 @@ void BatchReport::rethrow_first_error() const {
   }
 }
 
-BatchReport Prepared::solveMany(util::Span<const Vec> bs,
-                                const BatchConfig& batch) const {
+BatchReport Prepared::solveMany(util::Span<const Vec> bs) const {
   util::Timer timer;
-  if (batch.concurrency < 0) {
-    throw std::invalid_argument("solveMany: concurrency must be >= 0");
-  }
   BatchReport br;
   br.reports.resize(bs.size());
   br.errors.resize(bs.size());
   const auto nrhs = static_cast<index_t>(bs.size());
   if (nrhs == 0) return br;
 
-  // Lane count: the per-call override, else the config default — both
-  // honored as asked (deliberate oversubscription stays possible) — else
-  // one lane per pool thread capped at the hardware width: lanes beyond
-  // the physical cores only add timesharing and arena memory, never
-  // throughput.  Never more lanes than the pool can run at once or than
-  // there are right-hand sides.
+  // Lane count: the config's `batch` as asked (deliberate
+  // oversubscription stays possible), else one lane per pool thread capped
+  // at the hardware width: lanes beyond the physical cores only add
+  // timesharing and arena memory, never throughput.  Never more lanes than
+  // there are right-hand sides.  The pool runs them all at once: Solver
+  // sizes it max(threads, batch) wide, and without a pool `batch` is 0 or
+  // 1, so one lane.
   par::ThreadPool* pool = exec_ ? exec_->pool() : nullptr;
   const int pool_width = pool ? pool->threads() : 1;
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  const int auto_want = hw > 0 ? std::min(pool_width, hw) : pool_width;
-  const int want = batch.concurrency > 0
-                       ? batch.concurrency
-                       : (config_.batch > 0 ? config_.batch : auto_want);
-  const int lanes = std::max(
-      1, std::min({want, pool_width, static_cast<int>(nrhs)}));
+  int want = config_.batch;
+  if (want == 0) want = hw > 0 ? std::min(pool_width, hw) : pool_width;
+  const int lanes = std::min(want, static_cast<int>(nrhs));
   // A single lane runs on the calling thread and leaves the pool free for
   // the strip partition, exactly as solve() does.
   const bool partitioned = strips_ && lanes == 1;
@@ -229,7 +223,7 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs,
     }
   };
 
-  if (lanes == 1 || pool == nullptr) {
+  if (lanes == 1) {
     run_lane(0);
   } else {
     // One pool job for the whole batch; the atomic cursor inside run_lane

@@ -29,12 +29,13 @@ MatrixFormat parse_format(const std::string& text) {
 }
 
 /// `shards=N` is an alias of `threads=N` (one strip per thread): the wider
-/// of the two requests wins, whichever came first.  A negative count still
-/// throws; a negative `threads` is left for validate() to reject.
+/// of the two requests wins, whichever came first.  A count outside
+/// [0, kMaxThreads] still throws; a bad `threads` is left for validate().
 void merge_shards_alias(int shards, ExecutionConfig& execution) {
-  if (shards < 0) {
-    throw std::invalid_argument(
-        "SolverConfig: shards must be >= 0 (an alias of threads)");
+  if (shards < 0 || shards > kMaxThreads) {
+    throw std::invalid_argument("SolverConfig: shards must be in [0, " +
+                                std::to_string(kMaxThreads) +
+                                "] (an alias of threads)");
   }
   if (execution.threads >= 0) {
     execution.threads = std::max(execution.threads, shards);
@@ -47,6 +48,53 @@ core::StopRule parse_stop(const std::string& text) {
   throw std::invalid_argument(
       "SolverConfig: stop must be 'delta_inf' or 'residual2', got '" + text +
       "'");
+}
+
+/// The one per-key parser behind from_string() and from_cli(): `key`
+/// names a config field (a string-form key or a CLI flag without "--"),
+/// `value` is its text.  A `shards` value lands in `shards`, for the
+/// caller to merge once every field is read.
+void set_field(SolverConfig& cfg, const std::string& key,
+               const std::string& value, int& shards) {
+  if (key == "splitting") {
+    cfg.splitting.clear();
+    cfg.splitting_options.clear();
+    util::parse_spec(value, "SolverConfig: splitting", &cfg.splitting,
+                     &cfg.splitting_options);
+  } else if (key == "m") {
+    cfg.steps = util::parse_int(value, "SolverConfig: m");
+  } else if (key == "params") {
+    cfg.params = value;
+  } else if (key == "ordering") {
+    cfg.ordering = parse_ordering(value);
+  } else if (key == "format") {
+    cfg.format = parse_format(value);
+  } else if (key == "stop") {
+    cfg.stop_rule = parse_stop(value);
+  } else if (key == "tol") {
+    cfg.tolerance = util::parse_double(value, "SolverConfig: tol");
+  } else if (key == "maxit") {
+    cfg.max_iterations = util::parse_int(value, "SolverConfig: maxit");
+  } else if (key == "threads") {
+    cfg.execution.threads = util::parse_int(value, "SolverConfig: threads");
+  } else if (key == "shards") {
+    shards = util::parse_int(value, "SolverConfig: shards");
+  } else if (key == "batch") {
+    cfg.batch = util::parse_int(value, "SolverConfig: batch");
+  } else if (key == "history") {
+    cfg.record_history = util::parse_int(value, "SolverConfig: history") != 0;
+  } else if (key == "interval") {
+    const auto comma = value.find(',');
+    if (comma == std::string::npos) {
+      throw std::invalid_argument(
+          "SolverConfig: interval must be 'lo,hi', got '" + value + "'");
+    }
+    cfg.interval = core::SpectrumInterval{
+        util::parse_double(value.substr(0, comma), "SolverConfig: interval"),
+        util::parse_double(value.substr(comma + 1), "SolverConfig: interval")};
+  } else {
+    throw std::invalid_argument("SolverConfig: unknown field '" + key + "'");
+  }
 }
 
 }  // namespace
@@ -96,13 +144,15 @@ void SolverConfig::validate() const {
     throw std::invalid_argument(
         "SolverConfig: interval needs lambda_min < lambda_max");
   }
-  if (execution.threads < 0) {
-    throw std::invalid_argument(
-        "SolverConfig: threads must be >= 0 (0 = serial)");
+  if (execution.threads < 0 || execution.threads > kMaxThreads) {
+    throw std::invalid_argument("SolverConfig: threads must be in [0, " +
+                                std::to_string(kMaxThreads) +
+                                "] (0 = serial)");
   }
-  if (batch < 0) {
-    throw std::invalid_argument(
-        "SolverConfig: batch must be >= 0 (0 = auto, 1 = sequential)");
+  if (batch < 0 || batch > kMaxThreads) {
+    throw std::invalid_argument("SolverConfig: batch must be in [0, " +
+                                std::to_string(kMaxThreads) +
+                                "] (0 = auto, 1 = sequential)");
   }
 }
 
@@ -138,48 +188,7 @@ SolverConfig SolverConfig::from_string(const std::string& text) {
       throw std::invalid_argument(
           "SolverConfig: expected key=value, got '" + field + "'");
     }
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
-    if (key == "splitting") {
-      cfg.splitting.clear();
-      cfg.splitting_options.clear();
-      util::parse_spec(value, "SolverConfig: splitting", &cfg.splitting,
-                       &cfg.splitting_options);
-    } else if (key == "m") {
-      cfg.steps = util::parse_int(value, "SolverConfig: m");
-    } else if (key == "params") {
-      cfg.params = value;
-    } else if (key == "ordering") {
-      cfg.ordering = parse_ordering(value);
-    } else if (key == "format") {
-      cfg.format = parse_format(value);
-    } else if (key == "stop") {
-      cfg.stop_rule = parse_stop(value);
-    } else if (key == "tol") {
-      cfg.tolerance = util::parse_double(value, "SolverConfig: tol");
-    } else if (key == "maxit") {
-      cfg.max_iterations = util::parse_int(value, "SolverConfig: maxit");
-    } else if (key == "threads") {
-      cfg.execution.threads = util::parse_int(value, "SolverConfig: threads");
-    } else if (key == "shards") {
-      shards = util::parse_int(value, "SolverConfig: shards");
-    } else if (key == "batch") {
-      cfg.batch = util::parse_int(value, "SolverConfig: batch");
-    } else if (key == "history") {
-      cfg.record_history = util::parse_int(value, "SolverConfig: history") != 0;
-    } else if (key == "interval") {
-      const auto comma = value.find(',');
-      if (comma == std::string::npos) {
-        throw std::invalid_argument(
-            "SolverConfig: interval must be 'lo,hi', got '" + value + "'");
-      }
-      cfg.interval = core::SpectrumInterval{
-          util::parse_double(value.substr(0, comma), "SolverConfig: interval"),
-          util::parse_double(value.substr(comma + 1), "SolverConfig: interval")};
-    } else {
-      throw std::invalid_argument("SolverConfig: unknown field '" + key +
-                                  "'");
-    }
+    set_field(cfg, field.substr(0, eq), field.substr(eq + 1), shards);
   }
   merge_shards_alias(shards, cfg.execution);
   cfg.validate();
@@ -189,30 +198,11 @@ SolverConfig SolverConfig::from_string(const std::string& text) {
 SolverConfig SolverConfig::from_cli(const util::Cli& cli,
                                     const SolverConfig& defaults) {
   SolverConfig cfg = defaults;
-  if (cli.has("splitting")) {
-    cfg.splitting.clear();
-    cfg.splitting_options.clear();
-    util::parse_spec(cli.get("splitting", ""), "SolverConfig: splitting",
-                     &cfg.splitting, &cfg.splitting_options);
+  int shards = 0;
+  for (const std::string& key : cli_flags()) {
+    if (cli.has(key)) set_field(cfg, key, cli.get(key, ""), shards);
   }
-  if (cli.has("m")) cfg.steps = cli.get_int("m", cfg.steps);
-  if (cli.has("params")) cfg.params = cli.get("params", cfg.params);
-  if (cli.has("ordering")) {
-    cfg.ordering = parse_ordering(cli.get("ordering", ""));
-  }
-  if (cli.has("format")) cfg.format = parse_format(cli.get("format", ""));
-  if (cli.has("stop")) cfg.stop_rule = parse_stop(cli.get("stop", ""));
-  if (cli.has("tol")) cfg.tolerance = cli.get_double("tol", cfg.tolerance);
-  if (cli.has("maxit")) {
-    cfg.max_iterations = cli.get_int("maxit", cfg.max_iterations);
-  }
-  if (cli.has("threads")) {
-    cfg.execution.threads = cli.get_int("threads", cfg.execution.threads);
-  }
-  if (cli.has("shards")) {
-    merge_shards_alias(cli.get_int("shards", 0), cfg.execution);
-  }
-  if (cli.has("batch")) cfg.batch = cli.get_int("batch", cfg.batch);
+  merge_shards_alias(shards, cfg.execution);
   cfg.validate();
   return cfg;
 }

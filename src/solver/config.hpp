@@ -33,7 +33,7 @@ enum class Ordering {
 ///
 /// Every solve runs its outer CG products on one storage, la::DiaMatrix
 /// (constant-offset row runs over the CSR rows, bitwise CSR), and the
-/// Algorithm-2 sweep reads the same runs; SolveReport::format_selected and
+/// Algorithm-2 sweep reads the same runs; Prepared::resolved_format() and
 /// the driver's JSON `format_selected` field always say kDia.  The other
 /// names still parse so old config lines and command lines keep working,
 /// and la-level benches use them to pick a layout by hand.
@@ -79,24 +79,15 @@ struct ExecutionConfig {
   }
 };
 
-/// Per-call options for Prepared::solveMany / Solver::solveMany.
-struct BatchConfig {
-  /// Maximum worker lanes, each solving up to la::simd::kSellSlice (4)
-  /// right-hand sides at once as one block on the Algorithm-2 path (one
-  /// at a time elsewhere).  0 defers to the solver config's `batch`
-  /// default, which itself defers to the width of the solver's thread
-  /// pool capped at the hardware width; 1 runs one lane on the calling
-  /// thread.  The pool is sized at Solver
-  /// construction from max(threads, batch), so a per-call request can
-  /// never EXCEED that width — asking for 8 lanes from a solver built
-  /// with threads=0;batch=0 (no pool) runs sequentially; put the intended
-  /// width in the config's `batch` (or `threads`) to provision it.
-  int concurrency = 0;
-};
+/// Upper bound on `threads`, `shards` and `batch`: the solver's pool is
+/// max(threads, batch) wide, so a config — a daemon request's included —
+/// never asks for more pool threads than this.  validate() enforces it.
+inline constexpr int kMaxThreads = 256;
 
 /// The whole design space of one solve, declaratively.  Every field
-/// round-trips through to_string()/from_string() and the --flag set of
-/// from_cli(), so a config is reproducible from one log line.
+/// round-trips through to_string()/from_string(), and from_cli() parses
+/// each --flag with the same per-key parser as the string form, so a
+/// config is reproducible from one log line.
 struct SolverConfig {
   /// SplittingRegistry key (jacobi | ssor | richardson | user-registered).
   std::string splitting = "ssor";
@@ -117,18 +108,22 @@ struct SolverConfig {
   /// Serial by default; serializes as "threads=N" only when parallel, so
   /// serial config strings are unchanged from the unthreaded library.
   ExecutionConfig execution;
-  /// Default solveMany lanes (string form ";batch=N", CLI --batch=N; see
-  /// BatchConfig::concurrency).  0 = auto (one lane per pool thread);
-  /// N >= 2 also guarantees the solver's pool is at least N wide, so
-  /// `threads=0;batch=8` runs eight lanes concurrently while every solve
-  /// stays on the serial kernel path.
+  /// solveMany lanes (string form ";batch=N", CLI --batch=N), the one
+  /// lane knob: each lane solves up to la::simd::kSellSlice (4)
+  /// right-hand sides at once as one block on the Algorithm-2 path (one at
+  /// a time elsewhere).  0 = auto (one lane per pool thread, capped at
+  /// the hardware width); 1 runs one lane on the calling thread; N >= 2
+  /// also sizes the solver's pool at least N wide, so `threads=0;batch=8`
+  /// runs eight lanes concurrently while every solve stays on the serial
+  /// kernel path.
   int batch = 0;
   /// Spectrum interval for the parameter strategy; the splitting's default
   /// (e.g. [0, 1] for SSOR) when unset.
   std::optional<core::SpectrumInterval> interval;
 
   /// Throws std::invalid_argument if any field is out of range or names an
-  /// unregistered splitting/strategy (SSOR omega must lie in (0, 2)).
+  /// unregistered splitting/strategy (SSOR omega must lie in (0, 2);
+  /// threads and batch in [0, kMaxThreads]).
   void validate() const;
 
   /// Serialize; from_string(to_string()) reproduces every field the
@@ -137,7 +132,8 @@ struct SolverConfig {
   static SolverConfig from_string(const std::string& text);
 
   /// Read the config flags out of a parsed command line; flags that are
-  /// absent keep `defaults`.
+  /// absent keep `defaults`.  Each flag's value is valid exactly when the
+  /// same `key=value` is valid in from_string(), with the same error.
   static SolverConfig from_cli(const util::Cli& cli,
                                const SolverConfig& defaults);
   static SolverConfig from_cli(const util::Cli& cli);

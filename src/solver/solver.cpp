@@ -221,17 +221,6 @@ SolveReport Solver::solve(const la::CsrMatrix& k, const Vec& f,
   return prepare(k, classes, log).solve(f, u0);
 }
 
-BatchReport Solver::solveMany(const la::CsrMatrix& k, util::Span<const Vec> bs,
-                              const BatchConfig& batch) const {
-  return prepare(k).solveMany(bs, batch);
-}
-
-BatchReport Solver::solveMany(const la::CsrMatrix& k, util::Span<const Vec> bs,
-                              const color::ColorClasses& classes,
-                              const BatchConfig& batch) const {
-  return prepare(k, classes).solveMany(bs, batch);
-}
-
 Vec Prepared::permute(const Vec& x) const {
   return cs_ ? cs_->permute(x) : x;
 }
@@ -261,7 +250,6 @@ SolveReport Prepared::make_report(core::PcgResult result,
   rep.coloring = stats_;
   rep.preconditioner_name = precond.name();
   rep.steps = config_.steps;
-  rep.format_selected = resolved_format();
   rep.shards = shards;
   return rep;
 }

@@ -51,9 +51,6 @@ struct SolveReport {
   ColoringStats coloring;
   std::string preconditioner_name;
   int steps = 0;
-  /// The storage the outer products ran on: always kDia, the run storage
-  /// (la::DiaMatrix) every request shares, whatever `format` asked for.
-  MatrixFormat format_selected = MatrixFormat::kDia;
   /// Strips of the partition this solve ran on (`threads` after the
   /// widest-colour-block clamp), or 0 for a serial run: threads in {0, 1},
   /// under par::kSerialCutoff rows, or a batch lane beside others.
@@ -171,16 +168,6 @@ class Solver {
                                   core::KernelLog* log = nullptr,
                                   const Vec& u0 = {}) const;
 
-  /// One-call batched form: prepare once, then solve every right-hand
-  /// side concurrently through Prepared::solveMany.
-  [[nodiscard]] BatchReport solveMany(const la::CsrMatrix& k,
-                                      util::Span<const Vec> bs,
-                                      const BatchConfig& batch = {}) const;
-  [[nodiscard]] BatchReport solveMany(const la::CsrMatrix& k,
-                                      util::Span<const Vec> bs,
-                                      const color::ColorClasses& classes,
-                                      const BatchConfig& batch = {}) const;
-
  private:
   explicit Solver(SolverConfig config);
 
@@ -197,7 +184,9 @@ class Prepared {
   [[nodiscard]] SolveReport solve(const Vec& f, const Vec& u0 = {}) const;
 
   /// Solve many independent right-hand sides concurrently, reusing this
-  /// pipeline's one coloring/splitting/alpha setup.  Work-stealing
+  /// pipeline's one coloring/splitting/alpha setup.  The config's `batch`
+  /// sets the lanes (0: one per pool thread, capped at the hardware
+  /// width), never more than there are right-hand sides.  Work-stealing
   /// round-robin over the RHSs on the solver's shared thread pool: each
   /// worker lane owns a scratch arena (its own serial preconditioner — on
   /// the Algorithm-2 path an engine over this pipeline's sweep plan, its
@@ -212,8 +201,7 @@ class Prepared {
   /// records its exception in the report's error channel; the remaining
   /// RHSs, its block's included, still complete.  Kernel logging is
   /// single-stream and therefore skipped in batched solves.
-  [[nodiscard]] BatchReport solveMany(util::Span<const Vec> bs,
-                                      const BatchConfig& batch = {}) const;
+  [[nodiscard]] BatchReport solveMany(util::Span<const Vec> bs) const;
 
   /// The matrix PCG iterates on (colour-permuted when multicolour).
   [[nodiscard]] const la::CsrMatrix& matrix() const { return *matrix_; }

@@ -11,6 +11,8 @@
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "color/coloring.hpp"
@@ -492,7 +494,7 @@ TEST(SolveMany, ExceptionInOneRhsLeavesOtherReportsIntact) {
   expect_bitwise_equal(serial.solve(bs[2]), br.reports[2], "surviving rhs 2");
 }
 
-TEST(SolveMany, EmptyBatchAndBadConcurrency) {
+TEST(SolveMany, EmptyBatchReportsNothing) {
   const Plate p = make_plate(12);
   SolverConfig cfg;
   const auto prepared = Solver::from_config(cfg).prepare(p.k, p.classes);
@@ -500,36 +502,33 @@ TEST(SolveMany, EmptyBatchAndBadConcurrency) {
   EXPECT_EQ(br.size(), 0u);
   EXPECT_TRUE(br.all_converged());
   EXPECT_EQ(br.num_failed(), 0u);
-
-  BatchConfig bad;
-  bad.concurrency = -1;
-  const std::vector<Vec> bs = {p.f};
-  EXPECT_THROW((void)prepared.solveMany(bs, bad), std::invalid_argument);
 }
 
-TEST(SolveMany, ExplicitConcurrencyIsHonored) {
+// The config's `batch` is the one lane knob: the lanes it asks for, never
+// more than there are right-hand sides; 0 is one lane per pool thread,
+// capped at the hardware width.
+TEST(SolveMany, ConfiguredBatchSetsTheLanes) {
   const Plate p = make_plate(36);
   const std::vector<Vec> bs = make_rhs_set(p, 8);
-  SolverConfig cfg;
-  cfg.tolerance = 1e-8;
-  cfg.batch = 6;
-  const auto prepared = Solver::from_config(cfg).prepare(p.k, p.classes);
-
-  // Config default caps the lanes...
-  EXPECT_EQ(prepared.solveMany(bs).concurrency, 6);
-  // ...the per-call override wins over it...
-  BatchConfig two;
-  two.concurrency = 2;
-  EXPECT_EQ(prepared.solveMany(bs, two).concurrency, 2);
-  // ...and lanes never exceed the pool width or the RHS count.
-  BatchConfig many;
-  many.concurrency = 100;
-  EXPECT_EQ(prepared.solveMany(bs, many).concurrency, 6);  // pool width
+  const auto lanes = [&](const std::string& text, std::size_t nrhs) {
+    const auto prepared =
+        Solver::from_string("tol=1e-08;" + text).prepare(p.k, p.classes);
+    return prepared
+        .solveMany(util::Span<const Vec>(bs.data(), nrhs))
+        .concurrency;
+  };
+  EXPECT_EQ(lanes("batch=6", 8), 6);
+  EXPECT_EQ(lanes("batch=2", 8), 2);
+  EXPECT_EQ(lanes("batch=6", 3), 3);  // the RHS count caps the lanes
+  EXPECT_EQ(lanes("batch=1;threads=4", 8), 1);
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  EXPECT_EQ(lanes("threads=4", 8), hw > 0 ? std::min(4, hw) : 4);
+  EXPECT_EQ(lanes("threads=0", 8), 1);  // serial: no pool, one lane
 }
 
 // ---- config plumbing --------------------------------------------------------
 
-TEST(BatchConfig, RoundTripsThroughStringAndCli) {
+TEST(BatchLanes, RoundTripsThroughStringAndCli) {
   SolverConfig cfg;
   cfg.batch = 8;
   EXPECT_NE(cfg.to_string().find(";batch=8"), std::string::npos);
@@ -546,7 +545,7 @@ TEST(BatchConfig, RoundTripsThroughStringAndCli) {
   EXPECT_THROW(SolverConfig::from_string("batch=-1"), std::invalid_argument);
 }
 
-TEST(BatchConfig, BatchOnlyConfigKeepsKernelPathSerial) {
+TEST(BatchLanes, BatchOnlyConfigKeepsKernelPathSerial) {
   // threads=0;batch=4: a pool exists for the lanes, but each individual
   // solve must run the serial kernel path — bitwise AND structurally (the
   // single-solve result equals the fully serial solver's).

@@ -145,6 +145,8 @@ TEST_F(ObsTest, TracingKernelLogFeedsInnerLogAndCounters) {
   EXPECT_EQ(t.counter(Counter::kSpmvs), 1);
   EXPECT_EQ(t.counter(Counter::kSweeps), 1);
   EXPECT_EQ(t.counter(Counter::kFlops), 3LL * 10 + 2 * 10 + 2 * 10 * 5);
+  // Every exported counter is an exact count; there is no byte model.
+  EXPECT_EQ(t.chrome_json().find("bytes"), std::string::npos);
 }
 
 TEST_F(ObsTest, TracingOffKeepsTheInnerLogStream) {
@@ -310,9 +312,9 @@ TEST_F(ObsTest, TracedBlockCensusEqualsOneRhsPerLane) {
     Tracer::instance().set_enabled(false);
     EXPECT_TRUE(br.all_converged()) << "batch=" << batch;
     std::vector<long long> counts;
-    for (const Counter c : {Counter::kFlops, Counter::kBytes,
-                            Counter::kVecOps, Counter::kDots,
-                            Counter::kSpmvs, Counter::kSweeps}) {
+    for (const Counter c : {Counter::kFlops, Counter::kVecOps,
+                            Counter::kDots, Counter::kSpmvs,
+                            Counter::kSweeps}) {
       counts.push_back(Tracer::instance().counter(c));
     }
     return counts;

@@ -185,6 +185,15 @@ TEST(Served, ErrorRetcodeSurface) {
             Retcode::kBadConfig);
   EXPECT_EQ(client.solve_catalog("no_such_problem:n=8", "").retcode,
             Retcode::kBadProblem);
+  // A request may not size the cached solver's pool without bound: the
+  // config is refused before any pool is built.
+  for (const char* config : {"threads=100000", "shards=100000",
+                             "batch=100000"}) {
+    const SolveResponse huge = client.solve_catalog("poisson2d:n=8", config);
+    EXPECT_EQ(huge.retcode, Retcode::kBadConfig) << config;
+    EXPECT_NE(huge.message.find("must be in [0, "), std::string::npos)
+        << huge.message;
+  }
 
   SolveRequest bad_rhs;
   bad_rhs.source = MatrixSource::kCatalog;

@@ -807,8 +807,6 @@ TEST(SimdDispatch, SolvesAreBitwiseForEverySplittingAndFormat) {
         EXPECT_EQ(scalar_run.iterations(), vector_run.iterations()) << label;
         EXPECT_TRUE(bitwise_equal(scalar_run.solution, vector_run.solution))
             << label;
-        EXPECT_EQ(scalar_run.format_selected, vector_run.format_selected)
-            << label;
       }
     }
   }

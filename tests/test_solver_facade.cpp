@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "color/coloring.hpp"
 #include "core/multicolor_mstep.hpp"
@@ -100,6 +104,101 @@ TEST(Config, FromCliReadsTheAdvertisedFlags) {
   EXPECT_EQ(cfg.ordering, Ordering::kNatural);
   // Round-trip the CLI-built config too.
   EXPECT_EQ(cfg, SolverConfig::from_string(cfg.to_string()));
+}
+
+/// What one parse produced: the config (its canonical string plus the
+/// `format` alias, which to_string() omits) or the error message.
+template <typename Parse>
+std::string parse_outcome(Parse parse) {
+  try {
+    const SolverConfig cfg = parse();
+    return "ok " + cfg.to_string() + " format=" + to_string(cfg.format);
+  } catch (const std::invalid_argument& e) {
+    return std::string("error ") + e.what();
+  }
+}
+
+std::string cli_outcome(const std::string& key, const std::string& value) {
+  const std::string flag = "--" + key + "=" + value;
+  const char* argv[] = {"prog", flag.c_str()};
+  return parse_outcome([&] {
+    return SolverConfig::from_cli(util::Cli(2, argv, SolverConfig::cli_flags()));
+  });
+}
+
+std::string string_outcome(const std::string& key, const std::string& value) {
+  return parse_outcome(
+      [&] { return SolverConfig::from_string(key + "=" + value); });
+}
+
+// Both parse forms share one per-key parser: for every CLI flag, a value is
+// valid from the command line exactly when `key=value` is valid in the
+// string form, it gives the same config, and a bad one fails with the same
+// message.
+TEST(Config, CliFlagsParseExactlyLikeConfigKeys) {
+  const std::map<std::string, std::vector<std::string>> valid = {
+      {"splitting", {"ssor:omega=1.2", "jacobi"}},
+      {"m", {"2", "0"}},
+      {"params", {"minmax"}},
+      {"ordering", {"natural"}},
+      {"format", {"dia", "sell", "auto"}},
+      {"stop", {"residual2"}},
+      {"tol", {"1e-8", "5.9"}},
+      {"maxit", {"50"}},
+      {"threads", {"3"}},
+      {"shards", {"3"}},
+      {"batch", {"5"}},
+  };
+  const std::vector<std::string> malformed = {"2x",  "5.9", "2junk",
+                                              "inf", "nan", ""};
+  for (const std::string& key : SolverConfig::cli_flags()) {
+    ASSERT_EQ(valid.count(key), 1u) << "no sample value for --" << key;
+    for (const std::string& v : valid.at(key)) {
+      const std::string from_string = string_outcome(key, v);
+      EXPECT_EQ(from_string.rfind("ok ", 0), 0u) << key << "=" << v;
+      EXPECT_EQ(cli_outcome(key, v), from_string) << key << "=" << v;
+    }
+    std::vector<std::string> odd = malformed;
+    odd.insert(odd.end(), {"-1", "100000"});
+    for (const std::string& v : odd) {
+      EXPECT_EQ(cli_outcome(key, v), string_outcome(key, v))
+          << key << "='" << v << "'";
+    }
+  }
+  // The integer fields reject every malformed value, and tol every one
+  // that is not a finite number.
+  for (const std::string key : {"m", "maxit", "threads", "shards", "batch"}) {
+    for (const std::string& v : malformed) {
+      EXPECT_EQ(cli_outcome(key, v).rfind("error ", 0), 0u)
+          << key << "='" << v << "'";
+    }
+  }
+  for (const std::string v : {"2x", "2junk", "inf", "nan", ""}) {
+    EXPECT_EQ(cli_outcome("tol", v).rfind("error ", 0), 0u) << "tol=" << v;
+  }
+  EXPECT_EQ(cli_outcome("tol", "inf"),
+            "error SolverConfig: tol: bad value 'inf'");
+}
+
+// threads, shards and batch size the solver's pool, so outside input may
+// not ask for an unbounded one.  Checked by parsing only: no pool starts.
+TEST(Config, ThreadCountsAreBounded) {
+  static_assert(kMaxThreads >= 64, "threads=64 configs must stay valid");
+  const std::string at = std::to_string(kMaxThreads);
+  const std::string over = std::to_string(kMaxThreads + 1);
+  for (const std::string key : {"threads", "shards", "batch"}) {
+    EXPECT_NO_THROW((void)SolverConfig::from_string(key + "=" + at)) << key;
+    EXPECT_THROW((void)SolverConfig::from_string(key + "=" + over),
+                 std::invalid_argument)
+        << key;
+    EXPECT_THROW((void)SolverConfig::from_string(key + "=100000"),
+                 std::invalid_argument)
+        << key;
+  }
+  SolverConfig cfg;
+  cfg.execution.threads = kMaxThreads + 1;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW((void)Solver::from_config(cfg), std::invalid_argument);
 }
 
 // ---- registries -------------------------------------------------------------

@@ -304,8 +304,6 @@ TEST(StreamingReader, FormatAutoSolveMatchesExplicitChoiceBitwise) {
             via_csr.batch.reports[0].iterations());
   EXPECT_EQ(via_auto.batch.reports[0].solution,
             via_csr.batch.reports[0].solution);
-  EXPECT_EQ(via_auto.batch.reports[0].format_selected,
-            solver::MatrixFormat::kDia);
   EXPECT_EQ(via_csr.format_selected, "dia");
 }
 

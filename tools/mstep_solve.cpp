@@ -96,11 +96,13 @@ int print_help() {
       "                     products and the vector ops all run on,\n"
       "                     sharing one iterate; systems under 2048\n"
       "                     rows stay serial; bitwise the serial result for\n"
-      "                     any N; 0 = serial (default 0)\n"
+      "                     any N; 0 = serial (default 0); at most 256\n"
       "  --shards=<N>       alias of --threads; the wider of the two wins\n"
       "  --batch=<N>        concurrent right-hand-side lanes, each solving up to 4\n"
-      "                     at once; 0 = auto\n"
-      "                     (default 0)\n"
+      "                     at once; 0 = one per thread, capped at the\n"
+      "                     hardware width (default 0); at most 256\n"
+      "\n"
+      "Each solver flag parses exactly like its key=value in a config string.\n"
       "\n"
       "output:\n"
       "  --out=<path>       write the JSON report (schema: docs/file-formats.md,\n"
