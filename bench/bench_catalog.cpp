@@ -44,16 +44,12 @@ std::map<std::string, std::string> bench_specs(bool quick) {
 
 int main(int argc, char** argv) {
   try {
-    const util::Cli cli(argc, argv, {"quick", "m", "tol", "threads", "format",
-                                     "out", "error-cap"});
+    const util::Cli cli(argc, argv,
+                        {"quick", "m", "tol", "threads", "out", "error-cap"});
     const bool quick = cli.has("quick");
     const int m = cli.get_int("m", 2);
     const double tol = cli.get_double("tol", 1e-8);
     const int threads = cli.get_int("threads", 0);
-    // csr | dia | sell | auto — a parse alias: every solve runs on the one
-    // run storage, which the per-row "format_selected" records.
-    const solver::MatrixFormat format =
-        solver::matrix_format_from_string(cli.get("format", "csr"));
     const double error_cap = cli.get_double("error-cap", 1e-5);
     const std::string out_path = cli.get("out", "BENCH_catalog.json");
 
@@ -81,7 +77,6 @@ int main(int argc, char** argv) {
         config.steps = m;
         config.tolerance = tol;
         config.execution.threads = threads;
-        config.format = format;
 
         const auto r = problems::run(problem, config);
         const bool has_error = r.has_exact && std::isfinite(r.error_vs_exact);
@@ -99,8 +94,6 @@ int main(int argc, char** argv) {
             .set("converged", r.all_converged())
             .set("error_vs_exact",
                  has_error ? util::Json(r.error_vs_exact) : util::Json())
-            .set("dia_friendly", r.dia_friendly)
-            .set("format_selected", r.format_selected)
             .set("wall_seconds", r.batch.wall_seconds)
             .set("setup_seconds", r.setup_seconds);
         rows.push(std::move(row));

@@ -36,8 +36,7 @@ int main(int argc, char** argv) {
   std::cout << "\n" << problem.spec.to_string() << " — "
             << problem.description << "\nN = " << problem.matrix.rows()
             << ", nnz = " << problem.matrix.nnz()
-            << ", bandwidth = " << problem.matrix.bandwidth()
-            << (problem.dia_friendly ? " (DIA-friendly)" : "") << "\n";
+            << ", bandwidth = " << problem.matrix.bandwidth() << "\n";
 
   // 2. Export matrix + RHS as Matrix Market files (symmetric storage
   // halves the file when the property holds exactly).

@@ -42,7 +42,6 @@ int main(int argc, char** argv) {
 
   solver::SolverConfig config;
   config.tolerance = 1e-4;
-  config.format = solver::MatrixFormat::kDia;  // SpMV by diagonals (3.2)
 
   auto decompose = [&](const char* name, int steps) {
     cyber::CyberModel model(params);

@@ -15,7 +15,6 @@
 
 #include "io/byte_source.hpp"
 #include "io/token_stream.hpp"
-#include "la/dia_matrix.hpp"
 #include "util/spec.hpp"
 
 namespace mstep::io {
@@ -533,7 +532,6 @@ MmMatrix read_matrix_market(ByteSource& source) {
   out.matrix = out.header.format == MmFormat::kCoordinate
                    ? read_coordinate(ts, out.header, size)
                    : read_array(ts, out.header, size);
-  out.dia_friendly = la::DiaMatrix::profitable(out.matrix);
   return out;
 }
 

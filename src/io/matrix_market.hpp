@@ -80,16 +80,10 @@ struct MmHeader {
 
 /// A read matrix: CSR with symmetric/skew storage fully expanded (the
 /// matrix is the mathematical one, independent of how the file stored
-/// it), the banner it was declared with, and the bandedness probe for
-/// the DIA layout decision.
+/// it) and the banner it was declared with.
 struct MmMatrix {
   la::CsrMatrix matrix;
   MmHeader header;
-  /// True when la::DiaMatrix::profitable says the matrix has few enough
-  /// distinct diagonals for full-length diagonal storage to pay (e.g.
-  /// banded stencils) — a structure fact; every solve runs on the same
-  /// run storage whatever it says.
-  bool dia_friendly = false;
 };
 
 /// Read from any ByteSource (the streaming core: file, buffer, gzip —

@@ -77,10 +77,10 @@ class DiaMatrix {
   [[nodiscard]] static DiaMatrix without_runs(const CsrMatrix& a);
   static DiaMatrix without_runs(CsrMatrix&& a) = delete;
 
-  /// Bandedness fact (the catalog's `dia_friendly`): true when storing `a`
-  /// by full-length diagonals would cost at most `max_fill` times its
-  /// nonzero count — few distinct diagonals, as in a multicolour-permuted
-  /// stencil.  It does not choose a storage: every solve runs on this one.
+  /// True when storing `a` by full-length diagonals would cost at most
+  /// `max_fill` times its nonzero count.  No solve consults it; kept only
+  /// because perfbench/ compiles against it, and deleted with
+  /// solver::MatrixFormat.
   [[nodiscard]] static bool profitable(const CsrMatrix& a,
                                        double max_fill = 4.0);
 

@@ -85,6 +85,8 @@ class DiaOperator final : public LinearOperator {
 
 /// SELL-C-sigma-backed view (the SIMD-sliced layout).  Bitwise identical
 /// to CsrOperator — the sliced kernel reproduces the CSR row-sum schedule.
+/// No solve builds it; outside the tests only perfbench/ does, and it is
+/// deleted with solver::MatrixFormat.
 class SellOperator final : public LinearOperator {
  public:
   explicit SellOperator(const SellMatrix& a) : a_(&a) {}

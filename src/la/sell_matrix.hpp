@@ -15,8 +15,8 @@
 // through the same fixed 8-lane schedule as the CSR row kernel, so SELL
 // SpMV is BITWISE identical to CSR SpMV — the format changes memory
 // layout and speed, never bits.  The occupancy probe `profitable` says
-// whether sigma-sorted padding is small (row lengths locally uniform);
-// the benches report it, the solver no longer consults it.
+// whether sigma-sorted padding is small (row lengths locally uniform); no
+// solve consults it.
 #pragma once
 
 #include <cstddef>
@@ -99,6 +99,8 @@ class SellMatrix {
 
   /// Occupancy probe (no conversion): true when the sigma-sorted padded
   /// entry count is at most max_fill * nnz.  False for empty matrices.
+  /// Outside the tests only perfbench/ reads it; deleted with
+  /// solver::MatrixFormat.
   [[nodiscard]] static bool profitable(
       const CsrMatrix& a, double max_fill = kDefaultMaxFill,
       index_t sigma = SellSegments::kDefaultSigma);

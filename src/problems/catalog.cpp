@@ -14,7 +14,6 @@
 #include "fem/plane_stress.hpp"
 #include "fem/plate_mesh.hpp"
 #include "fem/poisson.hpp"
-#include "la/dia_matrix.hpp"
 #include "util/rng.hpp"
 
 namespace mstep::problems {
@@ -52,15 +51,13 @@ int int_option(const ProblemOptions& options, const std::string& problem,
   return static_cast<int>(v);
 }
 
-/// Finish a generated problem: manufacture b = K u*, record the resolved
-/// spec, and run the bandedness probe.
+/// Finish a generated problem: manufacture b = K u*.
 void finish(Problem* p, Vec exact) {
   if (!exact.empty()) {
     p->exact_solution = std::move(exact);
     p->rhs.resize(p->exact_solution.size());
     p->matrix.multiply(p->exact_solution, p->rhs);
   }
-  p->dia_friendly = la::DiaMatrix::profitable(p->matrix);
 }
 
 /// Red/black (two-colour) classes for a stencil whose neighbours all flip
@@ -406,7 +403,6 @@ Problem make_plate(const std::string& name, const ProblemOptions& options,
   p.matrix = sys.stiffness;
   p.rhs = sys.load;  // the physical load; no manufactured solution
   p.classes = color::six_color_classes(mesh);
-  p.dia_friendly = la::DiaMatrix::profitable(p.matrix);
   return p;
 }
 

@@ -56,7 +56,6 @@ Problem resolve_problem(const DriverInput& input) {
                   io::to_string(mm.header.field) + " " +
                   io::to_string(mm.header.symmetry) + " file";
   p.matrix = mm.matrix;
-  p.dia_friendly = mm.dia_friendly;
   if (!input.rhs_path.empty()) {
     p.rhs = io::read_vector(input.rhs_path);
     if (p.rhs.size() != static_cast<std::size_t>(p.matrix.rows())) {
@@ -92,7 +91,6 @@ DriverResult run_resolved(const Problem& problem,
   r.nnz = problem.matrix.nnz();
   r.bandwidth = problem.matrix.bandwidth();
   r.nonzero_diagonals = problem.matrix.num_nonzero_diagonals();
-  r.dia_friendly = problem.dia_friendly;
   r.used_classes = problem.has_classes();
   r.config = config;
 
@@ -116,7 +114,6 @@ DriverResult run_resolved(const Problem& problem,
                             ? solver.prepare(problem.matrix, problem.classes)
                             : solver.prepare(problem.matrix);
   r.setup_seconds = setup_timer.seconds();
-  r.format_selected = solver::to_string(prepared.resolved_format());
 
   r.batch = prepared.solveMany(bs);
   // What actually ran, not what was asked: solveMany reports shards = 0
@@ -184,9 +181,7 @@ util::Json report_json(const DriverResult& r) {
       .set("nnz", r.nnz)
       .set("bandwidth", r.bandwidth)
       .set("nonzero_diagonals", r.nonzero_diagonals)
-      .set("dia_friendly", r.dia_friendly)
       .set("used_classes", r.used_classes)
-      .set("format_selected", r.format_selected)
       .set("shards", r.shards)
       .set("config", r.config.to_string())
       .set("nrhs", static_cast<long long>(r.batch.size()))

@@ -42,12 +42,7 @@ struct DriverResult {
   index_t nnz = 0;
   index_t bandwidth = 0;
   index_t nonzero_diagonals = 0;
-  bool dia_friendly = false;
   bool used_classes = false;  // closed-form classes vs greedy colouring
-  /// The operator layout the solve actually ran on ("csr" | "dia" |
-  /// "sell") — `--format=auto` resolved through the bandedness/occupancy
-  /// probes at prepare time; equal to the requested format otherwise.
-  std::string format_selected = "csr";
   /// Strips of the partition the solves ran on (`threads` after the
   /// widest-colour-block clamp), or 0 when they ran serially.
   int shards = 0;

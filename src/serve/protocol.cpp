@@ -195,7 +195,7 @@ FrameHeader decode_header(const char* bytes, std::uint64_t max_payload) {
   const std::string view(bytes, kHeaderBytes);
   WireReader r(view);
   if (r.u32() != kMagic) {
-    throw ProtocolError("bad frame magic (not an MSV1 peer?)");
+    throw ProtocolError("bad frame magic (not an MSV2 peer?)");
   }
   const std::uint32_t type = r.u32();
   const std::uint64_t len = r.u64();
@@ -267,7 +267,6 @@ std::string SolveResponse::encode() const {
   }
   w.u8(cache_hit ? 1 : 0);
   w.u64(fingerprint);
-  w.str(format_selected);
   w.f64(setup_seconds);
   w.f64(solve_seconds);
   w.u32(static_cast<std::uint32_t>(results.size()));
@@ -298,7 +297,6 @@ SolveResponse SolveResponse::decode(const std::string& payload) {
   }
   a.cache_hit = r.u8() != 0;
   a.fingerprint = r.u64();
-  a.format_selected = r.str();
   a.setup_seconds = r.f64();
   a.solve_seconds = r.f64();
   const std::uint32_t n = r.u32();

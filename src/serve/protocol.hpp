@@ -28,8 +28,9 @@ class ProtocolError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// "MS" + protocol version "V1", read as a little-endian u32.
-inline constexpr std::uint32_t kMagic = 0x3156534du;  // "MSV1"
+/// "MS" + protocol version "V2", read as a little-endian u32.  V2 dropped
+/// the reply's layout string; a V1 peer fails here, at the frame header.
+inline constexpr std::uint32_t kMagic = 0x3256534du;  // "MSV2"
 /// Frame header bytes on the wire: magic u32, type u32, payload_len u64.
 inline constexpr std::size_t kHeaderBytes = 16;
 /// Default per-frame payload ceiling (1 GiB); the server may lower it.
@@ -184,8 +185,7 @@ struct SolveResponse {
   std::string message;
   bool cache_hit = false;
   std::uint64_t fingerprint = 0;
-  std::string format_selected;  // "csr" | "dia" | "sell"
-  double setup_seconds = 0.0;   // preparation paid by THIS request (0 on hit)
+  double setup_seconds = 0.0;  // preparation paid by THIS request (0 on hit)
   double solve_seconds = 0.0;
   std::vector<RhsResult> results;
   /// Server-assigned id of this request; every span the request emitted

@@ -522,8 +522,6 @@ SolveResponse Server::handle_solve_inner(SolveRequest request) {
   response.solve_seconds = solve_timer.seconds();
   metrics_.record_solve_seconds(response.solve_seconds);
 
-  response.format_selected =
-      solver::to_string(lookup.entry->prepared.resolved_format());
   response.results.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     RhsResult r;

@@ -24,6 +24,9 @@ namespace mstep::shard {
 
 class ShardedOperator final : public la::LinearOperator {
  public:
+  // The solver runs the DiaMatrix constructor; outside the tests only
+  // perfbench/ runs the CSR and SELL ones, which go with
+  // solver::MatrixFormat.
   ShardedOperator(const la::CsrMatrix& a, const ShardPlan& plan,
                   par::ThreadPool& pool)
       : csr_(&a), plan_(&plan), pool_(&pool) {}

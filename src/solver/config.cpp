@@ -29,7 +29,8 @@ MatrixFormat parse_format(const std::string& text) {
 }
 
 /// `shards=N` is an alias of `threads=N` (one strip per thread): the wider
-/// of the two requests wins, whichever came first.  A count outside
+/// of the two requests wins, whichever came first.  Kept because
+/// perfbench/'s configs still spell it.  A count outside
 /// [0, kMaxThreads] still throws; a bad `threads` is left for validate().
 void merge_shards_alias(int shards, ExecutionConfig& execution) {
   if (shards < 0 || shards > kMaxThreads) {
@@ -101,19 +102,6 @@ void set_field(SolverConfig& cfg, const std::string& key,
 
 std::string to_string(Ordering o) {
   return o == Ordering::kNatural ? "natural" : "multicolor";
-}
-
-std::string to_string(MatrixFormat f) {
-  switch (f) {
-    case MatrixFormat::kCsr: return "csr";
-    case MatrixFormat::kDia: return "dia";
-    case MatrixFormat::kSell: return "sell";
-    default: return "auto";
-  }
-}
-
-MatrixFormat matrix_format_from_string(const std::string& text) {
-  return parse_format(text);
 }
 
 std::string to_string(core::StopRule s) {

@@ -29,26 +29,13 @@ enum class Ordering {
   kMulticolor,  // colour-permute first (Section 3)
 };
 
-/// Names of the operator storage formats, kept for the `format=` alias.
-///
-/// Every solve runs its outer CG products on one storage, la::DiaMatrix
-/// (constant-offset row runs over the CSR rows, bitwise CSR), and the
-/// Algorithm-2 sweep reads the same runs; Prepared::resolved_format() and
-/// the driver's JSON `format_selected` field always say kDia.  The other
-/// names still parse so old config lines and command lines keep working,
-/// and la-level benches use them to pick a layout by hand.
-enum class MatrixFormat {
-  kCsr,   // general sparsity
-  kDia,   // by diagonals cut to row runs — the solver's one storage (§3.1)
-  kSell,  // SELL-C-sigma sliced layout
-  kAuto,  // formerly a prepare-time probe; now the same storage as the rest
-};
-
-/// Parse "csr" | "dia" | "sell" | "auto"; throws std::invalid_argument
-/// otherwise.
-/// (The inverse of to_string(MatrixFormat), for drivers that take a
-/// --format flag without going through SolverConfig::from_cli.)
-[[nodiscard]] MatrixFormat matrix_format_from_string(const std::string& text);
+/// The values of the `format=` parse alias.  Every solve runs on one
+/// storage, la::DiaMatrix (constant-offset row runs over the CSR rows,
+/// bitwise CSR), so no value changes a solve.  Kept only because
+/// perfbench/ compiles against it (SolverConfig::format,
+/// Prepared::resolved_format()); the benchmark revision that lets src/
+/// shrink (ROADMAP) deletes it.
+enum class MatrixFormat { kCsr, kDia, kSell, kAuto };
 
 /// Execution policy: the one in-solve parallelism knob.  threads = 0 is
 /// the serial default.  threads = n >= 2 runs on a pool of n threads
@@ -96,10 +83,10 @@ struct SolverConfig {
   std::string params = "lsq";            // parameter strategy key
   Ordering ordering = Ordering::kMulticolor;
   /// A parse alias (string form "format=csr|dia|sell|auto", CLI
-  /// --format): the value is validated and kept here for tools that pick a
-  /// layout by hand, but the solver ignores it, to_string() omits it and
-  /// operator== does not compare it, so every spelling is the same solve
-  /// and shares one daemon cache key.  See MatrixFormat.
+  /// --format): the value is validated so old config lines keep working,
+  /// but the solver ignores it, to_string() omits it and operator== does
+  /// not compare it, so every spelling is the same solve and shares one
+  /// daemon cache key.  Read only by perfbench/; see MatrixFormat.
   MatrixFormat format = MatrixFormat::kCsr;
   core::StopRule stop_rule = core::StopRule::kDeltaInf;
   double tolerance = 1e-6;               // on the stop_rule quantity
@@ -149,7 +136,6 @@ struct SolverConfig {
 };
 
 [[nodiscard]] std::string to_string(Ordering o);
-[[nodiscard]] std::string to_string(MatrixFormat f);
 [[nodiscard]] std::string to_string(core::StopRule s);
 
 }  // namespace mstep::solver

@@ -216,8 +216,8 @@ class Prepared {
   [[nodiscard]] const ColoringStats& coloring() const { return stats_; }
   [[nodiscard]] const SolverConfig& config() const { return config_; }
 
-  /// The operator layout this pipeline runs on: always kDia, the run
-  /// storage (la::DiaMatrix) — `format` is a parse alias.
+  /// Always kDia: storage() is the one layout.  Read only by perfbench/,
+  /// which compiles against it; deleted with MatrixFormat.
   [[nodiscard]] MatrixFormat resolved_format() const {
     return MatrixFormat::kDia;
   }

@@ -4,21 +4,34 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
 namespace mstep::util {
 
 std::string format_double(double v) {
+  // The fewest significant digits that parse back exactly (%.17g always
+  // does).  strtod, not std::stod: stod throws out_of_range on ERANGE,
+  // which a subnormal value (e.g. a final_delta_inf of 1e-320) triggers.
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Trim to the shortest representation that parses back exactly.
-  // strtod, not std::stod: stod throws out_of_range on ERANGE, which a
-  // subnormal value (e.g. a final_delta_inf of 1e-320) triggers.
-  for (int prec = 1; prec < 17; ++prec) {
-    char shorter[40];
-    std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
-    if (std::strtod(shorter, nullptr) == v) return shorter;
+  for (int prec = 1; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  // Fewest digits is not yet shortest: %g writes an exponent once the
+  // decimal exponent x reaches the precision, so 80 first round-trips as
+  // "8e+01".  Spelling every integer digit (%.{x+1}g, plain notation)
+  // can be shorter; keep it when it is, and when it parses back exactly.
+  const char* e = std::strchr(buf, 'e');
+  const int x = e != nullptr ? std::atoi(e + 1) : -1;
+  if (x >= 0 && x < 17) {
+    char plain[40];
+    std::snprintf(plain, sizeof(plain), "%.*g", x + 1, v);
+    if (std::strlen(plain) < std::strlen(buf) &&
+        std::strtod(plain, nullptr) == v) {
+      return plain;
+    }
   }
   return buf;
 }

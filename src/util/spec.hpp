@@ -16,7 +16,8 @@ namespace mstep::util {
 /// Numeric options attached to a spec, e.g. {"omega", 1.2}.
 using SpecOptions = std::map<std::string, double>;
 
-/// Shortest decimal representation that parses back to exactly `v` —
+/// Shortest %g spelling that parses back to exactly `v` (80 is "80",
+/// 1e-6 is "1e-06", 1/3 is "0.3333333333333333") —
 /// the formatting used by config strings, spec strings, the Matrix
 /// Market writer, and the JSON reports, so every serialized number
 /// round-trips bit-exactly.

@@ -208,24 +208,6 @@ TEST(SolveMany, GenericSsorOmegaAndNaturalOrderingMatchSerial) {
   }
 }
 
-TEST(SolveMany, DiaFormatBatchesBitwise) {
-  const Plate p = make_plate(36);
-  const std::vector<Vec> bs = make_rhs_set(p, 3);
-  SolverConfig cfg;
-  cfg.format = MatrixFormat::kDia;
-  cfg.steps = 2;
-  cfg.tolerance = 1e-8;
-  const auto serial = Solver::from_config(cfg).prepare(p.k, p.classes);
-  cfg.batch = 3;
-  const BatchReport br =
-      Solver::from_config(cfg).prepare(p.k, p.classes).solveMany(bs);
-  ASSERT_TRUE(br.all_converged());
-  for (std::size_t i = 0; i < bs.size(); ++i) {
-    expect_bitwise_equal(serial.solve(bs[i]), br.reports[i],
-                         "dia rhs=" + std::to_string(i));
-  }
-}
-
 TEST(SolveMany, PlainCgBatchesBitwise) {
   const Plate p = make_plate(36);
   const std::vector<Vec> bs = make_rhs_set(p, 3);
@@ -252,36 +234,31 @@ TEST(SolveMany, PlainCgBatchesBitwise) {
 // A lane takes blocks of w = min(4, ceil(nrhs / lanes)) right-hand sides
 // and solves each with one pcg_solve_block.  Every width with one lane
 // (w = min(4, width)) and four lanes (mostly w = 1, w = 2 at width 5, w = 4
-// at 16), on every operator format: each column is bitwise its own solve.
-TEST(SolveManyBlocks, EveryWidthAndFormatMatchesSerialBitwise) {
+// at 16): each column is bitwise its own solve.
+TEST(SolveManyBlocks, EveryWidthMatchesSerialBitwise) {
   const Plate p = make_plate(20);
   const std::vector<Vec> all_bs = make_rhs_set(p, 16);
-  for (const auto format : {MatrixFormat::kCsr, MatrixFormat::kDia,
-                            MatrixFormat::kSell, MatrixFormat::kAuto}) {
-    SolverConfig cfg;
-    cfg.steps = 2;
-    cfg.tolerance = 1e-8;
-    cfg.format = format;
-    const auto serial = Solver::from_config(cfg).prepare(p.k, p.classes);
-    std::vector<SolveReport> expected;
-    for (const Vec& f : all_bs) expected.push_back(serial.solve(f));
+  SolverConfig cfg;
+  cfg.steps = 2;
+  cfg.tolerance = 1e-8;
+  const auto serial = Solver::from_config(cfg).prepare(p.k, p.classes);
+  std::vector<SolveReport> expected;
+  for (const Vec& f : all_bs) expected.push_back(serial.solve(f));
 
-    for (const int batch : {1, 4}) {
-      cfg.batch = batch;
-      const auto prepared = Solver::from_config(cfg).prepare(p.k, p.classes);
-      for (const int width : {1, 2, 3, 4, 5, 16}) {
-        const std::string what = to_string(format) +
-                                 " batch=" + std::to_string(batch) +
-                                 " width=" + std::to_string(width);
-        const std::vector<Vec> bs(all_bs.begin(), all_bs.begin() + width);
-        const BatchReport br = prepared.solveMany(bs);
-        ASSERT_EQ(br.num_failed(), 0u) << what;
-        ASSERT_EQ(br.concurrency, std::min(width, batch)) << what;
-        for (int i = 0; i < width; ++i) {
-          expect_bitwise_equal(expected[static_cast<std::size_t>(i)],
-                               br.reports[static_cast<std::size_t>(i)],
-                               what + " rhs=" + std::to_string(i));
-        }
+  for (const int batch : {1, 4}) {
+    cfg.batch = batch;
+    const auto prepared = Solver::from_config(cfg).prepare(p.k, p.classes);
+    for (const int width : {1, 2, 3, 4, 5, 16}) {
+      const std::string what = "batch=" + std::to_string(batch) +
+                               " width=" + std::to_string(width);
+      const std::vector<Vec> bs(all_bs.begin(), all_bs.begin() + width);
+      const BatchReport br = prepared.solveMany(bs);
+      ASSERT_EQ(br.num_failed(), 0u) << what;
+      ASSERT_EQ(br.concurrency, std::min(width, batch)) << what;
+      for (int i = 0; i < width; ++i) {
+        expect_bitwise_equal(expected[static_cast<std::size_t>(i)],
+                             br.reports[static_cast<std::size_t>(i)],
+                             what + " rhs=" + std::to_string(i));
       }
     }
   }

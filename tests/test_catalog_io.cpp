@@ -195,7 +195,7 @@ TEST(CatalogDriver, FileInputSolvesWithManufacturedOnesSolution) {
   EXPECT_TRUE(r.all_converged());
   ASSERT_TRUE(r.has_exact);  // b = K*1 makes all-ones the known solution
   EXPECT_LT(r.error_vs_exact, 1e-8);
-  EXPECT_TRUE(r.dia_friendly);
+  EXPECT_EQ(r.bandwidth, 2);
   EXPECT_FALSE(r.used_classes);  // greedy colouring path
 }
 
@@ -231,7 +231,7 @@ TEST(CatalogDriver, ReportJsonCarriesTheSchemaFields) {
   for (const char* field :
        {"\"tool\": \"mstep_solve\"", "\"source\": \"catalog\"",
         "\"problem\": \"stencil9:nx=6:ny=6\"", "\"n\": ", "\"nnz\": ",
-        "\"bandwidth\": ", "\"nonzero_diagonals\": ", "\"dia_friendly\": ",
+        "\"bandwidth\": ", "\"nonzero_diagonals\": ",
         "\"used_classes\": true", "\"config\": \"splitting=ssor",
         "\"nrhs\": 2", "\"concurrency\": ", "\"setup_seconds\": ",
         "\"wall_seconds\": ", "\"solves_per_second\": ",
@@ -240,6 +240,27 @@ TEST(CatalogDriver, ReportJsonCarriesTheSchemaFields) {
     EXPECT_NE(json.find(field), std::string::npos)
         << "missing " << field << " in\n" << json;
   }
+  // One storage: the report names no layout.
+  for (const char* gone : {"format_selected", "dia_friendly"}) {
+    EXPECT_EQ(json.find(gone), std::string::npos) << gone << " in\n" << json;
+  }
+}
+
+// The report's `problem` echoes the resolved spec in its shortest
+// round-trip spelling: a=80, not a=8e+01.
+TEST(CatalogDriver, ReportEchoesIntegerOptionsPlainly) {
+  DriverInput input;
+  input.problem = "femplate:a=80";
+  solver::SolverConfig cfg;
+  cfg.steps = 1;
+  const DriverResult r = run(input, cfg);
+  EXPECT_EQ(r.problem_name, "femplate:a=80");
+  EXPECT_NE(report_json(r).dump_string().find(
+                "\"problem\": \"femplate:a=80\""),
+            std::string::npos);
+  input.problem = "poisson2d:n=100";
+  EXPECT_EQ(resolve_problem(input).spec.to_string(),
+            "poisson2d:nx=100:ny=100");
 }
 
 }  // namespace

@@ -280,20 +280,6 @@ TEST(SolverThreads, GenericSsorOmegaPathMatchesSerialBitwise) {
   expect_bitwise_equal(serial, threaded, "ssor omega=1.3 threads=4");
 }
 
-TEST(SolverThreads, DiaFormatMatchesSerialBitwise) {
-  const Plate p = make_plate(36);
-  solver::SolverConfig cfg;
-  cfg.format = solver::MatrixFormat::kDia;
-  cfg.steps = 2;
-  cfg.tolerance = 1e-8;
-  const auto serial =
-      solver::Solver::from_config(cfg).solve(p.k, p.f, p.classes);
-  cfg.execution.threads = 4;
-  const auto threaded =
-      solver::Solver::from_config(cfg).solve(p.k, p.f, p.classes);
-  expect_bitwise_equal(serial, threaded, "dia threads=4");
-}
-
 TEST(SolverThreads, PlainCgMatchesSerialBitwise) {
   const Plate p = make_plate(36);
   solver::SolverConfig cfg;

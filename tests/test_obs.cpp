@@ -198,58 +198,48 @@ TEST_F(ObsTest, ConcurrentRecordingAgainstALiveExportIsClean) {
 // ---- the bitwise invariant --------------------------------------------------
 
 // Tracing reads clocks and fills ring buffers; it must never touch the
-// floating-point data flow.  For every registered splitting and every
-// concrete operator format, a fully traced solve (spans + kernel
-// census + counters) is bitwise identical to the untraced one.
-TEST_F(ObsTest, TracedSolveIsBitwiseIdenticalPerSplittingAndFormat) {
+// floating-point data flow.  For every registered splitting, a fully
+// traced solve (spans + kernel census + counters) is bitwise identical to
+// the untraced one.
+TEST_F(ObsTest, TracedSolveIsBitwiseIdenticalPerSplitting) {
   const problems::Problem p =
       problems::ProblemRegistry::instance().create("poisson2d:n=12");
-  using solver::MatrixFormat;
-  const std::pair<MatrixFormat, const char*> formats[] = {
-      {MatrixFormat::kCsr, "csr"},
-      {MatrixFormat::kDia, "dia"},
-      {MatrixFormat::kSell, "sell"},
-      {MatrixFormat::kAuto, "auto"},
-  };
   for (const auto& splitting :
        solver::SplittingRegistry::instance().names()) {
-    for (const auto& [format, format_name] : formats) {
-      solver::SolverConfig cfg;
-      cfg.splitting = splitting;
-      cfg.steps = 2;
-      cfg.tolerance = 1e-8;
-      cfg.format = format;
-      const std::string what = splitting + " / " + format_name;
+    solver::SolverConfig cfg;
+    cfg.splitting = splitting;
+    cfg.steps = 2;
+    cfg.tolerance = 1e-8;
+    const std::string& what = splitting;
 
-      Tracer::instance().reset();
-      Tracer::instance().set_enabled(false);
-      const auto plain =
-          solver::Solver::from_config(cfg).prepare(p.matrix).solveMany(
-              util::Span<const Vec>(&p.rhs, 1));
-      ASSERT_TRUE(plain.all_converged()) << what;
+    Tracer::instance().reset();
+    Tracer::instance().set_enabled(false);
+    const auto plain =
+        solver::Solver::from_config(cfg).prepare(p.matrix).solveMany(
+            util::Span<const Vec>(&p.rhs, 1));
+    ASSERT_TRUE(plain.all_converged()) << what;
 
-      Tracer::instance().set_enabled(true);
-      const auto traced =
-          solver::Solver::from_config(cfg).prepare(p.matrix).solveMany(
-              util::Span<const Vec>(&p.rhs, 1));
-      Tracer::instance().set_enabled(false);
-      ASSERT_TRUE(traced.all_converged()) << what;
+    Tracer::instance().set_enabled(true);
+    const auto traced =
+        solver::Solver::from_config(cfg).prepare(p.matrix).solveMany(
+            util::Span<const Vec>(&p.rhs, 1));
+    Tracer::instance().set_enabled(false);
+    ASSERT_TRUE(traced.all_converged()) << what;
 
-      const auto& a = plain.reports[0];
-      const auto& b = traced.reports[0];
-      ASSERT_EQ(a.iterations(), b.iterations()) << what;
-      ASSERT_EQ(a.result.final_delta_inf, b.result.final_delta_inf) << what;
-      ASSERT_EQ(a.solution.size(), b.solution.size()) << what;
-      for (std::size_t i = 0; i < a.solution.size(); ++i) {
-        ASSERT_EQ(a.solution[i], b.solution[i]) << what << " i=" << i;
-      }
-      // The traced run actually traced: spans and a kernel census exist.
-      const std::string json = Tracer::instance().chrome_json();
-      EXPECT_NE(json.find("\"prepare\""), std::string::npos) << what;
-      EXPECT_NE(json.find("\"solve\""), std::string::npos) << what;
-      EXPECT_NE(json.find("\"iteration\""), std::string::npos) << what;
-      EXPECT_GT(Tracer::instance().counter(Counter::kFlops), 0) << what;
+    const auto& a = plain.reports[0];
+    const auto& b = traced.reports[0];
+    ASSERT_EQ(a.iterations(), b.iterations()) << what;
+    ASSERT_EQ(a.result.final_delta_inf, b.result.final_delta_inf) << what;
+    ASSERT_EQ(a.solution.size(), b.solution.size()) << what;
+    for (std::size_t i = 0; i < a.solution.size(); ++i) {
+      ASSERT_EQ(a.solution[i], b.solution[i]) << what << " i=" << i;
     }
+    // The traced run actually traced: spans and a kernel census exist.
+    const std::string json = Tracer::instance().chrome_json();
+    EXPECT_NE(json.find("\"prepare\""), std::string::npos) << what;
+    EXPECT_NE(json.find("\"solve\""), std::string::npos) << what;
+    EXPECT_NE(json.find("\"iteration\""), std::string::npos) << what;
+    EXPECT_GT(Tracer::instance().counter(Counter::kFlops), 0) << what;
   }
 }
 

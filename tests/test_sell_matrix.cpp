@@ -1,6 +1,6 @@
-// SELL-C-sigma, the third MatrixFormat: construction equivalence to CSR,
-// bitwise SpMV across the whole problem catalog, the --format=auto
-// occupancy-probe boundaries, and the config round-trip for format=sell.
+// SELL-C-sigma: construction equivalence to CSR, bitwise SpMV across the
+// whole problem catalog, the occupancy-probe boundaries, and the
+// `format=` config alias that every solve ignores.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -14,6 +14,7 @@
 #include "la/sell_matrix.hpp"
 #include "la/simd.hpp"
 #include "problems/problem.hpp"
+#include "serve/cache.hpp"
 #include "solver/solver.hpp"
 #include "util/rng.hpp"
 
@@ -200,7 +201,7 @@ TEST(SellMatrix, MultiplySubBitwiseMatchesCsr) {
   EXPECT_TRUE(bitwise_equal(yc, ys));
 }
 
-// ---- the --format=auto probe ------------------------------------------------
+// ---- the occupancy probe ----------------------------------------------------
 
 TEST(SellMatrix, ProbeAcceptsLocallyUniformRows) {
   const auto p = problems::ProblemRegistry::instance().create("femplate:a=8");
@@ -259,46 +260,44 @@ TEST(FormatAuto, SkewedMatrixRunsOnTheOneStorageBitwiseCsr) {
   EXPECT_TRUE(bitwise_equal(report.solution, csr.solution));
 }
 
-TEST(FormatAuto, PlateRunsOnTheOneStorageAndMatchesCsrBitwise) {
-  const auto p = problems::ProblemRegistry::instance().create("femplate:a=8");
-  solver::SolverConfig cfg;
-  cfg.tolerance = 1e-8;
-  const auto csr = solver::Solver::from_config(cfg).solve(p.matrix, p.rhs,
-                                                          p.classes);
-  cfg.format = solver::MatrixFormat::kAuto;
-  const auto auto_run = solver::Solver::from_config(cfg).solve(p.matrix,
-                                                               p.rhs,
-                                                               p.classes);
-  ASSERT_TRUE(csr.converged());
-  ASSERT_TRUE(auto_run.converged());
-  // Every spelling of `format` runs on the run storage, which changes
-  // layout only, never bits.
-  EXPECT_EQ(auto_run.iterations(), csr.iterations());
-  EXPECT_TRUE(bitwise_equal(auto_run.solution, csr.solution));
-}
-
 // ---- config round-trip ------------------------------------------------------
 
-// `format=sell` still parses and is kept for tools that pick a layout by
-// hand, but the canonical string omits it and equality ignores it, so it
-// shares the config's daemon cache key.
+// `format=` still parses, so old config lines keep working, but it is
+// only a spelling: every value — and no value — gives the same canonical
+// string, hence the same daemon cache key, and bitwise the same solve.
 TEST(FormatConfig, SellParsesAsAnAliasTheCanonicalStringDrops) {
-  solver::SolverConfig cfg;
-  cfg.format = solver::MatrixFormat::kSell;
-  EXPECT_EQ(cfg.to_string().find("format"), std::string::npos);
-  EXPECT_EQ(cfg.to_string(), solver::SolverConfig{}.to_string());
-  const auto back = solver::SolverConfig::from_string(cfg.to_string());
-  EXPECT_EQ(back, cfg);
+  const auto p = problems::ProblemRegistry::instance().create("femplate:a=8");
+  const auto data = serve::make_problem_data(p.matrix, p.classes, p.rhs,
+                                             p.description);
+  serve::PreparedCache cache(64ull << 20);
+  const std::string base = "splitting=ssor;m=2;tol=1e-08";
+  const solver::SolverConfig absent = solver::SolverConfig::from_string(base);
+  const solver::SolveReport expected =
+      solver::Solver::from_config(absent).solve(p.matrix, p.rhs, p.classes);
+  ASSERT_TRUE(expected.converged());
+
+  for (const char* spelling : {"", "csr", "dia", "sell", "auto"}) {
+    const std::string text =
+        *spelling == '\0' ? base : base + ";format=" + spelling;
+    const auto cfg = solver::SolverConfig::from_string(text);
+    EXPECT_EQ(cfg.to_string(), absent.to_string()) << text;
+    EXPECT_EQ(cfg.to_string().find("format"), std::string::npos) << text;
+    EXPECT_EQ(cfg, absent) << text;
+    const auto lookup = cache.get_or_prepare(
+        data->fingerprint, cfg, cfg.to_string(), [&data] { return data; });
+    EXPECT_EQ(lookup.hit, *spelling != '\0') << text;
+    const auto report = lookup.entry->prepared.solve(p.rhs);
+    EXPECT_EQ(report.iterations(), expected.iterations()) << text;
+    EXPECT_TRUE(bitwise_equal(report.solution, expected.solution)) << text;
+  }
+  EXPECT_EQ(cache.stats().entries, 1u);
   EXPECT_EQ(solver::SolverConfig::from_string("format=sell").format,
             solver::MatrixFormat::kSell);
-  EXPECT_EQ(solver::matrix_format_from_string("sell"),
-            solver::MatrixFormat::kSell);
-  EXPECT_EQ(solver::to_string(solver::MatrixFormat::kSell), "sell");
 }
 
 TEST(FormatConfig, ErrorListsEveryValidFormatName) {
   try {
-    (void)solver::matrix_format_from_string("ellpack");
+    (void)solver::SolverConfig::from_string("format=ellpack");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();

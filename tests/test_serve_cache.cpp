@@ -86,9 +86,15 @@ TEST(Wire, HeaderRoundTripAndRejection) {
   EXPECT_EQ(fh.type, MsgType::kSolve);
   EXPECT_EQ(fh.payload_len, 1234u);
 
+  EXPECT_EQ(h.substr(0, 4), "MSV2");
   std::string bad_magic = h;
   bad_magic[0] = 'X';
   EXPECT_THROW((void)decode_header(bad_magic.data(), kDefaultMaxPayload),
+               ProtocolError);
+  // The previous protocol version's header is refused the same way.
+  std::string v1 = h;
+  v1[3] = '1';
+  EXPECT_THROW((void)decode_header(v1.data(), kDefaultMaxPayload),
                ProtocolError);
   // Payload length above the receiver's ceiling is rejected at the header.
   EXPECT_THROW((void)decode_header(h.data(), 100), ProtocolError);
@@ -119,7 +125,6 @@ TEST(Wire, SolveResponseRoundTrip) {
   p.retcode = Retcode::kOk;
   p.cache_hit = true;
   p.fingerprint = 42;
-  p.format_selected = "dia";
   p.setup_seconds = 0.0;
   p.solve_seconds = 1.5;
   RhsResult good;
@@ -135,7 +140,6 @@ TEST(Wire, SolveResponseRoundTrip) {
   EXPECT_EQ(back.retcode, Retcode::kOk);
   EXPECT_TRUE(back.cache_hit);
   EXPECT_EQ(back.fingerprint, 42u);
-  EXPECT_EQ(back.format_selected, "dia");
   EXPECT_EQ(back.results, p.results);
   EXPECT_FALSE(back.all_converged());  // the failed RHS counts
 

@@ -2,7 +2,8 @@
 // and TCP), driven through serve::Client — cold-miss/warm-hit caching,
 // bitwise identity with a direct library solve, the inline-CSR and
 // fingerprint request flows, the error retcode surface, the metrics
-// document, bounded memory under oversized frame headers, deterministic
+// document, refusal of MSV1 peers at the frame header, bounded memory
+// under oversized frame headers, deterministic
 // busy shedding, and graceful shutdown by both
 // the protocol request and SIGTERM (drain, final metrics snapshot,
 // clean exit).  Process-local serve contracts live in
@@ -78,7 +79,6 @@ TEST(Served, ColdMissThenWarmHitOverUnixSocket) {
   ASSERT_EQ(cold.retcode, Retcode::kOk) << cold.message;
   EXPECT_FALSE(cold.cache_hit);
   EXPECT_NE(cold.fingerprint, 0u);
-  EXPECT_TRUE(cold.format_selected == "csr" || cold.format_selected == "dia");
   EXPECT_TRUE(cold.all_converged());
 
   const SolveResponse warm =
@@ -183,6 +183,9 @@ TEST(Served, ErrorRetcodeSurface) {
   EXPECT_EQ(client.solve_catalog("poisson2d:n=8", "splitting=nonsense")
                 .retcode,
             Retcode::kBadConfig);
+  // `format=` is ignored by every solve, but a bad value is still refused.
+  EXPECT_EQ(client.solve_catalog("poisson2d:n=8", "format=ellpack").retcode,
+            Retcode::kBadConfig);
   EXPECT_EQ(client.solve_catalog("no_such_problem:n=8", "").retcode,
             Retcode::kBadProblem);
   // A request may not size the cached solver's pool without bound: the
@@ -231,6 +234,33 @@ TEST(Served, MetricsDocumentCountsTraffic) {
   std::ostringstream direct;
   daemon.server.metrics_json().dump(direct);
   EXPECT_EQ(metrics_field(direct.str(), "solve"), 2);
+}
+
+// A peer still speaking MSV1 (whose solve reply carried a layout string
+// that MSV2 dropped) is refused at the frame header: one kErrorReply with
+// retcode `protocol`, then the connection closes.
+TEST(Served, Msv1HeaderGetsBadMagicAndTheConnectionCloses) {
+  const std::string sock = sock_path("msv1");
+  ServedServer daemon(unix_options(sock));
+  Socket raw = connect_unix(sock);
+  const std::string v1_header = std::string("MSV1") +
+                                std::string("\x01\0\0\0", 4) +  // kSolve
+                                std::string(8, '\0');            // empty
+  ASSERT_EQ(v1_header.size(), kHeaderBytes);
+  raw.write_all(v1_header);
+
+  char header[kHeaderBytes];
+  ASSERT_TRUE(raw.read_exact(header, kHeaderBytes));
+  const FrameHeader fh = decode_header(header, kDefaultMaxPayload);
+  EXPECT_EQ(fh.type, MsgType::kErrorReply);
+  std::string payload(static_cast<std::size_t>(fh.payload_len), '\0');
+  ASSERT_TRUE(raw.read_exact(payload.data(), payload.size()));
+  const StatusResponse reply = StatusResponse::decode(payload);
+  EXPECT_EQ(reply.retcode, Retcode::kProtocol);
+  EXPECT_NE(reply.body.find("bad frame magic"), std::string::npos)
+      << reply.body;
+  EXPECT_FALSE(raw.read_exact(header, kHeaderBytes))
+      << "the server must close the connection after the error reply";
 }
 
 // A header may claim up to the payload limit (1 GiB by default); the

@@ -37,48 +37,43 @@ void expect_bitwise_equal(const SolveReport& serial, const SolveReport& sharded,
 
 // ---- the ISSUE-level guarantee ----------------------------------------------
 
-// Every registered splitting x {csr, dia, sell} x shards {1, 2, 4, 7} x
-// threads {1, 4} produces the serial bits.  The grid is deliberately
-// coprime with 7 (48^2 = 2304 rows, above par::kSerialCutoff, in two
-// colour blocks of 1152), so strips of unequal length and per-class
-// remainders are always exercised; reports must agree on the pipeline
-// choices (iterations, format) too.
-TEST(ShardedSolve, EverySplittingFormatShardsThreadsMatchesSerialBitwise) {
+// Every registered splitting x shards {1, 2, 4, 7} x threads {1, 4}
+// produces the serial bits.  The grid is deliberately coprime with 7
+// (48^2 = 2304 rows, above par::kSerialCutoff, in two colour blocks of
+// 1152), so strips of unequal length and per-class remainders are always
+// exercised; reports must agree on the iteration count too.
+TEST(ShardedSolve, EverySplittingShardsThreadsMatchesSerialBitwise) {
   const problems::Problem p =
       problems::ProblemRegistry::instance().create("poisson2d:n=48");
   ASSERT_TRUE(p.has_classes());
   ASSERT_GE(p.matrix.rows(), par::kSerialCutoff);
 
   for (const auto& splitting : SplittingRegistry::instance().names()) {
-    for (const MatrixFormat format :
-         {MatrixFormat::kCsr, MatrixFormat::kDia, MatrixFormat::kSell}) {
-      SolverConfig base;
-      base.splitting = splitting;
-      base.steps = 2;
-      base.format = format;
-      base.tolerance = 1e-8;
+    SolverConfig base;
+    base.splitting = splitting;
+    base.steps = 2;
+    base.tolerance = 1e-8;
 
-      const auto serial_report =
-          Solver::from_config(base).prepare(p.matrix, p.classes).solve(p.rhs);
+    const auto serial_report =
+        Solver::from_config(base).prepare(p.matrix, p.classes).solve(p.rhs);
 
-      for (const int shards : {1, 2, 4, 7}) {
-        for (const int threads : {1, 4}) {
-          const SolverConfig cfg = SolverConfig::from_string(
-              base.to_string() + ";shards=" + std::to_string(shards) +
-              ";threads=" + std::to_string(threads));
-          ASSERT_EQ(cfg.execution.threads, std::max(shards, threads));
-          const std::string what = splitting + "/" + to_string(format) +
-                                   "/shards=" + std::to_string(shards) +
-                                   "/threads=" + std::to_string(threads);
+    for (const int shards : {1, 2, 4, 7}) {
+      for (const int threads : {1, 4}) {
+        const SolverConfig cfg = SolverConfig::from_string(
+            base.to_string() + ";shards=" + std::to_string(shards) +
+            ";threads=" + std::to_string(threads));
+        ASSERT_EQ(cfg.execution.threads, std::max(shards, threads));
+        const std::string what = splitting +
+                                 "/shards=" + std::to_string(shards) +
+                                 "/threads=" + std::to_string(threads);
 
-          const auto prepared =
-              Solver::from_config(cfg).prepare(p.matrix, p.classes);
-          const auto report = prepared.solve(p.rhs);
-          expect_bitwise_equal(serial_report, report, what);
-          // The wider request is the strip count; one strip is serial.
-          const int strips = std::max(shards, threads);
-          ASSERT_EQ(report.shards, strips >= 2 ? strips : 0) << what;
-        }
+        const auto prepared =
+            Solver::from_config(cfg).prepare(p.matrix, p.classes);
+        const auto report = prepared.solve(p.rhs);
+        expect_bitwise_equal(serial_report, report, what);
+        // The wider request is the strip count; one strip is serial.
+        const int strips = std::max(shards, threads);
+        ASSERT_EQ(report.shards, strips >= 2 ? strips : 0) << what;
       }
     }
   }

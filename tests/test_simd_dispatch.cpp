@@ -765,49 +765,40 @@ TEST(SimdDispatch, NanCouplingsKeepSingleVectorBitsInBlockSweep) {
   }
 }
 
-// Every splitting x every format, serial and threaded: the full PCG
-// pipeline must converge to the bit-identical solution in the same
-// number of iterations whichever kernel path runs.
-TEST(SimdDispatch, SolvesAreBitwiseForEverySplittingAndFormat) {
+// Every splitting, serial and threaded: the full PCG pipeline must
+// converge to the bit-identical solution in the same number of
+// iterations whichever kernel path runs.
+TEST(SimdDispatch, SolvesAreBitwiseForEverySplitting) {
   const auto p = problems::ProblemRegistry::instance().create("femplate:a=8");
   const char* const splittings[] = {"ssor", "jacobi", "richardson"};
-  const solver::MatrixFormat formats[] = {
-      solver::MatrixFormat::kCsr, solver::MatrixFormat::kDia,
-      solver::MatrixFormat::kSell, solver::MatrixFormat::kAuto};
   for (const char* splitting : splittings) {
-    for (const auto format : formats) {
-      for (const int threads : {0, 2}) {
-        solver::SolverConfig cfg;
-        cfg.splitting = splitting;
-        if (std::string(splitting) == "richardson") cfg.params = "ones";
-        cfg.steps = 2;
-        cfg.format = format;
-        cfg.tolerance = 1e-8;
-        cfg.execution.threads = threads;
+    for (const int threads : {0, 2}) {
+      solver::SolverConfig cfg;
+      cfg.splitting = splitting;
+      if (std::string(splitting) == "richardson") cfg.params = "ones";
+      cfg.steps = 2;
+      cfg.tolerance = 1e-8;
+      cfg.execution.threads = threads;
 
-        solver::SolveReport scalar_run;
-        solver::SolveReport vector_run;
-        {
-          const SimdModeGuard guard(SimdMode::kForceScalar);
-          scalar_run =
-              solver::Solver::from_config(cfg).solve(p.matrix, p.rhs,
-                                                     p.classes);
-        }
-        {
-          const SimdModeGuard guard(SimdMode::kForceVector);
-          vector_run =
-              solver::Solver::from_config(cfg).solve(p.matrix, p.rhs,
-                                                     p.classes);
-        }
-        const std::string label = std::string(splitting) + "/" +
-                                  solver::to_string(format) + "/threads=" +
-                                  std::to_string(threads);
-        ASSERT_TRUE(scalar_run.converged()) << label;
-        ASSERT_TRUE(vector_run.converged()) << label;
-        EXPECT_EQ(scalar_run.iterations(), vector_run.iterations()) << label;
-        EXPECT_TRUE(bitwise_equal(scalar_run.solution, vector_run.solution))
-            << label;
+      solver::SolveReport scalar_run;
+      solver::SolveReport vector_run;
+      {
+        const SimdModeGuard guard(SimdMode::kForceScalar);
+        scalar_run =
+            solver::Solver::from_config(cfg).solve(p.matrix, p.rhs, p.classes);
       }
+      {
+        const SimdModeGuard guard(SimdMode::kForceVector);
+        vector_run =
+            solver::Solver::from_config(cfg).solve(p.matrix, p.rhs, p.classes);
+      }
+      const std::string label =
+          std::string(splitting) + "/threads=" + std::to_string(threads);
+      ASSERT_TRUE(scalar_run.converged()) << label;
+      ASSERT_TRUE(vector_run.converged()) << label;
+      EXPECT_EQ(scalar_run.iterations(), vector_run.iterations()) << label;
+      EXPECT_TRUE(bitwise_equal(scalar_run.solution, vector_run.solution))
+          << label;
     }
   }
 }

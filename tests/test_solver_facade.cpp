@@ -37,7 +37,6 @@ TEST(Config, RoundTripsForEverySplittingAndStrategy) {
       cfg.params = params;
       cfg.steps = 3;
       cfg.ordering = Ordering::kNatural;
-      cfg.format = MatrixFormat::kDia;
       cfg.stop_rule = core::StopRule::kResidual2;
       cfg.tolerance = 3.5e-7;
       cfg.max_iterations = 123;
@@ -112,7 +111,8 @@ template <typename Parse>
 std::string parse_outcome(Parse parse) {
   try {
     const SolverConfig cfg = parse();
-    return "ok " + cfg.to_string() + " format=" + to_string(cfg.format);
+    return "ok " + cfg.to_string() +
+           " format=" + std::to_string(static_cast<int>(cfg.format));
   } catch (const std::invalid_argument& e) {
     return std::string("error ") + e.what();
   }
@@ -318,21 +318,6 @@ TEST(Solver, GoldenQuickstartEquivalence) {
   EXPECT_EQ(report.coloring.num_classes, 6);
 }
 
-TEST(Solver, DiaFormatMatchesCsrIterationForIteration) {
-  const Plate p = make_plate(12);
-  SolverConfig cfg;
-  cfg.tolerance = 1e-8;
-  const auto csr = Solver::from_config(cfg).solve(p.k, p.f, p.classes);
-  cfg.format = MatrixFormat::kDia;
-  const auto dia = Solver::from_config(cfg).solve(p.k, p.f, p.classes);
-  ASSERT_TRUE(csr.converged());
-  ASSERT_TRUE(dia.converged());
-  EXPECT_EQ(dia.iterations(), csr.iterations());
-  for (index_t i = 0; i < p.k.rows(); ++i) {
-    ASSERT_NEAR(dia.solution[i], csr.solution[i], 1e-12);
-  }
-}
-
 TEST(Solver, GreedyMatrixColoringSolvesWithoutMeshKnowledge) {
   // No classes supplied: the facade colours the matrix graph itself.
   const Plate p = make_plate(10);
@@ -402,11 +387,10 @@ TEST(Solver, PreparedReusesThePipelineAcrossRightHandSides) {
 
 TEST(Solver, PreparedSurvivesBeingMoved) {
   // Prepared's internals point into its own heap-held coloured system and
-  // DIA matrix; moving the object must not dangle them.
+  // run storage; moving the object must not dangle them.
   const Plate p = make_plate(8);
   SolverConfig cfg;
   cfg.tolerance = 1e-8;
-  cfg.format = MatrixFormat::kDia;
   auto prepared = Solver::from_config(cfg).prepare(p.k, p.classes);
   const auto moved = std::move(prepared);
   const auto report = moved.solve(p.f);

@@ -1,9 +1,8 @@
 // The streaming two-pass Matrix Market reader: byte-source plumbing
 // (file / buffer / gzip with magic-byte auto-detection), identity between
 // the file path, the buffer path, and the gzip path on a generated
-// large-ish matrix, the gzip failure diagnostics (truncated stream,
-// mid-stream corruption), and `format=auto` routing through the
-// bandedness probe on real catalog problems.
+// large-ish matrix, and the gzip failure diagnostics (truncated stream,
+// mid-stream corruption).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,8 +12,6 @@
 
 #include "io/byte_source.hpp"
 #include "io/matrix_market.hpp"
-#include "problems/driver.hpp"
-#include "solver/solver.hpp"
 
 namespace mstep::io {
 namespace {
@@ -79,7 +76,6 @@ TEST(StreamingReader, FileBufferAndStreamPathsReadIdentically) {
   expect_same_matrix(a, from_file.matrix);
   expect_same_matrix(from_file.matrix, from_buffer.matrix);
   expect_same_matrix(from_file.matrix, from_stream.matrix);
-  EXPECT_TRUE(from_file.dia_friendly);
   EXPECT_EQ(from_file.header.symmetry, MmSymmetry::kSymmetric);
 
   // The streaming reader preserves the writer's byte-identity guarantee.
@@ -99,7 +95,6 @@ TEST(StreamingReader, CommittedFixturesMatchTheBufferPath) {
     BufferByteSource buffer(slurp(path), path);
     const MmMatrix from_buffer = read_matrix_market(buffer);
     expect_same_matrix(from_file.matrix, from_buffer.matrix);
-    EXPECT_EQ(from_file.dia_friendly, from_buffer.dia_friendly);
   }
 }
 
@@ -154,7 +149,6 @@ TEST(StreamingReader, GzipTwinReadsIdenticalToPlainFile) {
   const MmMatrix from_gz = read_matrix_market(gz);
   expect_same_matrix(a, from_plain.matrix);
   expect_same_matrix(from_plain.matrix, from_gz.matrix);
-  EXPECT_EQ(from_plain.dia_friendly, from_gz.dia_friendly);
 
   // Vectors round-trip through .gz the same way.
   Vec v(64);
@@ -253,74 +247,6 @@ TEST(StreamingReader, CorruptGzipIsDiagnosedNotCrashing) {
         << e.what();
   }
   std::remove(gz.c_str());
-}
-
-// ---- format=auto ------------------------------------------------------------
-
-TEST(StreamingReader, FormatAutoRunsOnTheOneStorage) {
-  // `format` is a parse alias: a narrow-band randspd, a wide band that
-  // scatters into hundreds of diagonals and a four-colour stencil all run
-  // their outer products on the one run storage, and the JSON report says
-  // so for the CI gate to check.
-  solver::SolverConfig config;
-  config.steps = 2;
-  config.format = solver::MatrixFormat::kAuto;
-
-  const auto run = [&](const std::string& spec) {
-    problems::DriverInput input;
-    input.problem = spec;
-    return problems::run(input, config);
-  };
-
-  for (const char* spec :
-       {"randspd:n=1000", "randspd:n=500:band=64", "stencil9:n=20"}) {
-    const auto report = run(spec);
-    EXPECT_EQ(report.format_selected, "dia") << spec;
-    EXPECT_TRUE(report.all_converged()) << spec;
-    std::ostringstream json;
-    problems::report_json(report).dump(json);
-    EXPECT_NE(json.str().find("\"format_selected\": \"dia\""),
-              std::string::npos)
-        << json.str();
-  }
-}
-
-TEST(StreamingReader, FormatAutoSolveMatchesExplicitChoiceBitwise) {
-  // Every spelling of `format` is the same pipeline: identical iteration
-  // counts and bitwise-equal solutions.
-  problems::DriverInput input;
-  input.problem = "randspd:n=1000";
-
-  solver::SolverConfig auto_cfg;
-  auto_cfg.steps = 2;
-  auto_cfg.format = solver::MatrixFormat::kAuto;
-  solver::SolverConfig csr_cfg = auto_cfg;
-  csr_cfg.format = solver::MatrixFormat::kCsr;
-
-  const auto via_auto = problems::run(input, auto_cfg);
-  const auto via_csr = problems::run(input, csr_cfg);
-  ASSERT_TRUE(via_auto.batch.ok(0) && via_csr.batch.ok(0));
-  EXPECT_EQ(via_auto.batch.reports[0].iterations(),
-            via_csr.batch.reports[0].iterations());
-  EXPECT_EQ(via_auto.batch.reports[0].solution,
-            via_csr.batch.reports[0].solution);
-  EXPECT_EQ(via_csr.format_selected, "dia");
-}
-
-TEST(StreamingReader, FormatAutoParsesButLeavesTheConfigString) {
-  solver::SolverConfig config;
-  config.format = solver::MatrixFormat::kAuto;
-  const std::string text = config.to_string();
-  EXPECT_EQ(text.find("format="), std::string::npos) << text;
-  EXPECT_EQ(solver::SolverConfig::from_string(text), config);
-  EXPECT_EQ(solver::SolverConfig::from_string("format=auto").format,
-            solver::MatrixFormat::kAuto);
-  EXPECT_EQ(solver::matrix_format_from_string("auto"),
-            solver::MatrixFormat::kAuto);
-  EXPECT_THROW((void)solver::matrix_format_from_string("fishy"),
-               std::invalid_argument);
-  EXPECT_THROW((void)solver::SolverConfig::from_string("format=fishy"),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
-// Tests for the utility layer: table formatting, CLI parsing, RNG.
+// Tests for the utility layer: table formatting, CLI parsing, RNG,
+// number formatting.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
 #include <set>
 
 #include "util/cli.hpp"
 #include "util/rng.hpp"
+#include "util/spec.hpp"
 #include "util/table.hpp"
 
 namespace mstep::util {
@@ -55,6 +59,39 @@ TEST(Table, SeparatorAddsLine) {
     ++hlines;
   }
   EXPECT_EQ(hlines, 4);
+}
+
+// ---- format_double -----------------------------------------------------------
+
+TEST(FormatDouble, IntegersWithTrailingZerosPrintPlain) {
+  // Each round-trips first as a one- or two-digit exponent spelling
+  // ("8e+01", "1.6e+02", "1e+02"); the plain integer is shorter.
+  EXPECT_EQ(format_double(80.0), "80");
+  EXPECT_EQ(format_double(160.0), "160");
+  EXPECT_EQ(format_double(100.0), "100");
+  EXPECT_EQ(format_double(-1200.0), "-1200");
+}
+
+TEST(FormatDouble, ExponentKeptWhereShorterOrOnly) {
+  EXPECT_EQ(format_double(1e-6), "1e-06");
+  EXPECT_EQ(format_double(0.1), "0.1");
+  EXPECT_EQ(format_double(1e21), "1e+21");
+  EXPECT_EQ(format_double(1e5), "1e+05");  // "100000" is longer
+  EXPECT_EQ(format_double(1.0 / 3.0), "0.3333333333333333");
+  EXPECT_EQ(format_double(4.0), "4");
+  EXPECT_EQ(format_double(0.0), "0");
+}
+
+TEST(FormatDouble, EverySpellingParsesBackExactly) {
+  Rng rng(7);
+  for (int i = 0; i < 2000; ++i) {
+    // Values across magnitudes, half of them rounded to integers.
+    const double scale = std::ldexp(1.0, static_cast<int>(i % 120) - 60);
+    double v = rng.uniform(-1.0, 1.0) * scale;
+    if (i % 2 == 0) v = std::round(v * 1000.0);
+    const std::string s = format_double(v);
+    EXPECT_EQ(std::strtod(s.c_str(), nullptr), v) << s;
+  }
 }
 
 // ---- Cli ---------------------------------------------------------------------

@@ -27,7 +27,7 @@ def run_main(argv):
 
 def corpus_rows(iterations, seconds):
     return [{"tool": "bench_corpus", "matrix": "m1", "splitting": "ssor",
-             "m": 2, "format_selected": "dia", "iterations": iterations,
+             "m": 2, "iterations": iterations,
              "converged": True, "solve_seconds": seconds}]
 
 

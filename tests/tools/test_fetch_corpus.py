@@ -30,7 +30,6 @@ VALID_GENERATED = {
     "n": None,
     "nnz": None,
     "spd": True,
-    "expected_format": None,
     "pinned": False,
 }
 
@@ -43,7 +42,6 @@ VALID_REMOTE = {
     "n": 48,
     "nnz": 400,
     "spd": True,
-    "expected_format": None,
     "pinned": False,
 }
 
@@ -119,10 +117,6 @@ class ManifestValidationTest(unittest.TestCase):
     def test_rejects_non_spd(self):
         bad = dict(VALID_GENERATED, spd=False)
         self.assert_invalid(manifest_with(bad), "spd")
-
-    def test_rejects_bad_expected_format(self):
-        bad = dict(VALID_GENERATED, expected_format="coo")
-        self.assert_invalid(manifest_with(bad), "expected_format")
 
 
 class CheckOnlyTest(unittest.TestCase):

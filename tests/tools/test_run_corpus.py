@@ -36,11 +36,9 @@ STUB_DRIVER = textwrap.dedent("""\
         "nnz": 28,
         "bandwidth": 1,
         "nonzero_diagonals": 3,
-        "dia_friendly": True,
         "used_classes": False,
-        "format_selected": "dia",
         "shards": 0,
-        "config": "splitting=%s;m=%d;format=auto" % (splitting, m),
+        "config": "splitting=%s;m=%d" % (splitting, m),
         "nrhs": 1,
         "concurrency": 1,
         "setup_seconds": 0.25,
@@ -67,7 +65,6 @@ ENTRY = {
     "n": 10,
     "nnz": 28,
     "spd": True,
-    "expected_format": "dia",
     "pinned": False,
 }
 
@@ -167,13 +164,13 @@ class RunCorpusTest(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("--require-all", err)
 
-    def test_pinned_format_mismatch_fails(self):
+    def test_pinned_metadata_mismatch_fails(self):
         entry = self.add_matrix("alpha", pin_to_payload=True)
-        entry["expected_format"] = "sell"  # stub always reports dia
+        entry["nnz"] = 29  # stub always reports 28
         manifest = self.write_manifest([entry])
         code, _, err = self.invoke(manifest)
         self.assertEqual(code, 1)
-        self.assertIn("format_selected", err)
+        self.assertIn("nnz = 28", err)
         self.assertEqual(self.rows(), [])  # bad rows never land
 
     def test_unpinned_metadata_mismatch_only_warns(self):

@@ -20,7 +20,9 @@ ARRAYS of workload rows, each validated against the row schema.
 Nested documents use dotted field paths ("cache.hit_rate"); --require
 NAME=VALUE asserts an exact (stringified, case-insensitive) value at
 such a path.  The document must contain every schema field with the
-right JSON type.
+right JSON type; fields outside the schema are ignored, so a report
+written by an older build (which may carry since-dropped fields) still
+validates.
 
 Exit codes: 0 ok, 1 schema/requirement failure, 2 usage or I/O error.
 """
@@ -48,9 +50,7 @@ REPORT_SCHEMA = {
     "nnz": (int,),
     "bandwidth": (int,),
     "nonzero_diagonals": (int,),
-    "dia_friendly": (bool,),
     "used_classes": (bool,),
-    "format_selected": (str,),
     "shards": (int,),
     "config": (str,),
     "nrhs": (int,),
@@ -82,7 +82,6 @@ REQUEST_SCHEMA = {
     "cache": (str,),
     "fingerprint": (str,),
     "config": (str,),
-    "format_selected": (str,),
     "nrhs": (int,),
     "converged": (bool,),
     "iterations": (list,),
@@ -159,7 +158,6 @@ CORPUS_ROW_SCHEMA = {
     "config": (str,),
     "n": (int,),
     "nnz": (int,),
-    "format_selected": (str,),
     "iterations": (int,),
     "converged": (bool,),
     "final_delta_inf": (int, float),
@@ -214,19 +212,6 @@ def check_report_extras(report, failures):
                     f"'{name}' has {len(report[name])} entries, nrhs = "
                     f"{report.get('nrhs')}")
 
-    # format_selected records the operator layout that actually ran: always
-    # a concrete format, and mandatory-resolved when the config asked for
-    # the automatic probe (--format=auto must never leak "auto" through).
-    fmt = report.get("format_selected")
-    if isinstance(fmt, str) and fmt not in ("csr", "dia", "sell"):
-        failures.append(
-            f"format_selected must be 'csr', 'dia', or 'sell', got '{fmt}'")
-    if "format=auto" in str(report.get("config", "")) and fmt not in (
-            "csr", "dia", "sell"):
-        failures.append(
-            "config requested format=auto but the report does not say "
-            "which format was selected")
-
 
 def check_metrics_extras(metrics, failures):
     """Sanity relations the metrics snapshot must satisfy."""
@@ -275,12 +260,6 @@ def main(argv):
                 failures.append(f"{where}not a JSON object")
                 continue
             check_fields(row, schema, failures, where)
-            if args.schema == "corpus":
-                fmt = row.get("format_selected")
-                if isinstance(fmt, str) and fmt not in ("csr", "dia", "sell"):
-                    failures.append(
-                        f"{where}format_selected must be 'csr', 'dia', or "
-                        f"'sell', got '{fmt}'")
         documents = [(f"row {i}: ", row) for i, row in enumerate(document)
                      if isinstance(row, dict)]
     else:

@@ -21,7 +21,7 @@ Verification is uniform: `sha256` is the checksum OF THE CACHED .mtx
 where the bytes came from.  Entries start life unpinned (sha256 null):
 this container/CI cannot know a download's hash before the first
 successful fetch.  `--pin` is the trust-on-first-use step — it fills
-sha256, n, nnz and expected_format from the fetched file plus one
+sha256, n and nnz from the fetched file plus one
 driver probe, and rewrites the manifest; a maintainer reviews and
 commits the pinned manifest, after which any byte drift is a hard
 failure.
@@ -55,7 +55,6 @@ import urllib.request
 
 VALID_NAME = re.compile(r"^[A-Za-z0-9_.-]+$")
 VALID_SHA = re.compile(r"^[0-9a-f]{64}$")
-FORMATS = ("csr", "dia", "sell")
 SCHEMA_ID = "mstep-corpus-manifest-v1"
 FETCH_TIMEOUT_SECONDS = 60
 
@@ -145,10 +144,6 @@ def validate_manifest(manifest):
         if m.get("spd") is not True:
             errors.append(f"{where}: corpus matrices must declare "
                           f"'spd': true")
-        fmt = m.get("expected_format")
-        if fmt is not None and fmt not in FORMATS:
-            errors.append(f"{where}: expected_format must be one of "
-                          f"{FORMATS} or null")
         pinned = m.get("pinned")
         if type(pinned) is not bool:
             errors.append(f"{where}: 'pinned' must be true or false")
@@ -226,7 +221,7 @@ def download(entry, path, mirror):
 
 
 def probe(entry, path, driver):
-    """One driver solve with --format=auto to learn n/nnz/format.
+    """One driver solve to learn n/nnz.
 
     Returns the report dict.  Exit 1 (ran, did not converge) still
     yields a usable report; anything else raises RuntimeError.
@@ -236,7 +231,7 @@ def probe(entry, path, driver):
     try:
         cmd = driver_cmd(driver) + [
             f"--matrix={path}", "--splitting=ssor", "--m=2",
-            "--format=auto", f"--out={out}"]
+            f"--out={out}"]
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode not in (0, 1):
             raise RuntimeError(
@@ -265,8 +260,8 @@ def main(argv):
                     help="materialize the generated tier only; remote "
                          "entries are reported as skipped")
     ap.add_argument("--pin", action="store_true",
-                    help="trust-on-first-use: fill sha256/n/nnz/"
-                         "expected_format of unpinned entries from the "
+                    help="trust-on-first-use: fill sha256/n/nnz of "
+                         "unpinned entries from the "
                          "materialized files and rewrite the manifest")
     ap.add_argument("--only", action="append", default=[], metavar="NAME",
                     help="restrict to the named entries (repeatable)")
@@ -337,7 +332,6 @@ def main(argv):
                 entry["sha256"] = sha256_file(path)
                 entry["n"] = report["n"]
                 entry["nnz"] = report["nnz"]
-                entry["expected_format"] = report["format_selected"]
                 entry["pinned"] = True
                 pinned_any = True
                 status += ", pinned"

@@ -222,8 +222,7 @@ int main(int argc, char** argv) {
     } else {
       std::cout << "config: " << request.config
                 << "\nfingerprint: " << serve::fingerprint_hex(reply.fingerprint)
-                << "\ncache: " << cache_verdict
-                << "\noperator format: " << reply.format_selected << '\n';
+                << "\ncache: " << cache_verdict << '\n';
       util::Table t({"rhs", "iterations", "final |du|_inf", "status"});
       for (std::size_t i = 0; i < reply.results.size(); ++i) {
         const serve::RhsResult& r = reply.results[i];
@@ -263,7 +262,6 @@ int main(int argc, char** argv) {
           .set("cache", cache_verdict)
           .set("fingerprint", serve::fingerprint_hex(reply.fingerprint))
           .set("config", request.config)
-          .set("format_selected", reply.format_selected)
           .set("nrhs", static_cast<long long>(reply.results.size()))
           .set("converged", reply.all_converged())
           .set("iterations", std::move(iterations))

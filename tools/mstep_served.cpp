@@ -4,7 +4,7 @@
 //   mstep_served --port=7427 --max-inflight=8 --metrics-out=metrics.json
 //   mstep_served --port=0 --verbose        # ephemeral port, printed
 //
-// A long-running server speaking the MSV1 framed protocol
+// A long-running server speaking the MSV2 framed protocol
 // (docs/protocol.md) over TCP and/or a Unix-domain socket.  Solve
 // requests flow through a prepared-pipeline cache keyed by matrix
 // fingerprint x solver config, so repeat traffic skips the expensive
@@ -27,7 +27,7 @@ namespace {
 
 int print_help() {
   std::cout <<
-      "mstep_served — solver-as-a-service daemon (MSV1 protocol)\n"
+      "mstep_served — solver-as-a-service daemon (MSV2 protocol)\n"
       "\n"
       "usage:\n"
       "  mstep_served [--port=<p>] [--unix=<path>] [options]\n"

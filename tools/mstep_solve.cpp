@@ -10,13 +10,11 @@
 // Matrix Market file (--matrix, optional --rhs; .mtx.gz is auto-detected
 // and streamed; without --rhs the driver manufactures b = K*1 so the
 // error is still measurable).  Every SolverConfig flag applies
-// (--splitting/--m/--params/--ordering/--format/--threads/--batch/...;
-// --format is a parse alias: every solve runs on the one run storage),
-// --nrhs adds
-// deterministic extra right-hand sides for the batch engine, and --out
-// writes the JSON report tools/check_report.py validates in CI.  Exit
-// status: 0 all solved and converged, 1 otherwise, 2 on a
-// usage/config/file error.
+// (--splitting/--m/--params/--ordering/--threads/--batch/...; --format
+// still parses and is ignored), --nrhs adds deterministic extra
+// right-hand sides for the batch engine, and --out writes the JSON report
+// tools/check_report.py validates in CI.  Exit status: 0 all solved and
+// converged, 1 otherwise, 2 on a usage/config/file error.
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -86,8 +84,8 @@ int print_help() {
       "  --params=<key>     parameter strategy: ones | lsq | minmax (default lsq)\n"
       "  --ordering=<o>     natural | multicolor (default multicolor)\n"
       "  --format=<f>       csr | dia | sell | auto — accepted for old command\n"
-      "                     lines; every solve runs on the one run storage\n"
-      "                     (reported as dia), whatever the spelling\n"
+      "                     lines and ignored: every solve runs on one\n"
+      "                     storage, by diagonals\n"
       "  --stop=<rule>      delta_inf | residual2 (default delta_inf)\n"
       "  --tol=<t>          stopping tolerance (default 1e-06)\n"
       "  --maxit=<n>        iteration cap (default 20000)\n"
@@ -192,9 +190,8 @@ int main(int argc, char** argv) {
     std::cout << r.problem_name << " — " << r.description << '\n'
               << "N = " << r.n << ", nnz = " << r.nnz << ", bandwidth = "
               << r.bandwidth << ", " << r.nonzero_diagonals
-              << " nonzero diagonals" << (r.dia_friendly ? " (DIA-friendly)" : "")
-              << "\nconfig: " << r.config.to_string()
-              << "\noperator format: " << r.format_selected << '\n';
+              << " nonzero diagonals"
+              << "\nconfig: " << r.config.to_string() << '\n';
 
     util::Table t({"rhs", "iterations", "final |du|_inf", "status"});
     for (std::size_t i = 0; i < r.batch.size(); ++i) {

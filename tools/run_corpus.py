@@ -2,7 +2,7 @@
 """Run the corpus: every cached manifest matrix x a splitting/m sweep.
 
 Drives the mstep_solve binary over each matrix materialized by
-tools/fetch_corpus.py, always with --format=auto, validates every
+tools/fetch_corpus.py, validates every
 driver report in-process with check_report.py, and flattens the results
 into one BENCH_corpus.json — the document the CI corpus gate diffs
 against bench/baselines/BENCH_corpus.json:
@@ -24,7 +24,7 @@ runner — the iteration counts carry the precision.
 Each sweep point runs --repeats times (default 5) and keeps the
 best-of wall-clock and setup timings — sub-millisecond solves on the
 small corpus matrices are too noisy for a single shot — while the
-iteration count, final residual, and format choice must be identical
+iteration count, final residual and convergence must be identical
 across the repeats (a free determinism check on every CI run).
 
 The default sweep is jacobi:m=2 plus ssor:m=1,2,4 (override with
@@ -36,9 +36,8 @@ tier plus whatever remote rows were present when it was refreshed, and
 check_bench only requires baseline rows to exist, so a skipped remote
 matrix never fakes a pass nor blocks one.
 
-Consistency checks per run: the report must converge, n/nnz must match
-the manifest, and --format=auto must select the manifest's
-expected_format.  Mismatches are hard failures for pinned entries,
+Consistency checks per run: the report must converge, and n/nnz must
+match the manifest.  Mismatches are hard failures for pinned entries,
 warnings for unpinned ones (their metadata is advisory until
 fetch_corpus.py --pin).
 
@@ -83,7 +82,7 @@ def run_one(driver, path, splitting, m, timeout):
     try:
         cmd = fetch_corpus.driver_cmd(driver) + [
             f"--matrix={path}", f"--splitting={splitting}", f"--m={m}",
-            "--format=auto", f"--out={out}"]
+            f"--out={out}"]
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True,
                                   timeout=timeout)
@@ -178,8 +177,7 @@ def main(argv):
             # may vary between repeats (and gets best-of treatment).
             nondeterministic = False
             for later in reports[1:]:
-                for field in ("iterations", "final_delta_inf",
-                              "format_selected", "converged"):
+                for field in ("iterations", "final_delta_inf", "converged"):
                     if later[field] != reports[0][field]:
                         failures.append(
                             f"{label}: {field} differs across repeats: "
@@ -196,11 +194,6 @@ def main(argv):
                 if want is not None and report[field] != want:
                     problems.append(f"{field} = {report[field]}, manifest "
                                     f"says {want}")
-            want_fmt = entry.get("expected_format")
-            if want_fmt is not None and report["format_selected"] != want_fmt:
-                problems.append(f"format_selected = "
-                                f"{report['format_selected']}, manifest "
-                                f"expects {want_fmt}")
             for p in problems:
                 if pinned:
                     failures.append(f"{label}: {p}")
@@ -217,7 +210,6 @@ def main(argv):
                 "config": report["config"],
                 "n": report["n"],
                 "nnz": report["nnz"],
-                "format_selected": report["format_selected"],
                 # nrhs=1 throughout the corpus: one iteration count and
                 # one final residual per run, flattened out of the
                 # report's per-RHS lists.
@@ -231,8 +223,7 @@ def main(argv):
                 "setup_seconds": best_setup,
                 "solve_seconds": best_solve,
             })
-            print(f"  ok   {label}: {report['format_selected']}, "
-                  f"{report['iterations'][0]} iteration(s)")
+            print(f"  ok   {label}: {report['iterations'][0]} iteration(s)")
 
     rows.sort(key=lambda r: (r["matrix"], r["splitting"], r["m"]))
     try:
