@@ -2,9 +2,9 @@
 //
 // --mode=threads (default): real-thread scaling harness.  Sweeps the
 // execution policy over a list of thread counts (default 1,2,4,8) on the
-// plane-stress FEM plate — two workloads, fem_plate_csr and cyber_dia,
-// named for the layouts the paper compares; both run on the one storage,
-// so they are two samples of the same solve — and reports iterations,
+// plane-stress FEM plate (the fem_plate_csr workload, named for the
+// layout it once selected; every solve now runs on the one storage) and
+// reports iterations,
 // wall seconds, and speedup vs the serial (threads=0) solve.  The
 // deterministic blocked reductions make every threaded solve bitwise
 // identical to the serial one; the harness verifies that on each run and
@@ -114,7 +114,6 @@ int run_thread_scaling(const util::Cli& cli) {
 
   std::vector<Workload> workloads;
   workloads.push_back({"fem_plate_csr", base});
-  workloads.push_back({"cyber_dia", base});
 
   std::cout << "== Thread-scaling harness ==\n"
             << "plate a = " << plate << " (" << mesh.num_equations()

@@ -48,236 +48,175 @@ int count_offsets(const la::SweepSegments& segs, int stamp, int* mark) {
 }  // namespace
 
 MulticolorSweepPlan::MulticolorSweepPlan(
-    const color::ColoredSystem& cs, std::vector<double> alphas,
-    shard::ShardPlan strips, std::shared_ptr<const la::DiaMatrix> store)
-    : cs(&cs), alphas(std::move(alphas)),
-      splits(color::compute_row_splits(cs)), strips(std::move(strips)),
+    const color::ColoredSystem& cs, const std::vector<int>& owner, int parts,
+    std::shared_ptr<const la::DiaMatrix> store)
+    : cs(&cs), parts(parts), splits(color::compute_row_splits(cs)),
+      halo(cs, owner, parts),  // validates the owner map
       store(std::move(store)) {
-  if (this->alphas.empty()) {
-    throw std::invalid_argument("MulticolorSweepPlan: need m >= 1");
+  // Each class cut into its parts' ranges: a range ends where the owner
+  // changes.  `bounds` collects every range bound, ascending.
+  const int nc = cs.num_classes();
+  const index_t n = cs.size();
+  cell_ranges.resize(static_cast<std::size_t>(parts) * nc);
+  std::vector<index_t> bounds;
+  for (int c = 0; c < nc; ++c) {
+    for (index_t i = cs.class_start[c]; i < cs.class_start[c + 1];) {
+      index_t e = i + 1;
+      while (e < cs.class_start[c + 1] && owner[e] == owner[i]) ++e;
+      cell_ranges[cell(owner[i], c)].push_back({i, e});
+      bounds.push_back(i);
+      i = e;
+    }
   }
-  if (this->strips.class_start() != cs.class_start) {
-    throw std::invalid_argument(
-        "MulticolorSweepPlan: strips were not cut from this system");
-  }
-  const int ns = num_strips();
-  if (ns >= 2) halo = shard::HaloPlan(cs, this->strips);
+  bounds.push_back(n);
 
-  // View every strip's row segments in the store, whose runs never cross a
-  // cell: each row's sum keeps row_dot's schedule and negation commutes
-  // with rounding, so a strip's sums are the whole-class sums.
-  const std::vector<index_t> cells = this->strips.cell_bounds();
+  // View every cell's row segments in the store, whose runs never cross a
+  // range: each row's sum keeps row_dot's schedule and negation commutes
+  // with rounding, so a cell's sums are the whole-class sums.
   if (!this->store) {
     this->store = std::make_shared<const la::DiaMatrix>(
-        la::DiaMatrix::from_csr(cs.matrix, cells));
+        la::DiaMatrix::from_csr(cs.matrix, bounds));
   }
   const std::vector<index_t>& cuts = this->store->cuts();
-  if (this->store->rows() != cs.size() ||
-      !std::includes(cuts.begin(), cuts.end(), cells.begin(), cells.end())) {
+  if (this->store->rows() != n ||
+      !std::includes(cuts.begin(), cuts.end(), bounds.begin(), bounds.end())) {
     throw std::invalid_argument(
-        "MulticolorSweepPlan: the store is not cut at the strip cells");
+        "MulticolorSweepPlan: the store is not cut at every range bound");
   }
   const auto& rp = cs.matrix.row_ptr();
-  const int nc = cs.num_classes();
-  for (int s = 0; s < ns; ++s) {
-    for (int c = 0; c < nc; ++c) {
-      const index_t b = this->strips.begin(s, c);
-      const index_t e = this->strips.end(s, c);
-      lower.push_back(la::SweepSegments::build(
-          *this->store, cs.matrix, rp.data(), splits.lo_end.data(), b, e));
-      upper.push_back(la::SweepSegments::build(*this->store, cs.matrix,
-                                               splits.up_begin.data(),
-                                               rp.data() + 1, b, e));
-    }
+  for (const std::vector<la::RowSpan>& spans : cell_ranges) {
+    lower.push_back(la::SweepSegments::build(
+        *this->store, cs.matrix, rp.data(), splits.lo_end.data(), spans));
+    upper.push_back(la::SweepSegments::build(
+        *this->store, cs.matrix, splits.up_begin.data(), rp.data() + 1, spans));
   }
 
   // The census from the segments: per run one offset per term, per
   // leftover row its entries.  Lower offsets are negative and upper ones
   // positive, so one mark per offset in (-n, n), stamped with the class
   // that counted it, serves both halves of every class, class by class.
-  const index_t n = cs.size();
   std::vector<int> counted_in(2 * static_cast<std::size_t>(n), -1);
   census.lower.assign(nc, 0);
   census.upper.assign(nc, 0);
   for (int c = 0; c < nc; ++c) {
-    for (int s = 0; s < ns; ++s) {
-      const std::size_t cell = static_cast<std::size_t>(s) * nc + c;
-      census.lower[c] += count_offsets(lower[cell], c, counted_in.data() + n);
-      census.upper[c] += count_offsets(upper[cell], c, counted_in.data() + n);
+    for (int p = 0; p < parts; ++p) {
+      census.lower[c] +=
+          count_offsets(lower[cell(p, c)], c, counted_in.data() + n);
+      census.upper[c] +=
+          count_offsets(upper[cell(p, c)], c, counted_in.data() + n);
     }
   }
 }
 
 MulticolorSweepPlan::MulticolorSweepPlan(const color::ColoredSystem& cs,
-                                         std::vector<double> alphas,
                                          int strips)
-    : MulticolorSweepPlan(cs, std::move(alphas),
+    : MulticolorSweepPlan(cs,
                           shard::ShardPlan::build(cs.class_start, strips)) {}
 
-// One phase of the schedule: which class to update (or save/final-solve).
-struct MulticolorMStepSsor::Phase {
-  enum Kind { kForward, kBackward, kSave, kFinal } kind;
-  int cls;       // class updated (kForward/kBackward/kFinal) or 0 (kSave)
-  double alpha;  // step coefficient (kForward/kBackward/kFinal)
-};
-
-MulticolorMStepSsor::MulticolorMStepSsor(const color::ColoredSystem& cs,
-                                         std::vector<double> alphas,
-                                         KernelLog* log)
-    : MulticolorMStepSsor(
-          std::make_shared<const MulticolorSweepPlan>(cs, std::move(alphas)),
-          nullptr, log) {}
-
-MulticolorMStepSsor::MulticolorMStepSsor(const color::ColoredSystem& cs,
-                                         std::vector<double> alphas,
-                                         shard::ShardPlan strips,
-                                         par::ThreadPool& pool,
-                                         KernelLog* log)
-    : MulticolorMStepSsor(std::make_shared<const MulticolorSweepPlan>(
-                              cs, std::move(alphas), std::move(strips)),
-                          &pool, log) {}
-
-MulticolorMStepSsor::MulticolorMStepSsor(
-    std::shared_ptr<const MulticolorSweepPlan> plan, par::ThreadPool* pool,
-    KernelLog* log)
-    : plan_(std::move(plan)), pool_(pool), log_(log) {}
-
-// Strip s's share of one phase, on the z every strip shares.  A class-c
-// phase writes z and y only at strip s's class-c rows, and its segment
-// sums read z only at rows of other classes — the diagonal class blocks
-// are diagonal.  Run rows read z only through their couplings and have no
-// padded lanes; a padded SELL lane of the leftover rows gathers z at the
-// first row of its own slice (la::SellSegments), a row of this strip.  So
-// no strip reads a row another strip is writing, and the pool rendezvous
-// between phases publishes each phase's writes.
-void MulticolorMStepSsor::run_strip(const Phase& phase, int s, const Vec& r,
-                                    Vec& z) const {
-  const MulticolorSweepPlan& plan = *plan_;
-  const int nc = plan.cs->num_classes();
+// Run rows read z only through their couplings; a padded SELL lane of the
+// leftover rows gathers z at the first row of its own slice
+// (la::SellSegments), a row of this cell.  So parts sharing one z never
+// read a row another part is writing.
+void MulticolorSweepPlan::run_part(const SweepPhase& phase, int part,
+                                   const double* r, double* z, double* y,
+                                   bool block) const {
   const int c = phase.cls;
-  const std::size_t seg = static_cast<std::size_t>(s) * nc + c;
-  const index_t row_begin = plan.strips.begin(s, c);
-  const index_t row_end = plan.strips.end(s, c);
-  const Vec& diag = plan.splits.diag;
+  const double* diag = splits.diag.data();
   const double a = phase.alpha;
-
-  if (phase.kind == Phase::kFinal) {
-    for (index_t i = row_begin; i < row_end; ++i) {
-      z[i] = (y_[i] + a * r[i]) / diag[i];
+  if (phase.kind == SweepPhase::kFinal) {
+    const std::size_t w = block ? la::simd::kSellSlice : 1;
+    for (const la::RowSpan& range : ranges(part, c)) {
+      for (index_t i = range.begin; i < range.end; ++i) {
+        const std::size_t at = static_cast<std::size_t>(i) * w;
+        for (std::size_t k = at; k < at + w; ++k) {
+          z[k] = (y[k] + a * r[k]) / diag[i];
+        }
+      }
     }
     return;
   }
   // The save phase scatters class 0's upper sums straight into y.  The last
   // class has no upper couplings: its "saved" value for the next use must
   // be the (empty) upper sum, not the lower sum.
-  const bool forward = phase.kind == Phase::kForward;
-  const la::SweepSegments& segs = (forward ? plan.lower : plan.upper)[seg];
-  la::simd::sweep_segments(segs.runs(), segs.rest().view(), diag.data(), a,
-                           phase.kind == Phase::kSave ? nullptr : r.data(),
-                           z.data(), y_.data(), forward && c == nc - 1);
+  const bool forward = phase.kind == SweepPhase::kForward;
+  const la::SweepSegments& segs = (forward ? lower : upper)[cell(part, c)];
+  (block ? la::simd::block_sweep_segments : la::simd::sweep_segments)(
+      segs.runs(), segs.rest().view(), diag, a,
+      phase.kind == SweepPhase::kSave ? nullptr : r, z, y,
+      forward && c == cs->num_classes() - 1);
 }
 
-void MulticolorMStepSsor::run_phase(const Phase& phase, const Vec& r,
-                                    Vec& z) const {
-  const int ns = plan_->num_strips();
-  if (ns == 1 || pool_ == nullptr) {
-    for (int s = 0; s < ns; ++s) run_strip(phase, s, r, z);
-    return;
+MulticolorMStepSsor::MulticolorMStepSsor(const color::ColoredSystem& cs,
+                                         std::vector<double> alphas,
+                                         KernelLog* log)
+    : MulticolorMStepSsor(std::make_shared<const MulticolorSweepPlan>(cs),
+                          std::move(alphas), nullptr, log) {}
+
+MulticolorMStepSsor::MulticolorMStepSsor(const color::ColoredSystem& cs,
+                                         std::vector<double> alphas,
+                                         const shard::ShardPlan& strips,
+                                         par::ThreadPool& pool,
+                                         KernelLog* log)
+    : MulticolorMStepSsor(
+          std::make_shared<const MulticolorSweepPlan>(cs, strips),
+          std::move(alphas), &pool, log) {}
+
+MulticolorMStepSsor::MulticolorMStepSsor(
+    std::shared_ptr<const MulticolorSweepPlan> plan,
+    std::vector<double> alphas, par::ThreadPool* pool, KernelLog* log)
+    : plan_(std::move(plan)), alphas_(std::move(alphas)), pool_(pool),
+      log_(log) {
+  if (alphas_.empty()) {
+    throw std::invalid_argument("MulticolorMStepSsor: need m >= 1");
   }
-  // The pool rendezvous is the inter-phase barrier.  Strip bodies never
-  // block on each other, so any strips x threads combination is
-  // deadlock-free.
-  pool_->for_each(0, ns, [&](index_t s) {
-    const obs::Span shard_span("shard");
-    run_strip(phase, static_cast<int>(s), r, z);
-  });
 }
 
-// Block form of run_phase over a whole class: every strip's segments in
-// turn, on the calling thread.
-void MulticolorMStepSsor::run_block_phase(const Phase& phase, const Vec& r,
-                                          Vec& z) const {
-  constexpr std::size_t kW = la::simd::kSellSlice;
+void MulticolorMStepSsor::run_phase(const SweepPhase& phase, const Vec& r,
+                                    Vec& z) const {
   const MulticolorSweepPlan& plan = *plan_;
-  const color::ColoredSystem& cs = *plan.cs;
-  const int nc = cs.num_classes();
-  const int c = phase.cls;
-  const Vec& diag = plan.splits.diag;
-  const double a = phase.alpha;
-
-  if (phase.kind == Phase::kFinal) {
-    for (index_t i = cs.class_start[c]; i < cs.class_start[c + 1]; ++i) {
-      const std::size_t at = static_cast<std::size_t>(i) * kW;
-      for (std::size_t k = at; k < at + kW; ++k) {
-        z[k] = (y_[k] + a * r[k]) / diag[i];
-      }
+  const int parts = plan.num_parts();
+  if (parts == 1 || pool_ == nullptr) {
+    for (int p = 0; p < parts; ++p) {
+      plan.run_part(phase, p, r.data(), z.data(), y_.data());
     }
     return;
   }
-  const bool forward = phase.kind == Phase::kForward;
-  for (int s = 0; s < plan.num_strips(); ++s) {
-    const la::SweepSegments& segs =
-        (forward ? plan.lower : plan.upper)[static_cast<std::size_t>(s) * nc +
-                                            c];
-    la::simd::block_sweep_segments(
-        segs.runs(), segs.rest().view(), diag.data(), a,
-        phase.kind == Phase::kSave ? nullptr : r.data(), z.data(), y_.data(),
-        forward && c == nc - 1);
-  }
+  // The pool rendezvous is the inter-phase barrier.  Part bodies never
+  // block on each other, so any parts x threads combination is
+  // deadlock-free.
+  pool_->for_each(0, parts, [&](index_t p) {
+    const obs::Span shard_span("shard");
+    plan.run_part(phase, static_cast<int>(p), r.data(), z.data(), y_.data());
+  });
 }
 
 template <typename Run>
 void MulticolorMStepSsor::walk(const Run& run, int columns) const {
   const MulticolorSweepPlan& plan = *plan_;
   const color::ColoredSystem& cs = *plan.cs;
-  const int m = steps();
-  const int nc = cs.num_classes();
-
   // Emitted from the calling thread after each phase, so the stream is
-  // the same for every strip count.
-  const auto narrate = [&](auto&& emit) {
+  // the same for every owner map.
+  plan.for_each_phase(alphas_, [&](const SweepPhase& phase) {
+    run(phase);
     if (!log_) return;
-    for (int k = 0; k < columns; ++k) emit();
-  };
-  auto log_class = [&](int c, bool lower) {
-    narrate([&] {
-      const index_t len = cs.class_size(c);
-      log_->spmv_diagonals(
-          len, lower ? plan.census.lower[c] : plan.census.upper[c]);
-      log_->vec_op(len, 3);  // x + y + alpha*r fused adds
-      log_->diag_op(len);    // divide by D_c
-    });
-  };
-
-  for (int s = 1; s <= m; ++s) {
-    const obs::Span sweep_span("sweep");
-    const double a = plan.alphas[m - s];
-    // Forward half-sweep.  For class 0 this doubles as the deferred
-    // backward update of the previous step (y holds its upper sums).
-    for (int c = 0; c < nc; ++c) {
-      run(Phase{Phase::kForward, c, a});
-      log_class(c, /*lower=*/true);
+    const int c = phase.cls;
+    const index_t len = cs.class_size(c);
+    // Every phase but the final one sums a class half; every phase but
+    // the save updates the class: x + y + alpha*r (y + alpha*r in the
+    // final one), then the divide by D_c.
+    for (int k = 0; k < columns; ++k) {
+      if (phase.kind != SweepPhase::kFinal) {
+        log_->spmv_diagonals(len, phase.kind == SweepPhase::kForward
+                                      ? plan.census.lower[c]
+                                      : plan.census.upper[c]);
+      }
+      if (phase.kind == SweepPhase::kSave) {
+        log_->end_precond_step();
+        continue;
+      }
+      log_->vec_op(len, phase.kind == SweepPhase::kFinal ? 2 : 3);
+      log_->diag_op(len);
     }
-    // Backward half-sweep over classes nc-2 .. 1.  Class nc-1 is skipped
-    // (its backward value equals the forward value just computed); class 0
-    // is deferred (see below).
-    for (int c = nc - 2; c >= 1; --c) {
-      run(Phase{Phase::kBackward, c, a});
-      log_class(c, /*lower=*/false);
-    }
-    // Class 0: save its upper sums into y; the solve is deferred to the
-    // next forward pass (inner steps) or the final solve below (last step).
-    run(Phase{Phase::kSave, 0, a});
-    narrate([&] {
-      log_->spmv_diagonals(cs.class_size(0), plan.census.upper[0]);
-      log_->end_precond_step();
-    });
-  }
-  // Final deferred class-0 solve with alpha_0 — line (3) of Algorithm 2.
-  run(Phase{Phase::kFinal, 0, plan.alphas[0]});
-  narrate([&] {
-    log_->vec_op(cs.class_size(0), 2);
-    log_->diag_op(cs.class_size(0));
   });
 }
 
@@ -286,7 +225,7 @@ void MulticolorMStepSsor::apply(const Vec& r, Vec& z) const {
   assert(static_cast<index_t>(r.size()) == n);
   z.assign(n, 0.0);
   y_.assign(n, 0.0);
-  walk([&](const Phase& phase) { run_phase(phase, r, z); }, 1);
+  walk([&](const SweepPhase& phase) { run_phase(phase, r, z); }, 1);
 }
 
 void MulticolorMStepSsor::apply_block(const Vec& r, Vec& z,
@@ -296,13 +235,21 @@ void MulticolorMStepSsor::apply_block(const Vec& r, Vec& z,
   assert(r.size() == len);
   z.assign(len, 0.0);
   y_.assign(len, 0.0);
-  walk([&](const Phase& phase) { run_block_phase(phase, r, z); }, columns);
+  const MulticolorSweepPlan& plan = *plan_;
+  walk(
+      [&](const SweepPhase& phase) {
+        for (int p = 0; p < plan.num_parts(); ++p) {
+          plan.run_part(phase, p, r.data(), z.data(), y_.data(),
+                        /*block=*/true);
+        }
+      },
+      columns);
 }
 
 std::string MulticolorMStepSsor::name() const {
-  const int ns = plan_->num_strips();
+  const int parts = plan_->num_parts();
   return "multicolor-ssor-m" + std::to_string(steps()) +
-         (ns >= 2 ? "-s" + std::to_string(ns) : "");
+         (parts >= 2 ? "-s" + std::to_string(parts) : "");
 }
 
 long long MulticolorMStepSsor::offdiag_traversals_per_apply() const {

@@ -25,32 +25,31 @@
 //
 // Storage.  The sweep reads the solve's one matrix storage, la::DiaMatrix:
 // constant-offset row runs — the paper's §3.1 diagonal storage, cut to the
-// rows that have it — over the CSR rows.  The store is cut at every (strip,
-// class) cell, so each run lies in one cell, and for each cell the plan
-// keeps two views of its runs (la::SweepSegments): the lower half sums
-// each run's leading lower-class terms, the upper half its trailing
-// upper-class terms — both a term begin and a count over the same stored
-// offsets and values, with no second copy of the couplings.  The rows no
-// usable run covers keep their half as SELL slices.  One fused kernel,
-// la::simd::sweep_segments, sums 4 rows at a time and applies the class
-// update in place; its block form, la::simd::block_sweep_segments, reads
-// the same views for apply_block, so no sweep reads the CSR arrays.  Every
-// row keeps its CSR term order and row_dot's 8-lane schedule (term k to
-// lane k mod 8), and negating the finished sum commutes with rounding, so
-// each row's value is bitwise -row_dot(segment) whichever layout holds it.
+// rows that have it — over the CSR rows.  The store is cut at every range
+// bound of every (part, class) cell, so each run lies in one cell, and for
+// each cell the plan keeps two views of its runs (la::SweepSegments): the
+// lower half sums each run's leading lower-class terms, the upper half its
+// trailing upper-class terms — a term begin and a count over the same
+// stored offsets and values.  The rows no usable run covers keep their
+// half as SELL slices.  One fused kernel, la::simd::sweep_segments, sums 4
+// rows at a time and applies the class update in place; its block form
+// reads the same views for apply_block.  Every row keeps its CSR term
+// order and row_dot's 8-lane schedule, and negating the finished sum
+// commutes with rounding, so each row's value is bitwise
+// -row_dot(segment) whichever layout holds it.
 //
-// This is the only implementation of the sweep, for every execution mode:
-// an immutable, shareable MulticolorSweepPlan, and engines that own only
-// per-call scratch.  The plan cuts every colour class into contiguous
-// strips (shard::ShardPlan).  With a pool, N strips run each phase as one
-// pool dispatch, every strip reading and writing the one shared z: a
-// class-c phase writes only class-c rows, each owned by one strip, its
-// segment sums read only rows of other classes, and the pool rendezvous
-// orders one phase's writes before the next phase's reads.  Without a pool
-// the strips of each phase run inline, in order — with one strip that is
-// the serial kernel.  Since each row's bits do not depend on its layout
-// and the phase order is the class order, every strip count gives the
-// one-strip bits and the same KernelLog stream.
+// This is the only implementation of the sweep: an immutable, shareable
+// MulticolorSweepPlan over an owner map (owner[row] in [0, parts) on the
+// colour-permuted rows), and engines that own the coefficients and
+// per-call scratch.  The threaded solve's strips (shard::ShardPlan, one
+// range per cell) are one owner map; the Finite Element Machine's
+// processor assignment is another, each processor running the plan's
+// phase body on its own part and vectors (femsim/dist_solver.hpp).  With
+// a pool, N parts run each phase as one pool dispatch on the one shared z;
+// without one they run inline, in order — with one part that is the
+// serial kernel.  Each row's bits do not depend on its layout and the
+// phase order is the class order, so every owner map gives the one-part
+// bits and the same KernelLog stream.
 #pragma once
 
 #include <memory>
@@ -62,82 +61,140 @@
 #include "core/preconditioner.hpp"
 #include "la/dia_matrix.hpp"
 #include "la/sweep_segments.hpp"
+#include "obs/trace.hpp"
 #include "par/thread_pool.hpp"
 #include "shard/halo.hpp"
 #include "shard/partition.hpp"
 
 namespace mstep::core {
 
-/// The immutable part of Algorithm 2 on one coloured system; engines share
-/// it through a std::shared_ptr<const MulticolorSweepPlan>.
+/// One phase of Algorithm 2's schedule: which class to update (or, for
+/// kSave, whose upper sums to save) and the coefficient of its step.
+struct SweepPhase {
+  enum Kind { kForward, kBackward, kSave, kFinal } kind;
+  int cls;
+  double alpha;
+};
+
+/// The immutable part of Algorithm 2 on one coloured system and one owner
+/// map — what depends on the matrix and the partition, not on the
+/// coefficients; engines share it through a
+/// std::shared_ptr<const MulticolorSweepPlan>.
 struct MulticolorSweepPlan {
-  /// `cs` must remain alive; its diagonal class blocks must be diagonal
-  /// (verified, throws std::invalid_argument otherwise).  `alphas[i]` is
-  /// the coefficient of G^i, m = alphas.size() >= 1.  `strips` must be cut
-  /// from cs.class_start.  `store` is the matrix storage the sweep reads:
-  /// la::DiaMatrix::from_csr(cs.matrix, cuts) with every cell boundary of
-  /// `strips` among the cuts (throws std::invalid_argument otherwise);
-  /// null builds one cut at exactly those boundaries.
+  /// `cs` must remain alive at its address, with diagonal class blocks;
+  /// `owner[row]` is the part of each row of `cs`, in [0, parts); `store`
+  /// is la::DiaMatrix::from_csr(cs.matrix, cuts) with every range bound
+  /// among the cuts, or null to build one cut at exactly those bounds.
+  /// Throws std::invalid_argument if any of these fails.
   MulticolorSweepPlan(const color::ColoredSystem& cs,
-                      std::vector<double> alphas, shard::ShardPlan strips,
+                      const std::vector<int>& owner, int parts,
                       std::shared_ptr<const la::DiaMatrix> store = nullptr);
+  /// The owner map of a strip partition cut from cs.class_start.
+  MulticolorSweepPlan(const color::ColoredSystem& cs,
+                      const shard::ShardPlan& strips,
+                      std::shared_ptr<const la::DiaMatrix> store = nullptr)
+      : MulticolorSweepPlan(cs, strips.owners(), strips.num_shards(),
+                            std::move(store)) {}
   /// Convenience: shard::ShardPlan::build(cs.class_start, strips) and its
   /// own store.
-  MulticolorSweepPlan(const color::ColoredSystem& cs,
-                      std::vector<double> alphas, int strips = 1);
+  explicit MulticolorSweepPlan(const color::ColoredSystem& cs,
+                               int strips = 1);
 
-  [[nodiscard]] int num_strips() const { return strips.num_shards(); }
+  [[nodiscard]] int num_parts() const { return parts; }
+  /// Part `part`'s rows in class `c`: ascending, disjoint ranges.
+  [[nodiscard]] const std::vector<la::RowSpan>& ranges(int part,
+                                                       int c) const {
+    return cell_ranges[cell(part, c)];
+  }
+
+  /// Algorithm 2's phase schedule for m = alphas.size() >= 1 steps, the
+  /// reuses above included: step s = 1..m runs, with alphas[m - s], a
+  /// forward phase per class 0..nc-1, a backward phase per class
+  /// nc-2..1, and the save of class 0's upper sums; then the final class-0
+  /// solve with alphas[0].  Calls run(phase) for each, in order.
+  template <typename Run>
+  void for_each_phase(const std::vector<double>& alphas,
+                      const Run& run) const {
+    const int m = static_cast<int>(alphas.size());
+    const int nc = cs->num_classes();
+    for (int s = 1; s <= m; ++s) {
+      const obs::Span sweep_span("sweep");
+      const double a = alphas[m - s];
+      for (int c = 0; c < nc; ++c) run(SweepPhase{SweepPhase::kForward, c, a});
+      for (int c = nc - 2; c >= 1; --c) {
+        run(SweepPhase{SweepPhase::kBackward, c, a});
+      }
+      run(SweepPhase{SweepPhase::kSave, 0, a});
+    }
+    run(SweepPhase{SweepPhase::kFinal, 0, alphas[0]});
+  }
+
+  /// Part `part`'s share of `phase` on the caller's r, z and the
+  /// Conrad–Wallach y — one vector each, or with `block` n x
+  /// la::simd::kSellSlice row-interleaved blocks.  Writes z and y only at
+  /// the part's rows of the phase's class; its segment sums read z only at
+  /// rows of other classes.
+  void run_part(const SweepPhase& phase, int part, const double* r,
+                double* z, double* y, bool block = false) const;
 
   const color::ColoredSystem* cs;
-  std::vector<double> alphas;
+  int parts;
   color::RowSplits splits;  // diagonal + lower/upper row splits
-  shard::ShardPlan strips;
-  shard::HaloPlan halo;  // rows strips read from each other; empty with one
+  shard::HaloPlan halo;     // rows parts read from each other
   std::shared_ptr<const la::DiaMatrix> store;
-  // Per strip and class (index strip * classes + class): the strictly-
-  // lower / strictly-upper row segments as views of the store's runs plus
-  // SELL leftovers (la::SweepSegments), summed 4 rows at a time and
-  // updated in place by simd::sweep_segments — bitwise -row_dot per row,
-  // but vectorized ACROSS the class's independent rows.
+  // Per part and class (index part * classes + class): the part's ranges
+  // and their strictly-lower / strictly-upper row segments (the store's
+  // runs plus SELL leftovers, la::SweepSegments).
+  std::vector<std::vector<la::RowSpan>> cell_ranges;
   std::vector<la::SweepSegments> lower;
   std::vector<la::SweepSegments> upper;
   // Prices each class in the KernelLog: per class, the distinct offsets
   // that hold a nonzero, counted from the segments above.
   color::ClassDiagonalCensus census;
+
+ private:
+  [[nodiscard]] std::size_t cell(int part, int c) const {
+    return static_cast<std::size_t>(part) * cs->num_classes() + c;
+  }
 };
 
-/// One Algorithm-2 engine: a shared plan plus this engine's scratch.
-/// Engines sharing a plan may apply concurrently from different threads.
+/// One Algorithm-2 engine: a shared plan, the coefficients, and this
+/// engine's scratch.  Engines sharing a plan may apply concurrently from
+/// different threads.
 class MulticolorMStepSsor : public Preconditioner {
  public:
-  /// The serial sweep on a private one-strip plan.
+  /// The serial sweep on a private one-part plan.  `alphas[i]` is the
+  /// coefficient of G^i, m = alphas.size() >= 1 (throws
+  /// std::invalid_argument otherwise).
   MulticolorMStepSsor(const color::ColoredSystem& cs,
                       std::vector<double> alphas, KernelLog* log = nullptr);
   /// A private plan on `strips`, run on `pool` (which must outlive the
   /// engine).
   MulticolorMStepSsor(const color::ColoredSystem& cs,
-                      std::vector<double> alphas, shard::ShardPlan strips,
-                      par::ThreadPool& pool, KernelLog* log = nullptr);
-  /// An engine over a shared plan.  With `pool` and two or more strips
-  /// each phase is one pool dispatch; without one the strips run inline,
+                      std::vector<double> alphas,
+                      const shard::ShardPlan& strips, par::ThreadPool& pool,
+                      KernelLog* log = nullptr);
+  /// An engine over a shared plan.  With `pool` and two or more parts
+  /// each phase is one pool dispatch; without one the parts run inline,
   /// in order.  `log` (optional) receives the kernel stream.
-  explicit MulticolorMStepSsor(std::shared_ptr<const MulticolorSweepPlan> plan,
-                               par::ThreadPool* pool = nullptr,
-                               KernelLog* log = nullptr);
+  MulticolorMStepSsor(std::shared_ptr<const MulticolorSweepPlan> plan,
+                      std::vector<double> alphas,
+                      par::ThreadPool* pool = nullptr,
+                      KernelLog* log = nullptr);
 
   [[nodiscard]] index_t size() const override { return plan_->cs->size(); }
   void apply(const Vec& r, Vec& z) const override;
   /// apply() on an n x la::simd::kSellSlice row-interleaved block: one
   /// pass over each class's segments (la::simd::block_sweep_segments,
-  /// strip by strip) serves every column, and column c of z is bitwise
+  /// part by part) serves every column, and column c of z is bitwise
   /// apply() of column c of r.  Runs serially on the calling thread
-  /// whatever the plan's strips.  The kernel log hears `columns` copies
+  /// whatever the plan's parts.  The kernel log hears `columns` copies
   /// of apply()'s stream — the live columns' census.
   void apply_block(const Vec& r, Vec& z, int columns) const;
   [[nodiscard]] int steps() const override {
-    return static_cast<int>(plan_->alphas.size());
+    return static_cast<int>(alphas_.size());
   }
-  /// "multicolor-ssor-m{m}" with one strip, "...-s{N}" with N strips.
+  /// "multicolor-ssor-m{m}" with one part, "...-s{N}" with N parts.
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] const std::shared_ptr<const MulticolorSweepPlan>& plan()
@@ -151,16 +208,14 @@ class MulticolorMStepSsor : public Preconditioner {
   [[nodiscard]] long long offdiag_traversals_per_apply() const;
 
  private:
-  struct Phase;
-  /// Walks Algorithm 2's phase schedule, calling run(phase) for each and
+  /// Walks the plan's phase schedule, calling run(phase) for each and
   /// narrating `columns` copies of the kernel stream.
   template <typename Run>
   void walk(const Run& run, int columns) const;
-  void run_phase(const Phase& phase, const Vec& r, Vec& z) const;
-  void run_strip(const Phase& phase, int s, const Vec& r, Vec& z) const;
-  void run_block_phase(const Phase& phase, const Vec& r, Vec& z) const;
+  void run_phase(const SweepPhase& phase, const Vec& r, Vec& z) const;
 
   std::shared_ptr<const MulticolorSweepPlan> plan_;
+  std::vector<double> alphas_;
   par::ThreadPool* pool_;
   KernelLog* log_;
 

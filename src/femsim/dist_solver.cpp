@@ -14,17 +14,16 @@ DistributedPlateSolver::DistributedPlateSolver(const fem::PlateMesh& mesh,
                                                const fem::EdgeLoad& load,
                                                const Assignment& assignment) {
   auto sys = fem::assemble_plane_stress(mesh, mat, load);
-  cs_ = color::make_colored_system(sys.stiffness,
-                                   color::six_color_classes(mesh));
-  f_colored_ = cs_.permute(sys.load);
-  splits_ = color::compute_row_splits(cs_);
+  cs_ = std::make_unique<const color::ColoredSystem>(color::make_colored_system(
+      sys.stiffness, color::six_color_classes(mesh)));
+  f_colored_ = cs_->permute(sys.load);
 
   // Owner of every (colored-ordering) equation, from the node assignment.
-  std::vector<int> owner(cs_.size(), -1);
-  for (index_t old_eq = 0; old_eq < cs_.size(); ++old_eq) {
+  std::vector<int> owner(cs_->size(), -1);
+  for (index_t old_eq = 0; old_eq < cs_->size(); ++old_eq) {
     const auto [node, dof] = mesh.equation_node_dof(old_eq);
     (void)dof;
-    owner[cs_.inv_perm[old_eq]] = assignment.proc_of_node[node];
+    owner[cs_->inv_perm[old_eq]] = assignment.proc_of_node[node];
   }
   build_proc_data(owner, assignment.nprocs);
 }
@@ -32,31 +31,33 @@ DistributedPlateSolver::DistributedPlateSolver(const fem::PlateMesh& mesh,
 DistributedPlateSolver::DistributedPlateSolver(
     color::ColoredSystem cs, Vec f_colored,
     const std::vector<int>& owner_of_eq, int nprocs)
-    : cs_(std::move(cs)), f_colored_(std::move(f_colored)) {
-  splits_ = color::compute_row_splits(cs_);
+    : cs_(std::make_unique<const color::ColoredSystem>(std::move(cs))),
+      f_colored_(std::move(f_colored)) {
   build_proc_data(owner_of_eq, nprocs);
 }
 
 void DistributedPlateSolver::build_proc_data(
     const std::vector<int>& owner, int nprocs) {
-  halo_ = shard::HaloPlan(cs_, owner, nprocs);  // validates the owner map
-  const int nc = cs_.num_classes();
-  const auto& rp = cs_.matrix.row_ptr();
+  // The plan validates the owner map that indexes pdata_ below.
+  plan_ = std::make_unique<const core::MulticolorSweepPlan>(*cs_, owner,
+                                                            nprocs);
+  const int nc = cs_->num_classes();
+  const auto& rp = cs_->matrix.row_ptr();
 
   pdata_.assign(nprocs, {});
   for (auto& pd : pdata_) {
-    pd.owned_by_class.assign(nc, {});
+    pd.rows.assign(nc, 0);
     pd.nnz_lower.assign(nc, 0);
     pd.nnz_upper.assign(nc, 0);
   }
   for (int c = 0; c < nc; ++c) {
-    for (index_t i = cs_.class_start[c]; i < cs_.class_start[c + 1]; ++i) {
+    for (index_t i = cs_->class_start[c]; i < cs_->class_start[c + 1]; ++i) {
       ProcData& pd = pdata_[owner[i]];
-      pd.owned_by_class[c].push_back(i);
       pd.owned.push_back(i);
       pd.nnz_owned += rp[i + 1] - rp[i];
-      pd.nnz_lower[c] += splits_.lo_end[i] - rp[i];
-      pd.nnz_upper[c] += rp[i + 1] - splits_.up_begin[i];
+      ++pd.rows[c];
+      pd.nnz_lower[c] += plan_->splits.lo_end[i] - rp[i];
+      pd.nnz_upper[c] += rp[i + 1] - plan_->splits.up_begin[i];
     }
   }
 }
@@ -69,8 +70,9 @@ DistResult DistributedPlateSolver::solve_with_traffic(
     const DistOptions& options,
     std::vector<std::vector<long long>>* traffic) const {
   const int nprocs = static_cast<int>(pdata_.size());
-  const index_t n = cs_.size();
-  const int nc = cs_.num_classes();
+  const core::MulticolorSweepPlan& plan = *plan_;
+  const index_t n = cs_->size();
+  const int nc = cs_->num_classes();
   const int m = options.m;
   const std::vector<double> alphas =
       m == 0 ? std::vector<double>{}
@@ -85,11 +87,6 @@ DistResult DistributedPlateSolver::solve_with_traffic(
   std::vector<int> iter_of(nprocs, 0);
   std::vector<char> conv_of(nprocs, 0);
 
-  const auto& a = cs_.matrix;
-  const auto& rp = a.row_ptr();
-  const auto& col = a.col_idx();
-  const auto& val = a.values();
-
   auto program = [&](Proc& proc) {
     const int me = proc.rank();
     const ProcData& pd = pdata_[me];
@@ -101,36 +98,28 @@ DistResult DistributedPlateSolver::solve_with_traffic(
     // One record per neighbour: the border values of classes
     // c_first..c_last, in the halo plan's row order on both ends.
     auto exchange = [&](Vec& v, int c_first, int c_last, int tag) {
-      for (const int q : halo_.neighbors(me)) {
+      for (const int q : plan.halo.neighbors(me)) {
         std::vector<double> payload;
         for (int c = c_first; c <= c_last; ++c) {
-          for (index_t id : halo_.recv_rows(q, me, c)) {
+          for (index_t id : plan.halo.recv_rows(q, me, c)) {
             payload.push_back(v[id]);
           }
         }
         proc.send(q, tag, std::move(payload));
       }
-      for (const int q : halo_.neighbors(me)) {
+      for (const int q : plan.halo.neighbors(me)) {
         const std::vector<double> data = proc.recv(q, tag);
         std::size_t k = 0;
         for (int c = c_first; c <= c_last; ++c) {
-          for (index_t id : halo_.recv_rows(me, q, c)) v[id] = data[k++];
+          for (index_t id : plan.halo.recv_rows(me, q, c)) v[id] = data[k++];
         }
       }
     };
-    // Row sums through the library's fixed-4-lane kernel and dots through
-    // la::dot's fixed-block 8-lane schedule (term i -> block
+    // Dots through la::dot's fixed-block 8-lane schedule (term i -> block
     // i / kReductionBlock, lane i mod 8, blocks summed in order): with one
-    // processor these ARE the sequential library kernels, which is what
-    // keeps the P=1 solve bitwise identical to core::pcg_solve.
-    auto lower_sum = [&](index_t i, const Vec& v) {
-      return -la::simd::row_dot(val.data(), col.data(), v.data(), rp[i],
-                                splits_.lo_end[i]);
-    };
-    auto upper_sum = [&](index_t i, const Vec& v) {
-      return -la::simd::row_dot(val.data(), col.data(), v.data(),
-                                splits_.up_begin[i], rp[i + 1]);
-    };
+    // processor this IS the sequential library kernel, which with the
+    // plan's sweep and store is what keeps the P=1 solve bitwise identical
+    // to core::pcg_solve.
     auto local_dot = [&](const Vec& x, const Vec& yv) {
       double total = 0.0;
       double lane[la::simd::kDotLanes] = {};
@@ -157,8 +146,9 @@ DistResult DistributedPlateSolver::solve_with_traffic(
       return total;
     };
 
-    // Algorithm 3: z = M^{-1} r with the Conrad–Wallach auxiliary vector
-    // and per-geometric-colour border exchanges.
+    // Algorithm 3: z = M^{-1} r — the plan's phase schedule on this
+    // processor's part, each phase priced, with the border exchanges that
+    // keep every ghost fresh exactly when it is read (see header).
     auto precond = [&](const Vec& rv, Vec& zv, Vec& yv) {
       if (m == 0) {
         for (index_t i : pd.owned) zv[i] = rv[i];
@@ -167,42 +157,26 @@ DistResult DistributedPlateSolver::solve_with_traffic(
       }
       std::fill(zv.begin(), zv.end(), 0.0);
       for (index_t i : pd.owned) yv[i] = 0.0;
-      for (int s = 1; s <= m; ++s) {
-        const double as = alphas[m - s];
-        // Forward half-sweep.
-        for (int c = 0; c < nc; ++c) {
-          for (index_t i : pd.owned_by_class[c]) {
-            const double xl = lower_sum(i, zv);
-            zv[i] = (xl + yv[i] + as * rv[i]) / splits_.diag[i];
-            yv[i] = (c == nc - 1) ? 0.0 : xl;
-          }
-          proc.compute(2 * pd.nnz_lower[c] +
-                       4 * static_cast<long long>(pd.owned_by_class[c].size()));
-          if (c % 2 == 1) exchange(zv, c - 1, c, /*tag=*/10 + c);
+      plan.for_each_phase(alphas, [&](const core::SweepPhase& phase) {
+        plan.run_part(phase, me, rv.data(), zv.data(), yv.data());
+        const int c = phase.cls;
+        switch (phase.kind) {
+          case core::SweepPhase::kForward:
+            proc.compute(2 * pd.nnz_lower[c] + 4 * pd.rows[c]);
+            if (c % 2 == 1) exchange(zv, c - 1, c, /*tag=*/10 + c);
+            break;
+          case core::SweepPhase::kBackward:
+            proc.compute(2 * pd.nnz_upper[c] + 4 * pd.rows[c]);
+            if (c % 2 == 0) exchange(zv, c, c + 1, /*tag=*/20 + c);
+            break;
+          case core::SweepPhase::kSave:
+            proc.compute(2 * pd.nnz_upper[0]);
+            break;
+          case core::SweepPhase::kFinal:
+            proc.compute(3 * pd.rows[0]);
+            break;
         }
-        // Backward half-sweep (classes nc-2 .. 1; last skipped, first
-        // deferred).  Border shipping after classes 4 and 2 keeps every
-        // ghost fresh exactly when it is read (see header).
-        for (int c = nc - 2; c >= 1; --c) {
-          for (index_t i : pd.owned_by_class[c]) {
-            const double xu = upper_sum(i, zv);
-            zv[i] = (xu + yv[i] + as * rv[i]) / splits_.diag[i];
-            yv[i] = xu;
-          }
-          proc.compute(2 * pd.nnz_upper[c] +
-                       4 * static_cast<long long>(pd.owned_by_class[c].size()));
-          if (c % 2 == 0) exchange(zv, c, c + 1, /*tag=*/20 + c);
-        }
-        // Save the first class's upper sums (solve deferred).
-        for (index_t i : pd.owned_by_class[0]) yv[i] = upper_sum(i, zv);
-        proc.compute(2 * pd.nnz_upper[0]);
-      }
-      // Final deferred first-class solve with alpha_0.
-      for (index_t i : pd.owned_by_class[0]) {
-        zv[i] = (yv[i] + alphas[0] * rv[i]) / splits_.diag[i];
-      }
-      proc.compute(3 *
-                   static_cast<long long>(pd.owned_by_class[0].size()));
+      });
     };
 
     // --- Algorithm 1 -------------------------------------------------------
@@ -217,10 +191,12 @@ DistResult DistributedPlateSolver::solve_with_traffic(
     for (int it = 0; it < options.max_iterations; ++it) {
       // Border p values, one record per neighbour (all colours at once).
       exchange(p, 0, nc - 1, /*tag=*/1);
-      // w = K p on owned rows — the CSR SpMV row kernel.
-      for (index_t i : pd.owned) {
-        w[i] = la::simd::row_dot(val.data(), col.data(), p.data(), rp[i],
-                                 rp[i + 1]);
+      // w = K p on owned rows: the plan's store over this part's ranges.
+      for (int c = 0; c < nc; ++c) {
+        for (const la::RowSpan& range : plan.ranges(me, c)) {
+          plan.store->multiply_rows(p, w, range.begin, range.end,
+                                    /*subtract=*/false);
+        }
       }
       proc.compute(2 * pd.nnz_owned);
 
@@ -266,7 +242,7 @@ DistResult DistributedPlateSolver::solve_with_traffic(
   res.max_comm_seconds = machine.max_comm_seconds();
   res.max_idle_seconds = machine.max_idle_seconds();
   res.total_records = machine.total_records();
-  res.solution = cs_.unpermute(global_u);
+  res.solution = cs_->unpermute(global_u);
   if (traffic != nullptr) {
     traffic->assign(nprocs, std::vector<long long>(nprocs, 0));
     for (int i = 0; i < nprocs; ++i) {

@@ -2,6 +2,15 @@
 // Algorithm 1 driving Algorithm 3 (the per-processor multicolor m-step
 // SSOR of Section 3.2).
 //
+// Algorithm 3 is Algorithm 2 on each processor's share of the equations,
+// with border records exchanged after each geometric colour, so its
+// arithmetic is the library's one sweep engine: one
+// core::MulticolorSweepPlan over the processor owner map, whose phase
+// schedule each simulated processor walks, running the phase body on its
+// own part and vectors.  What stays here is the machine: the owner map,
+// the per-processor row lists and flop prices, the exchange schedule, and
+// Algorithm 1 on the flag and sum networks.
+//
 // Numerics: each simulated processor owns the equations of its assigned
 // nodes.  Inner products are deterministic rank-ordered reductions over the
 // flag/sum network; the convergence test is the signal-flag protocol
@@ -11,7 +20,7 @@
 // packaging the paper recommends ("think of the two equations at the same
 // node as being the same color").
 //
-// Exchange schedule.  What travels comes from the one halo census,
+// Exchange schedule.  What travels comes from the plan's halo census,
 // shard::HaloPlan over the processor owner map: processor p sends each
 // q in neighbors(p) the rows of the finished classes that q reads from p
 // (recv_rows(q, p, c)) and reads back recv_rows(p, q, c).  When it
@@ -25,13 +34,14 @@
 // Table 3 reporting identical iteration counts for 1, 2 and 5 processors.)
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "color/coloring.hpp"
+#include "core/multicolor_mstep.hpp"
 #include "fem/plane_stress.hpp"
 #include "femsim/assignment.hpp"
 #include "femsim/machine.hpp"
-#include "shard/halo.hpp"
 
 namespace mstep::femsim {
 
@@ -54,9 +64,9 @@ struct DistResult {
   long long total_records = 0;
 };
 
-/// Builds the system once and runs distributed solves on a given
-/// assignment.  The matrix data is shared read-only across the simulated
-/// processors (their partitioned views are precomputed per processor).
+/// Builds the system and its sweep plan once and runs distributed solves
+/// of any m on them.  The matrix data is shared read-only across the
+/// simulated processors, each reading its own part of the plan.
 ///
 /// Two construction paths: the paper's rectangular plate (mesh + Figure 3/5
 /// assignment), and the general path — any coloured system with an
@@ -81,9 +91,13 @@ class DistributedPlateSolver {
   [[nodiscard]] DistResult solve(const DistOptions& options) const;
 
   [[nodiscard]] const color::ColoredSystem& colored_system() const {
-    return cs_;
+    return *cs_;
   }
   [[nodiscard]] int nprocs() const { return static_cast<int>(pdata_.size()); }
+  /// The sweep plan over the processor owner map, one part per processor.
+  [[nodiscard]] const core::MulticolorSweepPlan& sweep_plan() const {
+    return *plan_;
+  }
 
   /// Per-link record counts of the last solve (Figure 4 census) — filled
   /// into the matrix provided by the caller of solve_with_traffic.
@@ -93,19 +107,19 @@ class DistributedPlateSolver {
 
  private:
   struct ProcData {
-    std::vector<std::vector<index_t>> owned_by_class;  // global colored ids
-    std::vector<index_t> owned;                        // all classes merged
+    std::vector<index_t> owned;  // global colored ids, ascending
     long long nnz_owned = 0;
-    std::vector<long long> nnz_lower;  // per class, owned rows
+    std::vector<long long> rows;       // per class, owned rows
+    std::vector<long long> nnz_lower;  // per class, owned rows' entries
     std::vector<long long> nnz_upper;
   };
 
   void build_proc_data(const std::vector<int>& owner_of_eq, int nprocs);
 
-  color::ColoredSystem cs_;
+  // On the heap: the plan and its store point into it.
+  std::unique_ptr<const color::ColoredSystem> cs_;
   Vec f_colored_;
-  color::RowSplits splits_;  // diagonal + lower/upper row split points
-  shard::HaloPlan halo_;     // border rows every processor pair exchanges
+  std::unique_ptr<const core::MulticolorSweepPlan> plan_;
   std::vector<ProcData> pdata_;
 };
 

@@ -27,23 +27,29 @@
 
 namespace mstep::la {
 
+/// Rows [begin, end).
+struct RowSpan {
+  index_t begin;
+  index_t end;
+};
+
 class SweepSegments {
  public:
   SweepSegments() = default;
 
-  /// Rows [row_begin, row_end) of `a`, row i contributing its CSR entries
-  /// [seg_begin[i], seg_end[i]); both arrays are indexed by global row id
-  /// (pass row_ptr().data() / the RowSplits arrays).  `store` must be
-  /// la::DiaMatrix::from_csr(a, cuts) with row_begin and row_end among the
-  /// cuts, and must outlive this view.  A store run whose rows all start
-  /// and end their segment at the same terms is summed in place; the rows
-  /// of every other run, and those outside runs, go to rest().
+  /// The rows of `spans` (ascending, disjoint) of `a`, row i contributing
+  /// its CSR entries [seg_begin[i], seg_end[i]); both arrays are indexed
+  /// by global row id (pass row_ptr().data() / the RowSplits arrays).
+  /// `store` must be la::DiaMatrix::from_csr(a, cuts) with every span
+  /// bound among the cuts, and must outlive this view.  A store run whose
+  /// rows all start and end their segment at the same terms is summed in
+  /// place; the rows of every other run, and those outside runs, go to
+  /// rest().
   [[nodiscard]] static SweepSegments build(const DiaMatrix& store,
                                            const CsrMatrix& a,
                                            const index_t* seg_begin,
                                            const index_t* seg_end,
-                                           index_t row_begin,
-                                           index_t row_end);
+                                           const std::vector<RowSpan>& spans);
 
   /// Non-owning kernel view of the runs; valid while this object and the
   /// store live.

@@ -27,6 +27,8 @@ HaloPlan::HaloPlan(const color::ColoredSystem& cs,
   };
 
   recv_.assign(static_cast<std::size_t>(parts) * parts * num_classes_, {});
+  neighbors_.assign(parts, {});
+  if (parts == 1) return;  // one part reads no row off-part
   for (index_t i = 0; i < cs.size(); ++i) {
     const int s = owner[i];
     for (index_t k = rp[i]; k < rp[i + 1]; ++k) {
@@ -40,7 +42,6 @@ HaloPlan::HaloPlan(const color::ColoredSystem& cs,
     rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
   }
 
-  neighbors_.assign(parts, {});
   for (int s = 0; s < parts; ++s) {
     for (int t = 0; t < parts; ++t) {
       for (int c = 0; c < num_classes_; ++c) {

@@ -17,22 +17,17 @@
 #include <vector>
 
 #include "color/coloring.hpp"
-#include "shard/partition.hpp"
 
 namespace mstep::shard {
 
 /// All off-part row sets of one owner map on one colored matrix.
 class HaloPlan {
  public:
-  HaloPlan() = default;
   /// `owner[row]` is the part owning each row of `cs`.  Throws
   /// std::invalid_argument unless owner has cs.size() entries, each in
   /// [0, parts).
   HaloPlan(const color::ColoredSystem& cs, const std::vector<int>& owner,
            int parts);
-  /// The census of a strip partition cut from `cs`.
-  HaloPlan(const color::ColoredSystem& cs, const ShardPlan& plan)
-      : HaloPlan(cs, plan.owners(), plan.num_shards()) {}
 
   /// Rows of part `from` in class `c` that part `to` reads (sorted,
   /// duplicate-free).  Empty when the parts share no boundary in that

@@ -47,14 +47,9 @@ class ShardPlan {
     return bounds_[static_cast<std::size_t>(c) * (shards_ + 1) + s + 1];
   }
 
-  /// Owning shard of a (permuted) row.
-  [[nodiscard]] int owner_of(index_t row) const { return owner_[row]; }
-  /// owner_of for every row: the owner map shard::HaloPlan takes.
+  /// The owning shard of every (permuted) row: the owner map
+  /// shard::HaloPlan and core::MulticolorSweepPlan take.
   [[nodiscard]] const std::vector<int>& owners() const { return owner_; }
-
-  [[nodiscard]] const std::vector<index_t>& class_start() const {
-    return class_start_;
-  }
 
   /// Every (shard, class) cell boundary, ascending and duplicate-free,
   /// from 0 to rows(): the cuts la::DiaMatrix::from_csr takes so that no

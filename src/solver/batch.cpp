@@ -137,7 +137,8 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs) const {
     if (tracing) lane.trace_log = std::make_unique<obs::TracingKernelLog>();
     if (sweep_plan) {
       lane.engine.precond = std::make_unique<core::MulticolorMStepSsor>(
-          sweep_plan, partitioned ? pool : nullptr, lane.trace_log.get());
+          sweep_plan, alphas_, partitioned ? pool : nullptr,
+          lane.trace_log.get());
     } else {
       lane.engine = detail::make_preconditioner(
           config_, cs_.get(), *matrix_, alphas_, lane.trace_log.get(), exec,

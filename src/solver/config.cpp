@@ -152,8 +152,8 @@ std::string SolverConfig::to_string() const {
       ";stop=" + solver::to_string(stop_rule) +
       ";tol=" + util::format_double(tolerance) +
       ";maxit=" + std::to_string(max_iterations);
-  if (execution.parallel()) {
-    out += ";threads=" + std::to_string(execution.threads);
+  if (execution.resolve() >= 2) {
+    out += ";threads=" + std::to_string(execution.resolve());
   }
   if (batch > 0) out += ";batch=" + std::to_string(batch);
   if (record_history) out += ";history=1";

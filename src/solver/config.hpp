@@ -45,8 +45,6 @@ enum class MatrixFormat { kCsr, kDia, kSell, kAuto };
 struct ExecutionConfig {
   int threads = 0;
 
-  [[nodiscard]] bool parallel() const { return threads >= 1; }
-
   /// Pool-construction normal form: how many pool threads this config asks
   /// for, with 0 AND 1 both collapsed to 0 — one thread is the caller, so
   /// "one thread" and "serial" are the same policy and neither constructs
@@ -58,8 +56,10 @@ struct ExecutionConfig {
   /// Strips a solve asks for: one per pool thread, so exactly resolve().
   [[nodiscard]] int shard_count() const { return resolve(); }
 
+  /// Two configs that resolve alike run the same solve: threads = 0 and 1
+  /// are one policy.
   friend bool operator==(const ExecutionConfig& a, const ExecutionConfig& b) {
-    return a.threads == b.threads;
+    return a.resolve() == b.resolve();
   }
   friend bool operator!=(const ExecutionConfig& a, const ExecutionConfig& b) {
     return !(a == b);
@@ -92,8 +92,9 @@ struct SolverConfig {
   double tolerance = 1e-6;               // on the stop_rule quantity
   int max_iterations = 20000;
   bool record_history = false;           // keep per-iteration history
-  /// Serial by default; serializes as "threads=N" only when parallel, so
-  /// serial config strings are unchanged from the unthreaded library.
+  /// Serial by default; serializes as "threads=N" only when it resolves
+  /// to a pool (N >= 2), so every serial spelling — threads=0, threads=1,
+  /// shards=1 — has the one canonical string of the unthreaded library.
   ExecutionConfig execution;
   /// solveMany lanes (string form ";batch=N", CLI --batch=N), the one
   /// lane knob: each lane solves up to la::simd::kSellSlice (4)

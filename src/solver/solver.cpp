@@ -65,11 +65,11 @@ PrecondChoice make_preconditioner(const SolverConfig& config,
   // caller has one, else its plan builds its own.
   if (uses_multicolor_sweep(config, cs)) {
     auto plan = std::make_shared<const core::MulticolorSweepPlan>(
-        *cs, alphas,
-        strips ? *strips : shard::ShardPlan::build(cs->class_start, 1),
+        *cs, strips ? *strips : shard::ShardPlan::build(cs->class_start, 1),
         std::move(store));
     choice.precond = std::make_unique<core::MulticolorMStepSsor>(
-        std::move(plan), strips && exec ? exec->pool() : nullptr, log);
+        std::move(plan), alphas, strips && exec ? exec->pool() : nullptr,
+        log);
     return choice;
   }
   // Generic m-step engine: every registered splitting, its K z on the

@@ -370,9 +370,9 @@ TEST(SolveManyBlocks, ApplyBlockOverStrips1To8IsApplyPerColumn) {
     for (std::size_t c = 0; c < kW; ++c) one.apply(column(r, c), want[c]);
     for (int strips = 1; strips <= 8; ++strips) {
       const core::MulticolorMStepSsor sweep(
-          std::make_shared<const core::MulticolorSweepPlan>(cs, alphas,
-                                                            strips));
-      ASSERT_EQ(sweep.plan()->num_strips(), strips);
+          std::make_shared<const core::MulticolorSweepPlan>(cs, strips),
+          alphas);
+      ASSERT_EQ(sweep.plan()->num_parts(), strips);
       Vec block;
       sweep.apply_block(r, block, static_cast<int>(kW));
       for (std::size_t c = 0; c < kW; ++c) {

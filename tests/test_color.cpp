@@ -12,7 +12,6 @@
 #include "color/coloring.hpp"
 #include "color/greedy.hpp"
 #include "core/multicolor_mstep.hpp"
-#include "core/params.hpp"
 #include "fem/plane_stress.hpp"
 #include "fem/poisson.hpp"
 #include "io/matrix_market.hpp"
@@ -173,7 +172,6 @@ ColoredSystem random_colored_system(util::Rng& rng, index_t n) {
 }
 
 TEST(RowSplits, DiagonalAndCensusMatchTheirReferences) {
-  const auto alphas = core::least_squares_alphas(1, core::ssor_interval());
   util::Rng rng(5);
   for (int trial = 0; trial < 20; ++trial) {
     const auto n = static_cast<index_t>(2 + rng.uniform_index(300));
@@ -188,7 +186,7 @@ TEST(RowSplits, DiagonalAndCensusMatchTheirReferences) {
     // The sweep plan's census, counted from its run segments.
     const ClassDiagonalCensus want = reference::census_by_sets(cs, splits);
     for (const int strips : {1, 3}) {
-      const core::MulticolorSweepPlan plan(cs, alphas, strips);
+      const core::MulticolorSweepPlan plan(cs, strips);
       EXPECT_EQ(plan.census.lower, want.lower) << trial << " " << strips;
       EXPECT_EQ(plan.census.upper, want.upper) << trial << " " << strips;
     }
@@ -220,7 +218,7 @@ TEST(RowSplits, DiagonalAndCensusMatchTheirReferences) {
   const auto s = make_plate(7, 9);
   const RowSplits splits = compute_row_splits(s.cs);
   const ClassDiagonalCensus want = reference::census_by_sets(s.cs, splits);
-  const core::MulticolorSweepPlan plan(s.cs, alphas);
+  const core::MulticolorSweepPlan plan(s.cs);
   EXPECT_EQ(plan.census.lower, want.lower);
   EXPECT_EQ(plan.census.upper, want.upper);
 }

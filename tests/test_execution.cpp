@@ -348,15 +348,28 @@ TEST(ExecutionConfig, ThreadsRoundTripsThroughStringAndCli) {
   const util::Cli cli(3, argv, solver::SolverConfig::cli_flags());
   const auto from_cli = solver::SolverConfig::from_cli(cli);
   EXPECT_EQ(from_cli.execution.threads, 8);
-  EXPECT_TRUE(from_cli.execution.parallel());
+  EXPECT_EQ(from_cli.execution.resolve(), 8);
 }
 
 TEST(ExecutionConfig, SerialDefaultKeepsConfigStringUnchanged) {
   // threads=0 must serialize exactly as the unthreaded library did.
   const solver::SolverConfig cfg;
   EXPECT_EQ(cfg.to_string().find("threads"), std::string::npos);
-  EXPECT_FALSE(cfg.execution.parallel());
+  EXPECT_EQ(cfg.execution.resolve(), 0);
   EXPECT_EQ(solver::Solver::from_config(cfg).execution(), nullptr);
+}
+
+TEST(ExecutionConfig, EverySerialSpellingHasOneCanonicalString) {
+  // threads=0, threads=1 and shards=1 run the same solve (no pool, no
+  // strips), so they serialize alike and compare equal.
+  const auto serial = solver::SolverConfig::from_string("m=2");
+  for (const char* text : {"m=2;threads=0", "m=2;threads=1", "m=2;shards=1"}) {
+    const auto cfg = solver::SolverConfig::from_string(text);
+    EXPECT_EQ(cfg.to_string(), serial.to_string()) << text;
+    EXPECT_EQ(cfg, serial) << text;
+  }
+  EXPECT_EQ(serial.to_string().find("threads"), std::string::npos);
+  EXPECT_NE(solver::SolverConfig::from_string("m=2;threads=2"), serial);
 }
 
 TEST(ExecutionConfig, RejectsNegativeThreads) {

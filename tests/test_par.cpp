@@ -186,7 +186,7 @@ TEST_P(StripSweepBitwise, MatchesSerialExactly) {
   const core::MulticolorMStepSsor serial(p.cs, alphas);
   ThreadPool pool(threads);
   const auto engine = strip_engine(p.cs, alphas, strips, pool);
-  ASSERT_EQ(engine.plan()->num_strips(), strips);
+  ASSERT_EQ(engine.plan()->num_parts(), strips);
 
   util::Rng rng(strips);
   for (int trial = 0; trial < 5; ++trial) {
@@ -257,7 +257,7 @@ TEST(StripSweep, NamesItsStripCount) {
   // Without a pool a multi-strip plan runs its strips inline, in order:
   // the same name and the serial bits.
   const core::MulticolorMStepSsor inline_strips(
-      std::make_shared<const core::MulticolorSweepPlan>(p.cs, alphas, 2));
+      std::make_shared<const core::MulticolorSweepPlan>(p.cs, 2), alphas);
   EXPECT_EQ(inline_strips.name(), "multicolor-ssor-m2-s2");
   util::Rng rng(5);
   const Vec r = rng.uniform_vector(p.cs.size());
@@ -279,9 +279,9 @@ TEST_P(StripSweepSharedPlan, EnginesSharingOnePlanApplyConcurrently) {
   const int strips = GetParam();
   const auto p = make_plate(12);
   const auto alphas = core::least_squares_alphas(4, core::ssor_interval());
-  const auto plan = std::make_shared<const core::MulticolorSweepPlan>(
-      p.cs, alphas, strips);
-  ASSERT_EQ(plan->num_strips(), strips);
+  const auto plan =
+      std::make_shared<const core::MulticolorSweepPlan>(p.cs, strips);
+  ASSERT_EQ(plan->num_parts(), strips);
   const core::MulticolorMStepSsor serial(p.cs, alphas);
   ThreadPool pool(4);
 
@@ -295,7 +295,7 @@ TEST_P(StripSweepSharedPlan, EnginesSharingOnePlanApplyConcurrently) {
   std::vector<std::unique_ptr<core::MulticolorMStepSsor>> engines;
   for (int e = 0; e < kEngines; ++e) {
     engines.push_back(
-        std::make_unique<core::MulticolorMStepSsor>(plan, &pool));
+        std::make_unique<core::MulticolorMStepSsor>(plan, alphas, &pool));
   }
   std::vector<std::thread> threads;
   for (int e = 0; e < kEngines; ++e) {

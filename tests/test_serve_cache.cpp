@@ -232,6 +232,22 @@ TEST(PreparedCache, HitOnIdenticalMatrixAndConfig) {
   EXPECT_EQ(stats.entries, 1u);
 }
 
+TEST(PreparedCache, EverySerialThreadSpellingIsOneEntry) {
+  // threads=1 is the serial policy threads=0 names: one pipeline, prepared
+  // once.
+  CacheFixture fx;
+  PreparedCache cache(64ull << 20);
+  const auto data = fx.load("poisson2d:n=8");
+  const auto serial = fx.get(cache, data, "splitting=ssor;m=2;threads=0");
+  EXPECT_FALSE(serial.hit);
+  const auto one = fx.get(cache, data, "splitting=ssor;m=2;threads=1");
+  EXPECT_TRUE(one.hit);
+  EXPECT_EQ(serial.entry.get(), one.entry.get());
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+}
+
 TEST(PreparedCache, MissWhenEitherKeyHalfChanges) {
   CacheFixture fx;
   PreparedCache cache(64ull << 20);
