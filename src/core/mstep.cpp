@@ -3,18 +3,16 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "la/simd.hpp"
 #include "obs/trace.hpp"
-#include "par/execution.hpp"
 
 namespace mstep::core {
 
 MStepPreconditioner::MStepPreconditioner(const la::LinearOperator& k,
                                          const split::Splitting& split,
                                          std::vector<double> alphas,
-                                         KernelLog* log,
-                                         const par::Execution* exec)
+                                         KernelLog* log)
     : k_(&k), split_(&split), alphas_(std::move(alphas)), log_(log),
-      exec_(exec),
       ndiags_(log ? static_cast<int>(k.num_nonzero_diagonals()) : 0) {
   if (alphas_.empty()) {
     throw std::invalid_argument("MStepPreconditioner: need m >= 1");
@@ -25,7 +23,6 @@ MStepPreconditioner::MStepPreconditioner(const la::LinearOperator& k,
 }
 
 void MStepPreconditioner::apply(const Vec& r, Vec& z) const {
-  const par::Execution& ex = exec_ ? *exec_ : par::serial_execution();
   const index_t n = k_->rows();
   assert(static_cast<index_t>(r.size()) == n);
   const int m = static_cast<int>(alphas_.size());
@@ -37,19 +34,19 @@ void MStepPreconditioner::apply(const Vec& r, Vec& z) const {
     const double a = alphas_[m - s];
     if (s == 1) {
       // z = 0, so the residual is just alpha * r.
-      ex.scale_copy(a, r, tmp_);
+      la::simd::scale_copy(a, r.data(), tmp_.data(), r.size());
       if (log_) log_->vec_op(n, 1);
     } else {
       // tmp = alpha * r - K z
-      ex.scale_copy(a, r, tmp_);
+      la::simd::scale_copy(a, r.data(), tmp_.data(), r.size());
       k_->multiply_sub(z, tmp_);
       if (log_) {
         log_->vec_op(n, 2);
         log_->spmv_diagonals(n, ndiags_);
       }
     }
-    split_->apply_pinv(tmp_, pz_, ex);
-    ex.axpy(1.0, pz_, z);
+    split_->apply_pinv(tmp_, pz_);
+    la::axpy(1.0, pz_, z);
     if (log_) {
       log_->vec_op(n, 1);
       log_->end_precond_step();

@@ -21,31 +21,24 @@
 #include "la/linear_operator.hpp"
 #include "split/splitting.hpp"
 
-namespace mstep::par {
-class Execution;  // par/execution.hpp — the threaded kernel policy
-}
-
 namespace mstep::core {
 
 class MStepPreconditioner : public Preconditioner {
  public:
   /// `alphas[i]` is the coefficient of G^i; m = alphas.size() >= 1.
   /// `k` is the operator K z runs on: a solver pipeline passes its own
-  /// outer-product view (serial, or shard::ShardedOperator over its strip
-  /// partition).  `k`, the splitting and `exec` must outlive the
-  /// preconditioner.  `exec` (optional) threads the vector ops — plus the
-  /// P^{-1} application for the elementwise splittings.  Every view of K
-  /// is bitwise CSR, so the result is BITWISE the serial sweep for any
-  /// thread count.
+  /// serial view.  `k` and the splitting must outlive the preconditioner.
+  /// The engine runs on the calling thread whatever the pipeline's
+  /// `threads`: these splittings are the paper's baselines, and the pool
+  /// dispatches of its short vector ops cost more than they save.
   MStepPreconditioner(const la::LinearOperator& k,
                       const split::Splitting& split,
-                      std::vector<double> alphas, KernelLog* log = nullptr,
-                      const par::Execution* exec = nullptr);
+                      std::vector<double> alphas, KernelLog* log = nullptr);
   /// A temporary view would dangle.
   MStepPreconditioner(const la::LinearOperator&& k,
                       const split::Splitting& split,
-                      std::vector<double> alphas, KernelLog* log = nullptr,
-                      const par::Execution* exec = nullptr) = delete;
+                      std::vector<double> alphas,
+                      KernelLog* log = nullptr) = delete;
 
   [[nodiscard]] index_t size() const override { return k_->rows(); }
   void apply(const Vec& r, Vec& z) const override;
@@ -61,7 +54,6 @@ class MStepPreconditioner : public Preconditioner {
   const split::Splitting* split_;
   std::vector<double> alphas_;
   KernelLog* log_;
-  const par::Execution* exec_;  // nullptr = serial vector ops
   int ndiags_;  // cached diagonal count for the instrumentation stream
   mutable Vec tmp_;
   mutable Vec pz_;

@@ -1,10 +1,14 @@
 // Algorithm 1 of the paper: preconditioned conjugate gradients with the
 // |u^{k+1} - u^k|_inf stopping test.
 //
-// The iteration is written once, over a backend: pcg_solve runs it on one
-// vector through par::Execution, pcg_solve_block on a row-interleaved
-// block of up to la::simd::kSellSlice right-hand sides.  Both replay the
-// same operation sequence, so a block column is bitwise its single solve.
+// The iteration is written once, in core/pcg_iterate.hpp, over three
+// backends: pcg_solve runs it on one vector through par::Execution,
+// pcg_solve_block on a row-interleaved block of up to
+// la::simd::kSellSlice right-hand sides, and femsim's Finite Element
+// Machine on each simulated processor's rows, which supplies only the
+// machine: the exchanges, the priced flops and the sum and flag networks.
+// All three replay the same operation sequence, so a block column is
+// bitwise its single solve, and so is a one-processor machine solve.
 // pcg_solve is written against la::LinearOperator, so the serial and
 // partitioned views of the run storage, and CSR, flow through the same
 // solve path; the CsrMatrix overloads below keep the historical call sites

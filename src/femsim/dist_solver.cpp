@@ -5,6 +5,7 @@
 
 #include "core/mstep.hpp"
 #include "core/params.hpp"
+#include "core/pcg_iterate.hpp"
 #include "la/simd.hpp"
 
 namespace mstep::femsim {
@@ -66,177 +67,208 @@ DistResult DistributedPlateSolver::solve(const DistOptions& options) const {
   return solve_with_traffic(options, nullptr);
 }
 
+/// Algorithm 1's backend on one simulated processor: core's iteration
+/// body (core/pcg_iterate.hpp) runs on every processor at once, each on
+/// full-length vectors of which only its own rows, and the ghosts its
+/// exchanges fill, are meaningful.  Reductions go through the sum network
+/// and the stopping decision through the flag network, so every
+/// processor takes every branch together.  Each kernel is priced on the
+/// processor's clock, in Algorithm 3's order and amounts.
+struct DistributedPlateSolver::ProcBackend {
+  const la::DiaMatrix& k;
+  core::PcgWorkspace& ws;
+  core::PcgResult& res;
+  const DistributedPlateSolver& solver;
+  const std::vector<double>& alphas;  // empty for m = 0: z = r
+  double f_norm;
+  Proc& proc;
+  const ProcData& pd;
+  Vec y;  // the sweep's Conrad–Wallach sums
+
+  [[nodiscard]] index_t diagonals() const { return k.num_diagonals(); }
+  [[nodiscard]] long long owned() const {
+    return static_cast<long long>(pd.owned.size());
+  }
+
+  void residual0() {
+    const auto n = static_cast<std::size_t>(k.rows());
+    for (Vec* v : {&res.solution, &ws.r, &ws.p, &ws.zw, &y}) v->assign(n, 0.0);
+    for (index_t i : pd.owned) ws.r[i] = solver.f_colored_[i];  // u0 = 0
+  }
+  // With u0 = 0, r0 = f: the zero-load guard and ||f|| read the whole
+  // load every processor holds, off the machine's clock (Algorithm 3 has
+  // no such test).
+  void residual0_nrm2(double* out) const { out[0] = f_norm; }
+  void rhs_nrm2(double* out) const { out[0] = f_norm; }
+  void nrm2(const Vec& x, double* out) {
+    dot(x, x, out);
+    out[0] = std::sqrt(out[0]);
+  }
+
+  /// The part's partial in la::dot's fixed-block 8-lane schedule (term i
+  /// -> block i / kReductionBlock, lane i mod 8, blocks summed in order),
+  /// combined in rank order: with one processor this IS the sequential
+  /// library kernel, which with the plan's sweep and store keeps the P=1
+  /// solve bitwise core::pcg_solve.
+  void dot(const Vec& x, const Vec& yv, double* out) {
+    double total = 0.0;
+    double lane[la::simd::kDotLanes] = {};
+    index_t block = 0;
+    bool open = false;
+    auto flush = [&] {
+      double s = lane[0];
+      for (std::size_t l = 1; l < la::simd::kDotLanes; ++l) s += lane[l];
+      total += s;
+      std::fill(std::begin(lane), std::end(lane), 0.0);
+    };
+    for (index_t i : pd.owned) {  // ascending
+      const index_t b = i / la::kReductionBlock;
+      if (open && b != block) flush();
+      block = b;
+      open = true;
+      // kReductionBlock is a multiple of kDotLanes, so the in-block lane
+      // of term i is simply i mod kDotLanes.
+      lane[static_cast<std::size_t>(i) % la::simd::kDotLanes] += x[i] * yv[i];
+    }
+    if (open) flush();
+    proc.compute(2 * owned());
+    out[0] = proc.allreduce_sum(total);
+  }
+
+  /// One record per neighbour: the border values of classes
+  /// c_first..c_last, in the halo plan's row order on both ends.
+  void exchange(Vec& v, int c_first, int c_last, int tag) {
+    const shard::HaloPlan& halo = solver.plan_->halo;
+    const int me = proc.rank();
+    for (const int q : halo.neighbors(me)) {
+      std::vector<double> payload;
+      for (int c = c_first; c <= c_last; ++c) {
+        for (index_t id : halo.recv_rows(q, me, c)) payload.push_back(v[id]);
+      }
+      proc.send(q, tag, std::move(payload));
+    }
+    for (const int q : halo.neighbors(me)) {
+      const std::vector<double> data = proc.recv(q, tag);
+      std::size_t at = 0;
+      for (int c = c_first; c <= c_last; ++c) {
+        for (index_t id : halo.recv_rows(me, q, c)) v[id] = data[at++];
+      }
+    }
+  }
+
+  /// w = K p on the owned rows: the border p values (one record per
+  /// neighbour, all colours at once), then the plan's store over this
+  /// part's ranges.
+  void multiply(Vec& p, Vec& w) {
+    exchange(p, 0, solver.cs_->num_classes() - 1, /*tag=*/1);
+    for (int c = 0; c < solver.cs_->num_classes(); ++c) {
+      for (const la::RowSpan& range : solver.plan_->ranges(proc.rank(), c)) {
+        k.multiply_rows(p, w, range.begin, range.end, /*subtract=*/false);
+      }
+    }
+    proc.compute(2 * pd.nnz_owned);
+  }
+
+  /// Algorithm 3: z = M^{-1} r — the plan's phase schedule on this
+  /// processor's part, each phase priced, with the border exchanges that
+  /// keep every ghost fresh exactly when it is read (see header).
+  void precondition(const Vec& r, Vec& z, int /*nlive*/) {
+    if (alphas.empty()) {
+      copy(r, z);
+      return;
+    }
+    const core::MulticolorSweepPlan& plan = *solver.plan_;
+    std::fill(z.begin(), z.end(), 0.0);
+    for (index_t i : pd.owned) y[i] = 0.0;
+    plan.for_each_phase(alphas, [&](const core::SweepPhase& phase) {
+      plan.run_part(phase, proc.rank(), r.data(), z.data(), y.data());
+      const int c = phase.cls;
+      switch (phase.kind) {
+        case core::SweepPhase::kForward:
+          proc.compute(2 * pd.nnz_lower[c] + 4 * pd.rows[c]);
+          if (c % 2 == 1) exchange(z, c - 1, c, /*tag=*/10 + c);
+          break;
+        case core::SweepPhase::kBackward:
+          proc.compute(2 * pd.nnz_upper[c] + 4 * pd.rows[c]);
+          if (c % 2 == 0) exchange(z, c, c + 1, /*tag=*/20 + c);
+          break;
+        case core::SweepPhase::kSave:
+          proc.compute(2 * pd.nnz_upper[0]);
+          break;
+        case core::SweepPhase::kFinal:
+          proc.compute(3 * pd.rows[0]);
+          break;
+      }
+    });
+  }
+
+  void copy(const Vec& x, Vec& v) {
+    for (index_t i : pd.owned) v[i] = x[i];
+    proc.compute(owned());
+  }
+  /// Unpriced: axpy prices the u and r updates together, as one step.
+  void step_update_max(const double* a, const Vec& p, double* out) {
+    double delta_inf = 0.0;
+    for (index_t i : pd.owned) {
+      const double step = a[0] * p[i];
+      res.solution[i] += step;
+      delta_inf = std::max(delta_inf, std::abs(step));
+    }
+    out[0] = delta_inf;
+  }
+  void axpy(const double* a, const Vec& x, Vec& v) {
+    for (index_t i : pd.owned) v[i] += a[0] * x[i];
+    proc.compute(5 * owned());
+  }
+  void xpay(const Vec& x, const double* b, Vec& v) {
+    for (index_t i : pd.owned) v[i] = x[i] + b[0] * v[i];
+    proc.compute(2 * owned());
+  }
+  /// Each processor raises its flag when its own rows meet the test.
+  bool converged(double value, double bound) {
+    return proc.all_flags(value < bound);
+  }
+  void retire(std::size_t /*c*/, bool /*final_residual*/) {}
+};
+
 DistResult DistributedPlateSolver::solve_with_traffic(
     const DistOptions& options,
     std::vector<std::vector<long long>>* traffic) const {
   const int nprocs = static_cast<int>(pdata_.size());
-  const core::MulticolorSweepPlan& plan = *plan_;
-  const index_t n = cs_->size();
-  const int nc = cs_->num_classes();
   const int m = options.m;
   const std::vector<double> alphas =
       m == 0 ? std::vector<double>{}
              : (options.parametrized
                     ? core::least_squares_alphas(m, core::ssor_interval())
                     : core::unparametrized_alphas(m));
+  core::PcgOptions pcg;
+  pcg.tolerance = options.tolerance;
+  pcg.max_iterations = options.max_iterations;
+  const double f_norm = la::nrm2(f_colored_);
 
   Machine machine(nprocs, options.costs);
 
-  // Shared outputs, disjointly written by the processors.
-  Vec global_u(n, 0.0);
-  std::vector<int> iter_of(nprocs, 0);
-  std::vector<char> conv_of(nprocs, 0);
+  // Shared outputs, disjointly written by the processors; every
+  // processor stops at the same step, so rank 0 reports it.
+  Vec global_u(cs_->size(), 0.0);
+  DistResult res;
 
   auto program = [&](Proc& proc) {
-    const int me = proc.rank();
-    const ProcData& pd = pdata_[me];
-
-    // Full-length workspaces; only owned + ghost entries are meaningful.
-    Vec u(n, 0.0), r(n, 0.0), z(n, 0.0), p(n, 0.0), w(n, 0.0), y(n, 0.0);
-
-    // --- helpers ----------------------------------------------------------
-    // One record per neighbour: the border values of classes
-    // c_first..c_last, in the halo plan's row order on both ends.
-    auto exchange = [&](Vec& v, int c_first, int c_last, int tag) {
-      for (const int q : plan.halo.neighbors(me)) {
-        std::vector<double> payload;
-        for (int c = c_first; c <= c_last; ++c) {
-          for (index_t id : plan.halo.recv_rows(q, me, c)) {
-            payload.push_back(v[id]);
-          }
-        }
-        proc.send(q, tag, std::move(payload));
-      }
-      for (const int q : plan.halo.neighbors(me)) {
-        const std::vector<double> data = proc.recv(q, tag);
-        std::size_t k = 0;
-        for (int c = c_first; c <= c_last; ++c) {
-          for (index_t id : plan.halo.recv_rows(me, q, c)) v[id] = data[k++];
-        }
-      }
-    };
-    // Dots through la::dot's fixed-block 8-lane schedule (term i -> block
-    // i / kReductionBlock, lane i mod 8, blocks summed in order): with one
-    // processor this IS the sequential library kernel, which with the
-    // plan's sweep and store is what keeps the P=1 solve bitwise identical
-    // to core::pcg_solve.
-    auto local_dot = [&](const Vec& x, const Vec& yv) {
-      double total = 0.0;
-      double lane[la::simd::kDotLanes] = {};
-      index_t block = 0;
-      bool open = false;
-      auto flush = [&] {
-        double s = lane[0];
-        for (std::size_t l = 1; l < la::simd::kDotLanes; ++l) s += lane[l];
-        total += s;
-        std::fill(std::begin(lane), std::end(lane), 0.0);
-      };
-      for (index_t i : pd.owned) {  // ascending
-        const index_t b = i / la::kReductionBlock;
-        if (open && b != block) flush();
-        block = b;
-        open = true;
-        // kReductionBlock is a multiple of kDotLanes, so the in-block lane
-        // of term i is simply i mod kDotLanes.
-        lane[static_cast<std::size_t>(i) % la::simd::kDotLanes] +=
-            x[i] * yv[i];
-      }
-      if (open) flush();
-      proc.compute(2 * static_cast<long long>(pd.owned.size()));
-      return total;
-    };
-
-    // Algorithm 3: z = M^{-1} r — the plan's phase schedule on this
-    // processor's part, each phase priced, with the border exchanges that
-    // keep every ghost fresh exactly when it is read (see header).
-    auto precond = [&](const Vec& rv, Vec& zv, Vec& yv) {
-      if (m == 0) {
-        for (index_t i : pd.owned) zv[i] = rv[i];
-        proc.compute(static_cast<long long>(pd.owned.size()));
-        return;
-      }
-      std::fill(zv.begin(), zv.end(), 0.0);
-      for (index_t i : pd.owned) yv[i] = 0.0;
-      plan.for_each_phase(alphas, [&](const core::SweepPhase& phase) {
-        plan.run_part(phase, me, rv.data(), zv.data(), yv.data());
-        const int c = phase.cls;
-        switch (phase.kind) {
-          case core::SweepPhase::kForward:
-            proc.compute(2 * pd.nnz_lower[c] + 4 * pd.rows[c]);
-            if (c % 2 == 1) exchange(zv, c - 1, c, /*tag=*/10 + c);
-            break;
-          case core::SweepPhase::kBackward:
-            proc.compute(2 * pd.nnz_upper[c] + 4 * pd.rows[c]);
-            if (c % 2 == 0) exchange(zv, c, c + 1, /*tag=*/20 + c);
-            break;
-          case core::SweepPhase::kSave:
-            proc.compute(2 * pd.nnz_upper[0]);
-            break;
-          case core::SweepPhase::kFinal:
-            proc.compute(3 * pd.rows[0]);
-            break;
-        }
-      });
-    };
-
-    // --- Algorithm 1 -------------------------------------------------------
-    for (index_t i : pd.owned) r[i] = f_colored_[i];  // u0 = 0
-    precond(r, z, y);
-    for (index_t i : pd.owned) p[i] = z[i];
-    proc.compute(static_cast<long long>(pd.owned.size()));
-    double rho = proc.allreduce_sum(local_dot(z, r));
-
-    int iterations = 0;
-    bool converged = false;
-    for (int it = 0; it < options.max_iterations; ++it) {
-      // Border p values, one record per neighbour (all colours at once).
-      exchange(p, 0, nc - 1, /*tag=*/1);
-      // w = K p on owned rows: the plan's store over this part's ranges.
-      for (int c = 0; c < nc; ++c) {
-        for (const la::RowSpan& range : plan.ranges(me, c)) {
-          plan.store->multiply_rows(p, w, range.begin, range.end,
-                                    /*subtract=*/false);
-        }
-      }
-      proc.compute(2 * pd.nnz_owned);
-
-      const double pw = proc.allreduce_sum(local_dot(p, w));
-      if (pw <= 0.0) break;
-      const double alpha = rho / pw;
-
-      double delta_inf = 0.0;
-      for (index_t i : pd.owned) {
-        const double step = alpha * p[i];
-        u[i] += step;
-        delta_inf = std::max(delta_inf, std::abs(step));
-      }
-      for (index_t i : pd.owned) r[i] -= alpha * w[i];
-      proc.compute(5 * static_cast<long long>(pd.owned.size()));
-
-      iterations = it + 1;
-      if (proc.all_flags(delta_inf < options.tolerance)) {
-        converged = true;
-        break;
-      }
-
-      precond(r, z, y);
-      const double rho_new = proc.allreduce_sum(local_dot(z, r));
-      const double beta = rho_new / rho;
-      rho = rho_new;
-      for (index_t i : pd.owned) p[i] = z[i] + beta * p[i];
-      proc.compute(2 * static_cast<long long>(pd.owned.size()));
+    const ProcData& pd = pdata_[proc.rank()];
+    core::PcgWorkspace ws;
+    core::PcgResult pcg_res;
+    ProcBackend b{*plan_->store, ws, pcg_res, *this, alphas, f_norm, proc, pd,
+                  {}};
+    core::detail::iterate(b, 1, pcg, nullptr, &pcg_res);
+    for (index_t i : pd.owned) global_u[i] = pcg_res.solution[i];
+    if (proc.rank() == 0) {
+      res.iterations = pcg_res.iterations;
+      res.converged = pcg_res.converged;
     }
-
-    for (index_t i : pd.owned) global_u[i] = u[i];
-    iter_of[proc.rank()] = iterations;
-    conv_of[proc.rank()] = converged ? 1 : 0;
   };
 
   machine.run(program);
 
-  DistResult res;
-  res.iterations = iter_of[0];
-  res.converged = conv_of[0] != 0;
   res.simulated_seconds = machine.simulated_seconds();
   res.max_compute_seconds = machine.max_compute_seconds();
   res.max_comm_seconds = machine.max_comm_seconds();

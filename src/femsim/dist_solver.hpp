@@ -2,14 +2,18 @@
 // Algorithm 1 driving Algorithm 3 (the per-processor multicolor m-step
 // SSOR of Section 3.2).
 //
-// Algorithm 3 is Algorithm 2 on each processor's share of the equations,
-// with border records exchanged after each geometric colour, so its
-// arithmetic is the library's one sweep engine: one
-// core::MulticolorSweepPlan over the processor owner map, whose phase
-// schedule each simulated processor walks, running the phase body on its
-// own part and vectors.  What stays here is the machine: the owner map,
-// the per-processor row lists and flop prices, the exchange schedule, and
-// Algorithm 1 on the flag and sum networks.
+// Neither algorithm is written here.  Algorithm 1 is core's one iteration
+// body (core/pcg_iterate.hpp), run by every simulated processor on its
+// own rows through a third backend beside pcg_solve's vector and
+// pcg_solve_block's block.  Algorithm 3 is Algorithm 2 on each
+// processor's share of the equations, with border records exchanged
+// after each geometric colour, so its arithmetic is the library's one
+// sweep engine: one core::MulticolorSweepPlan over the processor owner
+// map, whose phase schedule each processor walks, running the phase body
+// on its own part and vectors.  What this file supplies is the machine:
+// the owner map, the per-processor row lists and flop prices, the
+// exchange schedule, and the sum and flag networks the backend's
+// reductions and stopping decision run on.
 //
 // Numerics: each simulated processor owns the equations of its assigned
 // nodes.  Inner products are deterministic rank-ordered reductions over the
@@ -18,7 +22,9 @@
 // values are within the stopping criterion").  Border values travel as one
 // packaged record per neighbour per geometric colour, exactly the
 // packaging the paper recommends ("think of the two equations at the same
-// node as being the same color").
+// node as being the same color").  A zero load stops converged before
+// the first step with nothing on the clock: core's zero-residual guard
+// reads ||f||, which every processor holds, off the networks.
 //
 // Exchange schedule.  What travels comes from the plan's halo census,
 // shard::HaloPlan over the processor owner map: processor p sends each
@@ -113,6 +119,8 @@ class DistributedPlateSolver {
     std::vector<long long> nnz_lower;  // per class, owned rows' entries
     std::vector<long long> nnz_upper;
   };
+
+  struct ProcBackend;  // Algorithm 1 on one processor (dist_solver.cpp)
 
   void build_proc_data(const std::vector<int>& owner_of_eq, int nprocs);
 

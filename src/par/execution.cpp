@@ -81,33 +81,6 @@ void Execution::xpay(const Vec& x, double b, Vec& y) const {
   });
 }
 
-void Execution::scale_copy(double a, const Vec& x, Vec& y) const {
-  const auto n = static_cast<index_t>(x.size());
-  y.resize(x.size());
-  if (!pool_ || n < kSerialCutoff) {
-    la::simd::scale_copy(a, x.data(), y.data(), x.size());
-    return;
-  }
-  pool_->for_range(0, n, [&](index_t b, index_t e) {
-    la::simd::scale_copy(a, x.data() + b, y.data() + b,
-                         static_cast<std::size_t>(e - b));
-  });
-}
-
-void Execution::hadamard(const Vec& x, const Vec& y, Vec& w) const {
-  assert(x.size() == y.size());
-  const auto n = static_cast<index_t>(x.size());
-  if (!pool_ || n < kSerialCutoff) {
-    la::hadamard(x, y, w);
-    return;
-  }
-  w.resize(x.size());
-  pool_->for_range(0, n, [&](index_t b, index_t e) {
-    la::simd::hadamard(x.data() + b, y.data() + b, w.data() + b,
-                       static_cast<std::size_t>(e - b));
-  });
-}
-
 double Execution::step_update_max(double a, const Vec& p, Vec& u) const {
   assert(p.size() == u.size());
   const auto n = static_cast<index_t>(p.size());

@@ -57,10 +57,6 @@ class Execution {
   void axpy(double a, const Vec& x, Vec& y) const;
   /// y <- x + b*y
   void xpay(const Vec& x, double b, Vec& y) const;
-  /// y <- a*x (y is resized; the scaled-residual copy of the m-step sweep)
-  void scale_copy(double a, const Vec& x, Vec& y) const;
-  /// w <- x .* y (w is resized; diagonal-splitting P^{-1} application)
-  void hadamard(const Vec& x, const Vec& y, Vec& w) const;
   /// Fused CG update u <- u + a*p, returning max_i |a * p[i]| (the
   /// delta-inf stopping quantity of Algorithm 1).
   double step_update_max(double a, const Vec& p, Vec& u) const;

@@ -142,7 +142,7 @@ BatchReport Prepared::solveMany(util::Span<const Vec> bs) const {
     } else {
       lane.engine = detail::make_preconditioner(
           config_, cs_.get(), *matrix_, alphas_, lane.trace_log.get(), exec,
-          nullptr, nullptr, &op);
+          nullptr, nullptr, op_.get());
     }
   }
 

@@ -72,10 +72,8 @@ PrecondChoice make_preconditioner(const SolverConfig& config,
         log);
     return choice;
   }
-  // Generic m-step engine: every registered splitting, its K z on the
-  // pipeline's own operator (over the strips when it has them) and its
-  // vector ops through the execution policy (deterministic, bitwise the
-  // serial sweep).
+  // Generic m-step engine: every registered splitting, on the calling
+  // thread, its K z on the pipeline's serial operator.
   if (op == nullptr) {
     throw std::invalid_argument(
         "make_preconditioner: the generic m-step engine needs an operator");
@@ -83,7 +81,7 @@ PrecondChoice make_preconditioner(const SolverConfig& config,
   choice.splitting = SplittingRegistry::instance().create(
       config.splitting, matrix, config.splitting_options);
   choice.precond = std::make_unique<core::MStepPreconditioner>(
-      *op, *choice.splitting, alphas, log, exec);
+      *op, *choice.splitting, alphas, log);
   return choice;
 }
 
@@ -177,9 +175,9 @@ Prepared Solver::prepare(const la::CsrMatrix& k,
             : la::DiaMatrix::without_runs(*p.matrix_));
   }
 
-  // 4. The operator views for the outer CG products, which the generic
-  // m-step engine's K z shares: serial, and over step 2's strips when
-  // there are any.
+  // 4. The operator views for the outer CG products: serial, and over
+  // step 2's strips when there are any.  The generic m-step engine's K z
+  // shares the serial one.
   p.op_ = std::make_unique<la::DiaOperator>(*p.store_);
   if (p.strips_) {
     p.strip_op_ = std::make_unique<shard::ShardedOperator>(
@@ -203,7 +201,7 @@ Prepared Solver::prepare(const la::CsrMatrix& k,
     const obs::Span precond_span("precond");
     auto choice = detail::make_preconditioner(
         config_, p.cs_.get(), *p.matrix_, p.alphas_, log, p.kernel_exec(),
-        p.strips_.get(), p.store_, &p.operator_view());
+        p.strips_.get(), p.store_, p.op_.get());
     p.splitting_ = std::move(choice.splitting);
     p.precond_ = std::move(choice.precond);
   }

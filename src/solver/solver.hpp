@@ -84,10 +84,10 @@ namespace detail {
 /// pool: the Algorithm-2 sweep runs one strip per pool task; without it
 /// the sweep runs serially.  `store` (optional) is the pipeline's matrix
 /// storage, cut at the strips' cells; the Algorithm-2 sweep reads it
-/// instead of building its own.  `op` is the pipeline's operator view of
-/// the same storage (serial, or over the strips), which the generic
-/// engine's K z runs on; `exec` threads that engine's vector ops.  The
-/// generic engine throws std::invalid_argument without it.
+/// instead of building its own.  `op` is the pipeline's serial operator
+/// view of the same storage, which the generic engine runs its K z on,
+/// on the calling thread.  The generic engine throws
+/// std::invalid_argument without it.
 struct PrecondChoice {
   std::unique_ptr<split::Splitting> splitting;  // set on the generic path
   std::unique_ptr<core::Preconditioner> precond;
@@ -243,9 +243,9 @@ class Prepared {
     return strips_ ? exec_.get() : nullptr;
   }
 
-  /// The operator a single-vector solve runs on, and the generic m-step
-  /// engine's K z with it: the strip view when prepare cut a partition,
-  /// else the serial view.  Both are bitwise the same products.
+  /// The operator a single-vector solve runs on: the strip view when
+  /// prepare cut a partition, else the serial view.  Both are bitwise the
+  /// same products.
   [[nodiscard]] const la::LinearOperator& operator_view() const {
     return strip_op_ ? *strip_op_ : *op_;
   }
@@ -264,11 +264,12 @@ class Prepared {
   const la::CsrMatrix* matrix_ = nullptr;     // cs_->matrix or the caller's k
   // The one matrix storage: the outer products and the sweep plan's runs.
   std::shared_ptr<const la::DiaMatrix> store_;
-  std::unique_ptr<la::LinearOperator> op_;  // serial view of store_
+  // Serial view of store_; the generic m-step engine's K z runs on it.
+  std::unique_ptr<la::LinearOperator> op_;
   std::unique_ptr<split::Splitting> splitting_;
   std::unique_ptr<core::Preconditioner> precond_;
   // The one strip partition, null when solves run serially: the sweep and
-  // strip_op_ (the outer products and the generic engine's K z) run on it.
+  // strip_op_ (the outer products) run on it.
   std::unique_ptr<shard::ShardPlan> strips_;
   std::unique_ptr<la::LinearOperator> strip_op_;
   // Shared with the creating Solver (and its other Prepared instances):

@@ -3,7 +3,7 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "par/execution.hpp"
+#include "la/simd.hpp"
 
 namespace mstep::split {
 
@@ -20,14 +20,7 @@ JacobiSplitting::JacobiSplitting(const la::CsrMatrix& k) {
 
 void JacobiSplitting::apply_pinv(const Vec& x, Vec& y) const {
   assert(x.size() == inv_diag_.size());
-  y.resize(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = inv_diag_[i] * x[i];
-}
-
-void JacobiSplitting::apply_pinv(const Vec& x, Vec& y,
-                                 const par::Execution& ex) const {
-  assert(x.size() == inv_diag_.size());
-  ex.hadamard(inv_diag_, x, y);
+  la::hadamard(inv_diag_, x, y);
 }
 
 SsorSplitting::SsorSplitting(const la::CsrMatrix& k, double omega)
@@ -73,13 +66,7 @@ void SsorSplitting::apply_pinv(const Vec& x, Vec& y) const {
 void RichardsonSplitting::apply_pinv(const Vec& x, Vec& y) const {
   assert(static_cast<index_t>(x.size()) == n_);
   y.resize(n_);
-  for (index_t i = 0; i < n_; ++i) y[i] = theta_ * x[i];
-}
-
-void RichardsonSplitting::apply_pinv(const Vec& x, Vec& y,
-                                     const par::Execution& ex) const {
-  assert(static_cast<index_t>(x.size()) == n_);
-  ex.scale_copy(theta_, x, y);
+  la::simd::scale_copy(theta_, x.data(), y.data(), x.size());
 }
 
 }  // namespace mstep::split

@@ -12,10 +12,6 @@
 #include "la/csr_matrix.hpp"
 #include "la/vector.hpp"
 
-namespace mstep::par {
-class Execution;  // par/execution.hpp — the threaded kernel policy
-}
-
 namespace mstep::split {
 
 /// Abstract splitting K = P - Q.  Implementations hold a reference to the
@@ -32,15 +28,6 @@ class Splitting {
   /// y = P^{-1} x.
   virtual void apply_pinv(const Vec& x, Vec& y) const = 0;
 
-  /// Execution-policy form: bitwise the same y as apply_pinv(x, y).  The
-  /// elementwise splittings (Jacobi, Richardson) partition across `ex`'s
-  /// threads; the base implementation — and SSOR, whose triangular solves
-  /// are inherently row-sequential — ignores `ex` and runs serially.
-  virtual void apply_pinv(const Vec& x, Vec& y, const par::Execution& ex) const {
-    (void)ex;
-    apply_pinv(x, y);
-  }
-
   /// Human-readable name for reports.
   [[nodiscard]] virtual std::string name() const = 0;
 };
@@ -56,8 +43,6 @@ class JacobiSplitting : public Splitting {
     return static_cast<index_t>(inv_diag_.size());
   }
   void apply_pinv(const Vec& x, Vec& y) const override;
-  void apply_pinv(const Vec& x, Vec& y,
-                  const par::Execution& ex) const override;
   [[nodiscard]] std::string name() const override { return "jacobi"; }
 
   [[nodiscard]] const Vec& inverse_diagonal() const { return inv_diag_; }
@@ -97,8 +82,6 @@ class RichardsonSplitting : public Splitting {
 
   [[nodiscard]] index_t size() const override { return n_; }
   void apply_pinv(const Vec& x, Vec& y) const override;
-  void apply_pinv(const Vec& x, Vec& y,
-                  const par::Execution& ex) const override;
   [[nodiscard]] std::string name() const override { return "richardson"; }
 
  private:

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "color/coloring.hpp"
 #include "core/multicolor_mstep.hpp"
@@ -386,27 +387,71 @@ TEST(DistSolver, CommOverheadGrowsWithM) {
 }
 
 TEST(DistSolver, SingleProcessorMatchesSequentialBitwise) {
-  // With P=1 the distributed code path is the sequential algorithm in
-  // disguise: dots accumulate in the same order, so results are identical.
+  // With P=1 the machine runs core's Algorithm 1 on every row, with the
+  // library's dot schedule, sweep and store: the solve is core::pcg_solve
+  // (cg_solve at m = 0) byte for byte, converged or stopped by the cap.
   Table3Problem prob;
   const DistributedPlateSolver s1(prob.mesh, prob.mat, prob.load,
                                   row_bands(prob.mesh, 1));
-  DistOptions opt;
-  opt.m = 3;
-  opt.tolerance = 1e-5;
-  const DistResult dist = s1.solve(opt);
-
   auto sys = fem::assemble_plane_stress(prob.mesh, prob.mat, prob.load);
   const auto cs = color::make_colored_system(
       sys.stiffness, color::six_color_classes(prob.mesh));
-  const core::MulticolorMStepSsor prec(
-      cs, core::least_squares_alphas(3, core::ssor_interval()));
-  core::PcgOptions popt;
-  popt.tolerance = 1e-5;
-  const auto seq = core::pcg_solve(cs.matrix, cs.permute(sys.load), prec, popt);
-  const Vec seq_orig = cs.unpermute(seq.solution);
-  for (std::size_t i = 0; i < seq_orig.size(); ++i) {
-    EXPECT_DOUBLE_EQ(dist.solution[i], seq_orig[i]);
+  const Vec fc = cs.permute(sys.load);
+  for (int m = 0; m <= 6; ++m) {
+    for (int cap : {20000, 3}) {
+      DistOptions opt;
+      opt.m = m;
+      opt.tolerance = 1e-5;
+      opt.max_iterations = cap;
+      const DistResult dist = s1.solve(opt);
+
+      core::PcgOptions popt;
+      popt.tolerance = opt.tolerance;
+      popt.max_iterations = cap;
+      core::PcgResult seq;
+      if (m == 0) {
+        seq = core::cg_solve(cs.matrix, fc, popt);
+      } else {
+        const core::MulticolorMStepSsor prec(
+            cs, core::least_squares_alphas(m, core::ssor_interval()));
+        seq = core::pcg_solve(cs.matrix, fc, prec, popt);
+      }
+      const Vec seq_orig = cs.unpermute(seq.solution);
+      ASSERT_EQ(dist.solution.size(), seq_orig.size());
+      EXPECT_EQ(std::memcmp(dist.solution.data(), seq_orig.data(),
+                            seq_orig.size() * sizeof(double)),
+                0)
+          << "m=" << m << " cap=" << cap;
+      EXPECT_EQ(dist.iterations, seq.iterations) << "m=" << m << " cap=" << cap;
+      EXPECT_EQ(dist.converged, seq.converged) << "m=" << m << " cap=" << cap;
+      if (cap == 3) {
+        EXPECT_EQ(dist.iterations, 3) << "m=" << m;
+      }
+    }
+  }
+}
+
+// A zero load is already solved: every processor stops before the first
+// step, converged, as core::cg_solve does, with nothing on the machine's
+// clock and no record sent.
+TEST(DistSolver, ZeroLoadConvergesWithoutIterating) {
+  const fem::PlateMesh mesh(6, 6);
+  const fem::Material mat;
+  const fem::EdgeLoad load{0.0, 0.0};
+  for (int p : {1, 2, 5}) {
+    const DistributedPlateSolver solver(
+        mesh, mat, load,
+        p == 5 ? column_strips(mesh, 5) : row_bands(mesh, p));
+    for (int m : {0, 2}) {
+      DistOptions opt;
+      opt.m = m;
+      const DistResult dist = solver.solve(opt);
+      EXPECT_TRUE(dist.converged) << "P=" << p << " m=" << m;
+      EXPECT_EQ(dist.iterations, 0) << "P=" << p << " m=" << m;
+      EXPECT_EQ(dist.simulated_seconds, 0.0) << "P=" << p << " m=" << m;
+      EXPECT_EQ(dist.total_records, 0) << "P=" << p << " m=" << m;
+      for (double u : dist.solution) EXPECT_EQ(u, 0.0);
+    }
   }
 }
 

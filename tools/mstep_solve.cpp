@@ -90,9 +90,10 @@ int print_help() {
       "  --tol=<t>          stopping tolerance (default 1e-06)\n"
       "  --maxit=<n>        iteration cap (default 20000)\n"
       "  --threads=<N>      threads; each colour block is cut into N strips\n"
-      "                     (one strip per thread) that the sweep, the\n"
-      "                     products and the vector ops all run on,\n"
-      "                     sharing one iterate; systems under 2048\n"
+      "                     (one strip per thread) that the multicolour\n"
+      "                     sweep, the products and the vector ops run\n"
+      "                     on, sharing one iterate (other splittings'\n"
+      "                     preconditioners stay serial); systems under 2048\n"
       "                     rows stay serial; bitwise the serial result for\n"
       "                     any N; 0 = serial (default 0); at most 256\n"
       "  --shards=<N>       alias of --threads; the wider of the two wins\n"
