@@ -16,7 +16,10 @@
 // 1.  The DIA row (the run storage) runs on the colour-permuted plate, the
 // ordering it is built for.  The sweep/csr row also reports
 // `run_row_frac`, the share of swept rows the plan stores as
-// constant-offset runs (ungated).  A last row prices the switched-off
+// constant-offset runs (ungated), and the spmv/dia row the run value
+// bytes the store holds (`run_bytes_held`, each distinct column once)
+// next to those one product reads (`run_bytes_read`) and their ratio
+// (`run_read_per_held`, all ungated).  A last row prices the switched-off
 // tracer's cost in one plate solve (`trace_off_overhead`, see below).
 //
 // Emits a flat JSON array (--out=BENCH_kernels.json) keyed by
@@ -70,7 +73,15 @@ struct Row {
   bool bitwise_match_scalar = true;
   std::string simd_isa;            // path the "simd" column actually ran
   double run_row_frac = -1.0;      // sweep/csr only: rows on the run path
+  long long run_bytes_held = -1;   // spmv/dia only: distinct run columns
+  long long run_bytes_read = -1;   // spmv/dia only: run values read
 };
+
+/// Run value bytes one product reads per byte the store holds.
+double read_per_held(const Row& r) {
+  return static_cast<double>(r.run_bytes_read) /
+         static_cast<double>(std::max(1LL, r.run_bytes_held));
+}
 
 /// Counts kernel-log callbacks: each is one obs::count check when the log
 /// feeds the tracer (obs::TracingKernelLog).  end_iteration bumps nothing.
@@ -266,9 +277,24 @@ int main(int argc, char** argv) {
       r.flops_per_apply = 2 * nnz;
       // Per value read (run values, rest rows' CSR entries): value and x
       // read; y written once per row.  Run offsets are per run, not per
-      // entry, and the rest rows' column indices are not counted.
+      // entry, and the rest rows' column indices are not counted.  A run
+      // value column the store holds once is still priced at every term
+      // that reads it, so once the distinct columns stay in cache this
+      // rate can pass what memory delivers; the bytes held are reported
+      // next to the bytes read.
       r.bytes_per_apply =
           16LL * static_cast<long long>(dia.stored_values()) + 8LL * n;
+      const la::simd::RunView runs = dia.runs();
+      long long run_values = 0;
+      for (index_t q = 0; q < runs.num_runs; ++q) {
+        run_values += static_cast<long long>(runs.count[q]) * runs.len[q];
+      }
+      r.run_bytes_held = 8LL * static_cast<long long>(dia.held_values());
+      r.run_bytes_read = 8LL * run_values;
+      std::cout << "dia run values: " << r.run_bytes_held
+                << " bytes held, " << r.run_bytes_read
+                << " bytes read per product (read / held = "
+                << read_per_held(r) << ")\n\n";
       measure(&r, [&] { dia.multiply(x, y); },
               [&] {
                 Vec fresh;
@@ -497,6 +523,11 @@ int main(int argc, char** argv) {
           .set("bitwise_match_scalar", r.bitwise_match_scalar)
           .set("simd_isa", r.simd_isa);
       if (r.run_row_frac >= 0.0) row.set("run_row_frac", r.run_row_frac);
+      if (r.run_bytes_held >= 0) {
+        row.set("run_bytes_held", r.run_bytes_held)
+            .set("run_bytes_read", r.run_bytes_read)
+            .set("run_read_per_held", read_per_held(r));
+      }
       json_rows.push(std::move(row));
     }
     // The overhead row rides the same document (extra candidate rows are

@@ -13,7 +13,11 @@ namespace {
 
 /// The offsets among `segs`' terms that hold a nonzero and are not yet
 /// marked `stamp` in `mark` (indexed by offset), marked and counted.
-int count_offsets(const la::SweepSegments& segs, int stamp, int* mark) {
+/// `nonzero` caches, per start of a store value column, whether the column
+/// holds a nonzero (-1: not tested yet), so each distinct column is tested
+/// once however many terms share it.
+int count_offsets(const la::SweepSegments& segs, int stamp, int* mark,
+                  signed char* nonzero) {
   int counted = 0;
   const auto count = [&](index_t offset) {
     if (mark[offset] == stamp) return;
@@ -22,13 +26,17 @@ int count_offsets(const la::SweepSegments& segs, int stamp, int* mark) {
   };
   const la::simd::RunView runs = segs.runs();
   for (index_t q = 0; q < runs.num_runs; ++q) {
-    const auto len = static_cast<std::size_t>(runs.len[q]);
-    for (index_t k = 0; k < runs.count[q]; ++k) {
-      const double* v =
-          runs.val + runs.val_at[q] + static_cast<std::size_t>(k) * len;
-      if (std::any_of(v, v + len, [](double x) { return x != 0.0; })) {
-        count(runs.off[runs.off_at[q] + k]);
+    const index_t len = runs.len[q];
+    for (index_t k = runs.off_at[q]; k < runs.off_at[q] + runs.count[q];
+         ++k) {
+      signed char& any = nonzero[runs.col[k]];
+      if (any < 0) {
+        const double* v = runs.val + runs.col[k];
+        const bool found =
+            std::any_of(v, v + len, [](double x) { return x != 0.0; });
+        any = found ? 1 : 0;
       }
+      if (any != 0) count(runs.off[k]);
     }
   }
   const la::simd::SellView rest = segs.rest().view();
@@ -96,14 +104,15 @@ MulticolorSweepPlan::MulticolorSweepPlan(
   // positive, so one mark per offset in (-n, n), stamped with the class
   // that counted it, serves both halves of every class, class by class.
   std::vector<int> counted_in(2 * static_cast<std::size_t>(n), -1);
+  std::vector<signed char> nonzero(this->store->held_values(), -1);
   census.lower.assign(nc, 0);
   census.upper.assign(nc, 0);
   for (int c = 0; c < nc; ++c) {
     for (int p = 0; p < parts; ++p) {
-      census.lower[c] +=
-          count_offsets(lower[cell(p, c)], c, counted_in.data() + n);
-      census.upper[c] +=
-          count_offsets(upper[cell(p, c)], c, counted_in.data() + n);
+      census.lower[c] += count_offsets(lower[cell(p, c)], c,
+                                       counted_in.data() + n, nonzero.data());
+      census.upper[c] += count_offsets(upper[cell(p, c)], c,
+                                       counted_in.data() + n, nonzero.data());
     }
   }
 }

@@ -2,9 +2,103 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 
 namespace mstep::la {
+
+namespace {
+
+/// The distinct value columns of a store, found by hash: open addressing
+/// with linear probing, doubled at half load.
+class ColumnSet {
+ public:
+  /// The start in `val` of the stored column with the bits of column[0,
+  /// len) and `hash`; when there is none, the column is appended to `val`
+  /// and its start returned.  Bits are compared with memcmp, so +0.0 and
+  /// -0.0, or two NaN payloads, never match.
+  index_t find_or_add(std::vector<double>& val, const double* column,
+                      std::size_t len, std::uint64_t hash) {
+    if (2 * (used_ + 1) > slots_.size()) grow();
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t s = hash & mask;; s = (s + 1) & mask) {
+      Slot& slot = slots_[s];
+      if (slot.start < 0) {
+        slot = {hash, static_cast<index_t>(val.size()),
+                static_cast<index_t>(len)};
+        ++used_;
+        val.insert(val.end(), column, column + len);
+        return slot.start;
+      }
+      if (slot.hash == hash && static_cast<std::size_t>(slot.len) == len &&
+          std::memcmp(val.data() + slot.start, column,
+                      len * sizeof(double)) == 0) {
+        return slot.start;
+      }
+    }
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t hash = 0;
+    index_t start = -1;  // -1: empty
+    index_t len = 0;
+  };
+
+  void grow() {
+    std::vector<Slot> old(std::max<std::size_t>(64, 2 * slots_.size()));
+    old.swap(slots_);
+    const std::size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.start < 0) continue;
+      std::size_t s = slot.hash & mask;
+      while (slots_[s].start >= 0) s = (s + 1) & mask;
+      slots_[s] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t used_ = 0;
+};
+
+/// `lane` with a value's bits folded in.
+inline std::uint64_t mix(std::uint64_t lane, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return (lane ^ bits) * 0x9e3779b97f4a7c15ULL;
+}
+
+/// Copies in[t * stride] to out[t] for t in [0, len) and returns a hash of
+/// the copied bits, folded into four lanes so that the multiplies of
+/// consecutive values overlap.
+std::uint64_t gather_hashed(const double* in, std::size_t stride,
+                            std::size_t len, double* out) {
+  std::uint64_t h0 = len;
+  std::uint64_t h1 = 1;
+  std::uint64_t h2 = 2;
+  std::uint64_t h3 = 3;
+  std::size_t t = 0;
+  for (; t + 4 <= len; t += 4) {
+    out[t] = in[t * stride];
+    out[t + 1] = in[(t + 1) * stride];
+    out[t + 2] = in[(t + 2) * stride];
+    out[t + 3] = in[(t + 3) * stride];
+    h0 = mix(h0, out[t]);
+    h1 = mix(h1, out[t + 1]);
+    h2 = mix(h2, out[t + 2]);
+    h3 = mix(h3, out[t + 3]);
+  }
+  for (; t < len; ++t) {
+    out[t] = in[t * stride];
+    h0 = mix(h0, out[t]);
+  }
+  std::uint64_t hash = h0 ^ (h1 >> 13) ^ (h2 >> 26) ^ (h3 >> 39);
+  hash = (hash ^ (hash >> 32)) * 0xd6e8feb86659fd93ULL;
+  return hash ^ (hash >> 32);
+}
+
+}  // namespace
 
 DiaMatrix DiaMatrix::from_csr(const CsrMatrix& a, std::vector<index_t> cuts) {
   if (a.rows() != a.cols()) {
@@ -39,7 +133,6 @@ DiaMatrix DiaMatrix::from_csr(const CsrMatrix& a, std::vector<index_t> cuts) {
   };
 
   // Pass 1: cut every cell into maximal equal-offset stretches.
-  std::size_t values = 0;
   for (std::size_t cell = 0; cell + 1 < m.cuts_.size(); ++cell) {
     const index_t cell_end = m.cuts_[cell + 1];
     for (index_t i = m.cuts_[cell]; i < cell_end;) {
@@ -50,9 +143,8 @@ DiaMatrix DiaMatrix::from_csr(const CsrMatrix& a, std::vector<index_t> cuts) {
         m.row_.push_back(i);
         m.len_.push_back(j - i);
         m.off_ptr_.push_back(static_cast<index_t>(m.off_.size()));
-        m.val_ptr_.push_back(values);
         m.terms_.push_back(terms);
-        values += static_cast<std::size_t>(terms) * (j - i);
+        m.run_values_ += static_cast<std::size_t>(terms) * (j - i);
         for (index_t k = rp[i]; k < rp[i + 1]; ++k) {
           m.off_.push_back(col[k] - i);
         }
@@ -65,21 +157,30 @@ DiaMatrix DiaMatrix::from_csr(const CsrMatrix& a, std::vector<index_t> cuts) {
     }
   }
 
-  // Pass 2: the run values, diagonal-major, into storage sized once.  A
+  // Pass 2: the run values, diagonal-major, each distinct column once.  A
   // run's rows are equally long and adjacent in the CSR arrays, so value
-  // column k reads every terms-th value from the run's first row on.
-  m.val_.resize(values);
+  // column k reads every terms-th value from the run's first row on.  Each
+  // column is gathered into a buffer, hashed on the way, and stored only
+  // when no stored column has its length and bits.  The storage is
+  // reserved for a matrix with no repeated column, and trimmed at the end
+  // when sharing left most of it unused (a trim copies what is kept).
+  m.val_.reserve(m.run_values_);
+  m.col_.resize(m.off_.size());
+  ColumnSet stored;
+  std::vector<double> column;
   for (std::size_t q = 0; q < m.row_.size(); ++q) {
     const auto len = static_cast<std::size_t>(m.len_[q]);
     const auto terms = static_cast<std::size_t>(m.terms_[q]);
     const double* in = val.data() + rp[m.row_[q]];
-    double* out = m.val_.data() + m.val_ptr_[q];
+    if (column.size() < len) column.resize(len);
     for (std::size_t k = 0; k < terms; ++k) {
-      for (std::size_t t = 0; t < len; ++t) {
-        out[k * len + t] = in[t * terms + k];
-      }
+      const std::uint64_t hash =
+          gather_hashed(in + k, terms, len, column.data());
+      m.col_[static_cast<std::size_t>(m.off_ptr_[q]) + k] =
+          stored.find_or_add(m.val_, column.data(), len, hash);
     }
   }
+  if (2 * m.val_.size() < m.val_.capacity()) m.val_.shrink_to_fit();
   // Pass 3: the short rest stretches' rows, copied back to back.
   m.copy_ptr_.push_back(0);
   for (RowRange& r : m.rest_) {
@@ -121,10 +222,10 @@ simd::RunView DiaMatrix::runs() const {
   simd::RunView v;
   v.val = val_.data();
   v.off = off_.data();
+  v.col = col_.data();
   v.row = row_.data();
   v.len = len_.data();
   v.off_at = off_ptr_.data();
-  v.val_at = val_ptr_.data();
   v.count = terms_.data();
   v.num_runs = static_cast<index_t>(row_.size());
   return v;
@@ -161,7 +262,6 @@ void DiaMatrix::multiply_rows(const Vec& x, Vec& y, index_t begin,
   sub.row += q0;
   sub.len += q0;
   sub.off_at += q0;
-  sub.val_at += q0;
   sub.count += q0;
   sub.num_runs = q1 - q0;
 

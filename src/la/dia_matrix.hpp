@@ -15,6 +15,19 @@
 // (a stencil's boundary rows) are copied next to each other, so the product
 // streams them instead of missing the cache on every scattered row.
 //
+// A value column is stored once however many terms read it.  The builder
+// keeps a column only when no kept column has its length and its bits
+// (compared with memcmp, so +0.0 and -0.0, or two NaN payloads, are never
+// shared), and every term finds its column through one per-term table:
+// term k of row row[q] + t of run q reads val[col[off_at[q] + k] + t]
+// (simd::RunView's one addressing rule).  A plate's runs repeat a few
+// hundred distinct columns many times over — at femplate:a=160 the store
+// holds 0.52 MB of run values where a product reads 5.6 MB — so the values
+// a product or a sweep reads stay in cache.
+// A matrix with no repeated column keeps its columns in term order and
+// pays only the table: one 4-byte index per term against at least 32
+// bytes of values (a run has at least four rows), at most 12.5% more.
+//
 // Every stored term of every row keeps its CSR order, and the kernel sums
 // row i's terms on row_dot's 8-lane schedule, so every product here is
 // BITWISE CsrMatrix::multiply — the storage changes the memory traffic,
@@ -119,19 +132,23 @@ class DiaMatrix {
   /// multiply / multiply_sub of column c of X.
   void multiply_block(const double* x, double* y, bool subtract) const;
 
-  /// Values one product reads: the runs' value columns plus the CSR
-  /// entries of the rows outside runs — the scheme's value traffic,
-  /// reported by the kernel bench.
+  /// Values one product reads: one per term of every run row plus the
+  /// CSR entries of the rows outside runs — nnz when every row is stored,
+  /// however many of the run values are shared.  The scheme's value
+  /// traffic, reported by the kernel bench.
   [[nodiscard]] std::size_t stored_values() const {
-    return val_.size() + rest_values_;
+    return run_values_ + rest_values_;
   }
-  /// Bytes this object holds: the run values, offsets and per-run
-  /// indexing, the cuts, the rest stretches and the copied rest rows (the
-  /// rows read in place belong to the source matrix).
+  /// Run values this object holds: each distinct value column once.
+  [[nodiscard]] std::size_t held_values() const { return val_.size(); }
+  /// Bytes this object holds: the distinct value columns, the per-term
+  /// offsets and column table, the per-run indexing, the cuts, the rest
+  /// stretches and the copied rest rows (the rows read in place belong to
+  /// the source matrix).
   [[nodiscard]] std::size_t stored_bytes() const {
     return val_.size() * sizeof(double) +
-           (off_.size() + cuts_.size()) * sizeof(index_t) +
-           row_.size() * (4 * sizeof(index_t) + sizeof(std::size_t)) +
+           (off_.size() + col_.size() + cuts_.size()) * sizeof(index_t) +
+           row_.size() * 4 * sizeof(index_t) +
            rest_.size() * sizeof(RowRange) +
            copy_val_.size() * sizeof(double) +
            (copy_col_.size() + copy_ptr_.size()) * sizeof(index_t);
@@ -140,14 +157,17 @@ class DiaMatrix {
  private:
   index_t n_ = 0;
   std::vector<index_t> cuts_;
-  // Per run: first row, length, offset-list start, value start, terms.
+  // Per run: first row, length, first term, terms.
   std::vector<index_t> row_;
   std::vector<index_t> len_;
   std::vector<index_t> off_ptr_;
-  std::vector<std::size_t> val_ptr_;
   std::vector<index_t> terms_;
-  std::vector<index_t> off_;  // every run's offsets, CSR order
-  std::vector<double> val_;   // every run's values, diagonal-major
+  // Per term of every run, CSR order: its offset and the start of its
+  // value column in val_.
+  std::vector<index_t> off_;
+  std::vector<index_t> col_;
+  std::vector<double> val_;  // the distinct value columns
+  std::size_t run_values_ = 0;  // terms x rows over every run
   /// Rows [b, e) of stretch r as `kernel(rp, col, val, base, b', e')`: a
   /// CSR row kernel over rows [b', e') of (rp, col, val) writes row
   /// base + i of y for its row i.

@@ -204,13 +204,12 @@ void sell_spmv_slices(const SellView& s, const double* x, double* y,
 /// that row, so term k reads xi[off[k]].
 double run_row_sum(const RunView& runs, index_t q, index_t t,
                    const double* xi) {
-  const auto len = static_cast<std::size_t>(runs.len[q]);
   const index_t* off = runs.off + runs.off_at[q];
-  const double* val = runs.val + runs.val_at[q] + t;
+  const index_t* col = runs.col + runs.off_at[q];
+  const double* val = runs.val + t;
   double lane[kRowLanes] = {};
   for (index_t k = 0; k < runs.count[q]; ++k) {
-    lane[static_cast<std::size_t>(k) % kRowLanes] +=
-        val[static_cast<std::size_t>(k) * len] * xi[off[k]];
+    lane[static_cast<std::size_t>(k) % kRowLanes] += val[col[k]] * xi[off[k]];
   }
   double sum = lane[0];
   for (std::size_t l = 1; l < kRowLanes; ++l) sum += lane[l];
@@ -351,17 +350,16 @@ void block_csr_rows(const index_t* rp, const index_t* col, const double* val,
 }
 
 /// block_row_sum's schedule over block row row[q] + t of run q: term k is
-/// the value column walked with stride len times x's block row at
-/// row[q] + t + off[k].
+/// value column k at t times x's block row at row[q] + t + off[k].
 void block_run_row_sum(const RunView& runs, index_t q, index_t t,
                        const double* x, double* sum) {
-  const auto len = static_cast<std::size_t>(runs.len[q]);
   const index_t* off = runs.off + runs.off_at[q];
-  const double* val = runs.val + runs.val_at[q] + t;
+  const index_t* col = runs.col + runs.off_at[q];
+  const double* val = runs.val + t;
   const index_t i = runs.row[q] + t;
   double lane[kRowLanes][kW] = {};
   for (index_t k = 0; k < runs.count[q]; ++k) {
-    const double v = val[static_cast<std::size_t>(k) * len];
+    const double v = val[col[k]];
     const double* xr = x + static_cast<std::size_t>(i + off[k]) * kW;
     double* l = lane[static_cast<std::size_t>(k) % kRowLanes];
     for (std::size_t c = 0; c < kW; ++c) l[c] += v * xr[c];

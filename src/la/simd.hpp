@@ -146,21 +146,25 @@ void sell_spmv_slices(const SellView& s, const double* x, double* y,
 /// sweep's per-class views of them, la::SweepSegments).  Run q covers rows
 /// [row[q], row[q] + len[q]); every one of its rows couples to the same
 /// offsets (col - row, in CSR order), stored once, with the values
-/// diagonal-major: one column of len[q] values per offset.  A view sums
-/// count[q] consecutive terms of each run, starting at the term whose
-/// offset is off[off_at[q]] and whose value column starts at
-/// val[val_at[q]]: term k of row row[q] + t is
-/// val[val_at[q] + k * len[q] + t] * x[row[q] + t + off[off_at[q] + k]].
-/// Four rows' term k is therefore one contiguous load of val and one of
-/// x — no column indices, no gather.
+/// diagonal-major: one column of len[q] values per offset.  The per-term
+/// arrays off and col are indexed alike: a view sums count[q] consecutive
+/// terms of each run from term off_at[q] on, and term k of row row[q] + t
+/// is val[col[off_at[q] + k] + t] * x[row[q] + t + off[off_at[q] + k]] —
+/// the one addressing rule every run kernel follows.  A sub-view (a row
+/// window, a strip's clipped runs, a sweep half) has its own row, len,
+/// off_at and count and shares val, off and col, since off_at indexes both
+/// per-term arrays.  A value
+/// column may serve many terms of many runs: the store keeps each distinct
+/// column once, bit for bit.  Four rows' term k is one contiguous load of
+/// val and one of x — no column indices, no gather.
 struct RunView {
   const double* val = nullptr;
   const index_t* off = nullptr;
+  const index_t* col = nullptr;     // per term: its value column in val
   const index_t* row = nullptr;
   const index_t* len = nullptr;
-  const index_t* off_at = nullptr;      // per run: first summed offset
-  const std::size_t* val_at = nullptr;  // per run: first summed value
-  const index_t* count = nullptr;       // per run: terms summed
+  const index_t* off_at = nullptr;  // per run: first summed term
+  const index_t* count = nullptr;   // per run: terms summed
   index_t num_runs = 0;
 };
 

@@ -412,7 +412,7 @@ MSTEP_INLINE __m256d fixed_sum(index_t count, const Term& term) {
 }
 
 /// The summed terms of run q over x, resolved once per run: term k of row
-/// row[q] + t is value column k at t times x at row[q] + t + off[k], x
+/// row[q] + t is value column col[k] at t times x at row[q] + t + off[k], x
 /// holding W doubles per row (1: a vector, kSellSlice: a block).  With N
 /// terms known at compile time each term's value column and x position is
 /// one pointer; a longer run (N < 0) finds them per term.  Every operand
@@ -422,18 +422,19 @@ MSTEP_INLINE __m256d fixed_sum(index_t count, const Term& term) {
 template <int N, std::size_t W>
 struct RunTerms {
   RunTerms(const RunView& runs, index_t q, const double* x)
-      : val(runs.val + runs.val_at[q]), off(runs.off + runs.off_at[q]),
+      : val(runs.val), off(runs.off + runs.off_at[q]),
+        start(runs.col + runs.off_at[q]),
         x(x + static_cast<std::size_t>(runs.row[q]) * W),
-        len(static_cast<std::size_t>(runs.len[q])), count(runs.count[q]) {
+        count(runs.count[q]) {
     for (int k = 0; k < N; ++k) {
       col[k] = column(k);
       at[k] = position(k);
     }
   }
 
-  /// Value column k, and x at row[q] + off[k].
+  /// Term k's value column, and x at row[q] + off[k].
   [[nodiscard]] MSTEP_INLINE const double* column(index_t k) const {
-    return val + static_cast<std::size_t>(k) * len;
+    return val + start[k];
   }
   [[nodiscard]] MSTEP_INLINE const double* position(index_t k) const {
     return x + static_cast<std::ptrdiff_t>(off[k]) *
@@ -468,8 +469,8 @@ struct RunTerms {
 
   const double* val;
   const index_t* off;
-  const double* x;  // at the run's first row
-  std::size_t len;
+  const index_t* start;  // per term: its value column in val
+  const double* x;       // at the run's first row
   index_t count;
   const double* col[N > 0 ? N : 1];
   const double* at[N > 0 ? N : 1];
@@ -478,13 +479,12 @@ struct RunTerms {
 /// One row of run q: the portable twin's run_row_sum verbatim.
 inline double run_row_sum(const RunView& runs, index_t q, index_t t,
                           const double* xi) {
-  const auto len = static_cast<std::size_t>(runs.len[q]);
   const index_t* off = runs.off + runs.off_at[q];
-  const double* val = runs.val + runs.val_at[q] + t;
+  const index_t* col = runs.col + runs.off_at[q];
+  const double* val = runs.val + t;
   double lane[kRowLanes] = {};
   for (index_t k = 0; k < runs.count[q]; ++k) {
-    lane[static_cast<std::size_t>(k) % kRowLanes] +=
-        val[static_cast<std::size_t>(k) * len] * xi[off[k]];
+    lane[static_cast<std::size_t>(k) % kRowLanes] += val[col[k]] * xi[off[k]];
   }
   double sum = lane[0];
   for (std::size_t l = 1; l < kRowLanes; ++l) sum += lane[l];

@@ -13,6 +13,7 @@ SweepSegments SweepSegments::build(const DiaMatrix& store, const CsrMatrix& a,
   SweepSegments m;
   m.val_ = all.val;
   m.off_ = all.off;
+  m.col_ = all.col;
 
   std::vector<index_t> rest_rows;
   for (const RowSpan& span : spans) {
@@ -41,7 +42,6 @@ SweepSegments SweepSegments::build(const DiaMatrix& store, const CsrMatrix& a,
       m.row_.push_back(i0);
       m.len_.push_back(len);
       m.off_at_.push_back(all.off_at[q] + k0);
-      m.val_at_.push_back(all.val_at[q] + static_cast<std::size_t>(k0) * len);
       m.count_.push_back(k1 - k0);
       m.run_rows_ += len;
       next = i0 + len;
@@ -56,10 +56,10 @@ simd::RunView SweepSegments::runs() const {
   simd::RunView v;
   v.val = val_;
   v.off = off_;
+  v.col = col_;
   v.row = row_.data();
   v.len = len_.data();
   v.off_at = off_at_.data();
-  v.val_at = val_at_.data();
   v.count = count_.data();
   v.num_runs = static_cast<index_t>(row_.size());
   return v;

@@ -9,10 +9,10 @@
 // upper-class entries, so the lower half of every row of a run is the same
 // leading stretch of the run's terms and the upper half the same trailing
 // stretch.  A sweep segment therefore sums, per run, a term begin and a
-// count over the store's own offsets and values: four rows' term k is one
-// contiguous load of values and one of the iterate.  Each row's sum is
-// row_dot's 8-lane schedule over its segment (term k - k0 to lane
-// (k - k0) mod 8), bitwise.  The rows of the class that no usable run
+// count over the store's own offsets, column table and values: four rows'
+// term k is one contiguous load of values and one of the iterate.  Each
+// row's sum is row_dot's 8-lane schedule over its segment (term k - k0 to
+// lane (k - k0) mod 8), bitwise.  The rows of the class that no usable run
 // covers keep their segment as SELL slices (la::SellSegments) and go
 // through the same fused update.
 #pragma once
@@ -60,18 +60,17 @@ class SweepSegments {
   [[nodiscard]] index_t run_rows() const { return run_rows_; }
   /// Bytes this view holds itself (the store's runs are not counted).
   [[nodiscard]] std::size_t stored_bytes() const {
-    return row_.size() * (4 * sizeof(index_t) + sizeof(std::size_t)) +
-           rest_.stored_bytes();
+    return row_.size() * 4 * sizeof(index_t) + rest_.stored_bytes();
   }
 
  private:
   const double* val_ = nullptr;   // the store's values
   const index_t* off_ = nullptr;  // the store's offsets
-  // Per summed run: first row, length, first offset, first value, terms.
+  const index_t* col_ = nullptr;  // the store's column table
+  // Per summed run: first row, length, first summed term, terms.
   std::vector<index_t> row_;
   std::vector<index_t> len_;
   std::vector<index_t> off_at_;
-  std::vector<std::size_t> val_at_;
   std::vector<index_t> count_;
   index_t run_rows_ = 0;
   SellSegments rest_;

@@ -13,11 +13,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "color/coloring.hpp"
@@ -25,6 +28,7 @@
 #include "la/dia_matrix.hpp"
 #include "la/linear_operator.hpp"
 #include "la/simd.hpp"
+#include "la/sweep_segments.hpp"
 #include "par/thread_pool.hpp"
 #include "problems/problem.hpp"
 #include "shard/partition.hpp"
@@ -148,6 +152,7 @@ TEST(RunProduct, LayoutCoversEveryRowAndRespectsTheCuts) {
   const la::DiaMatrix d = la::DiaMatrix::from_csr(a, cuts);
   EXPECT_EQ(d.cuts(), cuts);
   std::vector<int> seen(static_cast<std::size_t>(n), 0);
+  const auto& rp = a.row_ptr();
   const la::simd::RunView runs = d.runs();
   for (index_t q = 0; q < runs.num_runs; ++q) {
     EXPECT_GE(runs.len[q], la::DiaMatrix::kMinRun);
@@ -155,14 +160,26 @@ TEST(RunProduct, LayoutCoversEveryRowAndRespectsTheCuts) {
       EXPECT_FALSE(runs.row[q] < c && c < runs.row[q] + runs.len[q])
           << "run " << q << " crosses cut " << c;
     }
-    for (index_t t = 0; t < runs.len[q]; ++t) ++seen[runs.row[q] + t];
+    // Term k of every run row: its CSR column and its CSR value's bits,
+    // read through the one addressing rule.
+    for (index_t t = 0; t < runs.len[q]; ++t) {
+      const index_t i = runs.row[q] + t;
+      ++seen[i];
+      ASSERT_EQ(rp[i + 1] - rp[i], runs.count[q]) << "row " << i;
+      for (index_t k = 0; k < runs.count[q]; ++k) {
+        const index_t term = runs.off_at[q] + k;
+        EXPECT_EQ(i + runs.off[term], a.col_idx()[rp[i] + k]) << "row " << i;
+        const double v = runs.val[runs.col[term] + t];
+        EXPECT_EQ(std::memcmp(&v, &a.values()[rp[i] + k], sizeof v), 0)
+            << "row " << i << " term " << k;
+      }
+    }
   }
   // The rest stretches ascend, are maximal (never adjacent) and hold the
   // rows no run covers; the short ones are copied, the long one is not.
   index_t rest_rows = 0;
   bool empty_rest_row = false;
   int in_place = 0;
-  const auto& rp = a.row_ptr();
   for (std::size_t r = 0; r < d.rest().size(); ++r) {
     const auto [b, e, copy] = d.rest()[r];
     EXPECT_LT(b, e);
@@ -223,6 +240,180 @@ TEST(RunProduct, MultiplyIsBitwiseCsrOnBothPaths) {
   }
 }
 
+/// A NaN with `payload` in its low bits.
+double nan_with(std::uint64_t payload) {
+  const std::uint64_t bits = 0x7ff8000000000000ULL | payload;
+  double v = 0.0;
+  std::memcpy(&v, &bits, sizeof v);
+  return v;
+}
+
+/// Column c of `block` (n x kW, row-interleaved) as a vector.
+Vec block_column(const Vec& block, std::size_t c) {
+  Vec v(block.size() / kW);
+  for (std::size_t i = 0; i < v.size(); ++i) v[i] = block[i * kW + c];
+  return v;
+}
+
+// Value columns are shared only when their bits match.  Four runs of 8 rows
+// on one diagonal column and one coupling column each: the diagonal
+// columns are equal in every bit and stored once; the coupling columns of
+// runs 0 and 1 compare == but differ in one zero's sign, those of runs 2
+// and 3 differ only in a NaN's payload, and all four are kept.  A store
+// keyed on == would merge runs 0 and 1; one that takes NaNs as equal would
+// merge runs 2 and 3 and give run 3's row run 2's NaN.
+TEST(RunProduct, ColumnsThatDifferInBitsAreNeverShared) {
+  const index_t n = 32;
+  std::vector<index_t> rp{0};
+  std::vector<index_t> col;
+  Vec val;
+  for (index_t i = 0; i < n; ++i) {
+    const index_t run = i / 8;
+    const index_t t = i % 8;
+    double w = -0.5 - 0.125 * t;
+    if (t == 3) w = run == 1 ? -0.0 : 0.0;
+    if (t == 5 && run >= 2) w = nan_with(run == 2 ? 1 : 2);
+    const index_t j = (i + 8) % n;
+    const double d = 2.0 + 0.25 * t;
+    col.insert(col.end(), {std::min(i, j), std::max(i, j)});
+    val.insert(val.end(), {i < j ? d : w, i < j ? w : d});
+    rp.push_back(static_cast<index_t>(col.size()));
+  }
+  const la::CsrMatrix a(n, n, std::move(rp), std::move(col), std::move(val));
+  const la::DiaMatrix d = la::DiaMatrix::from_csr(a, {0, 8, 16, 24, n});
+  ASSERT_EQ(d.runs().num_runs, 4);
+  EXPECT_EQ(d.held_values(), 5u * 8u);
+  EXPECT_EQ(d.stored_values(), static_cast<std::size_t>(a.nnz()));
+  const la::simd::RunView runs = d.runs();
+  for (index_t q = 0; q < runs.num_runs; ++q) {
+    for (index_t k = 0; k < runs.count[q]; ++k) {
+      const index_t term = runs.off_at[q] + k;
+      for (index_t t = 0; t < runs.len[q]; ++t) {
+        const index_t i = runs.row[q] + t;
+        const double v = runs.val[runs.col[term] + t];
+        EXPECT_EQ(std::memcmp(&v, &a.values()[a.row_ptr()[i] + k], sizeof v),
+                  0)
+            << "run " << q << " term " << k << " row " << i;
+      }
+    }
+  }
+
+  util::Rng rng(23);
+  const Vec x = make_x(rng, n);
+  const Vec want = csr_product(a, x, Vec(n, 0.0), false);
+  const Vec out = both_paths(
+      [&] {
+        Vec y;
+        d.multiply(x, y);
+        return y;
+      },
+      "multiply");
+  EXPECT_TRUE(bitwise_equal(out, want)) << "multiply";
+
+  const auto nn = static_cast<std::size_t>(n);
+  const Vec xb = rng.uniform_vector(nn * kW, -1.0, 1.0);
+  const Vec block = both_paths(
+      [&] {
+        Vec y(nn * kW, 0.0);
+        d.multiply_block(xb.data(), y.data(), /*subtract=*/false);
+        return y;
+      },
+      "multiply_block");
+  for (std::size_t c = 0; c < kW; ++c) {
+    EXPECT_TRUE(bitwise_equal(block_column(block, c),
+                              csr_product(a, block_column(xb, c),
+                                          Vec(nn, 0.0), false)))
+        << "block column " << c;
+  }
+
+  // The sweep's save phase over whole rows: y = -(A z), run by run from
+  // the store's shared columns.
+  const la::SweepSegments segs = la::SweepSegments::build(
+      d, a, a.row_ptr().data(), a.row_ptr().data() + 1, {{0, n}});
+  ASSERT_EQ(segs.run_rows(), n);
+  const Vec diag(nn, 1.0);
+  Vec negated = want;
+  for (double& v : negated) v = -v;
+  const Vec saved = both_paths(
+      [&] {
+        Vec z = x;
+        Vec y(nn, 0.0);
+        la::simd::sweep_segments(segs.runs(), segs.rest().view(), diag.data(),
+                                 1.0, nullptr, z.data(), y.data(), false);
+        return y;
+      },
+      "sweep save phase");
+  EXPECT_TRUE(bitwise_equal(saved, negated)) << "sweep save phase";
+  const Vec block_saved = both_paths(
+      [&] {
+        Vec z = xb;
+        Vec y(nn * kW, 0.0);
+        la::simd::block_sweep_segments(segs.runs(), segs.rest().view(),
+                                       diag.data(), 1.0, nullptr, z.data(),
+                                       y.data(), false);
+        return y;
+      },
+      "block sweep save phase");
+  for (std::size_t c = 0; c < kW; ++c) {
+    Vec column = csr_product(a, block_column(xb, c), Vec(nn, 0.0), false);
+    for (double& v : column) v = -v;
+    EXPECT_TRUE(bitwise_equal(block_column(block_saved, c), column))
+        << "block sweep column " << c;
+  }
+}
+
+// A stencil's store holds one column per distinct (length, bits) pair:
+// every term whose column has the same length and bits reads the same
+// stored column, and no two different columns share storage.
+TEST(RunProduct, StoreHoldsEachDistinctColumnOnce) {
+  const problems::Problem p =
+      problems::ProblemRegistry::instance().create("poisson2d:n=64");
+  const solver::Prepared prepared =
+      solver::Solver::from_config(
+          solver::SolverConfig::from_string("splitting=ssor"))
+          .prepare(p.matrix);
+  const la::DiaMatrix& d = prepared.storage();
+  const la::simd::RunView runs = d.runs();
+  std::map<std::pair<index_t, std::string>, index_t> start_of;
+  std::map<index_t, index_t> len_at;
+  std::size_t terms = 0;
+  for (index_t q = 0; q < runs.num_runs; ++q) {
+    const index_t len = runs.len[q];
+    for (index_t k = runs.off_at[q]; k < runs.off_at[q] + runs.count[q];
+         ++k) {
+      const double* v = runs.val + runs.col[k];
+      const std::string bits(reinterpret_cast<const char*>(v),
+                             static_cast<std::size_t>(len) * sizeof(double));
+      const auto [it, fresh] = start_of.insert({{len, bits}, runs.col[k]});
+      EXPECT_EQ(it->second, runs.col[k]) << "run " << q << " term " << k;
+      if (fresh) {
+        EXPECT_TRUE(len_at.insert({runs.col[k], len}).second)
+            << "two columns at " << runs.col[k];
+      }
+      ++terms;
+    }
+  }
+  std::size_t held = 0;
+  for (const auto& [start, len] : len_at) held += static_cast<std::size_t>(len);
+  EXPECT_EQ(d.held_values(), held);
+  EXPECT_GT(terms, 10 * start_of.size());
+  EXPECT_EQ(d.stored_values(), static_cast<std::size_t>(p.matrix.nnz()));
+}
+
+// The plate's run values are mostly repeats: its store holds a few
+// hundred distinct columns, while a product still reads every value.
+TEST(RunProduct, PlateStoreHoldsUnderAMegabyte) {
+  const problems::Problem p =
+      problems::ProblemRegistry::instance().create("femplate:a=160");
+  const solver::Prepared prepared =
+      solver::Solver::from_config(
+          solver::SolverConfig::from_string("splitting=ssor"))
+          .prepare(p.matrix, p.classes);
+  const la::DiaMatrix& d = prepared.storage();
+  EXPECT_EQ(d.stored_values(), static_cast<std::size_t>(p.matrix.nnz()));
+  EXPECT_LE(d.stored_bytes(), 1000000u);
+}
+
 // The store without runs is CsrMatrix's kernel on every row: the product,
 // every row range, the partitioned product and the block form.
 TEST(RunProduct, StoreWithoutRunsIsTheCsrProduct) {
@@ -261,13 +452,9 @@ TEST(RunProduct, StoreWithoutRunsIsTheCsrProduct) {
   Vec from_store(nn * kW, 0.0);
   d.multiply_block(xb.data(), from_store.data(), /*subtract=*/false);
   for (std::size_t c = 0; c < kW; ++c) {
-    Vec xc(nn);
-    Vec yc(nn);
-    for (std::size_t i = 0; i < nn; ++i) {
-      xc[i] = xb[i * kW + c];
-      yc[i] = from_store[i * kW + c];
-    }
-    EXPECT_TRUE(bitwise_equal(yc, csr_product(a, xc, Vec(nn, 0.0), false)))
+    EXPECT_TRUE(bitwise_equal(block_column(from_store, c),
+                              csr_product(a, block_column(xb, c),
+                                          Vec(nn, 0.0), false)))
         << "block column " << c;
   }
 }
@@ -390,11 +577,6 @@ TEST(RunProduct, BlockFormIsBitwisePerColumn) {
   Vec x = rng.uniform_vector(n * kW, -1.0, 1.0);
   for (std::size_t i = 0; i < n; i += 5) x[i * kW + i % kW] = -0.0;
   const Vec y0 = rng.uniform_vector(n * kW, -1.0, 1.0);
-  const auto column = [&](const Vec& block, std::size_t c) {
-    Vec v(n);
-    for (std::size_t i = 0; i < n; ++i) v[i] = block[i * kW + c];
-    return v;
-  };
   for (const bool subtract : {false, true}) {
     const std::string what = subtract ? "multiply_sub" : "multiply";
     const Vec out = both_paths(
@@ -405,8 +587,9 @@ TEST(RunProduct, BlockFormIsBitwisePerColumn) {
         },
         what);
     for (std::size_t c = 0; c < kW; ++c) {
-      EXPECT_TRUE(bitwise_equal(column(out, c),
-                                csr_product(a, column(x, c), column(y0, c),
+      EXPECT_TRUE(bitwise_equal(block_column(out, c),
+                                csr_product(a, block_column(x, c),
+                                            block_column(y0, c),
                                             subtract)))
           << what << " column " << c;
     }
@@ -430,8 +613,11 @@ TEST(RunProduct, KernelSumsShortRunsAsRowDot) {
       for (index_t k = 0; k < terms; ++k) off.push_back(offset(k));
       for (index_t k = 0; k < 3; ++k) off.push_back(offset(k + 2));
       const std::vector<index_t> off_at{0, terms};
-      const std::vector<std::size_t> val_at{
-          0, static_cast<std::size_t>(terms * len)};
+      // The value columns stored last term first, so no column starts where
+      // term order would put it.
+      std::vector<index_t> col;
+      for (index_t k = 0; k < terms; ++k) col.push_back((terms - 1 - k) * len);
+      for (index_t k = 0; k < 3; ++k) col.push_back(terms * len + (2 - k) * 4);
       Vec val;
       for (index_t q = 0; q < terms * len + 3 * 4; ++q) {
         val.push_back(q % 6 == 0 ? -0.0 : rng.uniform(-1.0, 1.0));
@@ -439,10 +625,10 @@ TEST(RunProduct, KernelSumsShortRunsAsRowDot) {
       la::simd::RunView runs;
       runs.val = val.data();
       runs.off = off.data();
+      runs.col = col.data();
       runs.row = row.data();
       runs.len = lens.data();
       runs.off_at = off_at.data();
-      runs.val_at = val_at.data();
       runs.count = count.data();
       runs.num_runs = 2;
 
@@ -466,8 +652,7 @@ TEST(RunProduct, KernelSumsShortRunsAsRowDot) {
             Vec v;
             std::vector<index_t> c;
             for (index_t k = 0; k < count[q]; ++k) {
-              v.push_back(
-                  val[val_at[q] + static_cast<std::size_t>(k * lens[q] + t)]);
+              v.push_back(val[col[off_at[q] + k] + t]);
               c.push_back(i + off[off_at[q] + k]);
             }
             const SimdModeGuard guard(SimdMode::kForceScalar);

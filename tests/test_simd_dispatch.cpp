@@ -371,11 +371,16 @@ TEST(SimdDispatch, SweepSegmentsAreBitwiseRowDotPlusClassUpdate) {
       const std::vector<index_t> row{120, 129};
       const std::vector<index_t> lens{len, len1};
       const std::vector<index_t> off_ptr{0, terms, terms + terms1};
-      const std::vector<std::size_t> val_ptr{
-          0, static_cast<std::size_t>(terms * len)};
       std::vector<index_t> off;
-      for (index_t k = 0; k < terms; ++k) off.push_back(offset(k));
-      for (index_t k = 0; k < terms1; ++k) off.push_back(offset(terms1 - k));
+      std::vector<index_t> col;
+      for (index_t k = 0; k < terms; ++k) {
+        off.push_back(offset(k));
+        col.push_back(k * len);
+      }
+      for (index_t k = 0; k < terms1; ++k) {
+        off.push_back(offset(terms1 - k));
+        col.push_back(terms * len + k * len1);
+      }
       Vec val;
       for (index_t q = 0; q < terms * len + terms1 * len1; ++q) {
         val.push_back(q % 6 == 0 ? -0.0 : rng.uniform(-1.0, 1.0));
@@ -384,10 +389,10 @@ TEST(SimdDispatch, SweepSegmentsAreBitwiseRowDotPlusClassUpdate) {
       la::simd::RunView runs;
       runs.val = val.data();
       runs.off = off.data();
+      runs.col = col.data();
       runs.row = row.data();
       runs.len = lens.data();
       runs.off_at = off_ptr.data();
-      runs.val_at = val_ptr.data();
       runs.count = count.data();
       runs.num_runs = 2;
 
@@ -403,8 +408,7 @@ TEST(SimdDispatch, SweepSegmentsAreBitwiseRowDotPlusClassUpdate) {
           Segment seg{row[q] + t, {}, {}};
           for (index_t k = off_ptr[q]; k < off_ptr[q + 1]; ++k) {
             seg.col.push_back(seg.row + off[k]);
-            seg.val.push_back(
-                val[val_ptr[q] + (k - off_ptr[q]) * lens[q] + t]);
+            seg.val.push_back(val[col[k] + t]);
           }
           segments.push_back(seg);
         }
@@ -507,11 +511,12 @@ TEST(SimdDispatch, FixedCountRunKernelsAreBitwiseTheLaneSchedule) {
       const std::vector<index_t> lens{len, len};
       const std::vector<index_t> count{terms, 17 - terms};
       const std::vector<index_t> off_at{0, terms};
-      const std::vector<std::size_t> val_at{
-          0, static_cast<std::size_t>(terms * len)};
       std::vector<index_t> off;
-      for (index_t k = 0; k < terms; ++k) off.push_back(offset(k));
-      for (index_t k = 0; k < 17 - terms; ++k) off.push_back(offset(16 - k));
+      std::vector<index_t> col;
+      for (index_t k = 0; k < 17; ++k) {
+        off.push_back(k < terms ? offset(k) : offset(16 - (k - terms)));
+        col.push_back(k * len);
+      }
       Vec val;
       for (index_t q = 0; q < 17 * len; ++q) {
         val.push_back(q % 6 == 0   ? -0.0
@@ -521,10 +526,10 @@ TEST(SimdDispatch, FixedCountRunKernelsAreBitwiseTheLaneSchedule) {
       la::simd::RunView runs;
       runs.val = val.data();
       runs.off = off.data();
+      runs.col = col.data();
       runs.row = row.data();
       runs.len = lens.data();
       runs.off_at = off_at.data();
-      runs.val_at = val_at.data();
       runs.count = count.data();
       runs.num_runs = 2;
       const std::string what =
@@ -539,8 +544,7 @@ TEST(SimdDispatch, FixedCountRunKernelsAreBitwiseTheLaneSchedule) {
             Vec vals;
             std::vector<index_t> cols;
             for (index_t k = 0; k < count[q]; ++k) {
-              vals.push_back(val[val_at[q] + static_cast<std::size_t>(
-                                                 k * len + t)]);
+              vals.push_back(val[col[off_at[q] + k] + t]);
               cols.push_back(i + off[off_at[q] + k]);
             }
             sums[i] = la::simd::row_dot(vals.data(), cols.data(), v.data(), 0,

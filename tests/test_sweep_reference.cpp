@@ -377,6 +377,7 @@ TEST(SweepLayout, RunsAndLeftoversCoverEveryRowExactly) {
             // A view of the plan's one store, not a copy.
             EXPECT_EQ(runs.val, plan.store->runs().val) << where;
             EXPECT_EQ(runs.off, plan.store->runs().off) << where;
+            EXPECT_EQ(runs.col, plan.store->runs().col) << where;
             index_t in_runs = 0;
             for (index_t q = 0; q < runs.num_runs; ++q) {
               const index_t len = runs.len[q];
@@ -394,7 +395,7 @@ TEST(SweepLayout, RunsAndLeftoversCoverEveryRowExactly) {
                             col[entries[j]])
                       << where << " row " << i;
                   const double v =
-                      runs.val[runs.val_at[q] + j * len + t];
+                      runs.val[runs.col[runs.off_at[q] + j] + t];
                   EXPECT_EQ(std::memcmp(&v, &val[entries[j]], sizeof v), 0)
                       << where << " row " << i;
                 }
